@@ -1,104 +1,36 @@
-"""Hot-loop kernels for pairwise averaged-metric accumulation.
-
-Numba is optional: when it is importable the fused single-pass kernels are
-compiled, otherwise the numpy fallbacks run (same numbers, more memory
-traffic).  Only the upper triangle is accumulated; callers symmetrise.
-"""
+"""Hot-loop kernels for pairwise averaged-metric accumulation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    import numba
-
-    @numba.njit(cache=True)
-    def _accum_circle_nb(xs, dsum):
-        steps, p = xs.shape
-        for s in range(steps):
-            row = xs[s]
-            for i in range(p):
-                xi = row[i]
-                for j in range(i + 1, p):
-                    u = xi - row[j]
-                    if u < 0.0:
-                        u = -u
-                    if u > 0.5:
-                        u = 1.0 - u
-                    dsum[i, j] += u
-
-    @numba.njit(cache=True)
-    def _assign_nearest_circle_nb(coords, ctraj, j_out, d_out):
-        n_total = j_out.shape[0]
-        m_count, ell = ctraj.shape
-        for n in range(n_total):
-            best = 1e300
-            best_j = 0
-            for j in range(m_count):
-                acc = 0.0
-                for l in range(ell):
-                    u = coords[n + l] - ctraj[j, l]
-                    if u < 0.0:
-                        u = -u
-                    if u > 0.5:
-                        u = 1.0 - u
-                    acc += u
-                if acc < best:
-                    best = acc
-                    best_j = j
-            j_out[n] = best_j
-            d_out[n] = best / ell
-
-    @numba.njit(cache=True)
-    def _accum_torus_nb(xs, ys, dsum):
-        steps, p = xs.shape
-        for s in range(steps):
-            rx = xs[s]
-            ry = ys[s]
-            for i in range(p):
-                xi = rx[i]
-                yi = ry[i]
-                for j in range(i + 1, p):
-                    u = xi - rx[j]
-                    if u < 0.0:
-                        u = -u
-                    if u > 0.5:
-                        u = 1.0 - u
-                    v = yi - ry[j]
-                    if v < 0.0:
-                        v = -v
-                    if v > 0.5:
-                        v = 1.0 - v
-                    dsum[i, j] += u if u > v else v
-
-    HAVE_NUMBA = True
-except ImportError:      # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
 
 def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:
     """dsum[i,j] += sum over steps of ||x_i - x_j||, upper triangle."""
-    if HAVE_NUMBA:
-        _accum_circle_nb(xs, dsum)
-        return
     for row in xs:
         d = np.abs(row[:, None] - row[None, :])
         np.minimum(d, 1.0 - d, out=d)
         dsum += np.triu(d, 1)
 
 
-def accumulate_torus(xs: np.ndarray, ys: np.ndarray, dsum: np.ndarray) -> None:
-    """Sup-metric accumulation on the 2-torus, upper triangle."""
-    if HAVE_NUMBA:
-        _accum_torus_nb(xs, ys, dsum)
-        return
-    for rx, ry in zip(xs, ys):
-        dx = np.abs(rx[:, None] - rx[None, :])
-        np.minimum(dx, 1.0 - dx, out=dx)
-        dy = np.abs(ry[:, None] - ry[None, :])
-        np.minimum(dy, 1.0 - dy, out=dy)
-        np.maximum(dx, dy, out=dx)
-        dsum += np.triu(dx, 1)
+def accumulate_torus(ys: np.ndarray, dx: np.ndarray, dsum: np.ndarray) -> None:
+    """dsum[i,j] += sum over fibre rows y of max(dx[i,j], ||y_i - y_j||).
+
+    ys is (steps, p); dx is the fixed (p, p) base-distance matrix of a skew
+    product over an isometry.  The full symmetric matrix is accumulated in
+    place: |y_i - y_j| and |y_j - y_i| are the same float, so dsum stays
+    exactly symmetric with a zero diagonal.
+    """
+    p = ys.shape[1]
+    d = np.empty((p, p))
+    e = np.empty((p, p))
+    for row in ys:
+        np.subtract(row[:, None], row[None, :], out=d)
+        np.abs(d, out=d)
+        np.subtract(1.0, d, out=e)
+        np.minimum(d, e, out=d)
+        np.maximum(d, dx, out=d)
+        np.add(dsum, d, out=dsum)
 
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,
@@ -108,10 +40,6 @@ def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,
     center trajectories); returns (argmin, min)."""
     j_out = np.empty(n_total, dtype=np.int64)
     d_out = np.empty(n_total)
-    if HAVE_NUMBA:
-        _assign_nearest_circle_nb(np.ascontiguousarray(coords),
-                                  np.ascontiguousarray(ctraj), j_out, d_out)
-        return j_out, d_out
     m_count, ell = ctraj.shape
     chunk = max(1, (1 << 23) // max(m_count, 1))
     for lo in range(0, n_total, chunk):

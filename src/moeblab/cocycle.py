@@ -416,7 +416,8 @@ def block_estimate_check(h1: FourierCocycle, cf: ContinuedFraction,
 # ---------------------------------------------------------------------------
 
 def circle_dist(u, v):
-    d = np.mod(np.asarray(u) - np.asarray(v), 1.0)
+    """||u - v|| on the circle R/Z, elementwise in float64."""
+    d = np.mod(np.asarray(u, dtype=np.float64) - v, 1.0)
     return np.minimum(d, 1.0 - d)
 
 

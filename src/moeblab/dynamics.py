@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cocycle import FourierCocycle, cocycle_from_pairs
+from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, RationalAlpha, ZeroAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError
 
@@ -33,11 +33,6 @@ MAX_ALPHABET = 16
 def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
     """Pairwise ||x_i - x_j|| on the circle for a vector of positions."""
     d = np.abs(xs[:, None] - xs[None, :])
-    return np.minimum(d, 1.0 - d)
-
-
-def circle_dist(u, v):
-    d = np.mod(np.asarray(u, dtype=np.float64) - v, 1.0)
     return np.minimum(d, 1.0 - d)
 
 

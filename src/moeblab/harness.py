@@ -286,7 +286,8 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     budget = epsilon ** 3 * ell ** (delta / 20) / 2.0
     schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
-    center_states = [cloud.system.states_list(cloud.states)[i] for i in centers]
+    cloud_states = cloud.system.states_list(cloud.states)
+    center_states = [cloud_states[i] for i in centers]
     j_all, dmin = _assign_to_centers(system, x0, center_states, ell, n_total)
     assigned = dmin < epsilon1
     j_used = np.where(assigned, j_all, 0)     # unassigned fall back to center 0
@@ -392,7 +393,8 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     """Dispatch a registered experiment and write CSV + JSON (+ SVG).
 
     Identical configs and seeds produce byte-identical CSV/JSON/SVG; only
-    the timestamped directory name varies between runs.
+    the timestamped directory name varies between runs.  Runs stamped in
+    the same second get the suffixes -1, -2, ... in the order they start.
     """
     if "experiment" not in config:
         raise ParameterError(
@@ -405,9 +407,8 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     seed = int(config.get("seed", 0))
     rows, summary, series = _EXPERIMENTS[name](params, seed)
 
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    out_dir = Path(out_root) / f"{name}-{stamp}"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _new_bundle_dir(Path(out_root),
+                              f"{name}-{time.strftime('%Y%m%dT%H%M%S')}")
     csv_path = out_dir / "series.csv"
     _write_csv(csv_path, rows)
     summary_full = {
@@ -424,6 +425,24 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     return ReportBundle(out_dir=out_dir, csv_path=csv_path,
                         summary_path=summary_path, svg_path=svg_path,
                         summary=summary_full)
+
+
+def _new_bundle_dir(root: Path, base: str) -> Path:
+    """Create and return root/base, or the first free root/base-1, base-2, ...
+
+    The stamp has one-second resolution, so runs in the same second would
+    otherwise share a directory; mkdir without exist_ok claims a name
+    atomically, also across processes.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    suffix = 0
+    while True:
+        path = root / (f"{base}-{suffix}" if suffix else base)
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            suffix += 1
 
 
 def _json_default(obj):

@@ -187,6 +187,24 @@ def test_run_determinism(tmp_path):
     assert b1.summary_path.read_bytes() == b2.summary_path.read_bytes()
 
 
+def test_same_second_runs_get_their_own_bundles(tmp_path, monkeypatch):
+    monkeypatch.setattr(hx.time, "strftime", lambda fmt: "20260101T000000")
+    bundles = [hx.run_experiment({"experiment": "sieve-check",
+                                  "params": {"limit": limit}},
+                                 out_root=tmp_path)
+               for limit in (100, 1000, 10)]
+    assert [b.out_dir.name for b in bundles] == [
+        "sieve-check-20260101T000000", "sieve-check-20260101T000000-1",
+        "sieve-check-20260101T000000-2"]
+    for bundle, limit in zip(bundles, (100, 1000, 10)):
+        summary = json.loads(bundle.summary_path.read_text())
+        assert summary["params"]["limit"] == limit
+        assert summary == bundle.summary
+        assert bundle.csv_path.parent == bundle.out_dir
+        rows = bundle.csv_path.read_text().splitlines()[1:]
+        assert max(int(r.split(",")[0]) for r in rows) <= limit
+
+
 def test_run_sieve_check(tmp_path):
     bundle = hx.run_experiment({"experiment": "sieve-check",
                                 "params": {"limit": 1000}}, out_root=tmp_path)

@@ -31,46 +31,18 @@ def test_circle_kernel_against_reference(circle_block):
 def test_torus_kernel_against_reference(rng):
     xs = rng.random((9, 25))
     ys = rng.random((9, 25))
+    dx = np.abs(xs[0][:, None] - xs[0][None, :])
+    dx = np.minimum(dx, 1.0 - dx)
     dsum = np.zeros((25, 25))
-    kn.accumulate_torus(xs, ys, dsum)
+    kn.accumulate_torus(ys, dx, dsum)
     ref = np.zeros((25, 25))
-    for rx, ry in zip(xs, ys):
-        dx = np.abs(rx[:, None] - rx[None, :])
-        dx = np.minimum(dx, 1.0 - dx)
+    for ry in ys:
         dy_ = np.abs(ry[:, None] - ry[None, :])
         dy_ = np.minimum(dy_, 1.0 - dy_)
         ref += np.triu(np.maximum(dx, dy_), 1)
-    assert np.allclose(dsum, ref, atol=1e-12)
-
-
-def test_fallbacks_match_numba(monkeypatch, rng):
-    if not kn.HAVE_NUMBA:
-        pytest.skip("numba unavailable; fallbacks are already the only path")
-    xs = rng.random((7, 30))
-    ys = rng.random((7, 30))
-    fast_c = np.zeros((30, 30))
-    fast_t = np.zeros((30, 30))
-    kn.accumulate_circle(xs, fast_c)
-    kn.accumulate_torus(xs, ys, fast_t)
-    monkeypatch.setattr(kn, "HAVE_NUMBA", False)
-    slow_c = np.zeros((30, 30))
-    slow_t = np.zeros((30, 30))
-    kn.accumulate_circle(xs, slow_c)
-    kn.accumulate_torus(xs, ys, slow_t)
-    assert np.allclose(fast_c, slow_c, atol=1e-12)
-    assert np.allclose(fast_t, slow_t, atol=1e-12)
-
-
-def test_assignment_fallback_matches_numba(monkeypatch, rng):
-    if not kn.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    coords = rng.random(220)
-    ctraj = rng.random((5, 20))
-    j_fast, d_fast = kn.assign_nearest_circle(coords, ctraj, 200)
-    monkeypatch.setattr(kn, "HAVE_NUMBA", False)
-    j_slow, d_slow = kn.assign_nearest_circle(coords, ctraj, 200)
-    assert np.array_equal(j_fast, j_slow)
-    assert np.allclose(d_fast, d_slow, atol=1e-12)
+    assert np.allclose(dsum, ref + ref.T, atol=1e-12)   # full symmetric matrix
+    assert np.array_equal(dsum, dsum.T)
+    assert np.all(np.diag(dsum) == 0.0)
 
 
 def test_rotation_fast_path_matches_scalar():
@@ -98,3 +70,43 @@ def test_rotation_isometry_matches_stepwise_accumulation():
         assert np.max(np.abs(mat - expect)) <= 1e-12, n
         for eps in (0.1, 0.2):
             assert np.array_equal(mat < eps, expect < eps), (n, eps)
+
+
+def _stepwise_torus_reference(cloud, ns):
+    """dbar_n from explicit sums of max(dx_s, dy_s), with the base distance
+    dx_s recomputed at every step from the stepped states."""
+    system = cloud.system
+    states = cloud.states
+    p = cloud.size
+    dsum = np.zeros((p, p))
+    out = {}
+    for s in range(max(ns)):
+        if isinstance(states, tuple):       # Z/q: positions g/q on the circle
+            q = system.descriptor["group"]["q"]
+            bx, fy = states[0] / q, states[1]
+        else:
+            bx, fy = states[:, 0], states[:, 1]
+        dx_s = dy.circle_dist(bx[:, None], bx[None, :])
+        dy_s = dy.circle_dist(fy[:, None], fy[None, :])
+        dsum += np.maximum(dx_s, dy_s)
+        if s + 1 in ns:
+            out[s + 1] = dsum / (s + 1)
+        states = system.step_bulk(states)
+    return out
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]},
+    {"kind": "group_skew", "group": {"q": 12}, "a": 5, "h": [[1, 0.05, 0.0]]},
+])
+def test_skew_base_isometry_matches_stepwise_accumulation(descriptor):
+    system = dy.make_system(descriptor)
+    cloud = cx.sample_cloud(system, 60, seed=4)
+    ns = [2 ** k for k in range(8)]
+    expect = _stepwise_torus_reference(cloud, ns)
+    for n, mat in cx._iter_dbar(cloud, ns):
+        assert np.max(np.abs(mat - expect[n])) <= 1e-12, n
+        for eps in (0.1, 0.2):
+            assert np.array_equal(mat < eps, expect[n] < eps), (n, eps)
+        assert np.array_equal(mat, mat.T), n
+        assert np.all(np.diag(mat) == 0.0), n
