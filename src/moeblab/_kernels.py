@@ -35,21 +35,34 @@ def accumulate_torus(ys: np.ndarray, dx: np.ndarray, dsum: np.ndarray) -> None:
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,
                           n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each n < n_total, the center index minimising the L-step averaged
-    circle distance (coords holds the sliding orbit, ctraj the (m, L)
-    center trajectories); returns (argmin, min)."""
-    j_out = np.empty(n_total, dtype=np.int64)
-    d_out = np.empty(n_total)
-    m_count, ell = ctraj.shape
-    chunk = max(1, (1 << 23) // max(m_count, 1))
-    for lo in range(0, n_total, chunk):
-        hi = min(n_total, lo + chunk)
-        dsum = np.zeros((m_count, hi - lo))
-        for l in range(ell):
-            seg = coords[lo + l: hi + l]
-            d = np.abs(seg[None, :] - ctraj[:, l][:, None])
-            np.minimum(d, 1.0 - d, out=d)
-            dsum += d
-        j_out[lo:hi] = np.argmin(dsum, axis=0)
-        d_out[lo:hi] = np.min(dsum, axis=0) / ell
+    """Nearest center on the circle for each of the first n_total points.
+
+    coords holds the points and ctraj the (m, 1) center positions: the
+    one-step trajectories of an isometry, whose dbar_L is the circle
+    distance itself.  Returns, per point, the center index minimising
+    min(|x - c|, 1 - |x - c|) and that distance, with the lower index
+    winning an exact tie, as np.argmin would.
+
+    With the centers sorted, the float |x - c| is monotone on each side of
+    x, so the float distance first rises and then falls there and is least
+    at an end of the side: the cyclic neighbours of x and the first and
+    last centers are the only candidates.  A tie with a center that is not
+    a candidate needs two centers less than 2^-52 apart; equal positions
+    are handled.  O(N log m) time and O(N + m) memory.
+    """
+    if ctraj.ndim != 2 or ctraj.shape[1] != 1:
+        raise ValueError(f"center positions must have shape (m, 1), "
+                         f"got {ctraj.shape}")
+    x = coords[:n_total]
+    m_count = ctraj.shape[0]
+    order = np.argsort(ctraj[:, 0], kind="stable")
+    cs = ctraj[order, 0]
+    lowest = order[np.searchsorted(cs, cs)]   # lowest index at each position
+    k = np.searchsorted(cs, x)                # cs[:k] < x <= cs[k:]
+    pos = np.stack([np.zeros_like(k), np.maximum(k - 1, 0),
+                    np.minimum(k, m_count - 1), np.full_like(k, m_count - 1)])
+    d = np.abs(x - cs[pos])
+    np.minimum(d, 1.0 - d, out=d)
+    d_out = d.min(axis=0)
+    j_out = np.where(d == d_out, lowest[pos], m_count).min(axis=0)
     return j_out, d_out

@@ -99,7 +99,7 @@ def dbar_distance(system: SystemInstance, x, y, n: int) -> float:
 def _iter_dbar(cloud: OrbitCloud, n_list: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, dbar_n pairwise matrix) for ascending n in n_list.
 
-    An unconjugated rotation (kind "rotation" with no "conjugated" key) is an
+    A system with `isometric` set (an unconjugated rotation) steps by an
     isometry of its circle metric, so dbar_n = d for every n and one snapshot
     serves the whole list.  An unconjugated skew product over a rotation
     (kinds "skew2" and "group_skew") keeps its base distance fixed, so that
@@ -111,12 +111,12 @@ def _iter_dbar(cloud: OrbitCloud, n_list: Sequence[int]) -> Iterator[tuple[int, 
     if not ns or ns[0] < 1:
         raise DomainError("n_list must contain positive integers")
     system = cloud.system
-    conjugated = bool(system.descriptor.get("conjugated"))
     if system.kind == "shift":
         yield from _iter_dbar_shift(cloud, ns)
-    elif system.kind == "rotation" and not conjugated:
+    elif system.isometric:
         yield from _iter_dbar_rotation(cloud, ns)
-    elif system.kind in ("skew2", "group_skew") and not conjugated:
+    elif (system.kind in ("skew2", "group_skew")
+          and not system.descriptor.get("conjugated")):
         yield from _iter_dbar_torus(cloud, ns)
     else:
         yield from _iter_dbar_generic(cloud, ns)

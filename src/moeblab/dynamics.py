@@ -59,6 +59,13 @@ class SystemInstance:
     def metric(self, s, t) -> float:
         return float(self._scalar_metric(s, t))
 
+    @property
+    def isometric(self) -> bool:
+        """True when the step is an isometry of the metric, so that
+        dbar_n = d for every n: an unconjugated rotation.  A conjugated
+        rotation steps and measures in different coordinates."""
+        return self.kind == "rotation" and not self.descriptor.get("conjugated")
+
     # -- bulk API (used by the covering machinery) ------------------------
     def sample(self, count: int, seed: int):
         """Bulk payload of `count` invariant-measure samples."""

@@ -104,8 +104,13 @@ def _orbit_coords(system: SystemInstance, x0, n_from: int, n_to: int,
 
     Rotations and torus skews stream in closed form (x-coordinate exact in
     n, y-coordinate by carried Birkhoff accumulation); cyclic-group skews
-    map g to g/q.  Shift systems have no trig coordinates and are rejected.
+    map g to g/q.  Shift systems have no trig coordinates and are rejected,
+    and so are conjugated systems, whose orbit the closed form does not give.
     """
+    if system.descriptor.get("conjugated"):
+        raise DomainError(
+            f"correlation orbits are streamed in closed form for unconjugated "
+            f"systems only; this {system.kind!r} system is conjugated")
     ns = np.arange(n_from, n_to, dtype=np.float64)
     if system.kind == "rotation":
         a = system.alpha.as_float()
@@ -261,6 +266,9 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     if f.sup_bound() > 1 + 1e-9:
         raise DomainError("observable must be bounded by 1 for the traced claims")
 
+    # first, as it also rejects systems with no closed-form orbit
+    orbit_avg = _plain_orbit_average(table, system, f, x0, n_total)
+
     w_param = ell ** delta
     log_l = math.log(ell)
     schedule = {
@@ -287,34 +295,31 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
     cloud_states = cloud.system.states_list(cloud.states)
-    center_states = [cloud_states[i] for i in centers]
-    j_all, dmin = _assign_to_centers(system, x0, center_states, ell, n_total)
+    trajectories = []
+    for i in centers:
+        sts = [cloud_states[i]]
+        for _ in range(ell - 1):
+            sts.append(system.step(sts[-1]))
+        trajectories.append(sts)
+    ctraj = np.array(trajectories, dtype=np.float64).reshape(m_count, ell, -1)
+    j_all, dmin = _assign_to_centers(system, x0, ctraj, n_total)
     assigned = dmin < epsilon1
     j_used = np.where(assigned, j_all, 0)     # unassigned fall back to center 0
 
     # f along the L-orbit of each center
-    f_center = np.empty((m_count, ell), dtype=np.complex128)
-    for j, state in enumerate(center_states):
-        carry: dict = {}
-        sts = [state]
-        for _ in range(ell - 1):
-            sts.append(system.step(sts[-1]))
-        coords = np.array([np.atleast_1d(s) for s in sts], dtype=np.float64)
-        f_center[j] = f.bulk(coords)
+    f_center = f.bulk(ctraj.reshape(m_count * ell, -1)).reshape(m_count, ell)
 
+    # mu summed over each center's block l steps ahead; float sums of
+    # integers below 2^53 are exact, and the j-then-l order of the
+    # complex accumulation is kept
     mu = table.values
-    orbit_avg = _plain_orbit_average(table, system, f, x0, n_total)
-
-    order = np.argsort(j_used, kind="stable")
+    mu_sums = np.array([np.bincount(j_used, minlength=m_count,
+                                    weights=mu[1 + l_off: n_total + 1 + l_off])
+                        for l_off in range(ell)])
     block_total = 0.0 + 0.0j
-    bounds = np.searchsorted(j_used[order], np.arange(m_count + 1))
-    for j in range(m_count):
-        idx = order[bounds[j]: bounds[j + 1]] + 1      # orbit indices n
-        if len(idx) == 0:
-            continue
+    for j in np.flatnonzero(np.bincount(j_used, minlength=m_count)):
         for l_off in range(ell):
-            s = float(np.sum(mu[idx + l_off], dtype=np.int64))
-            block_total += s * f_center[j, l_off]
+            block_total += float(mu_sums[l_off, j]) * f_center[j, l_off]
     block_avg = complex(block_total / (n_total * ell))
 
     anchor = float(abs(orbit_avg - block_avg))
@@ -335,25 +340,26 @@ def _plain_orbit_average(table, system, f, x0, n_total) -> complex:
     return series.values[0]
 
 
-def _assign_to_centers(system: SystemInstance, x0, center_states,
-                       ell: int, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
+                       n_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest covering center in dbar_L for each orbit point T^n x0,
-    n = 1..N, exploiting T^l (T^n x0) = orbit[n + l]."""
+    n = 1..N, given the (m, L, d) center trajectories ctraj.
+
+    When `system.isometric` holds (an unconjugated rotation), the step is an
+    isometry and dbar_L(T^n x0, c) = ||x_n - c||, so only the orbit up to N
+    and the center positions enter, through the sorted circle search of
+    `assign_nearest_circle`.  Otherwise the L-step average is accumulated,
+    exploiting T^l (T^n x0) = orbit[n + l].
+    """
+    m_count, ell, _ = ctraj.shape
+    n_orbit = n_total if system.isometric else n_total + ell
     carry: dict = {}
     coords = np.concatenate(
-        [_orbit_coords(system, x0, lo, min(lo + CHUNK, n_total + ell + 1), carry)
-         for lo in range(1, n_total + ell + 1, CHUNK)], axis=0)
+        [_orbit_coords(system, x0, lo, min(lo + CHUNK, n_orbit + 1), carry)
+         for lo in range(1, n_orbit + 1, CHUNK)], axis=0)
     # coords[k] = T^{k+1} x0
-    m_count = len(center_states)
-    ctraj = np.empty((m_count, ell, coords.shape[1]))
-    for j, state in enumerate(center_states):
-        sts = [state]
-        for _ in range(ell - 1):
-            sts.append(system.step(sts[-1]))
-        ctraj[j] = np.array([np.atleast_1d(s) for s in sts], dtype=np.float64)
-
-    if coords.shape[1] == 1:
-        return assign_nearest_circle(coords[:, 0], ctraj[:, :, 0], n_total)
+    if system.isometric:
+        return assign_nearest_circle(coords[:, 0], ctraj[:, :1, 0], n_total)
 
     # torus path, chunked over n to bound the (m, chunk) buffer
     j_all = np.empty(n_total, dtype=np.int64)

@@ -110,3 +110,77 @@ def test_skew_base_isometry_matches_stepwise_accumulation(descriptor):
             assert np.array_equal(mat < eps, expect[n] < eps), (n, eps)
         assert np.array_equal(mat, mat.T), n
         assert np.all(np.diag(mat) == 0.0), n
+
+
+def _brute_nearest_circle(x, centers):
+    d = np.abs(x[None, :] - centers[:, None])
+    np.minimum(d, 1.0 - d, out=d)
+    return np.argmin(d, axis=0), np.min(d, axis=0)
+
+
+@pytest.mark.parametrize("m_count", [1, 2, 40])
+def test_assign_nearest_circle_matches_brute_force(rng, m_count):
+    top = 1.0 - 2.0 ** -53                    # the largest float below 1
+    centers = rng.random(m_count)
+    if m_count == 40:
+        centers[:5] = [0.75, 0.0, top, 2.0 ** -60, 0.3]
+        centers[30] = 0.25
+        centers[31] = centers[4]              # duplicate above a lower index
+        centers[35] = centers[33]             # duplicate, later index
+        centers[5] = centers[36]              # duplicate, earlier index
+    x = np.concatenate([rng.random(5000),
+                        [0.0, 2.0 ** -60, 1e-17, top, 1.0 - 1e-12, 0.5,
+                         0.25, 0.75, 0.125, 0.875],
+                        rng.random(200) * 1e-9,
+                        1.0 - rng.random(200) * 1e-9,
+                        centers])
+    j, d = kn.assign_nearest_circle(x, centers[:, None], len(x))
+    j_ref, d_ref = _brute_nearest_circle(x, centers)
+    assert np.array_equal(j, j_ref)
+    assert np.array_equal(d, d_ref)           # bit-equal distances
+
+
+def test_assign_nearest_circle_ties_go_to_the_lower_index():
+    h = 2.0 ** -30
+    centers = np.array([0.5 + h, 1.0 - h, 0.3, h, 0.5 - h, 0.3])
+    x = np.array([0.5, 0.0, 0.3])
+    j, d = kn.assign_nearest_circle(x, centers[:, None], 3)
+    assert j.tolist() == [0, 1, 2]            # 0 over 4, 1 over 3 across 0, 2 over 5
+    assert d.tolist() == [h, h, 0.0]
+    assert np.array_equal(j, _brute_nearest_circle(x, centers)[0])
+
+
+def test_assign_nearest_circle_counts_first_points_only(rng):
+    centers = rng.random((7, 1))
+    x = rng.random(50)
+    j, d = kn.assign_nearest_circle(x, centers, 30)
+    assert j.shape == d.shape == (30,)
+    with pytest.raises(ValueError, match="shape"):
+        kn.assign_nearest_circle(x, rng.random((7, 4)), 30)
+
+
+@pytest.mark.parametrize("ell", [16, 64])
+def test_rotation_assignment_matches_l_step_average(ell):
+    from moeblab import harness as hx
+
+    rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
+    states = rot.states_list(cx.sample_cloud(rot, 60, seed=5).states)
+    ctraj = np.empty((60, ell, 1))
+    for j, state in enumerate(states):
+        for l_off in range(ell):
+            ctraj[j, l_off, 0] = state
+            state = rot.step(state)
+    x0, n_total = 0.37, 3000
+    j_all, dmin = hx._assign_to_centers(rot, x0, ctraj, n_total)
+
+    a = rot.alpha.as_float()
+    orbit = np.mod(x0 + np.arange(1, n_total + ell + 1) * a, 1.0)
+    dsum = np.zeros((60, n_total))
+    for l_off in range(ell):
+        d = np.abs(orbit[l_off: l_off + n_total][None, :] - ctraj[:, l_off])
+        dsum += np.minimum(d, 1.0 - d)
+    dbar = dsum / ell
+    assert np.array_equal(j_all, np.argmin(dbar, axis=0))
+    assert np.max(np.abs(dmin - np.min(dbar, axis=0))) <= 1e-12
+    for eps1 in (0.001, 0.005, 0.02):
+        assert np.array_equal(dmin < eps1, np.min(dbar, axis=0) < eps1)

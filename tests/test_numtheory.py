@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import numtheory as nt
 from moeblab.errors import DomainError, SizingError
@@ -28,6 +30,23 @@ def test_segment_boundaries():
     table = nt.build_mobius_table(block + 64)
     for n in range(block - 3, block + 4):
         assert table.mu(n) == nt.mu_by_factorization(n), n
+
+
+MU_ORACLE = [0] + [nt.mu_by_factorization(n) for n in range(1, 3001)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_max=st.integers(min_value=1, max_value=3000),
+       block=st.integers(min_value=1, max_value=300))
+def test_sieve_independent_of_segment_size(n_max, block):
+    # wherever the segment boundaries fall, values and primes are those of
+    # trial division and an unsegmented sieve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "SIEVE_BLOCK", block)
+        table = nt.build_mobius_table(n_max)
+    assert table.values.tolist() == MU_ORACLE[: n_max + 1]
+    assert table.primes.dtype == np.int64
+    assert table.primes.tolist() == nt._simple_prime_sieve(n_max).tolist()
 
 
 def test_multiplicativity_on_random_coprime_pairs(table_100k, rng):
