@@ -190,25 +190,12 @@ def _cmd_cocycle(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
-    from .complexity import complexity_profile, sample_cloud
-    from .dynamics import make_system
-    descriptor = json.loads(Path(args.system).read_text())
-    system = make_system(descriptor)
-    cloud = sample_cloud(system, args.samples, args.seed)
-    eps = [float(e) for e in args.eps.split(",")]
-    ns = [int(n) for n in args.ns.split(",")]
-    profiles = complexity_profile(cloud, eps, ns, args.tau)
-    print("epsilon,n,Sn,method,covered_mass")
-    for prof in profiles:
-        for r in prof.rows:
-            print(f"{prof.epsilon},{r.n},{r.s_n},{r.method},{r.covered_mass!r}")
-    summary = {str(p.epsilon): {
-        "classification": p.classification.kind,
-        "poly_exponent": p.classification.poly_exponent,
-        "exp_rate": p.classification.exp_rate,
-        "entropy_rate": p.classification.entropy_rate,
-        "liminf_witness": p.classification.liminf_witness,
-    } for p in profiles}
+    from .harness import _csv_text, _exp_covering_profile
+    params = {"system": json.loads(Path(args.system).read_text()),
+              "samples": args.samples, "eps": args.eps.split(","),
+              "ns": args.ns.split(","), "tau": args.tau}
+    rows, summary, _ = _exp_covering_profile(params, args.seed)
+    print(_csv_text(rows), end="")
     print(json.dumps(summary, sort_keys=True))
 
 

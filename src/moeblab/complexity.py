@@ -19,14 +19,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import accumulate_circle, accumulate_torus
 from .cocycle import FourierCocycle
 from .contfrac import ContinuedFraction, ResonanceData
-from .dynamics import SystemInstance, circle_dist, circle_dist_matrix
+from .dynamics import (ORBIT_BURN_IN, ORBIT_STRIDE, SystemInstance,
+                       circle_dist, orbit_states)
 from .errors import DomainError, SizingError
 
 EXACT_COVER_MAX_POINTS = 20
-STEP_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +65,11 @@ def sample_cloud(system: SystemInstance, count: int, seed: int) -> OrbitCloud:
 
 
 def orbit_cloud(system: SystemInstance, x0, count: int,
-                burn_in: int = 10 ** 4, stride: int = 7) -> OrbitCloud:
+                burn_in: int = ORBIT_BURN_IN, stride: int = ORBIT_STRIDE
+                ) -> OrbitCloud:
     """Empirical cloud along the orbit of x0 with burn-in and stride."""
-    state = x0
-    for _ in range(burn_in):
-        state = system.step(state)
-    items = []
-    for _ in range(count):
-        items.append(state)
-        for _ in range(stride):
-            state = system.step(state)
-    return OrbitCloud(system=system, states=system.bulk_from_list(items),
+    return OrbitCloud(system=system,
+                      states=orbit_states(system, x0, count, burn_in, stride),
                       weights=np.full(count, 1.0 / count),
                       provenance=f"orbit(x0={x0}, burn_in={burn_in}, stride={stride})")
 
@@ -97,144 +90,14 @@ def dbar_distance(system: SystemInstance, x, y, n: int) -> float:
 
 
 def _iter_dbar(cloud: OrbitCloud, n_list: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, dbar_n pairwise matrix) for ascending n in n_list.
-
-    A system with `isometric` set (an unconjugated rotation) steps by an
-    isometry of its circle metric, so dbar_n = d for every n and one snapshot
-    serves the whole list.  An unconjugated skew product over a rotation
-    (kinds "skew2" and "group_skew") keeps its base distance fixed, so that
-    matrix is computed once (exactly from integers over Z/q) and only the
-    fibre distance is accumulated per step.  Shifts have their own path;
-    every conjugated system accumulates its steps generically.
-    """
+    """Yield (n, dbar_n pairwise matrix) for ascending n in n_list, from the
+    system's `dbar_snapshots`: one snapshot for every n when the step is an
+    isometry, the fixed base distance of a skew over a rotation, and the
+    generic step-wise accumulation otherwise."""
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise DomainError("n_list must contain positive integers")
-    system = cloud.system
-    if system.kind == "shift":
-        yield from _iter_dbar_shift(cloud, ns)
-    elif system.isometric:
-        yield from _iter_dbar_rotation(cloud, ns)
-    elif (system.kind in ("skew2", "group_skew")
-          and not system.descriptor.get("conjugated")):
-        yield from _iter_dbar_torus(cloud, ns)
-    else:
-        yield from _iter_dbar_generic(cloud, ns)
-
-
-def _iter_dbar_rotation(cloud, ns):
-    """dbar_n for x -> x + alpha under the circle metric.
-
-    The rotation is an isometry, d(x + i*alpha, y + i*alpha) = d(x, y), so the
-    n = 1 snapshot is dbar_n for every n.  It is yielded, read-only, for each n
-    in ns.  Step-wise accumulation of the n shifted rows gives the same matrix
-    up to float rounding of the shifted coordinates (at most ~1e-14).
-    """
-    x0 = np.mod(np.asarray(cloud.states, dtype=np.float64), 1.0)
-    p = len(x0)
-    dsum = np.zeros((p, p))
-    accumulate_circle(x0[None, :], dsum)
-    d = dsum + dsum.T
-    d.flags.writeable = False
-    for n in ns:
-        yield n, d
-
-
-def _iter_dbar_torus(cloud, ns):
-    """dbar_n for a skew product (x + a, y + h(x)) under the sup metric.
-
-    The base rotation is an isometry, so the base distance dx of a pair is
-    the same at every step and is computed once: the circle distance of
-    mod(x, 1) on the torus, and exactly, min(k, q - k)/q with
-    k = (g_i - g_j) mod q, over the group Z/q.  Each step adds only
-    max(dx, ||y_i - y_j||).  Against step-wise recomputation of the rotated
-    base coordinates the snapshots differ by float rounding alone (a few
-    1e-15).  Snapshots are exactly symmetric with a zero diagonal.
-    """
-    system = cloud.system
-    if isinstance(cloud.states, tuple):
-        g, y = cloud.states
-        group = system.descriptor["group"]
-        q = int(group["q"]) if isinstance(group, dict) else int(group)
-        a = int(system.descriptor["a"]) % q
-        h_vals = system.h.evaluate(np.arange(q) / q)
-        k = np.subtract.outer(g, g) % q
-        dx = np.minimum(k, q - k) / q
-
-        def h_at(i):
-            return h_vals[(g + i * a) % q]
-    else:
-        arr = np.asarray(cloud.states, dtype=np.float64)
-        x, y = arr[:, 0], arr[:, 1]
-        a = system.alpha.as_float()
-        dx = circle_dist_matrix(np.mod(x, 1.0))
-
-        def h_at(i):
-            return system.h.evaluate(np.mod(x + i * a, 1.0))
-    p = len(y)
-    y = np.asarray(y, dtype=np.float64).copy()
-    dsum = np.zeros((p, p))
-    done = 0
-    ys = np.empty((STEP_CHUNK, p))
-    for n in ns:
-        while done < n:
-            chunk = min(STEP_CHUNK, n - done)
-            for s in range(chunk):
-                ys[s] = y
-                y = np.mod(y + h_at(done + s), 1.0)
-            accumulate_torus(ys[:chunk], dx, dsum)
-            done += chunk
-        yield n, dsum / n
-
-
-def _iter_dbar_shift(cloud, ns):
-    mat, pos = cloud.states
-    p, horizon = mat.shape
-    n_max = max(ns)
-    if pos + n_max > horizon:
-        raise DomainError(
-            f"shift horizon {horizon} too short for n={n_max} from position {pos}")
-    idx = {n: k for k, n in enumerate(ns)}
-    snaps = np.zeros((p, p, len(ns)), dtype=np.float32)
-    chunk = max(1, (1 << 25) // (p * horizon))
-    for lo in range(0, p, chunk):
-        hi = min(p, lo + chunk)
-        window = mat[lo:hi, :]
-        diff = window[:, None, pos:] != mat[None, :, pos:]
-        w = diff.shape[2]
-        # v_j = 2^{-(next diff offset from j)}, virtual diff at the horizon
-        val = np.ones((hi - lo, p), dtype=np.float32)
-        prof = np.empty((hi - lo, p, n_max), dtype=np.float32)
-        for j in range(w - 1, -1, -1):
-            val = np.where(diff[:, :, j], np.float32(1.0), np.float32(0.5) * val)
-            if j < n_max:
-                prof[:, :, j] = val
-        run = np.zeros((hi - lo, p), dtype=np.float32)
-        for i in range(n_max):
-            run = run + prof[:, :, i]
-            n = i + 1
-            if n in idx:
-                snaps[lo:hi, :, idx[n]] = run / np.float32(n)
-    for n in ns:
-        d = snaps[:, :, idx[n]].astype(np.float64)
-        np.fill_diagonal(d, 0.0)
-        yield n, d
-
-
-def _iter_dbar_generic(cloud, ns):
-    system = cloud.system
-    states = cloud.states
-    p = cloud.size
-    dsum = np.zeros((p, p))
-    done = 0
-    for n in ns:
-        while done < n:
-            dsum += system.pairwise_distance(states)
-            states = system.step_bulk(states)
-            done += 1
-        d = dsum / n
-        np.fill_diagonal(d, 0.0)
-        yield n, d
+    yield from cloud.system.dbar_snapshots(cloud.states, ns)
 
 
 # ---------------------------------------------------------------------------

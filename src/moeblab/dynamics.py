@@ -1,10 +1,13 @@
 """Concrete systems: rotations, torus skew products, group skews, shifts.
 
-Every system packages an iteration step, a metric, and a seeded sampler of
-an invariant measure, in both scalar and vectorised (bulk) form.  Bulk
-states are the system's own payload: an (P,) array of circle positions, an
-(P, 2) array on the torus, an (int array, float array) pair on G x T^1
-with G = Z/q, or a (symbol matrix, position) pair for shifts.
+One class per kind packages an iteration step, a metric, and a seeded
+sampler of an invariant measure, in both scalar and vectorised (bulk)
+form, together with what its structure gives: the averaged-metric
+snapshots (`dbar_snapshots`), the closed-form orbit in trigonometric
+coordinates (`orbit_coords`) and the `isometric` flag.  Bulk states are the
+system's own payload: a (P,) array of circle positions, a (P, 2) array on
+the torus, an (int array, float array) pair on G x T^1 with G = Z/q, or a
+(symbol matrix, position) pair for shifts.
 
 Samplers draw Haar measure where it is invariant by fibered structure
 (always, for skews over rotations) and fall back to Birkhoff sampling
@@ -17,10 +20,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._kernels import accumulate_circle, accumulate_torus
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, RationalAlpha, ZeroAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError
@@ -28,6 +32,7 @@ from .errors import ConjugacyError, DomainError
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
 MAX_ALPHABET = 16
+STEP_CHUNK = 256
 
 
 def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
@@ -36,244 +41,357 @@ def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-@dataclass
 class SystemInstance:
-    """A state space with iteration map, metric, and invariant sampler."""
+    """A state space with iteration map, metric, and invariant sampler.
+
+    Subclasses implement `step`, `metric`, `sample`, `step_bulk` and
+    `pairwise_distance`.  The bulk helpers here read the payload as an array
+    with one row per state; kinds with another payload override them.
+    """
 
     kind: str
-    descriptor: dict
-    alpha: ExactAlpha | None = None
-    h: FourierCocycle | None = None
-    rational_alpha_warning: bool = False
-    _scalar_step: Callable = None
-    _scalar_metric: Callable = None
-    _bulk_sample: Callable = None
-    _bulk_step: Callable = None
-    _bulk_metric: Callable = None
-    horizon: int | None = None
+    # the step is an isometry of the metric, so dbar_n = d for every n
+    isometric = False
 
-    # -- scalar API -------------------------------------------------------
-    def step(self, state):
-        return self._scalar_step(state)
+    def __init__(self, descriptor: dict, alpha: ExactAlpha | None = None,
+                 h: FourierCocycle | None = None,
+                 rational_alpha_warning: bool = False):
+        self.descriptor = descriptor
+        self.alpha = alpha
+        self.h = h
+        self.rational_alpha_warning = rational_alpha_warning
 
-    def metric(self, s, t) -> float:
-        return float(self._scalar_metric(s, t))
-
-    @property
-    def isometric(self) -> bool:
-        """True when the step is an isometry of the metric, so that
-        dbar_n = d for every n: an unconjugated rotation.  A conjugated
-        rotation steps and measures in different coordinates."""
-        return self.kind == "rotation" and not self.descriptor.get("conjugated")
-
-    # -- bulk API (used by the covering machinery) ------------------------
-    def sample(self, count: int, seed: int):
-        """Bulk payload of `count` invariant-measure samples."""
-        return self._bulk_sample(count, seed)
-
-    def step_bulk(self, states):
-        return self._bulk_step(states)
-
-    def pairwise_distance(self, states) -> np.ndarray:
-        return self._bulk_metric(states)
-
+    # -- bulk payload -----------------------------------------------------
     def bulk_size(self, states) -> int:
-        if self.kind == "shift":
-            return states[0].shape[0]
-        if self.kind == "group_skew" and isinstance(states, tuple):
-            return states[0].shape[0]
         return np.asarray(states).shape[0]
 
     def states_list(self, states) -> list:
         """Bulk payload as a list of scalar states."""
-        if self.kind == "shift":
-            mat, pos = states
-            return [(mat[i], pos) for i in range(mat.shape[0])]
-        if self.kind == "group_skew" and isinstance(states, tuple):
-            g, y = states
-            return [(int(g[i]), float(y[i])) for i in range(len(g))]
-        arr = np.asarray(states)
-        return [arr[i].copy() if arr.ndim > 1 else float(arr[i])
-                for i in range(arr.shape[0])]
+        return self._items(states)
+
+    def _items(self, states) -> list:
+        return [row.copy() for row in np.asarray(states)]
 
     def bulk_from_list(self, items: Sequence):
-        if self.kind == "shift":
-            pos = items[0][1]
-            if any(p != pos for (_, p) in items):
-                raise DomainError("shift states must share a common position")
-            return (np.stack([m for (m, _) in items]), pos)
-        if self.kind == "group_skew" and self.descriptor.get("group") != "circle":
-            return (np.array([g for (g, _) in items], dtype=np.int64),
-                    np.array([y for (_, y) in items], dtype=np.float64))
         return np.asarray(items, dtype=np.float64)
 
+    def take(self, states, index):
+        """The bulk payload of the states at `index` (kinds with `coords`)."""
+        return np.asarray(states)[index]
 
-# ---------------------------------------------------------------------------
-# Builders per kind
-# ---------------------------------------------------------------------------
+    # -- structure --------------------------------------------------------
+    def coords(self, states) -> np.ndarray:
+        """Bulk states as a (P, d) array of circle or torus coordinates."""
+        raise DomainError(f"system kind {self.kind!r} has no trig coordinates")
 
-def _alpha_float(alpha: ExactAlpha) -> float:
-    return alpha.as_float()
+    def orbit_coords(self, x0, lo: int, hi: int, carry: dict) -> np.ndarray:
+        """Coordinates of T^n x0 for n in [lo, hi), as a (k, d) array.
+
+        Chunks are consumed in ascending order; `carry` holds what a skew
+        accumulates from one chunk to the next.
+        """
+        raise DomainError(
+            f"correlation orbits need trig coordinates; system kind "
+            f"{self.kind!r} is not supported")
+
+    def dbar_snapshots(self, states, ns: Sequence[int]
+                       ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, dbar_n pairwise matrix) for the ascending positive ns.
+
+        Generic form: the pairwise metric of the stepped states, summed.
+        """
+        p = self.bulk_size(states)
+        dsum = np.zeros((p, p))
+        done = 0
+        for n in ns:
+            while done < n:
+                dsum += self.pairwise_distance(states)
+                states = self.step_bulk(states)
+                done += 1
+            d = dsum / n
+            np.fill_diagonal(d, 0.0)
+            yield n, d
 
 
-def _make_rotation(descriptor: dict) -> SystemInstance:
-    alpha = parse_alpha(descriptor["alpha"])
-    a = _alpha_float(alpha)
-    warn = isinstance(alpha, (RationalAlpha, ZeroAlpha))
-    if warn:
-        warnings.warn("rational alpha: rotation is periodic; the disjointness "
-                      "theorems here assume irrational alpha")
+class Rotation(SystemInstance):
+    """x -> x + alpha on the circle, an isometry of the circle metric."""
 
-    def sampler(count, seed):
+    kind = "rotation"
+    isometric = True
+
+    def __init__(self, descriptor: dict):
+        alpha = parse_alpha(descriptor["alpha"])
+        rational = isinstance(alpha, (RationalAlpha, ZeroAlpha))
+        if rational:
+            warnings.warn("rational alpha: rotation is periodic; the "
+                          "disjointness theorems here assume irrational alpha")
+        super().__init__(descriptor, alpha=alpha, rational_alpha_warning=rational)
+        self.a = alpha.as_float()
+
+    def step(self, x):
+        return (x + self.a) % 1.0
+
+    def metric(self, x, y) -> float:
+        return float(circle_dist(x, y))
+
+    def sample(self, count: int, seed: int):
         return np.random.default_rng(seed).random(count)
 
-    sys = SystemInstance(
-        kind="rotation", descriptor=descriptor, alpha=alpha,
-        rational_alpha_warning=warn,
-        _scalar_step=lambda x: (x + a) % 1.0,
-        _scalar_metric=lambda x, y: float(circle_dist(x, y)),
-        _bulk_sample=sampler,
-        _bulk_step=lambda xs: np.mod(xs + a, 1.0),
-        _bulk_metric=circle_dist_matrix,
-    )
-    return sys
+    def step_bulk(self, xs):
+        return np.mod(xs + self.a, 1.0)
+
+    def pairwise_distance(self, xs) -> np.ndarray:
+        return circle_dist_matrix(xs)
+
+    def _items(self, xs) -> list:
+        return np.asarray(xs).tolist()
+
+    def coords(self, xs) -> np.ndarray:
+        return np.asarray(xs, dtype=np.float64)[:, None]
+
+    def orbit_coords(self, x0, lo, hi, carry):
+        ns = np.arange(lo, hi, dtype=np.float64)
+        return np.mod(float(x0) + ns * self.a, 1.0)[:, None]
+
+    def dbar_snapshots(self, states, ns):
+        """d(x + i*alpha, y + i*alpha) = d(x, y), so the n = 1 snapshot is
+        dbar_n for every n.  It is yielded, read-only, for each n in ns.
+        Step-wise accumulation of the n shifted rows gives the same matrix
+        up to float rounding of the shifted coordinates (at most ~1e-14).
+        """
+        x0 = np.mod(np.asarray(states, dtype=np.float64), 1.0)
+        p = len(x0)
+        dsum = np.zeros((p, p))
+        accumulate_circle(x0[None, :], dsum)
+        d = dsum + dsum.T
+        d.flags.writeable = False
+        for n in ns:
+            yield n, d
 
 
-def _torus_metric_matrix(states: np.ndarray) -> np.ndarray:
-    dx = circle_dist_matrix(states[:, 0])
-    dy = circle_dist_matrix(states[:, 1])
-    return np.maximum(dx, dy)
+def _skew_snapshots(y, dx: np.ndarray, h_at: Callable, ns):
+    """dbar_n for a skew product over a rotation under the sup metric.
+
+    The base rotation is an isometry, so the base distance dx of a pair is
+    the same at every step and is computed once by the caller; h_at(i) is
+    the fibre increment at step i.  Each step adds only
+    max(dx, ||y_i - y_j||).  Against step-wise recomputation of the rotated
+    base coordinates the snapshots differ by float rounding alone (a few
+    1e-15).  Snapshots are exactly symmetric with a zero diagonal.
+    """
+    p = len(y)
+    y = np.asarray(y, dtype=np.float64).copy()
+    dsum = np.zeros((p, p))
+    done = 0
+    ys = np.empty((STEP_CHUNK, p))
+    for n in ns:
+        while done < n:
+            chunk = min(STEP_CHUNK, n - done)
+            for s in range(chunk):
+                ys[s] = y
+                y = np.mod(y + h_at(done + s), 1.0)
+            accumulate_torus(ys[:chunk], dx, dsum)
+            done += chunk
+        yield n, dsum / n
 
 
-def _make_skew2(descriptor: dict) -> SystemInstance:
-    alpha = parse_alpha(descriptor["alpha"])
-    a = _alpha_float(alpha)
-    h = _h_from_descriptor(descriptor)
-    warn = isinstance(alpha, (RationalAlpha, ZeroAlpha))
-    if warn:
-        warnings.warn("rational alpha in a skew product: outside the scope "
-                      "of the irrational-rotation results")
+def _skew_orbit(carry: dict, y0: float, lo: int, hi: int,
+                increments: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Closed-form orbit chunk of a skew over a rotation: the base
+    coordinates at n in [lo, hi) beside the fibre coordinate y0 plus the
+    carried Birkhoff sum of the increments h(base_{n-1})."""
+    if "y" not in carry:
+        carry["y"] = y0
+        carry["n"] = 1
+    if carry["n"] != lo:
+        raise AssertionError("orbit chunks must be consumed in order")
+    y = carry["y"] + np.cumsum(increments)
+    carry["y"] = float(y[-1])
+    carry["n"] = hi
+    return np.column_stack([base, np.mod(y, 1.0)])
 
-    def scalar_step(state):
+
+class TorusSkew(SystemInstance):
+    """(x, y) -> (x + alpha, y + h(x)) on T^2 under the sup metric; the
+    circle form of `group_skew` is this system with that kind."""
+
+    def __init__(self, descriptor: dict, kind: str = "skew2"):
+        alpha = parse_alpha(descriptor["alpha"])
+        rational = isinstance(alpha, (RationalAlpha, ZeroAlpha))
+        if rational:
+            warnings.warn("rational alpha in a skew product: outside the "
+                          "scope of the irrational-rotation results")
+        super().__init__(descriptor, alpha=alpha, h=_h_from_descriptor(descriptor),
+                         rational_alpha_warning=rational)
+        self.kind = kind
+        self.a = alpha.as_float()
+
+    def step(self, state):
         x, y = state
-        return np.array([(x + a) % 1.0, (y + h.evaluate(x)) % 1.0])
+        return np.array([(x + self.a) % 1.0, (y + self.h.evaluate(x)) % 1.0])
 
-    def bulk_step(states):
-        out = np.empty_like(states)
-        out[:, 0] = np.mod(states[:, 0] + a, 1.0)
-        out[:, 1] = np.mod(states[:, 1] + h.evaluate(states[:, 0]), 1.0)
-        return out
+    def metric(self, s, t) -> float:
+        return float(max(circle_dist(s[0], t[0]), circle_dist(s[1], t[1])))
 
-    def sampler(count, seed):
-        if descriptor.get("sampler") == "orbit":
-            return _orbit_bulk_sample(scalar_step, bulk_step,
-                                      descriptor, count)
+    def sample(self, count: int, seed: int):
+        desc = self.descriptor
+        if desc.get("sampler") == "orbit":
+            return orbit_states(
+                self, np.asarray(desc.get("x0", [0.1, 0.2]), dtype=np.float64),
+                count, int(desc.get("burn_in", ORBIT_BURN_IN)),
+                int(desc.get("stride", ORBIT_STRIDE)))
         return np.random.default_rng(seed).random((count, 2))
 
-    return SystemInstance(
-        kind="skew2", descriptor=descriptor, alpha=alpha, h=h,
-        rational_alpha_warning=warn,
-        _scalar_step=scalar_step,
-        _scalar_metric=lambda s, t: float(max(circle_dist(s[0], t[0]),
-                                              circle_dist(s[1], t[1]))),
-        _bulk_sample=sampler,
-        _bulk_step=bulk_step,
-        _bulk_metric=_torus_metric_matrix,
-    )
+    def step_bulk(self, states):
+        out = np.empty_like(states)
+        out[:, 0] = np.mod(states[:, 0] + self.a, 1.0)
+        out[:, 1] = np.mod(states[:, 1] + self.h.evaluate(states[:, 0]), 1.0)
+        return out
+
+    def pairwise_distance(self, states) -> np.ndarray:
+        return np.maximum(circle_dist_matrix(states[:, 0]),
+                          circle_dist_matrix(states[:, 1]))
+
+    def coords(self, states) -> np.ndarray:
+        return np.asarray(states, dtype=np.float64)
+
+    def orbit_coords(self, x0, lo, hi, carry):
+        x0v = float(x0[0])
+        ns = np.arange(lo, hi, dtype=np.float64)
+        x_prev = np.mod(x0v + (ns - 1.0) * self.a, 1.0)
+        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h.evaluate(x_prev),
+                           np.mod(x0v + ns * self.a, 1.0))
+
+    def dbar_snapshots(self, states, ns):
+        """The base distance is the circle distance of mod(x, 1)."""
+        arr = np.asarray(states, dtype=np.float64)
+        x = arr[:, 0]
+        return _skew_snapshots(
+            arr[:, 1], circle_dist_matrix(np.mod(x, 1.0)),
+            lambda i: self.h.evaluate(np.mod(x + i * self.a, 1.0)), ns)
 
 
-def _orbit_bulk_sample(scalar_step, bulk_step, descriptor, count):
-    """Birkhoff sampling along one orbit: burn in, then stride."""
-    x0 = np.asarray(descriptor.get("x0", [0.1, 0.2]), dtype=np.float64)
-    burn = int(descriptor.get("burn_in", ORBIT_BURN_IN))
-    stride = int(descriptor.get("stride", ORBIT_STRIDE))
-    state = x0.copy()
-    for _ in range(burn):
-        state = scalar_step(state)
-    out = np.empty((count,) + state.shape)
-    for i in range(count):
-        out[i] = state
-        for _ in range(stride):
-            state = scalar_step(state)
-    return out
+class GroupSkew(SystemInstance):
+    """(g, y) -> (g + a, y + h(g/q)) on Z/q x T^1.  The group element g
+    enters the metric and the trig coordinates as the circle point g/q."""
 
+    kind = "group_skew"
 
-def _make_group_skew(descriptor: dict) -> SystemInstance:
-    group = descriptor.get("group", "circle")
-    if group == "circle":
-        sys = _make_skew2(descriptor)
-        sys.kind = "group_skew"
-        return sys
-    q = int(group["q"]) if isinstance(group, dict) else int(group)
-    if q < 1:
-        raise DomainError(f"cyclic group order must be >= 1, got {q}")
-    a = int(descriptor["a"]) % q
-    if math.gcd(a, q) != 1:
-        warnings.warn(f"a={a} does not generate Z/{q}: rotation not minimal")
-    h = _h_from_descriptor(descriptor)
-    h_table = h.evaluate(np.arange(q) / q)   # h sampled on the group points
+    def __init__(self, descriptor: dict):
+        group = descriptor["group"]
+        q = int(group["q"]) if isinstance(group, dict) else int(group)
+        if q < 1:
+            raise DomainError(f"cyclic group order must be >= 1, got {q}")
+        a = int(descriptor["a"]) % q
+        if math.gcd(a, q) != 1:
+            warnings.warn(f"a={a} does not generate Z/{q}: rotation not minimal")
+        h = _h_from_descriptor(descriptor)
+        super().__init__(descriptor, h=h)
+        self.q = q
+        self.a = a
+        self.h_table = h.evaluate(np.arange(q) / q)   # h on the group points
 
-    def scalar_step(state):
+    def step(self, state):
         g, y = state
-        return ((g + a) % q, (y + h_table[g]) % 1.0)
+        return ((g + self.a) % self.q, (y + self.h_table[g]) % 1.0)
 
-    def bulk_step(states):
-        g, y = states
-        return ((g + a) % q, np.mod(y + h_table[g], 1.0))
+    def metric(self, s, t) -> float:
+        q = self.q
+        return float(max(circle_dist(s[0] / q, t[0] / q),
+                         circle_dist(s[1], t[1])))
 
-    def metric_matrix(states):
-        g, y = states
-        dg = circle_dist_matrix(g / q)
-        dy = circle_dist_matrix(y)
-        return np.maximum(dg, dy)
-
-    def sampler(count, seed):
+    def sample(self, count: int, seed: int):
         rng = np.random.default_rng(seed)
-        return (rng.integers(0, q, count), rng.random(count))
+        return (rng.integers(0, self.q, count), rng.random(count))
 
-    return SystemInstance(
-        kind="group_skew", descriptor=descriptor, h=h,
-        _scalar_step=scalar_step,
-        _scalar_metric=lambda s, t: float(max(circle_dist(s[0] / q, t[0] / q),
-                                              circle_dist(s[1], t[1]))),
-        _bulk_sample=sampler,
-        _bulk_step=bulk_step,
-        _bulk_metric=metric_matrix,
-    )
+    def step_bulk(self, states):
+        g, y = states
+        return ((g + self.a) % self.q, np.mod(y + self.h_table[g], 1.0))
+
+    def pairwise_distance(self, states) -> np.ndarray:
+        g, y = states
+        return np.maximum(circle_dist_matrix(g / self.q), circle_dist_matrix(y))
+
+    def bulk_size(self, states) -> int:
+        return states[0].shape[0]
+
+    def _items(self, states) -> list:
+        g, y = states
+        return [(int(gi), float(yi)) for gi, yi in zip(g, y)]
+
+    def bulk_from_list(self, items):
+        return (np.array([g for (g, _) in items], dtype=np.int64),
+                np.array([y for (_, y) in items], dtype=np.float64))
+
+    def take(self, states, index):
+        g, y = states
+        return g[index], y[index]
+
+    def coords(self, states) -> np.ndarray:
+        g, y = states
+        return np.column_stack([g / self.q, y])
+
+    def orbit_coords(self, x0, lo, hi, carry):
+        g0 = int(x0[0])
+        steps = np.arange(lo, hi, dtype=np.int64)
+        g_prev = (g0 + (steps - 1) * self.a) % self.q
+        g_now = (g0 + steps * self.a) % self.q
+        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h_table[g_prev],
+                           g_now / self.q)
+
+    def dbar_snapshots(self, states, ns):
+        """The base distance is exactly min(k, q - k)/q with
+        k = (g_i - g_j) mod q, from integers."""
+        g, y = states
+        q = self.q
+        k = np.subtract.outer(g, g) % q
+        return _skew_snapshots(y, np.minimum(k, q - k) / q,
+                               lambda i: self.h_table[(g + i * self.a) % q], ns)
 
 
-def _make_shift(descriptor: dict) -> SystemInstance:
-    weights = np.asarray(descriptor["weights"], dtype=np.float64)
-    if len(weights) > MAX_ALPHABET:
-        raise DomainError(f"alphabet size {len(weights)} exceeds {MAX_ALPHABET}")
-    if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
-        raise DomainError("Bernoulli weights must be nonnegative and sum to 1")
-    horizon = int(descriptor.get("horizon", 64))
+class Shift(SystemInstance):
+    """The left shift on sequences over a finite alphabet with Bernoulli
+    measure; d = 2^-(first differing offset).  States in one bulk payload
+    share a position along a sampled window of `horizon` symbols."""
 
-    def shift_metric(s, t):
+    kind = "shift"
+
+    def __init__(self, descriptor: dict):
+        weights = np.asarray(descriptor["weights"], dtype=np.float64)
+        if len(weights) > MAX_ALPHABET:
+            raise DomainError(f"alphabet size {len(weights)} exceeds {MAX_ALPHABET}")
+        if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
+            raise DomainError("Bernoulli weights must be nonnegative and sum to 1")
+        super().__init__(descriptor)
+        self.weights = weights
+        self.horizon = int(descriptor.get("horizon", 64))
+
+    def step(self, s):
+        return (s[0], s[1] + 1)
+
+    def metric(self, s, t) -> float:
         (m1, p1), (m2, p2) = s, t
-        pos = p1
         if p1 != p2:
             raise DomainError("shift metric needs states at a common position")
-        w1, w2 = m1[pos:], m2[pos:]
+        w1, w2 = m1[p1:], m2[p1:]
         diff = np.nonzero(w1 != w2)[0]
         if len(diff) == 0:
             return 2.0 ** -(len(w1))   # agree through the horizon
         return 2.0 ** -int(diff[0])
 
-    def sampler(count, seed):
+    def sample(self, count: int, seed: int):
         rng = np.random.default_rng(seed)
-        mat = rng.choice(len(weights), size=(count, horizon),
-                         p=weights).astype(np.int8)
+        mat = rng.choice(len(self.weights), size=(count, self.horizon),
+                         p=self.weights).astype(np.int8)
         return (mat, 0)
 
-    def bulk_step(states):
+    def step_bulk(self, states):
         mat, pos = states
         if pos + 1 >= mat.shape[1]:
             raise DomainError(f"shift horizon {mat.shape[1]} exhausted")
         return (mat, pos + 1)
 
-    def metric_matrix(states):
+    def pairwise_distance(self, states) -> np.ndarray:
         mat, pos = states
         window = mat[:, pos:]
         p, w = window.shape
@@ -284,14 +402,68 @@ def _make_shift(descriptor: dict) -> SystemInstance:
             val = np.where(diff, 2.0 ** -j, val)
         return val
 
-    return SystemInstance(
-        kind="shift", descriptor=descriptor, horizon=horizon,
-        _scalar_step=lambda s: (s[0], s[1] + 1),
-        _scalar_metric=shift_metric,
-        _bulk_sample=sampler,
-        _bulk_step=bulk_step,
-        _bulk_metric=metric_matrix,
-    )
+    def bulk_size(self, states) -> int:
+        return states[0].shape[0]
+
+    def _items(self, states) -> list:
+        mat, pos = states
+        return [(row, pos) for row in mat]
+
+    def bulk_from_list(self, items):
+        pos = items[0][1]
+        if any(p != pos for (_, p) in items):
+            raise DomainError("shift states must share a common position")
+        return (np.stack([m for (m, _) in items]), pos)
+
+    def dbar_snapshots(self, states, ns):
+        """Per pair, the profile v_j = 2^-(next difference at or after offset
+        j) is built right to left and summed, in float32, chunked over rows."""
+        mat, pos = states
+        p, horizon = mat.shape
+        n_max = max(ns)
+        if pos + n_max > horizon:
+            raise DomainError(
+                f"shift horizon {horizon} too short for n={n_max} from position {pos}")
+        idx = {n: k for k, n in enumerate(ns)}
+        snaps = np.zeros((p, p, len(ns)), dtype=np.float32)
+        chunk = max(1, (1 << 25) // (p * horizon))
+        for lo in range(0, p, chunk):
+            hi = min(p, lo + chunk)
+            window = mat[lo:hi, :]
+            diff = window[:, None, pos:] != mat[None, :, pos:]
+            w = diff.shape[2]
+            # v_j = 2^{-(next diff offset from j)}, virtual diff at the horizon
+            val = np.ones((hi - lo, p), dtype=np.float32)
+            prof = np.empty((hi - lo, p, n_max), dtype=np.float32)
+            for j in range(w - 1, -1, -1):
+                val = np.where(diff[:, :, j], np.float32(1.0), np.float32(0.5) * val)
+                if j < n_max:
+                    prof[:, :, j] = val
+            run = np.zeros((hi - lo, p), dtype=np.float32)
+            for i in range(n_max):
+                run = run + prof[:, :, i]
+                n = i + 1
+                if n in idx:
+                    snaps[lo:hi, :, idx[n]] = run / np.float32(n)
+        for n in ns:
+            d = snaps[:, :, idx[n]].astype(np.float64)
+            np.fill_diagonal(d, 0.0)
+            yield n, d
+
+
+def orbit_states(system: SystemInstance, x0, count: int,
+                 burn_in: int = ORBIT_BURN_IN, stride: int = ORBIT_STRIDE):
+    """Bulk payload of `count` states along the orbit of x0, taken every
+    `stride` steps after `burn_in` steps (Birkhoff sampling)."""
+    state = x0
+    for _ in range(burn_in):
+        state = system.step(state)
+    items = []
+    for _ in range(count):
+        items.append(state)
+        for _ in range(stride):
+            state = system.step(state)
+    return system.bulk_from_list(items)
 
 
 def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
@@ -303,21 +475,21 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
     return cocycle_from_pairs(pairs, tau=tau)
 
 
-_BUILDERS = {
-    "rotation": _make_rotation,
-    "skew2": _make_skew2,
-    "skew": _make_skew2,
-    "group_skew": _make_group_skew,
-    "shift": _make_shift,
-}
+def _make_group_skew(descriptor: dict) -> SystemInstance:
+    circle = descriptor.get("group", "circle") == "circle"
+    name = "alpha" if circle else "a"
+    if name not in descriptor:
+        raise DomainError(f"group_skew descriptor is missing field {name!r}")
+    return TorusSkew(descriptor, kind="group_skew") if circle else GroupSkew(descriptor)
 
 
-_REQUIRED_FIELDS = {
-    "rotation": ("alpha",),
-    "skew2": ("alpha",),
-    "skew": ("alpha",),
-    "group_skew": (),
-    "shift": ("weights",),
+# kind -> (builder, required descriptor fields)
+_KINDS = {
+    "rotation": (Rotation, ("alpha",)),
+    "skew2": (TorusSkew, ("alpha",)),
+    "skew": (TorusSkew, ("alpha",)),
+    "group_skew": (_make_group_skew, ()),
+    "shift": (Shift, ("weights",)),
 }
 
 
@@ -326,21 +498,15 @@ def make_system(descriptor: dict) -> SystemInstance:
     {"kind": "skew2", "alpha": "sqrt2-1", "h": [[m, re, im], ...]}.
     """
     kind = descriptor.get("kind")
-    if kind not in _BUILDERS:
+    if kind not in _KINDS:
         raise DomainError(
-            f"unknown system kind {kind!r}; expected one of {sorted(_BUILDERS)}")
-    for name in _REQUIRED_FIELDS[kind]:
+            f"unknown system kind {kind!r}; expected one of {sorted(_KINDS)}")
+    builder, required = _KINDS[kind]
+    for name in required:
         if name not in descriptor:
             raise DomainError(
                 f"system descriptor of kind {kind!r} is missing field {name!r}")
-    if kind == "group_skew":
-        group = descriptor.get("group", "circle")
-        needed = ("alpha",) if group == "circle" else ("a",)
-        for name in needed:
-            if name not in descriptor:
-                raise DomainError(
-                    f"group_skew descriptor is missing field {name!r}")
-    return _BUILDERS[kind](dict(descriptor))
+    return builder(dict(descriptor))
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +575,57 @@ def conjugate_system(system: SystemInstance, pi: Callable, pi_inverse: Callable,
         raise ConjugacyError(
             f"pi and pi_inverse fail to invert within {tol} (residual {resid:.3g})")
 
-    metric_matrix = new_metric if new_metric is not None else system._bulk_metric
+    return Conjugated(system, pi, pi_inverse,
+                      new_metric if new_metric is not None
+                      else system.pairwise_distance)
 
-    conj = SystemInstance(
-        kind=system.kind, descriptor={**system.descriptor, "conjugated": True},
-        alpha=system.alpha, h=system.h,
-        rational_alpha_warning=system.rational_alpha_warning,
-        _scalar_step=lambda s: pi(system._bulk_step(
-            pi_inverse(np.asarray(s)[None, ...])))[0],
-        _scalar_metric=system._scalar_metric,
-        _bulk_sample=lambda n, sd: pi(system._bulk_sample(n, sd)),
-        _bulk_step=lambda arr: pi(system._bulk_step(pi_inverse(arr))),
-        _bulk_metric=metric_matrix,
-    )
-    return conj
+
+class Conjugated(SystemInstance):
+    """The system pi o T o pi^{-1} on the base system's bulk payload.
+
+    pi need not keep the isometries the base kind's fast paths rest on, so
+    it takes the generic dbar accumulation and has no closed-form orbit.
+    """
+
+    def __init__(self, base: SystemInstance, pi: Callable, pi_inverse: Callable,
+                 metric_matrix: Callable):
+        super().__init__({**base.descriptor, "conjugated": True},
+                         alpha=base.alpha, h=base.h,
+                         rational_alpha_warning=base.rational_alpha_warning)
+        self.kind = base.kind
+        self.base = base
+        self.pi = pi
+        self.pi_inverse = pi_inverse
+        self.metric_matrix = metric_matrix
+
+    def step(self, s):
+        return self.pi(self.base.step_bulk(self.pi_inverse(np.asarray(s)[None, ...])))[0]
+
+    def metric(self, s, t) -> float:
+        return self.base.metric(s, t)
+
+    def sample(self, count: int, seed: int):
+        return self.pi(self.base.sample(count, seed))
+
+    def step_bulk(self, states):
+        return self.pi(self.base.step_bulk(self.pi_inverse(states)))
+
+    def pairwise_distance(self, states) -> np.ndarray:
+        return self.metric_matrix(states)
+
+    def bulk_size(self, states) -> int:
+        return self.base.bulk_size(states)
+
+    def _items(self, states) -> list:
+        return self.base._items(states)
+
+    def bulk_from_list(self, items):
+        return self.base.bulk_from_list(items)
+
+    def orbit_coords(self, x0, lo, hi, carry):
+        raise DomainError(
+            f"correlation orbits are streamed in closed form for unconjugated "
+            f"systems only; this {self.kind!r} system is conjugated")
 
 
 def _max_pointwise_distance(system: SystemInstance, a, b) -> float:

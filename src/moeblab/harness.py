@@ -95,66 +95,6 @@ def parse_observable(spec) -> TrigObservable:
 
 
 # ---------------------------------------------------------------------------
-# Orbit coordinates
-# ---------------------------------------------------------------------------
-
-def _orbit_coords(system: SystemInstance, x0, n_from: int, n_to: int,
-                  carry: dict) -> np.ndarray:
-    """Coordinates of T^n x0 for n in [n_from, n_to), as an (k, d) array.
-
-    Rotations and torus skews stream in closed form (x-coordinate exact in
-    n, y-coordinate by carried Birkhoff accumulation); cyclic-group skews
-    map g to g/q.  Shift systems have no trig coordinates and are rejected,
-    and so are conjugated systems, whose orbit the closed form does not give.
-    """
-    if system.descriptor.get("conjugated"):
-        raise DomainError(
-            f"correlation orbits are streamed in closed form for unconjugated "
-            f"systems only; this {system.kind!r} system is conjugated")
-    ns = np.arange(n_from, n_to, dtype=np.float64)
-    if system.kind == "rotation":
-        a = system.alpha.as_float()
-        x = np.mod(float(x0) + ns * a, 1.0)
-        return x[:, None]
-    if system.kind in ("skew2", "group_skew") and system.alpha is not None:
-        a = system.alpha.as_float()
-        x0v, y0v = float(x0[0]), float(x0[1])
-        if "y" not in carry:
-            carry["y"] = y0v
-            carry["n"] = 1
-        if carry["n"] != n_from:
-            raise AssertionError("orbit chunks must be consumed in order")
-        x_prev = np.mod(x0v + (ns - 1.0) * a, 1.0)
-        h_vals = system.h.evaluate(x_prev)
-        y = carry["y"] + np.cumsum(h_vals)
-        carry["y"] = float(y[-1])
-        carry["n"] = n_to
-        x = np.mod(x0v + ns * a, 1.0)
-        return np.column_stack([x, np.mod(y, 1.0)])
-    if system.kind == "group_skew":
-        group = system.descriptor["group"]
-        q = int(group["q"]) if isinstance(group, dict) else int(group)
-        a = int(system.descriptor["a"]) % q
-        g0, y0v = int(x0[0]), float(x0[1])
-        h_vals = system.h.evaluate(np.arange(q) / q)
-        if "y" not in carry:
-            carry["y"] = y0v
-            carry["n"] = 1
-        if carry["n"] != n_from:
-            raise AssertionError("orbit chunks must be consumed in order")
-        steps = np.arange(n_from, n_to, dtype=np.int64)
-        g_prev = (g0 + (steps - 1) * a) % q
-        y = carry["y"] + np.cumsum(h_vals[g_prev])
-        carry["y"] = float(y[-1])
-        carry["n"] = n_to
-        g_now = (g0 + steps * a) % q
-        return np.column_stack([g_now / q, np.mod(y, 1.0)])
-    raise DomainError(
-        f"correlation orbits need trig coordinates; system kind "
-        f"{system.kind!r} is not supported")
-
-
-# ---------------------------------------------------------------------------
 # Correlation series
 # ---------------------------------------------------------------------------
 
@@ -194,7 +134,7 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
     mu = table.values
     for lo in range(1, n_max + 1, CHUNK):
         hi = min(lo + CHUNK, n_max + 1)
-        coords = _orbit_coords(system, x0, lo, hi, carry)
+        coords = system.orbit_coords(x0, lo, hi, carry)
         terms = mu[lo:hi].astype(np.float64) * f.bulk(coords)
         while next_cp < len(cps) and cps[next_cp] < hi:
             cp = cps[next_cp]
@@ -267,7 +207,7 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         raise DomainError("observable must be bounded by 1 for the traced claims")
 
     # first, as it also rejects systems with no closed-form orbit
-    orbit_avg = _plain_orbit_average(table, system, f, x0, n_total)
+    orbit_avg = correlation_sum(table, system, f, x0, [n_total]).values[0]
 
     w_param = ell ** delta
     log_l = math.log(ell)
@@ -294,14 +234,13 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     budget = epsilon ** 3 * ell ** (delta / 20) / 2.0
     schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
-    cloud_states = cloud.system.states_list(cloud.states)
-    trajectories = []
-    for i in centers:
-        sts = [cloud_states[i]]
-        for _ in range(ell - 1):
-            sts.append(system.step(sts[-1]))
-        trajectories.append(sts)
-    ctraj = np.array(trajectories, dtype=np.float64).reshape(m_count, ell, -1)
+    # the (m, L, d) trig coordinates of the center orbits
+    states = system.take(cloud.states, centers)
+    rows = [system.coords(states)]
+    for _ in range(ell - 1):
+        states = system.step_bulk(states)
+        rows.append(system.coords(states))
+    ctraj = np.stack(rows, axis=1)
     j_all, dmin = _assign_to_centers(system, x0, ctraj, n_total)
     assigned = dmin < epsilon1
     j_used = np.where(assigned, j_all, 0)     # unassigned fall back to center 0
@@ -335,17 +274,12 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         block_avg_magnitude=block_mag, block_avg_tolerance=3 * epsilon)
 
 
-def _plain_orbit_average(table, system, f, x0, n_total) -> complex:
-    series = correlation_sum(table, system, f, x0, [n_total])
-    return series.values[0]
-
-
 def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
                        n_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest covering center in dbar_L for each orbit point T^n x0,
     n = 1..N, given the (m, L, d) center trajectories ctraj.
 
-    When `system.isometric` holds (an unconjugated rotation), the step is an
+    When `system.isometric` holds (a rotation), the step is an
     isometry and dbar_L(T^n x0, c) = ||x_n - c||, so only the orbit up to N
     and the center positions enter, through the sorted circle search of
     `assign_nearest_circle`.  Otherwise the L-step average is accumulated,
@@ -355,7 +289,7 @@ def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
     n_orbit = n_total if system.isometric else n_total + ell
     carry: dict = {}
     coords = np.concatenate(
-        [_orbit_coords(system, x0, lo, min(lo + CHUNK, n_orbit + 1), carry)
+        [system.orbit_coords(x0, lo, min(lo + CHUNK, n_orbit + 1), carry)
          for lo in range(1, n_orbit + 1, CHUNK)], axis=0)
     # coords[k] = T^{k+1} x0
     if system.isometric:
@@ -416,7 +350,7 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     out_dir = _new_bundle_dir(Path(out_root),
                               f"{name}-{time.strftime('%Y%m%dT%H%M%S')}")
     csv_path = out_dir / "series.csv"
-    _write_csv(csv_path, rows)
+    csv_path.write_text(_csv_text(rows))
     summary_full = {
         "experiment": name, "seed": seed, "params": params,
         "version": __version__, "summary": summary,
@@ -471,15 +405,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _csv_text(rows: list[dict]) -> str:
+    """Rows sharing one set of keys as CSV with a header line ("" if none)."""
     if not rows:
-        path.write_text("")
-        return
+        return ""
     cols = list(rows[0])
     lines = [",".join(cols)]
     for r in rows:
         lines.append(",".join(_csv_cell(r[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

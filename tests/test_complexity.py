@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import cocycle as cc
 from moeblab import complexity as cx
@@ -70,6 +72,46 @@ def test_dbar_shift_profile_matches_scalar():
                     total += shift.metric(si, sj)
                     si, sj = shift.step(si), shift.step(sj)
                 assert mat[i, j] == pytest.approx(total / n, rel=1e-6), (n, i, j)
+
+
+def _shear(sign):
+    def pi(states):
+        arr = np.asarray(states)
+        return np.column_stack([arr[:, 0], np.mod(
+            arr[:, 1] + sign * 0.1 * np.sin(2 * np.pi * arr[:, 0]), 1.0)])
+    return pi
+
+
+EVERY_KIND = {
+    "rotation": ROT,
+    "skew2": SKEW,
+    "group_skew": dy.make_system({"kind": "group_skew", "group": {"q": 12},
+                                  "a": 5, "h": [[1, 0.05, 0.0]]}),
+    "shift": dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": 24}),
+    "conjugated_skew": dy.conjugate_system(SKEW, _shear(1), _shear(-1)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(EVERY_KIND)), p=st.integers(2, 30),
+       seed=st.integers(0, 2 ** 16),
+       ns=st.sets(st.integers(1, 20), min_size=1, max_size=5))
+def test_dbar_snapshots_of_every_kind(name, p, seed, ns):
+    # exactly symmetric, zero diagonal, and the scalar dbar_n on sampled
+    # pairs (the shift path sums in float32)
+    system = EVERY_KIND[name]
+    states = system.sample(p, seed)
+    lst = system.states_list(states)
+    pairs = np.random.default_rng(seed).integers(0, p, (4, 2))
+    tol = {"rel": 1e-6} if name == "shift" else {"abs": 1e-10}
+    for n, mat in system.dbar_snapshots(states, sorted(ns)):
+        assert np.array_equal(mat, mat.T), n
+        assert np.all(np.diag(mat) == 0.0), n
+        for i, j in pairs:
+            if i != j:
+                expect = cx.dbar_distance(system, lst[i], lst[j], n)
+                assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +363,11 @@ def test_function_family_metric_rotation_stays_bounded():
             out += np.abs(vals[:, None] - vals[None, :]) / (2 ** ell * (2 * norm + 1))
         return out
 
-    system = dy.SystemInstance(
-        kind="rotation", descriptor={"conjugated": True},  # force generic path
-        alpha=base.alpha,
-        _scalar_step=base._scalar_step,
-        _scalar_metric=lambda x, y: float(fam(x, y)),
-        _bulk_sample=base._bulk_sample,
-        _bulk_step=base._bulk_step,
-        _bulk_metric=family_matrix,
-    )
+    # the identity conjugation keeps the rotation's step and sampler floats
+    # and takes the generic dbar accumulation under the family metric
+    identity = lambda s: np.asarray(s)
+    system = dy.conjugate_system(base, identity, identity,
+                                 new_metric=family_matrix)
     cloud = cx.sample_cloud(system, 200, seed=17)
     prof = cx.complexity_profile(cloud, [0.05], [1, 2, 4, 8, 16, 32, 64],
                                  tau=1.0)[0]

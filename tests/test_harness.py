@@ -65,7 +65,7 @@ def test_prefix_consistency(table_100k):
                                 [1000, 2000])
     total_1000 = series.values[0] * 1000
     total_2000 = series.values[1] * 2000
-    coords = hx._orbit_coords(ROT, 0.1, 1001, 2001, {})
+    coords = ROT.orbit_coords(0.1, 1001, 2001, {})
     middle = complex(np.sum(table_100k.values[1001:2001]
                             * np.exp(2j * np.pi * coords[:, 0])))
     assert total_2000 == pytest.approx(total_1000 + middle, abs=1e-9)
@@ -138,6 +138,51 @@ def test_block_trace_rotation_fixture(table_1m):
                                 "W <= (log N)^(1/125)"}
     # the desk-scale regime cannot satisfy the W floor; must be reported
     assert tr.schedule["W >= 10"] is False
+
+
+def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
+    # the center orbits are compared with the orbit in the coordinates
+    # (g/q, y) of the sup metric, not with the integer g
+    q, a, ell, n_total, p = 12, 5, 8, 3000, 200
+    gs = dy.make_system({"kind": "group_skew", "group": {"q": q}, "a": a,
+                         "h": [[1, 0.05, 0.0]]})
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(hx, name, wrapped)
+
+    spy("greedy_cover", hx.greedy_cover)
+    spy("_assign_to_centers", hx._assign_to_centers)
+    x0 = (3, 0.2)
+    tr = hx.block_decomposition_trace(table_100k, gs, [[1, 1, 0.05, 0.0]], x0,
+                                      ell=ell, delta=0.001, epsilon=0.4,
+                                      n_total=n_total, cloud_size=p, seed=0)
+    j_all, dmin = seen["_assign_to_centers"]
+
+    def orbit(state, steps):
+        out = [state]
+        for _ in range(steps - 1):
+            out.append(gs.step(out[-1]))
+        return np.array(out)
+
+    cloud = gs.states_list(gs.sample(p, 0))
+    ctraj = np.array([orbit(cloud[c], ell) for c in seen["greedy_cover"].centers])
+    path = orbit(x0, n_total + ell + 1)[1:]          # T^1 x0, T^2 x0, ...
+    dsum = np.zeros((len(ctraj), n_total))
+    for l_off in range(ell):
+        seg = path[l_off: l_off + n_total]
+        dg = dy.circle_dist(seg[None, :, 0] / q, ctraj[:, l_off, 0][:, None] / q)
+        dy_ = dy.circle_dist(seg[None, :, 1], ctraj[:, l_off, 1][:, None])
+        dsum += np.maximum(dg, dy_)
+    dbar = dsum / ell
+    ref = np.sort(dbar, axis=0)
+    assert np.max(np.abs(dmin - ref[0])) <= 1e-9
+    clear = ref[1] - ref[0] > 1e-9
+    assert np.array_equal(j_all[clear], np.argmin(dbar, axis=0)[clear])
+    assert tr.assigned_fraction == np.mean(dmin < tr.epsilon1) > 0.5
 
 
 def test_block_trace_parameter_errors(table_100k):
