@@ -18,6 +18,7 @@ phase that is tiny-but-nonzero never degrades into trig noise near 2*pi.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -43,22 +44,14 @@ def e_of(theta: float) -> complex:
 
 
 def e_minus_one_exact(alpha: ExactAlpha, m: int) -> complex:
-    """e(m*alpha) - 1 with an exactly reduced phase.
+    """e(m*alpha) - 1 with an exactly reduced phase (m may be a huge
+    integer, such as a frequency times a Birkhoff length).
 
     Uses 2i sin(pi t) e^{i pi t} on the centered fractional part t of
     m*alpha, which keeps full relative accuracy when ||m alpha|| is tiny.
     Returns exactly 0 only when m*alpha is an exact integer.
     """
     t = centered_fractional(alpha, m)
-    if t == 0:
-        return 0j
-    tf = float(t)
-    return 2j * math.sin(math.pi * tf) * cmath.exp(1j * math.pi * tf)
-
-
-def e_minus_one_at(alpha: ExactAlpha, m: int, n: int) -> complex:
-    """e(m*n*alpha) - 1, same reduction (n may be a huge integer)."""
-    t = centered_fractional(alpha, m * n)
     if t == 0:
         return 0j
     tf = float(t)
@@ -288,7 +281,7 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
 def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
                    e_set: set[int], m: int) -> TailCaseRow:
     qs = res.qs
-    k = max(i + 1 for i, qv in enumerate(qs) if qv <= m)
+    k = bisect.bisect_right(qs, m)   # last level with q_k <= m
     qk = qs[k - 1]
     if m % qk != 0:
         lower = Fraction(1, 2 * m)
@@ -344,7 +337,7 @@ def birkhoff_sum(h1: FourierCocycle, alpha: ExactAlpha | object, x: float,
         if den == 0:
             term = n * c * e_of(m * x)
         else:
-            term = c * e_of(m * x) * e_minus_one_at(alpha, m, n) / den
+            term = c * e_of(m * x) * e_minus_one_exact(alpha, m * n) / den
         total += 2.0 * term.real
     return float(total)
 
@@ -366,7 +359,7 @@ def birkhoff_deviation_grid(h1: FourierCocycle, alpha: ExactAlpha, n: int,
         den = e_minus_one_exact(alpha, m)
         if den == 0:
             raise ResonanceError(f"resonant frequency m={m} for this alpha")
-        c = h1.coefficients[m] * e_minus_one_at(alpha, m, n) / den
+        c = h1.coefficients[m] * e_minus_one_exact(alpha, m * n) / den
         total += 2.0 * (c * np.exp(2j * np.pi * m * xs)).real
         lip += 2 * (2 * math.pi * abs(m) * abs(c))
     grid_max = float(np.max(np.abs(total)))

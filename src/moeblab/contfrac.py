@@ -14,7 +14,10 @@ so an expansion of depth K carries convergents p_k/q_k for k = 1 .. K+1.
 
 All strict-inequality certification goes through rational interval
 enclosures of alpha: the default target width is 2^-256, doubled on demand
-up to 2^-4096 before giving up with a precision error.
+up to 2^-4096 before giving up with a precision error.  The enclosures stay
+exact (dyadic rounding would widen them); phases m*alpha mod 1 are reduced
+in integers on their numerators and denominators, with results equal to
+Fraction arithmetic on the same enclosure.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, PrecisionError
 
@@ -356,9 +359,33 @@ def _check_determinants(cf: ContinuedFraction) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _enclosure_cached(alpha: ExactAlpha, bits: int) -> tuple[Fraction, Fraction]:
+def _enclosure_ints(alpha: ExactAlpha, bits: int) -> tuple[int, ...]:
+    """(a, b, c, d, ad + cb, 2bd) for the enclosure [a/b, c/d] in lowest terms."""
     # ExactAlpha instances are frozen dataclasses, hence hashable
-    return alpha.enclosure(bits)
+    lo, hi = alpha.enclosure(bits)
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return a, b, c, d, a * d + c * b, 2 * b * d
+
+
+def _reductions(alpha: ExactAlpha, m: int,
+                bits: int) -> Iterator[tuple[int, ...]]:
+    """m*[a/b, c/d] less r = floor(mid + 1/2), its midpoint's nearest integer,
+    at `bits` and each doubling up to MAX_BITS, as integers
+    (t_lo, den_lo, t_hi, den_hi, u, den): the ends are t_lo/den_lo <=
+    t_hi/den_hi (swapped for m < 0) and mid - r = u/den, with den = 2bd."""
+    b_now = bits
+    while True:
+        a, b, c, d, s, den = _enclosure_ints(alpha, b_now)
+        n = m * s
+        r = (2 * n + den) // (2 * den)
+        t_a, t_c = m * a - r * b, m * c - r * d
+        if m > 0:
+            yield t_a, b, t_c, d, n - r * den, den
+        else:
+            yield t_c, d, t_a, b, n - r * den, den
+        if b_now >= MAX_BITS:
+            return
+        b_now *= 2
 
 
 def centered_fractional(alpha: ExactAlpha, m: int,
@@ -367,57 +394,34 @@ def centered_fractional(alpha: ExactAlpha, m: int,
 
     The result inherits the enclosure width (~2^-bits) around the true
     value; the reduction is centered so that values near an integer come
-    out tiny instead of as 1 - tiny.
+    out tiny instead of as 1 - tiny.  Integer cross-multiplications decide
+    the fit, so it equals the Fraction arithmetic on the same enclosure.
     """
     if m == 0:
         return Fraction(0)
-    b = bits
-    while True:
-        lo, hi = _enclosure_cached(alpha, b)
-        x_lo, x_hi = m * lo, m * hi
-        if x_lo > x_hi:
-            x_lo, x_hi = x_hi, x_lo
-        mid = (x_lo + x_hi) / 2
-        r = (mid + Fraction(1, 2)).__floor__()
-        t_lo, t_hi = x_lo - r, x_hi - r
-        if Fraction(-1, 2) <= t_lo and t_hi < Fraction(1, 2):
-            return (t_lo + t_hi) / 2
-        if t_hi - t_lo < Fraction(1, 4):
-            # interval straddles +-1/2: fine, pick the midpoint representative
-            t = (t_lo + t_hi) / 2
-            while t >= Fraction(1, 2):
-                t -= 1
-            while t < Fraction(-1, 2):
-                t += 1
-            return t
-        if b >= MAX_BITS:
-            raise PrecisionError(
-                f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
-        b *= 2
+    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m, bits):
+        # fits [-1/2, 1/2), or straddles +-1/2 narrower than 1/4; either
+        # way the midpoint representative, in [-1/2, 1/2) by the choice of r
+        if ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
+                or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi):
+            return Fraction(u, den)
+    raise PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
 
 
 def circle_norm_interval(alpha: ExactAlpha, m: int,
                          bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
-    """Certified interval for ||m*alpha|| (distance to nearest integer)."""
+    """Certified interval for ||m*alpha|| (distance to nearest integer),
+    decided in integers like `centered_fractional`, with equal ends."""
     if m == 0:
         return (Fraction(0), Fraction(0))
-    b = bits
-    while True:
-        lo, hi = _enclosure_cached(alpha, b)
-        x_lo, x_hi = m * lo, m * hi
-        if x_lo > x_hi:
-            x_lo, x_hi = x_hi, x_lo
-        r = ((x_lo + x_hi) / 2 + Fraction(1, 2)).__floor__()
-        t_lo, t_hi = x_lo - r, x_hi - r
-        if Fraction(-1, 2) <= t_lo and t_hi <= Fraction(1, 2):
-            if t_lo <= 0 <= t_hi:
-                return (Fraction(0), max(-t_lo, t_hi))
-            mags = sorted((abs(t_lo), abs(t_hi)))
-            return (mags[0], mags[1])
-        if b >= MAX_BITS:
-            raise PrecisionError(
-                f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
-        b *= 2
+    for t_lo, den_lo, t_hi, den_hi, _u, _den in _reductions(alpha, m, bits):
+        if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
+            near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
+            if near[0] * far[1] > far[0] * near[1]:
+                near, far = far, near
+            return (Fraction(0) if t_lo <= 0 <= t_hi else Fraction(*near),
+                    Fraction(*far))
+    raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
 
 
 @dataclass(frozen=True)

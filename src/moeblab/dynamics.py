@@ -602,7 +602,9 @@ class Conjugated(SystemInstance):
         return self.pi(self.base.step_bulk(self.pi_inverse(np.asarray(s)[None, ...])))[0]
 
     def metric(self, s, t) -> float:
-        return self.base.metric(s, t)
+        # the pairwise metric on a two-state payload, so dbar_distance and
+        # the snapshots measure with the same metric
+        return float(self.metric_matrix(self.bulk_from_list([s, t]))[0, 1])
 
     def sample(self, count: int, seed: int):
         return self.pi(self.base.sample(count, seed))

@@ -82,6 +82,26 @@ def _shear(sign):
     return pi
 
 
+COSINE_FAMILY = dy.function_family_metric(
+    [(lambda x, l=l: np.cos(2 * np.pi * l * np.asarray(x))) for l in (1, 2, 3)],
+    norms=[1.0, 1.0, 1.0])
+
+
+def _family_matrix(states):
+    xs = np.asarray(states)
+    out = np.zeros((len(xs), len(xs)))
+    for ell, (g, norm) in enumerate(zip(COSINE_FAMILY.functions,
+                                        COSINE_FAMILY.norms), start=1):
+        vals = g(xs)
+        out += np.abs(vals[:, None] - vals[None, :]) / (2 ** ell * (2 * norm + 1))
+    return out
+
+
+# the identity conjugation keeps the rotation's step and sampler floats and
+# takes the generic dbar accumulation under the family metric
+FAMILY_ROT = dy.conjugate_system(ROT, np.asarray, np.asarray,
+                                 new_metric=_family_matrix)
+
 EVERY_KIND = {
     "rotation": ROT,
     "skew2": SKEW,
@@ -90,6 +110,7 @@ EVERY_KIND = {
     "shift": dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 24}),
     "conjugated_skew": dy.conjugate_system(SKEW, _shear(1), _shear(-1)),
+    "conjugated_family": FAMILY_ROT,
 }
 
 
@@ -112,6 +133,18 @@ def test_dbar_snapshots_of_every_kind(name, p, seed, ns):
             if i != j:
                 expect = cx.dbar_distance(system, lst[i], lst[j], n)
                 assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
+
+
+def test_conjugated_scalar_metric_is_its_own_metric():
+    # dbar_distance steps the scalar metric given with the conjugation,
+    # the one the snapshots use, not the base rotation's circle metric
+    states = FAMILY_ROT.sample(20, 3)
+    lst = FAMILY_ROT.states_list(states)
+    (_, mat), = FAMILY_ROT.dbar_snapshots(states, [3])
+    for i in range(20):
+        for j in range(i + 1, 20):
+            expect = cx.dbar_distance(FAMILY_ROT, lst[i], lst[j], 3)
+            assert mat[i, j] == pytest.approx(expect, abs=1e-12), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +383,7 @@ def test_grid_cover_smallest_t(resonant):
 def test_function_family_metric_rotation_stays_bounded():
     # a separating trig family replaces the canonical metric; covering
     # numbers of the rotation must stay bounded under it as well
-    base = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
-    fam = dy.function_family_metric(
-        [(lambda x, l=l: np.cos(2 * np.pi * l * np.asarray(x))) for l in (1, 2, 3)],
-        norms=[1.0, 1.0, 1.0])
-
-    def family_matrix(states):
-        xs = np.asarray(states)
-        out = np.zeros((len(xs), len(xs)))
-        for ell, (g, norm) in enumerate(zip(fam.functions, fam.norms), start=1):
-            vals = g(xs)
-            out += np.abs(vals[:, None] - vals[None, :]) / (2 ** ell * (2 * norm + 1))
-        return out
-
-    # the identity conjugation keeps the rotation's step and sampler floats
-    # and takes the generic dbar accumulation under the family metric
-    identity = lambda s: np.asarray(s)
-    system = dy.conjugate_system(base, identity, identity,
-                                 new_metric=family_matrix)
-    cloud = cx.sample_cloud(system, 200, seed=17)
+    cloud = cx.sample_cloud(FAMILY_ROT, 200, seed=17)
     prof = cx.complexity_profile(cloud, [0.05], [1, 2, 4, 8, 16, 32, 64],
                                  tau=1.0)[0]
     assert prof.classification.kind == "bounded"

@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from moeblab import contfrac as cf
 from moeblab.errors import DomainError, PrecisionError
+from moeblab.fixtures import resonant_alpha
 
 
 def test_rational_expansion_terminates():
@@ -210,6 +213,150 @@ def test_circle_norm_interval_certifies():
     lo, hi = cf.circle_norm_interval(c.alpha, c.q(10))
     assert 0 < lo <= hi
     assert Fraction(1, c.q(11) + c.q(10)) < lo and hi < Fraction(1, c.q(11))
+
+
+# the Fraction bodies the integer reduction replaced, kept as the reference
+@functools.lru_cache(maxsize=None)
+def _ref_enclosure(alpha, bits):
+    return alpha.enclosure(bits)
+
+
+def _ref_centered_fractional(alpha, m, bits):
+    if m == 0:
+        return Fraction(0)
+    b = bits
+    while True:
+        lo, hi = _ref_enclosure(alpha, b)
+        x_lo, x_hi = m * lo, m * hi
+        if x_lo > x_hi:
+            x_lo, x_hi = x_hi, x_lo
+        mid = (x_lo + x_hi) / 2
+        r = (mid + Fraction(1, 2)).__floor__()
+        t_lo, t_hi = x_lo - r, x_hi - r
+        if Fraction(-1, 2) <= t_lo and t_hi < Fraction(1, 2):
+            return (t_lo + t_hi) / 2
+        if t_hi - t_lo < Fraction(1, 4):
+            t = (t_lo + t_hi) / 2
+            while t >= Fraction(1, 2):
+                t -= 1
+            while t < Fraction(-1, 2):
+                t += 1
+            return t
+        if b >= cf.MAX_BITS:
+            raise PrecisionError(
+                f"cannot reduce {m}*alpha mod 1 at {cf.MAX_BITS} bits")
+        b *= 2
+
+
+def _ref_circle_norm_interval(alpha, m, bits):
+    if m == 0:
+        return (Fraction(0), Fraction(0))
+    b = bits
+    while True:
+        lo, hi = _ref_enclosure(alpha, b)
+        x_lo, x_hi = m * lo, m * hi
+        if x_lo > x_hi:
+            x_lo, x_hi = x_hi, x_lo
+        r = ((x_lo + x_hi) / 2 + Fraction(1, 2)).__floor__()
+        t_lo, t_hi = x_lo - r, x_hi - r
+        if Fraction(-1, 2) <= t_lo and t_hi <= Fraction(1, 2):
+            if t_lo <= 0 <= t_hi:
+                return (Fraction(0), max(-t_lo, t_hi))
+            mags = sorted((abs(t_lo), abs(t_hi)))
+            return (mags[0], mags[1])
+        if b >= cf.MAX_BITS:
+            raise PrecisionError(
+                f"cannot certify ||{m}*alpha|| at {cf.MAX_BITS} bits")
+        b *= 2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+RATIONAL_355_1131 = cf.parse_alpha("355/1131")
+PHASE_ALPHAS = (cf.SQRT2_MINUS_1, cf.GOLDEN, resonant_alpha(9),
+                resonant_alpha(11), RATIONAL_355_1131)
+# 2^e + u for e up to 4000: every size, past what 2^-4096 enclosures resolve
+HUGE = st.builds(lambda e, u, sign: sign * ((1 << e) + u),
+                 st.integers(0, 4000), st.integers(0, 2 ** 64),
+                 st.sampled_from((1, -1)))
+SMALL = st.integers(1, 2 ** 20).flatmap(lambda m: st.sampled_from((m, -m)))
+
+
+def _assert_same_reduction(alpha, m, bits):
+    assert _outcome(cf.centered_fractional, alpha, m, bits) == \
+        _outcome(_ref_centered_fractional, alpha, m, bits)
+    assert _outcome(cf.circle_norm_interval, alpha, m, bits) == \
+        _outcome(_ref_circle_norm_interval, alpha, m, bits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.sampled_from(PHASE_ALPHAS), data=st.data(),
+       bits=st.sampled_from((64, 256, 1024)))
+def test_integer_reduction_equals_fraction_reduction(alpha, data, bits):
+    # the integer reduction returns equal Fractions, and raises the same
+    # PrecisionError, as Fraction arithmetic on the same enclosures
+    huge_ok = isinstance(alpha, cf.QuotientAlpha)
+    m = data.draw(st.one_of(SMALL, HUGE) if huge_ok else SMALL, label="m")
+    _assert_same_reduction(alpha, m, bits)
+
+
+@pytest.mark.parametrize("alpha,m,settles_at", [
+    (cf.SQRT2_MINUS_1, (1 << 100) + 1, 128),
+    (cf.GOLDEN, -(1 << 300), 512),
+    (resonant_alpha(9), 1 << 2000, None),       # the prefix runs out
+    (resonant_alpha(11), -(1 << 3999) - 5, None),
+], ids=["sqrt2-1", "golden", "depth9", "depth11"])
+def test_integer_reduction_escalation_paths(alpha, m, settles_at):
+    _assert_same_reduction(alpha, m, 64)
+    if settles_at is None:
+        with pytest.raises(PrecisionError):
+            cf.centered_fractional(alpha, m, 64)
+    else:
+        # 64 bits is too coarse, so the reduction doubles up to settles_at
+        assert cf.centered_fractional(alpha, m, 64) == \
+            cf.centered_fractional(alpha, m, settles_at)
+        assert cf.circle_norm_interval(alpha, m, 64) == \
+            cf.circle_norm_interval(alpha, m, settles_at)
+
+
+@dataclass(frozen=True)
+class _FixedEnclosure(cf.ExactAlpha):
+    """An enclosure that never narrows, of width exactly 1/4 at m = 1."""
+
+    lo: Fraction = Fraction(1, 4)
+    hi: Fraction = Fraction(1, 2)
+
+    def enclosure(self, bits):
+        return (self.lo, self.hi)
+
+    def __str__(self) -> str:
+        return f"[{self.lo},{self.hi}]"
+
+
+@pytest.mark.parametrize("alpha", [
+    cf.parse_alpha("quotients:1,1"), cf.parse_alpha("quotients:1,2"),
+    cf.parse_alpha("3/8"), _FixedEnclosure()], ids=str)
+def test_integer_reduction_on_boundaries(alpha):
+    # shallow prefixes, an even denominator and a fixed interval put
+    # enclosure ends exactly on +-1/2 and widths on either side of and at
+    # 1/4, where the fit tests decide
+    for m in range(-64, 65):
+        _assert_same_reduction(alpha, m, 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(j=st.integers(-2 ** 20, 2 ** 20).filter(bool),
+       bits=st.sampled_from((64, 256, 1024)))
+def test_integer_reduction_exact_zero_for_rational(j, bits):
+    m = j * RATIONAL_355_1131.value.denominator
+    assert cf.centered_fractional(RATIONAL_355_1131, m, bits) == 0
+    assert cf.circle_norm_interval(RATIONAL_355_1131, m, bits) == (0, 0)
+    _assert_same_reduction(RATIONAL_355_1131, m, bits)
 
 
 def test_quotient_alpha_depth_limits_certification():

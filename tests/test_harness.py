@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import dynamics as dy
 from moeblab import harness as hx
@@ -84,6 +86,56 @@ def test_skew_decay_matches_frozen_oracle(table_1m):
                                 FIXTURE["checkpoints"])
     for value, observed in zip(series.values, FIXTURE["observed_abs"]):
         assert abs(value) == pytest.approx(observed, abs=2e-5)
+
+
+SKEW2 = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1",
+                        "h": [[1, 0.0, -0.15]]})
+Z12 = dy.make_system({"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                      "h": [[1, 0.05, 0.0]]})
+
+
+def _correlation_at(chunk, table, system, f, x0, cps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hx, "CHUNK", chunk)
+        return hx.correlation_sum(table, system, f, x0, cps).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk=st.integers(1, 500), on_group=st.booleans(),
+       y0=st.floats(0, 1, exclude_max=True),
+       cps=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+def test_correlation_independent_of_chunk(table_100k, chunk, on_group, y0, cps):
+    # where the orbit is cut into chunks must not change the values
+    system, x0 = (Z12, (7, y0)) if on_group else (SKEW2, (0.3, y0))
+    f = [[1, 1, 0.5, 0.2], [0, 1, 0.3, 0.0]]
+    got = _correlation_at(chunk, table_100k, system, f, x0, cps)
+    ref = _correlation_at(hx.CHUNK, table_100k, system, f, x0, cps)
+    for a, b in zip(got, ref):
+        assert abs(a - b) <= 1e-12 * abs(b), (a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(chunk=st.integers(1, 500))
+def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):
+    seen = []
+
+    def trace(chunk_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hx, "CHUNK", chunk_size)
+            assign = hx._assign_to_centers
+            mp.setattr(hx, "_assign_to_centers",
+                       lambda *a: seen.append(assign(*a)) or seen[-1])
+            return hx.block_decomposition_trace(
+                table_100k, SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6), ell=4,
+                delta=0.001, epsilon=0.4, n_total=1500, cloud_size=64, seed=2)
+
+    trace(chunk)
+    trace(hx.CHUNK)
+    (j_got, d_got), (j_ref, d_ref) = seen
+    assert np.array_equal(j_got, j_ref)
+    # the fibre coordinate is carried across chunks as a float, so the
+    # distances may differ in the last bits, never the assignment
+    assert np.allclose(d_got, d_ref, rtol=1e-12, atol=0)
 
 
 def test_group_skew_correlation_runs(table_100k):
