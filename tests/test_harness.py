@@ -125,7 +125,7 @@ def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):
             assign = hx._assign_to_centers
             mp.setattr(hx, "_assign_to_centers",
                        lambda *a: seen.append(assign(*a)) or seen[-1])
-            return hx.block_decomposition_trace(
+            hx.block_decomposition_trace(
                 table_100k, SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6), ell=4,
                 delta=0.001, epsilon=0.4, n_total=1500, cloud_size=64, seed=2)
 
