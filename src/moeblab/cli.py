@@ -121,32 +121,20 @@ def _cmd_mobius(args) -> None:
 
 
 def _cmd_mrt(args) -> None:
-    from .mrt import (bilinear_mobius_average, build_ladder,
-                      complement_density, typical_set_mask)
-    from .numtheory import build_mobius_table
-    ladder = build_ladder(args.p1, args.q1, args.n0, args.bign)
-    table = build_mobius_table(args.bign + args.ell)
-    stats = complement_density(ladder, table)
-    avg = bilinear_mobius_average(table, ladder, args.bign, args.ell)
-    if args.members:
-        mask = typical_set_mask(ladder, min(args.members, args.bign))
-        print("n,in_set")
-        for n in range(1, len(mask)):
-            print(f"{n},{int(mask[n])}")
-    print(json.dumps({"N": args.bign, "L": args.ell, "bilinear_avg": avg,
-                      "complement_ratio": stats.complement_ratio},
-                     sort_keys=True))
-
-
-def _parse_tau(text: str) -> Fraction:
-    return Fraction(text)
+    from .harness import _csv_text, _exp_mrt_bilinear
+    params = {"p1": args.p1, "q1": args.q1, "n0": args.n0, "bign": args.bign,
+              "ell": args.ell, "csv_rows": max(args.members, 0)}
+    rows, summary, _ = _exp_mrt_bilinear(params, seed=0)
+    if args.members > 0:
+        print(_csv_text(rows), end="")
+    print(json.dumps(summary, sort_keys=True))
 
 
 def _cmd_contfrac(args) -> None:
     from .contfrac import best_approx_check, expand, resonance_sets
     spec = args.alpha if args.alpha else [int(a) for a in args.quotients.split(",")]
     cf = expand(spec, args.depth)
-    res = resonance_sets(cf, _parse_tau(args.tau), args.freq_bound)
+    res = resonance_sets(cf, Fraction(args.tau), args.freq_bound)
     rows = best_approx_check(cf)
     out = {
         "alpha": str(cf.alpha),
@@ -175,7 +163,7 @@ def _cmd_cocycle(args) -> None:
             continue
         m, re_, im_ = line.split(",")
         pairs.append((int(m), complex(float(re_), float(im_))))
-    tau = _parse_tau(args.tau)
+    tau = Fraction(args.tau)
     h = cocycle_from_pairs(pairs, tau=tau)
     cf = expand(args.alpha, args.depth)
     res = resonance_sets(cf, tau, args.freq_bound)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
-                       centered_fractional, circle_norm_interval, parse_alpha)
+                       _centered_parts, _norm_parts, parse_alpha)
 from .errors import DomainError, ParameterError, ResonanceError
 
 ENVELOPE_SLACK = 1 + 1e-9
@@ -49,12 +49,14 @@ def e_minus_one_exact(alpha: ExactAlpha, m: int) -> complex:
 
     Uses 2i sin(pi t) e^{i pi t} on the centered fractional part t of
     m*alpha, which keeps full relative accuracy when ||m alpha|| is tiny.
-    Returns exactly 0 only when m*alpha is an exact integer.
+    Returns exactly 0 only when m*alpha is an exact integer.  Reads the
+    unreduced pair t = u/den of `_centered_parts`: `u / den` is correctly
+    rounded, so it equals float(centered_fractional(alpha, m)).
     """
-    t = centered_fractional(alpha, m)
-    if t == 0:
+    u, den = _centered_parts(alpha, m)
+    if u == 0:
         return 0j
-    tf = float(t)
+    tf = u / den
     return 2j * math.sin(math.pi * tf) * cmath.exp(1j * math.pi * tf)
 
 
@@ -190,14 +192,9 @@ class CocycleSplit:
 
     def psi(self, x):
         """psi(x) for scalar or ndarray x."""
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros(x.shape, dtype=np.float64)
-        for m, c in self.psi_coefficients.items():
-            if m > 0:
-                total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
-        return total if total.shape else float(total)
+        return self.psi_truncated(x, math.inf)
 
-    def psi_truncated(self, x, bound: int):
+    def psi_truncated(self, x, bound: float):
         """Partial sum of psi over |m| <= bound (for Cauchy diagnostics)."""
         x = np.asarray(x, dtype=np.float64)
         total = np.zeros(x.shape, dtype=np.float64)
@@ -284,22 +281,23 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
     k = bisect.bisect_right(qs, m)   # last level with q_k <= m
     qk = qs[k - 1]
     if m % qk != 0:
-        lower = Fraction(1, 2 * m)
+        lower = (1, 2 * m)
         case = 1
     else:
         j = m // qk
         assert k not in e_set or j > res.a(k)   # else m would be in M
-        lower = Fraction(j, qk + (qs[k] if k < len(qs) else qk))
+        lower = (j, qk + (qs[k] if k < len(qs) else qk))
         case = 2
-    lo, _hi = circle_norm_interval(alpha, m)
-    certified = lo >= lower
+    # ||m alpha|| >= lower, by cross-multiplication on the unreduced ends
+    (num, den), _hi = _norm_parts(alpha, m)
+    certified = num * lower[1] >= lower[0] * den
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is
         # too loose, so refine once at top precision before giving up
-        lo, _hi = circle_norm_interval(alpha, m, bits=4096)
-        certified = lo >= lower
+        (num, den), _hi = _norm_parts(alpha, m, bits=4096)
+        certified = num * lower[1] >= lower[0] * den
     return TailCaseRow(m=m, case=case, level=k,
-                       norm_lower_bound=lower, certified=certified)
+                       norm_lower_bound=Fraction(*lower), certified=certified)
 
 
 def coboundary_residual(split: CocycleSplit, h: FourierCocycle,

@@ -15,12 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .cocycle import FourierCocycle
-from .contfrac import ContinuedFraction, ResonanceData
+from .contfrac import ContinuedFraction, ResonanceData, _centered_parts
 from .dynamics import (ORBIT_BURN_IN, ORBIT_STRIDE, SystemInstance,
                        circle_dist, orbit_states)
 from .errors import DomainError, SizingError
@@ -113,8 +114,9 @@ class CoverResult:
 
 
 def _mass_target_count(p: int, epsilon: float) -> int:
-    """Least covered-atom count with count/p > 1 - epsilon (uniform weights)."""
-    return math.floor(p * (1.0 - epsilon)) + 1
+    """Least covered-atom count with count/p > 1 - epsilon (uniform weights);
+    p when 1 - epsilon rounds to 1.0."""
+    return min(p, math.floor(p * (1.0 - epsilon)) + 1)
 
 
 def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
@@ -138,7 +140,7 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
         if uniform:
             if covered_count >= needed:
                 break
-        elif covered_mass > target:
+        elif covered_mass > target or not uncovered.any():
             break
         i = int(np.argmax(gains))
         exact = float(ball[i] @ uncovered)
@@ -179,12 +181,9 @@ def exact_cover(ball: np.ndarray, weights: np.ndarray,
 
     def mass(mask: int) -> float:
         total = 0.0
-        j = 0
-        while mask:
-            if mask & 1:
+        for j in range(p):
+            if mask >> j & 1:
                 total += wts[j]
-            mask >>= 1
-            j += 1
         return total
 
     for k in range(1, p + 1):
@@ -193,7 +192,7 @@ def exact_cover(ball: np.ndarray, weights: np.ndarray,
             for i in combo:
                 u |= masks[i]
             m = mass(u)
-            if m > target:
+            if m > target or u == (1 << p) - 1:   # all of the cloud covers it
                 return CoverResult(count=k, centers=tuple(combo),
                                    covered_mass=m, method="exact")
     raise AssertionError("full cloud fails to cover itself")   # unreachable
@@ -434,13 +433,13 @@ def _birkhoff_block(h1: FourierCocycle, alpha, i_vals: Sequence[int],
 
     Each i incurs one exact reduction of i*alpha mod 1; the geometric
     closed form then runs in floats on the reduced phase, which is ample
-    for the spot-check tolerances here.
+    for the spot-check tolerances here.  The phase is `u / den` of the
+    unreduced pair from `_centered_parts`, correctly rounded, hence equal
+    to float(centered_fractional(alpha, i)).
     """
-    from .contfrac import centered_fractional
-
     ms = np.array([m for m in h1.support if m > 0], dtype=np.int64)
     cs = np.array([h1.coefficients[m] for m in ms], dtype=np.complex128)
-    dens = np.array([np.exp(2j * np.pi * float(centered_fractional(alpha, int(m)))) - 1.0
+    dens = np.array([np.exp(2j * np.pi * truediv(*_centered_parts(alpha, int(m)))) - 1.0
                      for m in ms], dtype=np.complex128)
     e_mx = np.exp(2j * np.pi * ms[:, None] * xs[None, :])
     out = np.empty((len(i_vals), len(xs)), dtype=np.float64)
@@ -449,7 +448,7 @@ def _birkhoff_block(h1: FourierCocycle, alpha, i_vals: Sequence[int],
         if i == 0:
             out[row] = 0.0
             continue
-        t_i = float(centered_fractional(alpha, i))
+        t_i = truediv(*_centered_parts(alpha, i))
         num = np.exp(2j * np.pi * ms * t_i) - 1.0
         coeff = cs * num / dens
         out[row] = i * mean + 2.0 * (coeff[:, None] * e_mx).real.sum(axis=0)

@@ -388,6 +388,18 @@ def _reductions(alpha: ExactAlpha, m: int,
         b_now *= 2
 
 
+def _centered_parts(alpha: ExactAlpha, m: int,
+                    bits: int = DEFAULT_BITS) -> tuple[int, int]:
+    """`centered_fractional` as the unreduced pair (u, den), den = 2bd."""
+    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m, bits):
+        # fits [-1/2, 1/2), or straddles +-1/2 narrower than 1/4; either
+        # way the midpoint representative, in [-1/2, 1/2) by the choice of r
+        if ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
+                or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi):
+            return u, den
+    raise PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
+
+
 def centered_fractional(alpha: ExactAlpha, m: int,
                         bits: int = DEFAULT_BITS) -> Fraction:
     """m*alpha mod 1, reduced to [-1/2, 1/2), as an exact rational.
@@ -396,32 +408,34 @@ def centered_fractional(alpha: ExactAlpha, m: int,
     value; the reduction is centered so that values near an integer come
     out tiny instead of as 1 - tiny.  Integer cross-multiplications decide
     the fit, so it equals the Fraction arithmetic on the same enclosure.
+    `cocycle.e_minus_one_exact` and `complexity._birkhoff_block` read the
+    unreduced pair of `_centered_parts` instead and skip the gcd on the
+    large denominator 2bd: int `u / den` is correctly rounded, as is
+    `float(Fraction(u, den))`, so the floats they compute are equal.
     """
-    if m == 0:
-        return Fraction(0)
-    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m, bits):
-        # fits [-1/2, 1/2), or straddles +-1/2 narrower than 1/4; either
-        # way the midpoint representative, in [-1/2, 1/2) by the choice of r
-        if ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
-                or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi):
-            return Fraction(u, den)
-    raise PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
+    return Fraction(*_centered_parts(alpha, m, bits))
 
 
-def circle_norm_interval(alpha: ExactAlpha, m: int,
-                         bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
-    """Certified interval for ||m*alpha|| (distance to nearest integer),
-    decided in integers like `centered_fractional`, with equal ends."""
-    if m == 0:
-        return (Fraction(0), Fraction(0))
+def _norm_parts(alpha: ExactAlpha, m: int,
+                bits: int = DEFAULT_BITS) -> tuple[tuple[int, int], ...]:
+    """The ends of `circle_norm_interval` as unreduced (num, den) pairs."""
     for t_lo, den_lo, t_hi, den_hi, _u, _den in _reductions(alpha, m, bits):
         if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
             near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
             if near[0] * far[1] > far[0] * near[1]:
                 near, far = far, near
-            return (Fraction(0) if t_lo <= 0 <= t_hi else Fraction(*near),
-                    Fraction(*far))
+            return ((0, 1) if t_lo <= 0 <= t_hi else near), far
     raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
+
+
+def circle_norm_interval(alpha: ExactAlpha, m: int,
+                         bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
+    """Certified interval for ||m*alpha|| (distance to nearest integer),
+    decided in integers like `centered_fractional`, with equal ends.
+    `cocycle._classify_tail` compares the unreduced ends of `_norm_parts`
+    by cross-multiplication instead."""
+    lo, hi = _norm_parts(alpha, m, bits)
+    return Fraction(*lo), Fraction(*hi)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
+import bisect
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import cocycle as cc
+from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import fixtures as fx
-from moeblab.errors import DomainError, ParameterError, ResonanceError
+from moeblab.errors import (DomainError, ParameterError, PrecisionError,
+                            ResonanceError)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +267,142 @@ def test_section_conjugacy_cyclic_group():
     h = lambda g: (phi((g + a) % q) - phi(g)) % 1.0
     resid = cc.explicit_section_conjugacy(h, phi, a, 300, modulus=q)
     assert resid < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Integer phase pairs: each caller equals its Fraction formula
+# ---------------------------------------------------------------------------
+
+def _ref_e_minus_one_exact(alpha, m):
+    t = cf.centered_fractional(alpha, m)
+    if t == 0:
+        return 0j
+    tf = float(t)
+    return 2j * math.sin(math.pi * tf) * cmath.exp(1j * math.pi * tf)
+
+
+def _ref_classify_tail(alpha, res, m):
+    qs = res.qs
+    k = bisect.bisect_right(qs, m)
+    qk = qs[k - 1]
+    if m % qk != 0:
+        lower, case = Fraction(1, 2 * m), 1
+    else:
+        lower, case = Fraction(m // qk, qk + (qs[k] if k < len(qs) else qk)), 2
+    certified = cf.circle_norm_interval(alpha, m)[0] >= lower
+    retried = case == 1 and not certified
+    if retried:
+        certified = cf.circle_norm_interval(alpha, m, bits=4096)[0] >= lower
+    return lower, certified, retried
+
+
+def _ref_birkhoff_block(h1, alpha, i_vals, xs):
+    ms = np.array([m for m in h1.support if m > 0], dtype=np.int64)
+    cs = np.array([h1.coefficients[m] for m in ms], dtype=np.complex128)
+    dens = np.array([np.exp(2j * np.pi * float(cf.centered_fractional(alpha, int(m)))) - 1.0
+                     for m in ms], dtype=np.complex128)
+    e_mx = np.exp(2j * np.pi * ms[:, None] * xs[None, :])
+    out = np.empty((len(i_vals), len(xs)), dtype=np.float64)
+    for row, i in enumerate(i_vals):
+        if i == 0:
+            out[row] = 0.0
+            continue
+        t_i = float(cf.centered_fractional(alpha, i))
+        coeff = cs * (np.exp(2j * np.pi * ms * t_i) - 1.0) / dens
+        out[row] = i * h1.mean + 2.0 * (coeff[:, None] * e_mx).real.sum(axis=0)
+    return out
+
+
+def _bits(z):
+    """Real and imaginary parts exactly, -0.0 told apart from 0.0."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+RATIONAL_355_1131 = cf.parse_alpha("355/1131")
+PHASE_ALPHAS = (cf.SQRT2_MINUS_1, cf.GOLDEN, fx.resonant_alpha(9),
+                fx.resonant_alpha(11), RATIONAL_355_1131)
+# 2^e + u for e up to 4000: every size, past what 2^-4096 enclosures resolve
+HUGE = st.builds(lambda e, u, sign: sign * ((1 << e) + u),
+                 st.integers(0, 4000), st.integers(0, 2 ** 64),
+                 st.sampled_from((1, -1)))
+SMALL = st.integers(1, 2 ** 20).flatmap(lambda m: st.sampled_from((m, -m)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.sampled_from(PHASE_ALPHAS), data=st.data())
+def test_e_minus_one_exact_equals_fraction_formula(alpha, data):
+    # u / den and float(Fraction(u, den)) are both correctly rounded, so
+    # the two agree bit for bit, PrecisionError included
+    huge_ok = isinstance(alpha, cf.QuotientAlpha)
+    m = data.draw(st.one_of(SMALL, HUGE) if huge_ok else SMALL, label="m")
+    assert _outcome(cc.e_minus_one_exact, alpha, m) == \
+        _outcome(_ref_e_minus_one_exact, alpha, m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(j=st.integers(-2 ** 20, 2 ** 20).filter(bool))
+def test_e_minus_one_exact_zero_for_rational(j):
+    m = j * RATIONAL_355_1131.value.denominator
+    assert _bits(cc.e_minus_one_exact(RATIONAL_355_1131, m)) == _bits(0j)
+
+
+def test_split_rejects_355_1131_resonance():
+    c = cf.expand(RATIONAL_355_1131, 20)
+    res = cf.resonance_sets(c, 1, 5000)
+    h = cc.cocycle_from_pairs([(1, 1e-3), (2262, 1e-30)], tau=1)
+    with pytest.raises(ResonanceError, match="2262"):
+        cc.split_cocycle(h, res)
+
+
+def test_classify_tail_equals_fraction_comparison(resonant):
+    _, res, _, split = resonant
+    assert len(split.case_rows) == len([m for m in split.tail.support if m > 0])
+    for row in split.case_rows:
+        lower, certified, _ = _ref_classify_tail(res.alpha, res, row.m)
+        assert (row.norm_lower_bound, row.certified) == (lower, certified), row.m
+
+
+@dataclass(frozen=True)
+class _LooseBelowTop(cf.ExactAlpha):
+    """The depth-9 resonant alpha with its enclosures widened by 2^-20 below
+    4096 bits: too loose for the default-bits case-1 check at some m, exact
+    enough at the 4096-bit retry."""
+
+    base: cf.ExactAlpha = fx.resonant_alpha(9)
+
+    def enclosure(self, bits):
+        lo, hi = self.base.enclosure(bits)
+        pad = Fraction(0) if bits >= cf.MAX_BITS else Fraction(1, 2 ** 20)
+        return lo - pad, hi + pad
+
+
+def test_classify_tail_takes_the_4096_bit_retry(resonant):
+    _, res, _, split = resonant
+    loose, e_set = _LooseBelowTop(), set(res.E)
+    retried = []
+    for row in split.case_rows:
+        lower, certified, took_retry = _ref_classify_tail(loose, res, row.m)
+        got = cc._classify_tail(loose, res, e_set, row.m)
+        assert (got.norm_lower_bound, got.certified) == (lower, certified), row.m
+        if took_retry:
+            retried.append((row.case, certified))
+    # the retry certifies case-1 rows the loose enclosure could not
+    assert (1, True) in retried
+    assert all(case == 1 for case, _ in retried)
+
+
+def test_birkhoff_block_equals_fraction_formula(resonant, rng):
+    c, res, _, split = resonant
+    n_t = c.q(8) ** 3
+    i_vals = list(range(300)) + sorted(int(r * n_t) for r in rng.random(64))
+    xs = rng.random(50)
+    got = cx._birkhoff_block(split.h1, c.alpha, i_vals, xs)
+    assert got.tobytes() == _ref_birkhoff_block(split.h1, c.alpha, i_vals, xs).tobytes()

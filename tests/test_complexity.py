@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -170,6 +171,44 @@ def test_greedy_vs_exact_on_seeded_instances():
         g = cx.covering_number(cloud, 4, 0.15, "greedy")
         e = cx.covering_number(cloud, 4, 0.15, "exact")
         assert e.count <= g.count <= 2 * e.count
+
+
+@st.composite
+def _uniform_cover_instances(draw):
+    """A random symmetric reflexive ball matrix on p <= 20 atoms of weight
+    1/p, and a radius-independent epsilon in (0, 1)."""
+    p = draw(st.integers(1, cx.EXACT_COVER_MAX_POINTS))
+    density = draw(st.floats(0.15, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((p, p)) < density, 1)
+    ball = upper | upper.T | np.eye(p, dtype=bool)
+    eps = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return ball, np.full(p, 1.0 / p), eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_uniform_cover_instances())
+def test_greedy_within_log_factor_of_exact(instance):
+    # greedy partial set cover needing k = min(p, floor((1-eps)p) + 1)
+    # atoms is within H(k) <= 1 + ln p of the optimum
+    ball, weights, eps = instance
+    p = len(weights)
+    greedy = cx.greedy_cover(ball, weights, eps, uniform=True)
+    exact = cx.exact_cover(ball, weights, eps)
+    k = min(p, math.floor((1 - eps) * p) + 1)
+    harmonic = sum(1 / j for j in range(1, k + 1))
+    assert harmonic <= 1 + math.log(p) + 1e-12
+    assert exact.count <= greedy.count <= harmonic * exact.count
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_cover_when_one_minus_eps_rounds_to_one(uniform):
+    # mass > 1 - eps needs every atom; greedy used to stall and exact to
+    # find no cover, because 1 - 1e-17 == 1.0 in floats
+    ball = np.eye(3, dtype=bool)
+    weights = np.full(3, 1 / 3) if uniform else np.array([0.5, 0.25, 0.25])
+    assert cx.greedy_cover(ball, weights, 1e-17, uniform=uniform).count == 3
+    assert cx.exact_cover(ball, weights, 1e-17).count == 3
 
 
 def test_exact_cover_size_cap():
