@@ -1,8 +1,12 @@
-"""Hot-loop kernels for pairwise averaged-metric accumulation."""
+"""Hot-loop kernels for pairwise averaged-metric accumulation.  The torus
+kernel sweeps the upper triangle in strips of TORUS_BLOCK rows, so its
+scratch is O(TORUS_BLOCK * p) and each strip stays in cache."""
 
 from __future__ import annotations
 
 import numpy as np
+
+TORUS_BLOCK = 64     # strip height of accumulate_torus, measured at p = 1000
 
 
 def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:
@@ -16,21 +20,28 @@ def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:
 def accumulate_torus(ys: np.ndarray, dx: np.ndarray, dsum: np.ndarray) -> None:
     """dsum[i,j] += sum over fibre rows y of max(dx[i,j], ||y_i - y_j||).
 
-    ys is (steps, p); dx is the fixed (p, p) base-distance matrix of a skew
-    product over an isometry.  The full symmetric matrix is accumulated in
-    place: |y_i - y_j| and |y_j - y_i| are the same float, so dsum stays
-    exactly symmetric with a zero diagonal.
+    ys is (steps, p); dx is the fixed, exactly symmetric (p, p) base distance
+    of a skew product over an isometry; dsum is symmetric on entry and is
+    accumulated in place.  Each strip [r0, r1) of the upper triangle takes
+    every step on columns r0: while it stays in cache, then is mirrored
+    below the diagonal.  |y_i - y_j| and |y_j - y_i| are the same float, so
+    the mirror is exact: dsum stays exactly symmetric with a zero diagonal.
     """
     p = ys.shape[1]
-    d = np.empty((p, p))
-    e = np.empty((p, p))
-    for row in ys:
-        np.subtract(row[:, None], row[None, :], out=d)
-        np.abs(d, out=d)
-        np.subtract(1.0, d, out=e)
-        np.minimum(d, e, out=d)
-        np.maximum(d, dx, out=d)
-        np.add(dsum, d, out=dsum)
+    d = np.empty((TORUS_BLOCK, p))
+    e = np.empty((TORUS_BLOCK, p))
+    for r0 in range(0, p, TORUS_BLOCK):
+        r1 = min(p, r0 + TORUS_BLOCK)
+        dd, ee = d[:r1 - r0, :p - r0], e[:r1 - r0, :p - r0]
+        strip, dxs = dsum[r0:r1, r0:], dx[r0:r1, r0:]
+        for row in ys:
+            np.subtract(row[r0:r1, None], row[None, r0:], out=dd)
+            np.abs(dd, out=dd)
+            np.subtract(1.0, dd, out=ee)
+            np.minimum(dd, ee, out=dd)
+            np.maximum(dd, dxs, out=dd)
+            np.add(strip, dd, out=strip)
+        dsum[r1:, r0:r1] = dsum[r0:r1, r1:].T
 
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,

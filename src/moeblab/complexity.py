@@ -122,7 +122,10 @@ def _mass_target_count(p: int, epsilon: float) -> int:
 def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
                  uniform: bool = False) -> CoverResult:
     """Greedy set cover: repeatedly take the ball covering maximal uncovered
-    weight (ties to the lowest index) until mass > 1 - epsilon.
+    weight until mass > 1 - epsilon.  A gain is the float64 dot product of a
+    ball row with the uncovered weights, summed in BLAS order.  The largest
+    float wins and only an exact float tie goes to the lowest index: equal
+    atom counts can differ in the last bit, and then the larger float wins.
 
     Gains are refreshed lazily: they only ever shrink, so the running
     argmax is re-evaluated until stable, which reproduces exact greedy
@@ -130,7 +133,8 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
     """
     p = len(weights)
     uncovered = weights.astype(np.float64).copy()
-    gains = ball @ uncovered
+    ball_f = ball.astype(np.float64)      # cast once, not per lazy refresh
+    gains = ball_f @ uncovered
     chosen = []
     covered_count = 0
     covered_mass = 0.0
@@ -142,15 +146,15 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
                 break
         elif covered_mass > target or not uncovered.any():
             break
-        i = int(np.argmax(gains))
-        exact = float(ball[i] @ uncovered)
+        i = int(gains.argmax())
+        exact = float(ball_f[i] @ uncovered)
         while True:
             gains[i] = exact
-            i2 = int(np.argmax(gains))
+            i2 = int(gains.argmax())
             if i2 == i:
                 break
             i = i2
-            exact = float(ball[i] @ uncovered)
+            exact = float(ball_f[i] @ uncovered)
         if exact <= 0.0:
             raise AssertionError("greedy stalled before reaching target mass")
         newly = ball[i] & (uncovered > 0)

@@ -417,36 +417,35 @@ class Shift(SystemInstance):
 
     def dbar_snapshots(self, states, ns):
         """Per pair, the profile v_j = 2^-(next difference at or after offset
-        j) is built right to left and summed, in float32, chunked over rows."""
+        j) is built right to left and summed, in float32, chunked over rows.
+        Offset-major: the window is transposed once to (w, p), and each
+        offset's differences and profile row are contiguous (rows, p) slices."""
         mat, pos = states
         p, horizon = mat.shape
         n_max = max(ns)
         if pos + n_max > horizon:
             raise DomainError(
                 f"shift horizon {horizon} too short for n={n_max} from position {pos}")
-        idx = {n: k for k, n in enumerate(ns)}
-        snaps = np.zeros((p, p, len(ns)), dtype=np.float32)
+        cols = np.ascontiguousarray(mat[:, pos:].T)
+        snaps = np.zeros((len(ns), p, p), dtype=np.float32)
         chunk = max(1, (1 << 25) // (p * horizon))
         for lo in range(0, p, chunk):
             hi = min(p, lo + chunk)
-            window = mat[lo:hi, :]
-            diff = window[:, None, pos:] != mat[None, :, pos:]
-            w = diff.shape[2]
+            diff = np.empty((hi - lo, p), dtype=bool)
             # v_j = 2^{-(next diff offset from j)}, virtual diff at the horizon
             val = np.ones((hi - lo, p), dtype=np.float32)
-            prof = np.empty((hi - lo, p, n_max), dtype=np.float32)
-            for j in range(w - 1, -1, -1):
-                val = np.where(diff[:, :, j], np.float32(1.0), np.float32(0.5) * val)
+            prof = np.empty((n_max, hi - lo, p), dtype=np.float32)
+            for j in range(len(cols) - 1, -1, -1):
+                np.not_equal(cols[j, lo:hi, None], cols[j], out=diff)
+                np.multiply(val, np.float32(0.5), out=val)
+                np.copyto(val, np.float32(1.0), where=diff)
                 if j < n_max:
-                    prof[:, :, j] = val
-            run = np.zeros((hi - lo, p), dtype=np.float32)
-            for i in range(n_max):
-                run = run + prof[:, :, i]
-                n = i + 1
-                if n in idx:
-                    snaps[lo:hi, :, idx[n]] = run / np.float32(n)
-        for n in ns:
-            d = snaps[:, :, idx[n]].astype(np.float64)
+                    prof[j] = val
+            np.cumsum(prof, axis=0, out=prof)      # ascending, sequential
+            for k, n in enumerate(ns):
+                np.divide(prof[n - 1], np.float32(n), out=snaps[k, lo:hi])
+        for k, n in enumerate(ns):
+            d = snaps[k].astype(np.float64)
             np.fill_diagonal(d, 0.0)
             yield n, d
 

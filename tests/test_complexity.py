@@ -211,6 +211,57 @@ def test_cover_when_one_minus_eps_rounds_to_one(uniform):
     assert cx.exact_cover(ball, weights, 1e-17).count == 3
 
 
+# the greedy body before the one-time float64 cast, kept as the reference
+def _ref_greedy_cover(ball, weights, epsilon, uniform=False):
+    p = len(weights)
+    uncovered = weights.astype(np.float64).copy()
+    gains = ball @ uncovered
+    chosen = []
+    covered_count = 0
+    covered_mass = 0.0
+    target = 1.0 - epsilon
+    needed = cx._mass_target_count(p, epsilon) if uniform else None
+    while True:
+        if uniform:
+            if covered_count >= needed:
+                break
+        elif covered_mass > target or not uncovered.any():
+            break
+        i = int(np.argmax(gains))
+        exact = float(ball[i] @ uncovered)
+        while True:
+            gains[i] = exact
+            i2 = int(np.argmax(gains))
+            if i2 == i:
+                break
+            i = i2
+            exact = float(ball[i] @ uncovered)
+        if exact <= 0.0:
+            raise AssertionError("greedy stalled before reaching target mass")
+        newly = ball[i] & (uncovered > 0)
+        covered_count += int(np.count_nonzero(newly))
+        covered_mass += float(uncovered[newly].sum())
+        uncovered[newly] = 0.0
+        chosen.append(i)
+    return cx.CoverResult(count=len(chosen), centers=tuple(chosen),
+                          covered_mass=covered_mass, method="greedy")
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_greedy_equals_bool_row_greedy(symmetric, uniform):
+    rng = np.random.default_rng(31 + 2 * symmetric + uniform)
+    for p in [1, 2, 3, 7, 20, 64, 150, 400] * 3:
+        raw = rng.random((p, p)) < rng.uniform(0.02, 0.6)
+        ball = (np.triu(raw) | np.triu(raw).T) if symmetric else raw
+        ball |= np.eye(p, dtype=bool)
+        w = np.full(p, 1.0 / p) if uniform else rng.random(p) ** 3
+        w = w / w.sum()
+        for eps in (0.05, 0.1, 0.2, 0.5):
+            got = cx.greedy_cover(ball, w, eps, uniform=uniform)
+            assert got == _ref_greedy_cover(ball, w, eps, uniform), (p, eps)
+
+
 def test_exact_cover_size_cap():
     cloud = manual_cloud(np.linspace(0, 1, 21, endpoint=False))
     with pytest.raises(SizingError):

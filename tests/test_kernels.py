@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -184,3 +187,143 @@ def test_rotation_assignment_matches_l_step_average(ell):
     assert np.max(np.abs(dmin - np.min(dbar, axis=0))) <= 1e-12
     for eps1 in (0.001, 0.005, 0.02):
         assert np.array_equal(dmin < eps1, np.min(dbar, axis=0) < eps1)
+
+
+# the full-matrix kernel and the cube-based shift profiles that the strip
+# kernel and the offset-major profiles replaced, kept as the reference
+def _ref_accumulate_torus(ys, dx, dsum):
+    p = ys.shape[1]
+    d = np.empty((p, p))
+    e = np.empty((p, p))
+    for row in ys:
+        np.subtract(row[:, None], row[None, :], out=d)
+        np.abs(d, out=d)
+        np.subtract(1.0, d, out=e)
+        np.minimum(d, e, out=d)
+        np.maximum(d, dx, out=d)
+        np.add(dsum, d, out=dsum)
+
+
+def _ref_shift_snapshots(states, ns):
+    mat, pos = states
+    p, horizon = mat.shape
+    n_max = max(ns)
+    idx = {n: k for k, n in enumerate(ns)}
+    snaps = np.zeros((p, p, len(ns)), dtype=np.float32)
+    chunk = max(1, (1 << 25) // (p * horizon))
+    for lo in range(0, p, chunk):
+        hi = min(p, lo + chunk)
+        window = mat[lo:hi, :]
+        diff = window[:, None, pos:] != mat[None, :, pos:]
+        w = diff.shape[2]
+        val = np.ones((hi - lo, p), dtype=np.float32)
+        prof = np.empty((hi - lo, p, n_max), dtype=np.float32)
+        for j in range(w - 1, -1, -1):
+            val = np.where(diff[:, :, j], np.float32(1.0), np.float32(0.5) * val)
+            if j < n_max:
+                prof[:, :, j] = val
+        run = np.zeros((hi - lo, p), dtype=np.float32)
+        for i in range(n_max):
+            run = run + prof[:, :, i]
+            n = i + 1
+            if n in idx:
+                snaps[lo:hi, :, idx[n]] = run / np.float32(n)
+    for n in ns:
+        d = snaps[:, :, idx[n]].astype(np.float64)
+        np.fill_diagonal(d, 0.0)
+        yield n, d
+
+
+def _circle_base_distance(x):
+    dx = np.abs(x[:, None] - x[None, :])
+    return np.minimum(dx, 1.0 - dx)
+
+
+@pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130, 200])
+def test_torus_strips_equal_full_matrix_kernel(p):
+    # two calls into one dsum, as _skew_snapshots makes one per step chunk;
+    # p around the strip height puts the last strip at 1, 63, 64 and 2 rows
+    rng = np.random.default_rng(p)
+    dx = _circle_base_distance(rng.random(p))
+    for steps in range(1, 10):
+        dsum, ref = np.zeros((p, p)), np.zeros((p, p))
+        for _ in range(2):
+            ys = rng.random((steps, p))
+            kn.accumulate_torus(ys, dx, dsum)
+            _ref_accumulate_torus(ys, dx, ref)
+            assert np.array_equal(dsum, ref), (p, steps)
+
+
+def test_torus_strips_on_the_group_base_distance():
+    # Z/12 base distances min(k, q - k)/q hit exact ties with the fibre
+    system = dy.make_system({"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                             "h": [[1, 0.05, 0.0]]})
+    g, y = system.sample(150, 6)
+    k = np.subtract.outer(g, g) % 12
+    dx = np.minimum(k, 12 - k) / 12
+    ys = np.stack([np.mod(y + s * 0.25, 1.0) for s in range(5)])
+    dsum, ref = np.zeros((150, 150)), np.zeros((150, 150))
+    kn.accumulate_torus(ys, dx, dsum)
+    _ref_accumulate_torus(ys, dx, ref)
+    assert np.array_equal(dsum, ref)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
+                                     [1 / 16] * 16])
+@pytest.mark.parametrize("shifted", [0, 5])
+def test_offset_major_shift_profiles_equal_cube_profiles(weights, shifted):
+    system = dy.make_system({"kind": "shift", "weights": weights,
+                             "horizon": 40})
+    states = system.sample(90, len(weights))
+    for _ in range(shifted):
+        states = system.step_bulk(states)
+    for ns in ([1], [1, 2, 3, 7, 20], [4, 40 - shifted],
+               list(range(1, 41 - shifted))):
+        got = list(system.dbar_snapshots(states, ns))
+        ref = list(_ref_shift_snapshots(states, ns))
+        assert [n for n, _ in got] == [n for n, _ in ref] == ns
+        for (n, mat), (_, expect) in zip(got, ref):
+            assert np.array_equal(mat, expect), (ns, n)
+
+
+def test_offset_major_shift_profiles_over_several_row_chunks():
+    # p = 800 at horizon 64 takes two row chunks of 655 and 145 rows
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": 64})
+    states = system.sample(800, 2)
+    assert (1 << 25) // (800 * 64) < 800
+    ns = [1, 2, 5, 14, 24]
+    for (n, mat), (_, expect) in zip(system.dbar_snapshots(states, ns),
+                                     _ref_shift_snapshots(states, ns)):
+        assert np.array_equal(mat, expect), n
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_torus_kernel_scratch_is_a_strip():
+    # the full-matrix kernel's two (p, p) scratch buffers were 16 MiB here
+    p = 1000
+    rng = np.random.default_rng(11)
+    dx = _circle_base_distance(rng.random(p))
+    ys = rng.random((8, p))
+    dsum = np.zeros((p, p))
+    peak = _traced_peak_mib(lambda: kn.accumulate_torus(ys, dx, dsum))
+    assert peak < 4.0, peak
+
+
+def test_shift_profiles_peak_below_cube_peak():
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": 64})
+    states = system.sample(800, 4)
+    ns = list(range(1, 15))
+    # snapshots are dropped as they come, as a covering profile drops them
+    new = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
+    old = _traced_peak_mib(lambda: deque(_ref_shift_snapshots(states, ns), 0))
+    assert new < old, (new, old)
