@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-TORUS_BLOCK = 64     # strip height of accumulate_torus, measured at p = 1000
+TORUS_BLOCK = 64     # strip height of accumulate_torus, measured at p = 1000, 2000
 
 
 def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:

@@ -417,9 +417,9 @@ class Shift(SystemInstance):
 
     def dbar_snapshots(self, states, ns):
         """Per pair, the profile v_j = 2^-(next difference at or after offset
-        j) is built right to left and summed, in float32, chunked over rows.
-        Offset-major: the window is transposed once to (w, p), and each
-        offset's differences and profile row are contiguous (rows, p) slices."""
+        j) is built right to left and summed, in float32, chunked over rows,
+        offset-major: on the window transposed once to (w, p), one contiguous
+        (rows, p) slice per offset and no (rows, p, w) difference cube."""
         mat, pos = states
         p, horizon = mat.shape
         n_max = max(ns)

@@ -242,7 +242,8 @@ def _circle_base_distance(x):
 @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130, 200])
 def test_torus_strips_equal_full_matrix_kernel(p):
     # two calls into one dsum, as _skew_snapshots makes one per step chunk;
-    # p around the strip height puts the last strip at 1, 63, 64 and 2 rows
+    # p on both sides of the strip height and its multiples (last strips of
+    # 1, 63, 64, 1, 2 and 8 rows)
     rng = np.random.default_rng(p)
     dx = _circle_base_distance(rng.random(p))
     for steps in range(1, 10):
@@ -252,20 +253,6 @@ def test_torus_strips_equal_full_matrix_kernel(p):
             kn.accumulate_torus(ys, dx, dsum)
             _ref_accumulate_torus(ys, dx, ref)
             assert np.array_equal(dsum, ref), (p, steps)
-
-
-def test_torus_strips_on_the_group_base_distance():
-    # Z/12 base distances min(k, q - k)/q hit exact ties with the fibre
-    system = dy.make_system({"kind": "group_skew", "group": {"q": 12}, "a": 5,
-                             "h": [[1, 0.05, 0.0]]})
-    g, y = system.sample(150, 6)
-    k = np.subtract.outer(g, g) % 12
-    dx = np.minimum(k, 12 - k) / 12
-    ys = np.stack([np.mod(y + s * 0.25, 1.0) for s in range(5)])
-    dsum, ref = np.zeros((150, 150)), np.zeros((150, 150))
-    kn.accumulate_torus(ys, dx, dsum)
-    _ref_accumulate_torus(ys, dx, ref)
-    assert np.array_equal(dsum, ref)
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
