@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
-                       _centered_parts, _norm_parts, parse_alpha)
+                       MAX_BITS, _centered_parts, _norm_parts, parse_alpha)
 from .errors import DomainError, ParameterError, ResonanceError
 
 ENVELOPE_SLACK = 1 + 1e-9
@@ -294,7 +294,7 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is
         # too loose, so refine once at top precision before giving up
-        (num, den), _hi = _norm_parts(alpha, m, bits=4096)
+        (num, den), _hi = _norm_parts(alpha, m, bits=MAX_BITS)
         certified = num * lower[1] >= lower[0] * den
     return TailCaseRow(m=m, case=case, level=k,
                        norm_lower_bound=Fraction(*lower), certified=certified)

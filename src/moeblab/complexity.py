@@ -53,10 +53,6 @@ class OrbitCloud:
     def size(self) -> int:
         return self.system.bulk_size(self.states)
 
-    @property
-    def uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-15))
-
 
 def sample_cloud(system: SystemInstance, count: int, seed: int) -> OrbitCloud:
     states = system.sample(count, seed)
@@ -119,10 +115,11 @@ def _mass_target_count(p: int, epsilon: float) -> int:
     return min(p, math.floor(p * (1.0 - epsilon)) + 1)
 
 
-def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
-                 uniform: bool = False) -> CoverResult:
+def greedy_cover(ball: np.ndarray, weights: np.ndarray,
+                 epsilon: float) -> CoverResult:
     """Greedy set cover: repeatedly take the ball covering maximal uncovered
-    weight until mass > 1 - epsilon.  A gain is the float64 dot product of a
+    weight until mass > 1 - epsilon; uniform weights (1/p to 1e-15) stop
+    at the exact atom count instead.  A gain is the float64 dot product of a
     ball row with the uncovered weights, summed in BLAS order.  The largest
     float wins and only an exact float tie goes to the lowest index: equal
     atom counts can differ in the last bit, and then the larger float wins.
@@ -139,6 +136,7 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray, epsilon: float,
     covered_count = 0
     covered_mass = 0.0
     target = 1.0 - epsilon
+    uniform = bool(np.allclose(weights, 1.0 / p, rtol=0, atol=1e-15))
     needed = _mass_target_count(p, epsilon) if uniform else None
     while True:
         if uniform:
@@ -214,7 +212,7 @@ def covering_number(cloud: OrbitCloud, n: int, epsilon: float,
     if method == "exact":
         result = exact_cover(ball, cloud.weights, epsilon)
     else:
-        result = greedy_cover(ball, cloud.weights, epsilon, uniform=cloud.uniform)
+        result = greedy_cover(ball, cloud.weights, epsilon)
     assert result.covered_mass > 1 - epsilon - 1e-12
     return result
 
@@ -299,7 +297,7 @@ def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],
     for n, dbar in _iter_dbar(cloud, ns):
         for e in eps:
             ball = dbar < e
-            res = greedy_cover(ball, cloud.weights, e, uniform=cloud.uniform)
+            res = greedy_cover(ball, cloud.weights, e)
             assert res.covered_mass > 1 - e - 1e-12
             rows_per_eps[e].append(ProfileRow(n=n, s_n=res.count,
                                               method="greedy",

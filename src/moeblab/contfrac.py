@@ -514,9 +514,6 @@ class ResonanceData:
     quotients: tuple[int, ...]
     qs: tuple[int, ...]
 
-    def threshold_exponent(self) -> Fraction:
-        return 1 / self.tau + 3
-
     def q(self, k: int) -> int:
         return self.qs[k - 1]
 

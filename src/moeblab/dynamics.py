@@ -3,11 +3,12 @@
 One class per kind packages an iteration step, a metric, and a seeded
 sampler of an invariant measure, in both scalar and vectorised (bulk)
 form, together with what its structure gives: the averaged-metric
-snapshots (`dbar_snapshots`), the closed-form orbit in trigonometric
-coordinates (`orbit_coords`) and the `isometric` flag.  Bulk states are the
-system's own payload: a (P,) array of circle positions, a (P, 2) array on
-the torus, an (int array, float array) pair on G x T^1 with G = Z/q, or a
-(symbol matrix, position) pair for shifts.
+snapshots (`dbar_snapshots`), the nearest covering centers of an orbit
+(`nearest_centers`), the closed-form orbit in trigonometric coordinates
+(`orbit_coords`) and the `isometric` flag, which only this module reads.
+Bulk states are the system's own payload: a (P,) array of circle
+positions, a (P, 2) array on the torus, an (int array, float array) pair
+on G x T^1 with G = Z/q, or a (symbol matrix, position) pair for shifts.
 
 Samplers draw Haar measure where it is invariant by fibered structure
 (always, for skews over rotations) and fall back to Birkhoff sampling
@@ -24,9 +25,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import accumulate_circle, accumulate_torus
+from ._kernels import accumulate_torus, assign_nearest_circle
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
-from .contfrac import ExactAlpha, RationalAlpha, ZeroAlpha, parse_alpha
+from .contfrac import ExactAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError
 
 ORBIT_BURN_IN = 10 ** 4
@@ -47,6 +48,10 @@ class SystemInstance:
     Subclasses implement `step`, `metric`, `sample`, `step_bulk` and
     `pairwise_distance`.  The bulk helpers here read the payload as an array
     with one row per state; kinds with another payload override them.
+    `nearest_centers(coords, ctraj, n_total)` reads coords[k] = T^{k+1} x0
+    (at least N + L - 1 rows) and the (m, L, d) center trajectories, and
+    returns per n = 1..N the index of the center nearest to T^n x0 in
+    dbar_L, the lower index winning a tie, and that distance.
     """
 
     kind: str
@@ -98,8 +103,15 @@ class SystemInstance:
                        ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (n, dbar_n pairwise matrix) for the ascending positive ns.
 
+        An isometry keeps d(T^i x, T^i y) = d(x, y), so the one-step
+        distance is dbar_n for every n: it is yielded, read-only, for each n.
         Generic form: the pairwise metric of the stepped states, summed.
         """
+        if self.isometric:
+            d = self.pairwise_distance(states)
+            d.flags.writeable = False
+            yield from ((n, d) for n in ns)
+            return
         p = self.bulk_size(states)
         dsum = np.zeros((p, p))
         done = 0
@@ -112,6 +124,31 @@ class SystemInstance:
             np.fill_diagonal(d, 0.0)
             yield n, d
 
+    def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
+                        n_total: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generic form: the L-step average of the sup metric over the
+        coordinates, with T^l (T^n x0) = coords[n + l - 1], chunked over n
+        to bound the (m, chunk) buffer."""
+        m_count, ell, _ = ctraj.shape
+        j_all = np.empty(n_total, dtype=np.int64)
+        dmin = np.empty(n_total)
+        chunk = max(1, (1 << 23) // max(m_count, 1))
+        for lo in range(0, n_total, chunk):
+            hi = min(n_total, lo + chunk)
+            dsum = np.zeros((m_count, hi - lo))
+            for l_off in range(ell):
+                seg = coords[lo + l_off: hi + l_off]
+                for j in range(m_count):
+                    d = circle_dist(seg[:, 0], ctraj[j, l_off, 0])
+                    for axis in range(1, coords.shape[1]):
+                        d = np.maximum(d, circle_dist(seg[:, axis],
+                                                      ctraj[j, l_off, axis]))
+                    dsum[j] += d
+            dbar = dsum / ell
+            j_all[lo:hi] = np.argmin(dbar, axis=0)
+            dmin[lo:hi] = np.min(dbar, axis=0)
+        return j_all, dmin
+
 
 class Rotation(SystemInstance):
     """x -> x + alpha on the circle, an isometry of the circle metric."""
@@ -121,7 +158,7 @@ class Rotation(SystemInstance):
 
     def __init__(self, descriptor: dict):
         alpha = parse_alpha(descriptor["alpha"])
-        rational = isinstance(alpha, (RationalAlpha, ZeroAlpha))
+        rational = alpha.is_rational
         if rational:
             warnings.warn("rational alpha: rotation is periodic; the "
                           "disjointness theorems here assume irrational alpha")
@@ -141,7 +178,8 @@ class Rotation(SystemInstance):
         return np.mod(xs + self.a, 1.0)
 
     def pairwise_distance(self, xs) -> np.ndarray:
-        return circle_dist_matrix(xs)
+        # reduced first: unreduced positions would give negative distances
+        return circle_dist_matrix(np.mod(np.asarray(xs, dtype=np.float64), 1.0))
 
     def _items(self, xs) -> list:
         return np.asarray(xs).tolist()
@@ -153,20 +191,10 @@ class Rotation(SystemInstance):
         ns = np.arange(lo, hi, dtype=np.float64)
         return np.mod(float(x0) + ns * self.a, 1.0)[:, None]
 
-    def dbar_snapshots(self, states, ns):
-        """d(x + i*alpha, y + i*alpha) = d(x, y), so the n = 1 snapshot is
-        dbar_n for every n.  It is yielded, read-only, for each n in ns.
-        Step-wise accumulation of the n shifted rows gives the same matrix
-        up to float rounding of the shifted coordinates (at most ~1e-14).
-        """
-        x0 = np.mod(np.asarray(states, dtype=np.float64), 1.0)
-        p = len(x0)
-        dsum = np.zeros((p, p))
-        accumulate_circle(x0[None, :], dsum)
-        d = dsum + dsum.T
-        d.flags.writeable = False
-        for n in ns:
-            yield n, d
+    def nearest_centers(self, coords, ctraj, n_total):
+        """dbar_L(T^n x0, c) = ||x_n - c||, so only the first center
+        positions enter, through the sorted circle search."""
+        return assign_nearest_circle(coords[:, 0], ctraj[:, :1, 0], n_total)
 
 
 def _skew_snapshots(y, dx: np.ndarray, h_at: Callable, ns):
@@ -217,7 +245,7 @@ class TorusSkew(SystemInstance):
 
     def __init__(self, descriptor: dict, kind: str = "skew2"):
         alpha = parse_alpha(descriptor["alpha"])
-        rational = isinstance(alpha, (RationalAlpha, ZeroAlpha))
+        rational = alpha.is_rational
         if rational:
             warnings.warn("rational alpha in a skew product: outside the "
                           "scope of the irrational-rotation results")

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .cocycle import FourierCocycle, cocycle_from_pairs, envelope_cocycle
 from .contfrac import (ContinuedFraction, QuotientAlpha, ResonanceData,
-                       SQRT2_MINUS_1, GOLDEN, expand, resonance_sets)
+                       SQRT2_MINUS_1, GOLDEN, _convergents, expand,
+                       resonance_sets)
 
 RESONANT_PREFIX = (2, 17, 8, 34)
 FILLER_QUOTIENT = 8
@@ -21,16 +22,10 @@ FILLER_QUOTIENT = 8
 
 def resonant_quotients(depth: int) -> tuple[int, ...]:
     """Quotient prefix of the canonical resonant alpha, to `depth` terms."""
-    def q_list(qlist):
-        out = [1, qlist[0]]
-        for a in qlist[1:]:
-            out.append(a * out[-1] + out[-2])
-        return out
-
     quots = list(RESONANT_PREFIX[:depth])
     while len(quots) < depth:
         k = len(quots) + 1          # index of the quotient being appended
-        qs_now = q_list(quots)
+        qs_now = _convergents(quots)[1]
         if k >= 6 and k % 2 == 0:
             quots.append(qs_now[k - 1] ** 3 + 1)   # forces k into E at tau=1
         else:

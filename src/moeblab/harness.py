@@ -7,6 +7,8 @@ accumulation; the block tracer reproduces the two-scale decomposition of
 the running average into L-blocks anchored at covering centers, reporting
 observed-versus-claimed discrepancy ratios (the claims hold only for
 "sufficiently large" horizons, so they are diagnostics, never assertions).
+Orbit points find their centers through the system's `nearest_centers`;
+no system kind is special-cased here.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import assign_nearest_circle
 from .complexity import greedy_cover, _iter_dbar, sample_cloud
-from .dynamics import SystemInstance, circle_dist, make_system
+from .dynamics import SystemInstance, make_system
 from .errors import DomainError, ParameterError, SizingError
 from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
                         mertens, mobius_non_pretentious)
@@ -44,10 +45,6 @@ class TrigObservable:
     """
 
     coefficients: dict[tuple[int, ...], complex]
-
-    @property
-    def dimension(self) -> int:
-        return len(next(iter(self.coefficients)))
 
     def sup_bound(self) -> float:
         return float(sum(abs(c) for c in self.coefficients.values()))
@@ -227,8 +224,7 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
 
     cloud = sample_cloud(system, cloud_size, seed)
     _, dbar_l = next(iter(_iter_dbar(cloud, [ell])))
-    cover = greedy_cover(dbar_l < epsilon1, cloud.weights, epsilon1,
-                         uniform=cloud.uniform)
+    cover = greedy_cover(dbar_l < epsilon1, cloud.weights, epsilon1)
     centers = list(cover.centers)
     m_count = len(centers)
     budget = epsilon ** 3 * ell ** (delta / 20) / 2.0
@@ -277,43 +273,14 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
 def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
                        n_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest covering center in dbar_L for each orbit point T^n x0,
-    n = 1..N, given the (m, L, d) center trajectories ctraj.
-
-    When `system.isometric` holds (a rotation), the step is an
-    isometry and dbar_L(T^n x0, c) = ||x_n - c||, so only the orbit up to N
-    and the center positions enter, through the sorted circle search of
-    `assign_nearest_circle`.  Otherwise the L-step average is accumulated,
-    exploiting T^l (T^n x0) = orbit[n + l].
-    """
-    m_count, ell, _ = ctraj.shape
-    n_orbit = n_total if system.isometric else n_total + ell
+    n = 1..N, given the (m, L, d) center trajectories ctraj: the system's
+    `nearest_centers` on the orbit coordinates of T^1 x0 .. T^{N+L} x0."""
+    n_orbit = n_total + ctraj.shape[1]
     carry: dict = {}
     coords = np.concatenate(
         [system.orbit_coords(x0, lo, min(lo + CHUNK, n_orbit + 1), carry)
          for lo in range(1, n_orbit + 1, CHUNK)], axis=0)
-    # coords[k] = T^{k+1} x0
-    if system.isometric:
-        return assign_nearest_circle(coords[:, 0], ctraj[:, :1, 0], n_total)
-
-    # torus path, chunked over n to bound the (m, chunk) buffer
-    j_all = np.empty(n_total, dtype=np.int64)
-    dmin = np.empty(n_total)
-    chunk = max(1, (1 << 23) // max(m_count, 1))
-    for lo in range(0, n_total, chunk):
-        hi = min(n_total, lo + chunk)
-        dsum = np.zeros((m_count, hi - lo))
-        for l_off in range(ell):
-            seg = coords[lo + l_off: hi + l_off]
-            for j in range(m_count):
-                d = circle_dist(seg[:, 0], ctraj[j, l_off, 0])
-                for axis in range(1, coords.shape[1]):
-                    d = np.maximum(d, circle_dist(seg[:, axis],
-                                                  ctraj[j, l_off, axis]))
-                dsum[j] += d
-        dbar = dsum / ell
-        j_all[lo:hi] = np.argmin(dbar, axis=0)
-        dmin[lo:hi] = np.min(dbar, axis=0)
-    return j_all, dmin
+    return system.nearest_centers(coords, ctraj, n_total)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_greedy_within_log_factor_of_exact(instance):
     # atoms is within H(k) <= 1 + ln p of the optimum
     ball, weights, eps = instance
     p = len(weights)
-    greedy = cx.greedy_cover(ball, weights, eps, uniform=True)
+    greedy = cx.greedy_cover(ball, weights, eps)
     exact = cx.exact_cover(ball, weights, eps)
     k = min(p, math.floor((1 - eps) * p) + 1)
     harmonic = sum(1 / j for j in range(1, k + 1))
@@ -207,7 +207,7 @@ def test_cover_when_one_minus_eps_rounds_to_one(uniform):
     # find no cover, because 1 - 1e-17 == 1.0 in floats
     ball = np.eye(3, dtype=bool)
     weights = np.full(3, 1 / 3) if uniform else np.array([0.5, 0.25, 0.25])
-    assert cx.greedy_cover(ball, weights, 1e-17, uniform=uniform).count == 3
+    assert cx.greedy_cover(ball, weights, 1e-17).count == 3
     assert cx.exact_cover(ball, weights, 1e-17).count == 3
 
 
@@ -258,7 +258,7 @@ def test_greedy_equals_bool_row_greedy(symmetric, uniform):
         w = np.full(p, 1.0 / p) if uniform else rng.random(p) ** 3
         w = w / w.sum()
         for eps in (0.05, 0.1, 0.2, 0.5):
-            got = cx.greedy_cover(ball, w, eps, uniform=uniform)
+            got = cx.greedy_cover(ball, w, eps)
             assert got == _ref_greedy_cover(ball, w, eps, uniform), (p, eps)
 
 
@@ -409,7 +409,8 @@ def test_prop_22_surrogate_conjugation_preserves_boundedness():
 def test_orbit_cloud_provenance():
     cloud = cx.orbit_cloud(ROT, 0.1, 50, burn_in=100, stride=3)
     assert cloud.provenance.startswith("orbit(")
-    assert cloud.size == 50 and cloud.uniform
+    assert cloud.size == 50
+    assert np.array_equal(cloud.weights, np.full(50, 1 / 50))
     res = cx.covering_number(cloud, 2, 0.2)
     assert res.covered_mass > 0.8
 

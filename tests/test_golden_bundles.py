@@ -19,6 +19,8 @@ ROTATION = {"kind": "rotation", "alpha": "sqrt2-1"}
 SKEW2 = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 GROUP12 = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
            "h": [[1, 0.05, 0.0]]}
+GROUP_CIRCLE = {"kind": "group_skew", "group": "circle", "alpha": "golden",
+                "h": [[1, 0.05, 0.0]]}
 SHIFT = {"kind": "shift", "weights": [0.5, 0.5], "horizon": 32}
 
 DOUBLING = [1, 2, 4, 8, 16]
@@ -61,11 +63,27 @@ CONFIGS = {
     "block-trace-rotation": _block_trace(ROTATION, [[1, 1.0, 0.0]], 0.1, 0.3),
     "block-trace-skew2": _block_trace(SKEW2, [[1, 1, 0.05, 0.0]], [0.1, 0.2],
                                       0.5),
+    "block-trace-group12": _block_trace(GROUP12, [[1, 1, 0.05, 0.0]], [3, 0.2],
+                                        0.5),
+    "block-trace-group-circle": _block_trace(GROUP_CIRCLE, [[1, 1, 0.05, 0.0]],
+                                             [0.1, 0.2], 0.5),
     "pretentious": {"experiment": "pretentious",
                     "params": {"limit": 10 ** 4, "bigq": 2, "tgrid": 21}},
 }
 
 GOLDEN = {
+    "block-trace-group-circle": {
+        "series.csv":
+            "40a40382edb64a57e90716a78b49eafa5a6be81eaa821906b216a4fbee341e67",
+        "summary.json":
+            "d3ac0442603e5adabe7e9005c92bf04bfe1bcfed8efd30e4a89d6a7c3925c41c",
+    },
+    "block-trace-group12": {
+        "series.csv":
+            "8dffecffa77f71a791b8c8a16f13d8bb024c899eee262ce0e810d34e9a80ae45",
+        "summary.json":
+            "cd0e709ccb07dfe9f3918bfc6fff0916c89f6a627229095c32393dfdfe5a7b55",
+    },
     "block-trace-rotation": {
         "series.csv":
             "5a387803004d4ee51dbe304d5537ab986edac3dc951544c7b1484f536c9c7bb8",

@@ -189,6 +189,65 @@ def test_rotation_assignment_matches_l_step_average(ell):
         assert np.array_equal(dmin < eps1, np.min(dbar, axis=0) < eps1)
 
 
+@pytest.mark.parametrize("p", [1, 2, 50, 1000])
+def test_rotation_snapshot_is_the_one_row_circle_kernel(p):
+    # the base-class isometry snapshot equals the one-row circle kernel,
+    # mirrored, bit for bit, and is the same read-only matrix for every n
+    rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
+    states = rot.sample(p, seed=p)
+    dsum = np.zeros((p, p))
+    kn.accumulate_circle(states[None, :], dsum)
+    expect = (dsum + dsum.T).tobytes()
+    snaps = list(rot.dbar_snapshots(states, [1, 3, 64]))
+    assert [n for n, _ in snaps] == [1, 3, 64]
+    for _, mat in snaps:
+        assert mat.tobytes() == expect
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+def test_rotation_snapshot_reduces_positions_mod_one(rng):
+    # points moved by whole turns, +1 and -3 in alternation, give the
+    # matrix of the reduced cloud; unreduced, the circle distance of a
+    # pair a few turns apart would come out negative
+    rot = dy.make_system({"kind": "rotation", "alpha": "golden"})
+    x = rng.random(60)
+    moved = x + np.where(np.arange(60) % 2 == 0, 1.0, -3.0)
+    (_, got), = rot.dbar_snapshots(moved, [5])
+    (_, reduced), = rot.dbar_snapshots(np.mod(moved, 1.0), [5])
+    assert np.array_equal(got, reduced)
+    assert np.all(got >= 0.0) and np.all(got <= 0.5)
+    (_, plain), = rot.dbar_snapshots(x, [5])
+    assert np.max(np.abs(got - plain)) <= 1e-12
+
+
+@pytest.mark.parametrize("ell", [1, 16])
+def test_rotation_nearest_centers_match_the_base_loop(ell):
+    # the sorted circle search against the generic L-step average of the
+    # base class, on the same orbit coordinates and center trajectories
+    rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
+    states = cx.sample_cloud(rot, 40, seed=6).states
+    rows = [rot.coords(states)]
+    for _ in range(ell - 1):
+        states = rot.step_bulk(states)
+        rows.append(rot.coords(states))
+    ctraj = np.stack(rows, axis=1)
+    n_total = 2500
+    coords = rot.orbit_coords(0.61, 1, n_total + ell + 1, {})
+    j_fast, d_fast = rot.nearest_centers(coords, ctraj, n_total)
+    j_base, d_base = dy.SystemInstance.nearest_centers(rot, coords, ctraj,
+                                                       n_total)
+    assert np.max(np.abs(d_fast - d_base)) <= 1e-12
+
+    # where the nearest center is clear of the runner-up by 1e-12
+    dist = np.abs(coords[:n_total, 0][None, :] - ctraj[:, 0])
+    dist = np.sort(np.minimum(dist, 1.0 - dist), axis=0)
+    clear = dist[1] - dist[0] > 1e-12
+    assert clear.mean() > 0.9
+    assert np.array_equal(j_fast[clear], j_base[clear])
+
+
 # the full-matrix kernel and the cube-based shift profiles that the strip
 # kernel and the offset-major profiles replaced, kept as the reference
 def _ref_accumulate_torus(ys, dx, dsum):
