@@ -37,7 +37,11 @@ STEP_CHUNK = 256
 
 
 def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
-    """Pairwise ||x_i - x_j|| on the circle for a vector of positions."""
+    """Pairwise ||x_i - x_j|| on the circle for a vector of positions.
+
+    Positions are reduced mod 1 first: unreduced ones would give negative
+    distances.  The reduction is the identity on [0, 1)."""
+    xs = np.mod(np.asarray(xs, dtype=np.float64), 1.0)
     d = np.abs(xs[:, None] - xs[None, :])
     return np.minimum(d, 1.0 - d)
 
@@ -178,8 +182,7 @@ class Rotation(SystemInstance):
         return np.mod(xs + self.a, 1.0)
 
     def pairwise_distance(self, xs) -> np.ndarray:
-        # reduced first: unreduced positions would give negative distances
-        return circle_dist_matrix(np.mod(np.asarray(xs, dtype=np.float64), 1.0))
+        return circle_dist_matrix(xs)
 
     def _items(self, xs) -> list:
         return np.asarray(xs).tolist()
@@ -208,7 +211,7 @@ def _skew_snapshots(y, dx: np.ndarray, h_at: Callable, ns):
     1e-15).  Snapshots are exactly symmetric with a zero diagonal.
     """
     p = len(y)
-    y = np.asarray(y, dtype=np.float64).copy()
+    y = np.mod(np.asarray(y, dtype=np.float64), 1.0)
     dsum = np.zeros((p, p))
     done = 0
     ys = np.empty((STEP_CHUNK, p))
@@ -284,18 +287,17 @@ class TorusSkew(SystemInstance):
         return np.asarray(states, dtype=np.float64)
 
     def orbit_coords(self, x0, lo, hi, carry):
-        x0v = float(x0[0])
-        ns = np.arange(lo, hi, dtype=np.float64)
-        x_prev = np.mod(x0v + (ns - 1.0) * self.a, 1.0)
-        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h.evaluate(x_prev),
-                           np.mod(x0v + ns * self.a, 1.0))
+        xs = np.mod(float(x0[0])
+                    + np.arange(lo - 1, hi, dtype=np.float64) * self.a, 1.0)
+        return _skew_orbit(carry, float(x0[1]), lo, hi,
+                           self.h.evaluate(xs[:-1]), xs[1:])
 
     def dbar_snapshots(self, states, ns):
         """The base distance is the circle distance of mod(x, 1)."""
         arr = np.asarray(states, dtype=np.float64)
         x = arr[:, 0]
         return _skew_snapshots(
-            arr[:, 1], circle_dist_matrix(np.mod(x, 1.0)),
+            arr[:, 1], circle_dist_matrix(x),
             lambda i: self.h.evaluate(np.mod(x + i * self.a, 1.0)), ns)
 
 
@@ -360,12 +362,9 @@ class GroupSkew(SystemInstance):
         return np.column_stack([g / self.q, y])
 
     def orbit_coords(self, x0, lo, hi, carry):
-        g0 = int(x0[0])
-        steps = np.arange(lo, hi, dtype=np.int64)
-        g_prev = (g0 + (steps - 1) * self.a) % self.q
-        g_now = (g0 + steps * self.a) % self.q
-        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h_table[g_prev],
-                           g_now / self.q)
+        g = (int(x0[0]) + np.arange(lo - 1, hi, dtype=np.int64) * self.a) % self.q
+        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h_table[g[:-1]],
+                           g[1:] / self.q)
 
     def dbar_snapshots(self, states, ns):
         """The base distance is exactly min(k, q - k)/q with

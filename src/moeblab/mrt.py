@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ParameterError, SizingError
 from .numtheory import MobiusTable, _simple_prime_sieve
 
 LEVEL_CAP = 64   # Q_J grows doubly fast; desk N never admits J > 3
+BILINEAR_CHUNK = 1 << 16   # float32 sums of at most 2^16 terms of +-1 are exact
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,13 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
                             n: int, ell: int) -> float:
     """(1/(N L^2)) sum_{l1,l2 < L} |sum_{m in [1,N] cap S} mu(m+l1) mu(m+l2)|.
 
-    The inner sums over all (l1, l2) pairs are assembled as one L x L Gram
-    matrix of shifted mu slices, with the typical-set mask folded into one
-    side (mask^2 = mask).  Passing ladder=None disables the membership
+    The inner sums over all (l1, l2) pairs form one L x L Gram matrix of
+    shifted mu slices, with the typical-set mask folded into one side
+    (mask^2 = mask).  It is built from m-chunks of BILINEAR_CHUNK: a chunk's
+    L shifted slices are the float32 windows of one mu segment, and their
+    Gram adds into a float64 total.  Every partial sum is an integer, at
+    most BILINEAR_CHUNK < 2^24 in a chunk and N < 2^53 in total, so the
+    result is exact.  Passing ladder=None disables the membership
     restriction (S = [1, N]).
     """
     if ell < 1:
@@ -180,15 +186,14 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     if n + ell > table.limit + 1:
         raise SizingError(
             f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
-    if ladder is None:
-        mask = np.ones(n, dtype=np.float64)
-    else:
-        mask = typical_set_mask(ladder, n)[1: n + 1].astype(np.float64)
-    shifts = np.empty((ell, n), dtype=np.float64)
-    for l in range(ell):
-        shifts[l] = table.values[1 + l: n + 1 + l]
-    masked = shifts * mask
-    gram = masked @ shifts.T
+    mask = None if ladder is None else typical_set_mask(ladder, n)
+    gram = np.zeros((ell, ell))
+    for lo in range(1, n + 1, BILINEAR_CHUNK):
+        hi = min(lo + BILINEAR_CHUNK, n + 1)
+        seg = table.values[lo: hi + ell - 1].astype(np.float32)
+        shifts = sliding_window_view(seg, hi - lo)
+        masked = shifts if mask is None else shifts * mask[lo:hi]
+        gram += masked @ shifts.T
     return float(np.sum(np.abs(gram)) / (n * ell * ell))
 
 

@@ -60,56 +60,44 @@ def _simple_prime_sieve(n: int) -> np.ndarray:
 
 
 def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> MobiusTable:
-    """Sieve mu(n) for all n <= n_max, segmented at SIEVE_BLOCK entries.
+    """Sieve mu(n) and the primes <= n_max in one pass, segmented at
+    SIEVE_BLOCK entries.
 
-    Each segment keeps an int64 residual of its entries; dividing out each
-    base prime once flips the sign, multiples of p^2 are zeroed, and a
-    leftover residual > 1 is a single large prime factor (one more flip).
+    Each segment keeps the int64 product of the base primes p <= isqrt(n_max)
+    that divide each entry: every such p flips the sign, and multiples of
+    p^2 are zeroed in the sign itself.  A squarefree n has a prime factor
+    above isqrt(n_max), and then exactly one, when its product is below n
+    (one more flip).  The entries above isqrt(n_max) with product 1 are the
+    primes beyond the base primes.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # values (int8) + residual scratch (int64 per block) + prime list
+    # values (int8) + product and index scratch (int64 per block) + primes
     if n_max + 1 > memory_cap:
         raise SizingError(
             f"n_max={n_max} exceeds memory cap of {memory_cap} table bytes")
 
-    base_primes = _simple_prime_sieve(math.isqrt(n_max))
+    root = math.isqrt(n_max)
+    base_primes = _simple_prime_sieve(root)
     values = np.zeros(n_max + 1, dtype=np.int8)
-
+    primes_chunks = [base_primes]
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, n_max + 1)
-        residual = np.arange(lo, hi, dtype=np.int64)
-        sign = np.ones(hi - lo, dtype=np.int8)
-        zero = np.zeros(hi - lo, dtype=bool)
-        for p in base_primes:
-            p = int(p)
+        prod = np.ones(hi - lo, dtype=np.int64)
+        sign = values[lo:hi]
+        sign[:] = 1
+        for p in base_primes.tolist():
             start = (-lo) % p
-            sign[start::p] = -sign[start::p]
-            residual[start::p] //= p
-            p2 = p * p
-            if p2 < hi:
-                start2 = (-lo) % p2
-                zero[start2::p2] = True
-        sign[residual > 1] = -sign[residual > 1]
-        sign[zero] = 0
-        values[lo:hi] = sign
-    values[0] = 0
-
-    # Full prime list <= n_max, segmented for the same memory reason.
-    primes_chunks = []
-    for lo in range(2, n_max + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, n_max + 1)
-        composite = np.zeros(hi - lo, dtype=bool)
-        for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                composite[start - lo::p] = True
-        seg = np.nonzero(~composite)[0] + lo
-        primes_chunks.append(seg[seg >= 2])
-    primes = (np.concatenate(primes_chunks).astype(np.int64)
-              if primes_chunks else np.empty(0, dtype=np.int64))
-    return MobiusTable(limit=n_max, values=values, primes=primes)
+            np.negative(sign[start::p], out=sign[start::p])
+            prod[start::p] *= p
+            if p * p < hi:
+                sign[(-lo) % (p * p):: p * p] = 0
+        seg = np.arange(lo, hi, dtype=np.int64)
+        np.negative(sign, out=sign, where=prod < seg)
+        seg = seg[prod == 1]
+        primes_chunks.append(seg[seg > root])
+    return MobiusTable(limit=n_max, values=values,
+                       primes=np.concatenate(primes_chunks))
 
 
 def mu_by_factorization(n: int) -> int:
@@ -356,7 +344,9 @@ def pretentious_scan(
     """Distance of mu to every twisted character chi(n) n^{it} on the grid.
 
     Vectorised over primes: with f = mu, f(p) = -1, so the summand is
-    (1 + Re(chi(p) p^{it})) / p.
+    (1 + Re(chi(p) p^{it})) / p.  The twist p^{it} is computed once per t
+    and shared by every character, whose prime values chi(p) are held for
+    the whole scan.  Rows come out in (q, chi, t) order.
     """
     t_values = [float(t) for t in t_grid]
     if not t_values:
@@ -369,16 +359,17 @@ def pretentious_scan(
     pf = ps.astype(np.float64)
     logp = np.log(pf)
     inv_p = 1.0 / pf
-    rows = []
-    for q in range(1, big_q + 1):
-        ctable = dirichlet_characters(q, cap=cap)
-        for chi in ctable.characters:
-            chi_p = chi.values[ps % q]
-            for t in t_values:
-                g = chi_p * np.exp(1j * t * logp)
-                dist = float(np.sum((1.0 + g.real) * inv_p))
-                rows.append(PretentiousRow(q, chi.index, t, dist))
-    return rows
+    chars = [chi for q in range(1, big_q + 1)
+             for chi in dirichlet_characters(q, cap=cap).characters]
+    chi_ps = [chi.values[ps % chi.modulus] for chi in chars]
+    dist = np.empty((len(chars), len(t_values)))
+    for k, t in enumerate(t_values):
+        twist = np.exp(1j * t * logp)
+        for i, chi_p in enumerate(chi_ps):
+            g = chi_p * twist
+            dist[i, k] = np.sum((1.0 + g.real) * inv_p)
+    return [PretentiousRow(chi.modulus, chi.index, t, float(d))
+            for chi, row in zip(chars, dist) for t, d in zip(t_values, row)]
 
 
 def mobius_non_pretentious(

@@ -222,6 +222,26 @@ def test_rotation_snapshot_reduces_positions_mod_one(rng):
     assert np.max(np.abs(got - plain)) <= 1e-12
 
 
+@pytest.mark.parametrize("desc,states", [
+    ({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]},
+     np.array([[1.3, 0.2], [0.2, 0.2]])),
+    ({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]},
+     np.array([[0.2, 1.3], [0.2, 0.2]])),
+    ({"kind": "group_skew", "group": {"q": 12}, "a": 5, "h": [[1, 0.05, 0.0]]},
+     (np.array([4, 4]), np.array([1.3, 0.2]))),
+], ids=["skew2-base", "skew2-fibre", "group-fibre"])
+def test_skew_distances_reduce_coordinates_mod_one(desc, states):
+    # one coordinate a whole turn out: unreduced, its circle distance came
+    # out negative and the max with the other axis read 0.0
+    system = dy.make_system(desc)
+    s, t = system.states_list(states)
+    assert system.metric(s, t) == pytest.approx(0.1, abs=1e-12)
+    assert system.pairwise_distance(states)[0, 1] == pytest.approx(0.1, abs=1e-12)
+    (_, snap), = system.dbar_snapshots(states, [1])
+    assert snap[0, 1] == pytest.approx(0.1, abs=1e-12)
+    assert cx.dbar_distance(system, s, t, 1) == pytest.approx(0.1, abs=1e-12)
+
+
 @pytest.mark.parametrize("ell", [1, 16])
 def test_rotation_nearest_centers_match_the_base_loop(ell):
     # the sorted circle search against the generic L-step average of the

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,50 @@ def test_bilinear_range_check(table_100k, ladder_11_17):
     with pytest.raises(SizingError):
         mrt.bilinear_mobius_average(table_100k, ladder_11_17, 10 ** 4,
                                     table_100k.limit)
+
+
+def _ref_bilinear_mobius_average(table, ladder, n, ell):
+    """The former one-shot Gram of the (L, N) float64 shifted slices."""
+    if ladder is None:
+        mask = np.ones(n, dtype=np.float64)
+    else:
+        mask = mrt.typical_set_mask(ladder, n)[1: n + 1].astype(np.float64)
+    shifts = np.empty((ell, n), dtype=np.float64)
+    for l in range(ell):
+        shifts[l] = table.values[1 + l: n + 1 + l]
+    gram = (shifts * mask) @ shifts.T
+    return float(np.sum(np.abs(gram)) / (n * ell * ell))
+
+
+@pytest.fixture(scope="module")
+def bench_ladder():
+    # the ladder of the benchmark's mrt-bilinear experiment
+    return mrt.build_ladder(11, 17, 10 ** 4, 10 ** 6)
+
+
+CHUNK = mrt.BILINEAR_CHUNK
+
+
+@pytest.mark.parametrize("with_ladder", [False, True], ids=["all", "typical"])
+@pytest.mark.parametrize("ell", [1, 2, 20])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_bilinear_chunked_gram_equals_reference(table_1m, bench_ladder,
+                                                n, ell, with_ladder):
+    ladder = bench_ladder if with_ladder else None
+    got = mrt.bilinear_mobius_average(table_1m, ladder, n, ell)
+    assert got.hex() == _ref_bilinear_mobius_average(table_1m, ladder, n,
+                                                     ell).hex()
+
+
+def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_ladder):
+    # the (L, N) float64 shifts and their masked copy peaked at 313 MiB
+    tracemalloc.start()
+    try:
+        mrt.bilinear_mobius_average(table_1m, bench_ladder, 10 ** 6, 20)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 24.0, peak
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,57 @@ def test_sieve_independent_of_segment_size(n_max, block):
     assert table.primes.tolist() == nt._simple_prime_sieve(n_max).tolist()
 
 
+def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
+    """The former two-pass sieve: an int64 residual divided by each base
+    prime, a separate p^2 mask, and a second composite sieve for primes."""
+    base_primes = nt._simple_prime_sieve(math.isqrt(n_max))
+    values = np.zeros(n_max + 1, dtype=np.int8)
+    for lo in range(1, n_max + 1, nt.SIEVE_BLOCK):
+        hi = min(lo + nt.SIEVE_BLOCK, n_max + 1)
+        residual = np.arange(lo, hi, dtype=np.int64)
+        sign = np.ones(hi - lo, dtype=np.int8)
+        zero = np.zeros(hi - lo, dtype=bool)
+        for p in base_primes:
+            p = int(p)
+            start = (-lo) % p
+            sign[start::p] = -sign[start::p]
+            residual[start::p] //= p
+            p2 = p * p
+            if p2 < hi:
+                start2 = (-lo) % p2
+                zero[start2::p2] = True
+        sign[residual > 1] = -sign[residual > 1]
+        sign[zero] = 0
+        values[lo:hi] = sign
+    values[0] = 0
+    primes_chunks = []
+    for lo in range(2, n_max + 1, nt.SIEVE_BLOCK):
+        hi = min(lo + nt.SIEVE_BLOCK, n_max + 1)
+        composite = np.zeros(hi - lo, dtype=bool)
+        for p in base_primes:
+            p = int(p)
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                composite[start - lo::p] = True
+        seg = np.nonzero(~composite)[0] + lo
+        primes_chunks.append(seg[seg >= 2])
+    primes = (np.concatenate(primes_chunks).astype(np.int64)
+              if primes_chunks else np.empty(0, dtype=np.int64))
+    return nt.MobiusTable(limit=n_max, values=values, primes=primes)
+
+
+@pytest.mark.parametrize("n_max", [
+    1, 2, 3, 4, 960, 961, nt.SIEVE_BLOCK - 1, nt.SIEVE_BLOCK,
+    nt.SIEVE_BLOCK + 1, 2 * nt.SIEVE_BLOCK + 3, 10 ** 6 + 7])
+def test_sieve_equals_two_pass_reference(n_max):
+    table = nt.build_mobius_table(n_max)
+    ref = _ref_build_mobius_table(n_max)
+    assert table.values.dtype == ref.values.dtype
+    assert np.array_equal(table.values, ref.values)
+    assert table.primes.dtype == ref.primes.dtype
+    assert np.array_equal(table.primes, ref.primes)
+
+
 def test_multiplicativity_on_random_coprime_pairs(table_100k, rng):
     limit = table_100k.limit
     checked = 0
@@ -188,6 +239,35 @@ def test_distance_rejects_unbounded():
 # ---------------------------------------------------------------------------
 # Non-pretentiousness scan
 # ---------------------------------------------------------------------------
+
+def _ref_pretentious_scan(table, n_max, big_q, t_grid):
+    """The former scan, with the twist recomputed for every (chi, t)."""
+    ps = table.primes[table.primes <= n_max]
+    pf = ps.astype(np.float64)
+    logp = np.log(pf)
+    inv_p = 1.0 / pf
+    rows = []
+    for q in range(1, big_q + 1):
+        for chi in nt.dirichlet_characters(q).characters:
+            chi_p = chi.values[ps % q]
+            for t in (float(t) for t in t_grid):
+                g = chi_p * np.exp(1j * t * logp)
+                dist = float(np.sum((1.0 + g.real) * inv_p))
+                rows.append(nt.PretentiousRow(q, chi.index, t, dist))
+    return rows
+
+
+@pytest.mark.parametrize("big_q", [1, 5, 12])
+@pytest.mark.parametrize("n_max,grid", [
+    (10 ** 5, nt.default_t_grid(10 ** 5, 9)),
+    (3000, [0.0, -1.5, 2.25, 1e-3])], ids=["default-grid", "hand-grid"])
+def test_pretentious_scan_equals_per_character_reference(
+        table_100k, big_q, n_max, grid):
+    rows = nt.pretentious_scan(table_100k, n_max, big_q, grid)
+    ref = _ref_pretentious_scan(table_100k, n_max, big_q, grid)
+    assert [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in rows] \
+        == [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in ref]
+
 
 def test_non_pretentious_reduces_to_plain_distance(table_100k):
     value = nt.mobius_non_pretentious(table_100k, 10, 1, [0.0])
