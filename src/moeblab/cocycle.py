@@ -192,43 +192,12 @@ class CocycleSplit:
 
     def psi(self, x):
         """psi(x) for scalar or ndarray x."""
-        return self.psi_truncated(x, math.inf)
-
-    def psi_truncated(self, x, bound: float):
-        """Partial sum of psi over |m| <= bound (for Cauchy diagnostics)."""
         x = np.asarray(x, dtype=np.float64)
         total = np.zeros(x.shape, dtype=np.float64)
         for m, c in self.psi_coefficients.items():
-            if 0 < m <= bound:
+            if m > 0:
                 total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
         return total if total.shape else float(total)
-
-    def psi_tail_bound(self, bound: int) -> float:
-        """Analytic bound on sum_{|m| > bound} |hhat(m)/(e(m alpha)-1)| under
-        the decay envelope, for frequencies below the expansion horizon.
-
-        Case 1 uses ||m alpha|| >= 1/(2|m|) and |e(t)-1| >= 4||t||; case 2
-        uses the actual next denominators within the computed depth.
-        """
-        c_env = self.tail.decay_constant
-        t1 = float(self.tail.tau1)
-        # case 1: per-m bound (C/2) m^{1-t1}, summed over m > bound, both signs
-        s = t1 - 1
-        case1 = 2 * (c_env / 2) * (bound ** (-s) + bound ** (1 - s) / (s - 1))
-        # case 2: m = j q_k at non-resonant computed levels
-        case2 = 0.0
-        qs = self.resonance.qs
-        for k in range(1, self.resonance.depth + 1):
-            if k in self.resonance.E:
-                continue
-            qk, qk1 = qs[k - 1], qs[k]
-            if qk > 10 ** 18:   # deeper levels are beyond any usable bound
-                break
-            j_min = bound // qk + 1
-            # sum_{j >= j_min} j^{-(t1+1)} <= j_min^{-(t1+1)} + j_min^{-t1}/t1
-            sj = j_min ** (-(t1 + 1)) + j_min ** (-t1) / t1
-            case2 += 2 * (c_env / 4) * (qk + qk1) * qk ** (-t1) * sj
-        return case1 + case2
 
 
 def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
@@ -403,7 +372,7 @@ def block_estimate_check(h1: FourierCocycle, cf: ContinuedFraction,
 
 
 # ---------------------------------------------------------------------------
-# Explicit-section conjugation residual
+# Circle distance
 # ---------------------------------------------------------------------------
 
 def circle_dist(u, v):
@@ -411,32 +380,3 @@ def circle_dist(u, v):
     d = np.mod(np.asarray(u, dtype=np.float64) - v, 1.0)
     return np.minimum(d, 1.0 - d)
 
-
-def explicit_section_conjugacy(h: Callable, phi: Callable, a,
-                               sample_count: int = 1000,
-                               modulus: int | None = None,
-                               seed: int = 0) -> float:
-    """Max residual of pi o T = S o pi over sampled (g, y).
-
-    T(g,y) = (g+a, y+h(g)), S(g,y) = (g+a, y), pi(g,y) = (g, y - phi(g)).
-    G is the circle (modulus None, a a real rotation) or Z/qZ (a an
-    integer).  When h(g) = phi(g+a) - phi(g) the residual vanishes up to
-    rounding; otherwise the deviation from coboundarity is reported.
-    """
-    rng = np.random.default_rng(seed)
-    ys = rng.random(sample_count)
-    if modulus is None:
-        a_f = parse_alpha(a).as_float() if isinstance(a, (str, ExactAlpha)) else float(a)
-        gs = rng.random(sample_count)
-        g_next = np.mod(gs + a_f, 1.0)
-    else:
-        a_i = int(a)
-        gs = rng.integers(0, modulus, sample_count)
-        g_next = (gs + a_i) % modulus
-    h_vals = np.array([h(g) for g in gs], dtype=np.float64)
-    phi_g = np.array([phi(g) for g in gs], dtype=np.float64)
-    phi_next = np.array([phi(g) for g in g_next], dtype=np.float64)
-    # pi(T(g,y)) = (g+a, y + h(g) - phi(g+a));  S(pi(g,y)) = (g+a, y - phi(g))
-    lhs = np.mod(ys + h_vals - phi_next, 1.0)
-    rhs = np.mod(ys - phi_g, 1.0)
-    return float(np.max(circle_dist(lhs, rhs)))

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .cocycle import FourierCocycle
 from .contfrac import ContinuedFraction, ResonanceData, _centered_parts
-from .dynamics import (ORBIT_BURN_IN, ORBIT_STRIDE, SystemInstance,
-                       circle_dist, orbit_states)
+from .dynamics import SystemInstance, circle_dist
 from .errors import DomainError, SizingError
 
 EXACT_COVER_MAX_POINTS = 20
@@ -59,16 +58,6 @@ def sample_cloud(system: SystemInstance, count: int, seed: int) -> OrbitCloud:
     return OrbitCloud(system=system, states=states,
                       weights=np.full(count, 1.0 / count),
                       provenance=f"sampled(seed={seed})")
-
-
-def orbit_cloud(system: SystemInstance, x0, count: int,
-                burn_in: int = ORBIT_BURN_IN, stride: int = ORBIT_STRIDE
-                ) -> OrbitCloud:
-    """Empirical cloud along the orbit of x0 with burn-in and stride."""
-    return OrbitCloud(system=system,
-                      states=orbit_states(system, x0, count, burn_in, stride),
-                      weights=np.full(count, 1.0 / count),
-                      provenance=f"orbit(x0={x0}, burn_in={burn_in}, stride={stride})")
 
 
 # ---------------------------------------------------------------------------
@@ -305,46 +294,6 @@ def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],
     return [CoveringProfile(epsilon=e, rows=tuple(rows_per_eps[e]),
                             classification=_classify(rows_per_eps[e], tau))
             for e in eps]
-
-
-# ---------------------------------------------------------------------------
-# Visit-frequency diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VisitFrequencyReport:
-    rho_k: float
-    rho_e_n: float
-    epsilon: float
-    n: int
-    precondition_ok: bool    # empirical rho(K) > 1 - eps^2
-    bound_ok: bool | None    # rho(E_n) < eps, None when the check was skipped
-
-
-def visit_frequency_check(cloud: OrbitCloud, predicate: Callable, n: int,
-                          epsilon: float) -> VisitFrequencyReport:
-    """Empirical form of the visit-frequency bound.
-
-    predicate maps a bulk state payload to a boolean membership array.
-    E_n collects cloud points whose orbit visits K with frequency at most
-    1 - eps over the first n steps; under the mass precondition the
-    empirical mass of E_n must fall below eps.
-    """
-    if not 0 < epsilon < 1:
-        raise DomainError(f"epsilon must be in (0,1), got {epsilon}")
-    system = cloud.system
-    states = cloud.states
-    rho_k = float(np.sum(cloud.weights[np.asarray(predicate(states))]))
-    visits = np.zeros(cloud.size, dtype=np.int64)
-    for _ in range(n):
-        visits += np.asarray(predicate(states)).astype(np.int64)
-        states = system.step_bulk(states)
-    low_frequency = (visits / n) <= (1.0 - epsilon)
-    rho_e_n = float(np.sum(cloud.weights[low_frequency]))
-    pre_ok = rho_k > 1 - epsilon ** 2
-    return VisitFrequencyReport(rho_k=rho_k, rho_e_n=rho_e_n, epsilon=epsilon,
-                                n=n, precondition_ok=pre_ok,
-                                bound_ok=(rho_e_n < epsilon) if pre_ok else None)
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,10 @@ class SystemInstance:
     isometric = False
 
     def __init__(self, descriptor: dict, alpha: ExactAlpha | None = None,
-                 h: FourierCocycle | None = None,
-                 rational_alpha_warning: bool = False):
+                 h: FourierCocycle | None = None):
         self.descriptor = descriptor
         self.alpha = alpha
         self.h = h
-        self.rational_alpha_warning = rational_alpha_warning
 
     # -- bulk payload -----------------------------------------------------
     def bulk_size(self, states) -> int:
@@ -162,11 +160,10 @@ class Rotation(SystemInstance):
 
     def __init__(self, descriptor: dict):
         alpha = parse_alpha(descriptor["alpha"])
-        rational = alpha.is_rational
-        if rational:
+        if alpha.is_rational:
             warnings.warn("rational alpha: rotation is periodic; the "
                           "disjointness theorems here assume irrational alpha")
-        super().__init__(descriptor, alpha=alpha, rational_alpha_warning=rational)
+        super().__init__(descriptor, alpha=alpha)
         self.a = alpha.as_float()
 
     def step(self, x):
@@ -248,12 +245,10 @@ class TorusSkew(SystemInstance):
 
     def __init__(self, descriptor: dict, kind: str = "skew2"):
         alpha = parse_alpha(descriptor["alpha"])
-        rational = alpha.is_rational
-        if rational:
+        if alpha.is_rational:
             warnings.warn("rational alpha in a skew product: outside the "
                           "scope of the irrational-rotation results")
-        super().__init__(descriptor, alpha=alpha, h=_h_from_descriptor(descriptor),
-                         rational_alpha_warning=rational)
+        super().__init__(descriptor, alpha=alpha, h=_h_from_descriptor(descriptor))
         self.kind = kind
         self.a = alpha.as_float()
 
@@ -616,8 +611,7 @@ class Conjugated(SystemInstance):
     def __init__(self, base: SystemInstance, pi: Callable, pi_inverse: Callable,
                  metric_matrix: Callable):
         super().__init__({**base.descriptor, "conjugated": True},
-                         alpha=base.alpha, h=base.h,
-                         rational_alpha_warning=base.rational_alpha_warning)
+                         alpha=base.alpha, h=base.h)
         self.kind = base.kind
         self.base = base
         self.pi = pi
@@ -660,12 +654,3 @@ def _max_pointwise_distance(system: SystemInstance, a, b) -> float:
     la, lb = system.states_list(a), system.states_list(b)
     return max(system.metric(x, y) for x, y in zip(la, lb))
 
-
-def factor_map_residual(src: SystemInstance, dst: SystemInstance,
-                        pi_map: Callable, sample_count: int = 1000,
-                        seed: int = 0) -> float:
-    """Max over samples of d(pi(T s), T_dst(pi s)): the intertwining defect."""
-    states = src.sample(sample_count, seed)
-    lhs = pi_map(src.step_bulk(states))
-    rhs = dst.step_bulk(pi_map(states))
-    return _max_pointwise_distance(dst, lhs, rhs)

@@ -196,14 +196,3 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
         gram += masked @ shifts.T
     return float(np.sum(np.abs(gram)) / (n * ell * ell))
 
-
-def chowla_pair_average(table: MobiusTable, n: int, h1: int, h2: int) -> float:
-    """(1/N) sum_{m <= N} mu(m+h1) mu(m+h2)."""
-    if h1 < 0 or h2 < 0:
-        raise DomainError("shifts must be nonnegative")
-    if n + max(h1, h2) > table.limit:
-        raise SizingError(
-            f"need mu up to N+h = {n + max(h1, h2)}, sieve limit {table.limit}")
-    a = table.values[1 + h1: n + 1 + h1].astype(np.float64)
-    b = table.values[1 + h2: n + 1 + h2].astype(np.float64)
-    return float(np.dot(a, b) / n)

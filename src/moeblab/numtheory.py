@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -96,8 +96,10 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
         np.negative(sign, out=sign, where=prod < seg)
         seg = seg[prod == 1]
         primes_chunks.append(seg[seg > root])
-    return MobiusTable(limit=n_max, values=values,
-                       primes=np.concatenate(primes_chunks))
+    primes = np.concatenate(primes_chunks)
+    values.flags.writeable = False
+    primes.flags.writeable = False
+    return MobiusTable(limit=n_max, values=values, primes=primes)
 
 
 def mu_by_factorization(n: int) -> int:
@@ -291,34 +293,6 @@ def dirichlet_characters(q: int, cap: int = DEFAULT_CHARACTER_CAP) -> CharacterT
 # Pretentious distance
 # ---------------------------------------------------------------------------
 
-def pretentious_distance_sq(
-    f: Callable[[int], complex],
-    g: Callable[[int], complex],
-    n_max: int,
-    primes: Sequence[int] | np.ndarray | None = None,
-) -> float:
-    """sum_{p <= n_max} (1 - Re(f(p) conj(g(p)))) / p.
-
-    Both f and g must be 1-bounded on primes up to n_max; each summand then
-    lies in [0, 2/p].  A prime list may be supplied to avoid re-sieving.
-    """
-    if primes is None:
-        primes = _simple_prime_sieve(n_max)
-    total = 0.0
-    for p in primes:
-        p = int(p)
-        if p > n_max:
-            break
-        fp = complex(f(p))
-        gp = complex(g(p))
-        if abs(fp) > 1 + 1e-12 or abs(gp) > 1 + 1e-12:
-            raise DomainError(
-                f"multiplicative input exceeds modulus 1 at p={p}: "
-                f"|f(p)|={abs(fp):.6g}, |g(p)|={abs(gp):.6g}")
-        total += (1.0 - (fp * gp.conjugate()).real) / p
-    return total
-
-
 def default_t_grid(n_max: int, count: int = 201) -> np.ndarray:
     """count equispaced points in [-log n_max, log n_max], with 0 included."""
     span = math.log(max(n_max, 2))
@@ -387,9 +361,3 @@ def mobius_non_pretentious(
     rows = pretentious_scan(table, n_max, big_q, t_grid, cap=cap)
     return min(r.distance_sq for r in rows)
 
-
-def mobius_on_primes(table: MobiusTable) -> Callable[[int], complex]:
-    """mu as a callable for the pretentious-distance API (mu(p) = -1)."""
-    def f(n: int) -> complex:
-        return complex(table.mu(n))
-    return f

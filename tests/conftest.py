@@ -15,7 +15,7 @@ def table_100k():
 
 @pytest.fixture(scope="session")
 def table_1m():
-    # shared by the Mertens, Chowla, bilinear and correlation tests
+    # shared by the Mertens, bilinear and correlation tests
     return nt.build_mobius_table(MILLION + 64)
 
 

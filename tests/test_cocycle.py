@@ -119,24 +119,6 @@ def test_tail_case_classification(resonant):
         assert r.norm_lower_bound == Fraction(1, 2 * r.m)
 
 
-def test_psi_cauchy_tail_bound():
-    # truncation differences must fall below the analytic tail bound
-    cfx = cf.expand(fx.resonant_alpha(9), 9)
-    res = cf.resonance_sets(cfx, 1, 20000)
-    h = cc.envelope_cocycle(20000, 1.0, 1)
-    split = cc.split_cocycle(h, res)
-    xs = np.linspace(0, 1, 257, endpoint=False)
-    for b in (100, 1000, 10000):
-        bound = split.psi_tail_bound(b)
-        diff = np.max(np.abs(split.psi_truncated(xs, 2 * b)
-                             - split.psi_truncated(xs, b)))
-        coef_sum = sum(abs(c) for m, c in split.psi_coefficients.items()
-                       if b < abs(m) <= 2 * b)
-        assert coef_sum <= bound * (1 + 1e-9)
-        assert diff <= bound * (1 + 1e-9)
-        assert bound < 1e-6               # tails are tiny under tau1 = 8
-
-
 # ---------------------------------------------------------------------------
 # Birkhoff sums
 # ---------------------------------------------------------------------------
@@ -233,40 +215,6 @@ def test_block_estimate_grid_minimum():
     split = cc.split_cocycle(h, res)
     with pytest.raises(ParameterError):
         cc.block_estimate_check(split.h1, c, res, grid_size=128)
-
-
-# ---------------------------------------------------------------------------
-# Explicit section conjugation
-# ---------------------------------------------------------------------------
-
-def test_section_conjugacy_zero():
-    resid = cc.explicit_section_conjugacy(lambda g: 0.0, lambda g: 0.0,
-                                          cf.SQRT2_MINUS_1, 100)
-    assert resid == 0.0
-
-
-def test_section_conjugacy_exact_coboundary():
-    a = cf.SQRT2_MINUS_1.as_float()
-    phi = lambda g: 0.2 * math.sin(2 * math.pi * g)
-    h = lambda g: phi((g + a) % 1.0) - phi(g)
-    resid = cc.explicit_section_conjugacy(h, phi, cf.SQRT2_MINUS_1, 500)
-    assert resid < 1e-9
-
-
-def test_section_conjugacy_perturbed():
-    a = cf.SQRT2_MINUS_1.as_float()
-    phi = lambda g: 0.2 * math.sin(2 * math.pi * g)
-    h = lambda g: phi((g + a) % 1.0) - phi(g) + 0.01
-    resid = cc.explicit_section_conjugacy(h, phi, cf.SQRT2_MINUS_1, 500)
-    assert resid == pytest.approx(0.01, abs=1e-9)
-
-
-def test_section_conjugacy_cyclic_group():
-    q, a = 12, 5
-    phi = lambda g: (0.3 * g / q) % 1.0
-    h = lambda g: (phi((g + a) % q) - phi(g)) % 1.0
-    resid = cc.explicit_section_conjugacy(h, phi, a, 300, modulus=q)
-    assert resid < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +133,20 @@ def test_dbar_snapshots_of_every_kind(name, p, seed, ns):
             if i != j:
                 expect = cx.dbar_distance(system, lst[i], lst[j], n)
                 assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 100])
+@pytest.mark.parametrize("name", ["skew2", "group_skew"])
+def test_skew_snapshots_independent_of_step_chunk(name, chunk, monkeypatch):
+    # the fibre steps are accumulated one by one, so where STEP_CHUNK cuts
+    # them (here on both sides of the default 256) changes no bit
+    system = EVERY_KIND[name]
+    states = system.sample(70, 7)
+    ns = [1, 255, 256, 257, 300, 513]
+    expect = [mat.tobytes() for _, mat in system.dbar_snapshots(states, ns)]
+    monkeypatch.setattr(dy, "STEP_CHUNK", chunk)
+    got = [mat.tobytes() for _, mat in system.dbar_snapshots(states, ns)]
+    assert got == expect
 
 
 def test_conjugated_scalar_metric_is_its_own_metric():
@@ -400,59 +413,6 @@ def test_prop_22_surrogate_conjugation_preserves_boundedness():
                              weights=cloud_a.weights, provenance="pushforward")
     prof_pf = cx.complexity_profile(cloud_pf, [0.2], ns, tau=1.0)[0]
     assert [r.s_n for r in prof_pf.rows] == [r.s_n for r in prof_a.rows]
-
-
-# ---------------------------------------------------------------------------
-# Visit frequency
-# ---------------------------------------------------------------------------
-
-def test_orbit_cloud_provenance():
-    cloud = cx.orbit_cloud(ROT, 0.1, 50, burn_in=100, stride=3)
-    assert cloud.provenance.startswith("orbit(")
-    assert cloud.size == 50
-    assert np.array_equal(cloud.weights, np.full(50, 1 / 50))
-    res = cx.covering_number(cloud, 2, 0.2)
-    assert res.covered_mass > 0.8
-
-
-def test_visit_frequency_whole_space():
-    cloud = cx.sample_cloud(ROT, 500, seed=3)
-    rep = cx.visit_frequency_check(cloud, lambda xs: np.ones(len(np.asarray(xs)), bool),
-                                   50, 0.2)
-    assert rep.rho_k == pytest.approx(1.0, abs=1e-12)
-    assert rep.rho_e_n == 0.0 and rep.bound_ok
-
-
-def test_visit_frequency_identity_map():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ident = dy.make_system({"kind": "rotation", "alpha": "0"})
-    eps = 0.2
-    states = np.linspace(0, 1, 2000, endpoint=False)
-    cloud = cx.OrbitCloud(system=ident, states=states,
-                          weights=np.full(2000, 1 / 2000), provenance="grid")
-    threshold = 1 - eps ** 2 / 2
-    rep = cx.visit_frequency_check(cloud, lambda xs: np.asarray(xs) < threshold,
-                                   25, eps)
-    assert rep.rho_e_n == pytest.approx(eps ** 2 / 2, abs=1e-3)
-    assert rep.bound_ok
-
-
-def test_visit_frequency_rotation_arc():
-    cloud = cx.sample_cloud(ROT, 4000, seed=31)
-    rep = cx.visit_frequency_check(cloud, lambda xs: np.asarray(xs) < 0.99,
-                                   200, 0.15)
-    assert rep.precondition_ok
-    assert rep.rho_e_n < 0.15 and rep.bound_ok
-
-
-def test_visit_frequency_precondition_violation():
-    cloud = cx.sample_cloud(ROT, 500, seed=4)
-    rep = cx.visit_frequency_check(cloud, lambda xs: np.asarray(xs) < 0.5,
-                                   20, 0.1)
-    assert not rep.precondition_ok
-    assert rep.bound_ok is None
-    assert rep.rho_k == pytest.approx(0.5, abs=0.07)
 
 
 # ---------------------------------------------------------------------------

@@ -210,34 +210,6 @@ def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_ladder):
     assert peak < 24.0, peak
 
 
-# ---------------------------------------------------------------------------
-# Chowla pair averages
-# ---------------------------------------------------------------------------
-
-def test_chowla_single_point(table_100k):
-    assert mrt.chowla_pair_average(table_100k, 1, 0, 1) == -1.0
-
-
-def test_chowla_squarefree_density(table_100k):
-    value = mrt.chowla_pair_average(table_100k, 10 ** 4, 0, 0)
-    direct = sum(1 for n in range(1, 10 ** 4 + 1)
-                 if table_100k.mu(n) != 0) / 10 ** 4
-    assert value == pytest.approx(direct, abs=1e-12)
-    assert abs(value - 6 / math.pi ** 2) < 2e-3
-
-
-def test_chowla_range_guard(table_100k):
-    with pytest.raises(SizingError):
-        mrt.chowla_pair_average(table_100k, table_100k.limit, 0, 5)
-
-
-def test_chowla_million_examples(table_1m):
-    density = mrt.chowla_pair_average(table_1m, 10 ** 6, 0, 0)
-    assert abs(density - 0.6079) < 0.001          # squarefree density
-    pair = mrt.chowla_pair_average(table_1m, 10 ** 6, 0, 1)
-    assert abs(pair) < 0.01                       # 2-term Chowla smallness
-
-
 def test_bilinear_full_set_reduction(table_100k):
     # ladder check disabled: L=1 average is exactly squarefree count / N
     n = 10 ** 4

@@ -146,6 +146,16 @@ def test_mu_is_minus_one_on_primes(table_100k):
     assert np.all(table_100k.values[table_100k.primes] == -1)
 
 
+def test_table_is_read_only():
+    t = nt.build_mobius_table(100)
+    with pytest.raises(ValueError):
+        t.values[1] = 0
+    with pytest.raises(ValueError):
+        t.primes[0] = 4
+    assert t.mu(1) == 1
+    assert int(t.primes[0]) == 2
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
@@ -200,40 +210,6 @@ def test_character_values_are_roots_of_unity():
 def test_character_cap():
     with pytest.raises(SizingError):
         nt.dirichlet_characters(101)
-
-
-# ---------------------------------------------------------------------------
-# Pretentious distance
-# ---------------------------------------------------------------------------
-
-def test_distance_mu_to_itself_vanishes(table_100k):
-    f = nt.mobius_on_primes(table_100k)
-    assert nt.pretentious_distance_sq(f, f, 1000) == 0.0
-
-
-def test_distance_mu_to_one():
-    d = nt.pretentious_distance_sq(lambda n: -1, lambda n: 1, 10)
-    assert abs(d - 2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
-
-
-def test_distance_unimodular_equal_functions():
-    f = lambda n: np.exp(2j * np.pi * 0.37)
-    assert nt.pretentious_distance_sq(f, f, 100) < 1e-15
-
-
-def test_distance_symmetry_and_monotonicity():
-    f = lambda n: -1
-    g = lambda n: np.exp(1j * 0.3 * math.log(n))
-    d_fg = nt.pretentious_distance_sq(f, g, 500)
-    d_gf = nt.pretentious_distance_sq(g, f, 500)
-    assert abs(d_fg - d_gf) < 1e-12
-    values = [nt.pretentious_distance_sq(f, g, n) for n in (10, 100, 1000)]
-    assert values[0] <= values[1] <= values[2]
-
-
-def test_distance_rejects_unbounded():
-    with pytest.raises(DomainError):
-        nt.pretentious_distance_sq(lambda n: 2.0, lambda n: 1, 10)
 
 
 # ---------------------------------------------------------------------------
