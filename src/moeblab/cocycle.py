@@ -187,7 +187,7 @@ class CocycleSplit:
     tail: FourierCocycle
     alpha: ExactAlpha
     resonance: ResonanceData
-    psi_coefficients: Mapping[int, complex]
+    psi_coefficients: Mapping[int, complex]    # the tail's m > 0 only
     case_rows: tuple[TailCaseRow, ...]
 
     def psi(self, x):
@@ -195,8 +195,7 @@ class CocycleSplit:
         x = np.asarray(x, dtype=np.float64)
         total = np.zeros(x.shape, dtype=np.float64)
         for m, c in self.psi_coefficients.items():
-            if m > 0:
-                total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
+            total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
         return total if total.shape else float(total)
 
 
@@ -229,13 +228,15 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
     rows = []
     e_set = set(res.E)
     for m in tail.support:
+        if m < 0:
+            continue          # h is real, so psi reads the m > 0 half only
         den = e_minus_one_exact(alpha, m)
         if den == 0:
             raise ResonanceError(
                 f"e({m}*alpha) = 1 exactly; {m}*alpha is an integer and the "
                 "coboundary series is undefined at this frequency")
         psi_coeffs[m] = tail.coefficients[m] / den
-        if m > 0 and not rational:
+        if not rational:
             # the two-case small-denominator diagnostic needs the infinite
             # expansion; rational alpha has exact norms and no case split
             rows.append(_classify_tail(alpha, res, e_set, m))

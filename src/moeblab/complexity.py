@@ -38,7 +38,7 @@ class OrbitCloud:
     measure; weights are nonnegative and sum to 1."""
 
     system: SystemInstance
-    states: object           # bulk payload, system-specific
+    states: np.ndarray       # bulk payload, one row per state
     weights: np.ndarray
     provenance: str
 
@@ -50,7 +50,7 @@ class OrbitCloud:
 
     @property
     def size(self) -> int:
-        return self.system.bulk_size(self.states)
+        return len(self.states)
 
 
 def sample_cloud(system: SystemInstance, count: int, seed: int) -> OrbitCloud:

@@ -1,4 +1,4 @@
-"""Concrete systems: rotations, torus skew products, group skews, shifts.
+"""Concrete systems: rotations, skew products over rotations, shifts.
 
 One class per kind packages an iteration step, a metric, and a seeded
 sampler of an invariant measure, in both scalar and vectorised (bulk)
@@ -6,9 +6,11 @@ form, together with what its structure gives: the averaged-metric
 snapshots (`dbar_snapshots`), the nearest covering centers of an orbit
 (`nearest_centers`), the closed-form orbit in trigonometric coordinates
 (`orbit_coords`) and the `isometric` flag, which only this module reads.
-Bulk states are the system's own payload: a (P,) array of circle
-positions, a (P, 2) array on the torus, an (int array, float array) pair
-on G x T^1 with G = Z/q, or a (symbol matrix, position) pair for shifts.
+A bulk payload is one ndarray with one row per state: a (P,) array of
+circle positions, (P, 2) rows [g, y] on G x T^1 for a skew product, or
+the (P, w) windows of symbols ahead of each state for a shift.  The skew
+product over a rotation of G = T^1 or G = Z/q is one implementation,
+`TorusSkew`, of which `GroupSkew` supplies only the Z/q base rotation.
 
 Samplers draw Haar measure where it is invariant by fibered structure
 (always, for skews over rotations) and fall back to Birkhoff sampling
@@ -28,11 +30,14 @@ import numpy as np
 from ._kernels import accumulate_torus, assign_nearest_circle
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
-from .errors import ConjugacyError, DomainError
+from .errors import ConjugacyError, DomainError, SizingError
 
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
 MAX_ALPHABET = 16
+# keeps the table of h on Z/q within 128 MiB, g exact as a float, and
+# g0 + n a within int64 for every n < 2^39
+MAX_GROUP_ORDER = 1 << 24
 STEP_CHUNK = 256
 
 
@@ -50,12 +55,13 @@ class SystemInstance:
     """A state space with iteration map, metric, and invariant sampler.
 
     Subclasses implement `step`, `metric`, `sample`, `step_bulk` and
-    `pairwise_distance`.  The bulk helpers here read the payload as an array
-    with one row per state; kinds with another payload override them.
-    `nearest_centers(coords, ctraj, n_total)` reads coords[k] = T^{k+1} x0
-    (at least N + L - 1 rows) and the (m, L, d) center trajectories, and
-    returns per n = 1..N the index of the center nearest to T^n x0 in
-    dbar_L, the lower index winning a tie, and that distance.
+    `pairwise_distance`.  Bulk states are an ndarray with one row per
+    state, so `len(states)`, `states[index]` and `np.array(items)` serve
+    every kind.  `nearest_centers(coords, ctraj, n_total)` reads
+    coords[k] = T^{k+1} x0 (at least N + L - 1 rows) and the (m, L, d)
+    center trajectories, and returns per n = 1..N the index of the center
+    nearest to T^n x0 in dbar_L, the lower index winning a tie, and that
+    distance.
     """
 
     kind: str
@@ -68,35 +74,18 @@ class SystemInstance:
         self.alpha = alpha
         self.h = h
 
-    # -- bulk payload -----------------------------------------------------
-    def bulk_size(self, states) -> int:
-        return np.asarray(states).shape[0]
-
     def states_list(self, states) -> list:
-        """Bulk payload as a list of scalar states."""
-        return self._items(states)
-
-    def _items(self, states) -> list:
-        return [row.copy() for row in np.asarray(states)]
-
-    def bulk_from_list(self, items: Sequence):
-        return np.asarray(items, dtype=np.float64)
-
-    def take(self, states, index):
-        """The bulk payload of the states at `index` (kinds with `coords`)."""
-        return np.asarray(states)[index]
+        """Bulk payload as a list of scalar states, copied."""
+        return list(np.array(states))
 
     # -- structure --------------------------------------------------------
     def coords(self, states) -> np.ndarray:
         """Bulk states as a (P, d) array of circle or torus coordinates."""
         raise DomainError(f"system kind {self.kind!r} has no trig coordinates")
 
-    def orbit_coords(self, x0, lo: int, hi: int, carry: dict) -> np.ndarray:
-        """Coordinates of T^n x0 for n in [lo, hi), as a (k, d) array.
-
-        Chunks are consumed in ascending order; `carry` holds what a skew
-        accumulates from one chunk to the next.
-        """
+    def orbit_coords(self, x0, n_max: int, chunk: int) -> Iterator[np.ndarray]:
+        """Yield the coordinates of T^n x0 for n = 1..n_max in successive
+        (k, d) arrays of `chunk` rows, the last one possibly shorter."""
         raise DomainError(
             f"correlation orbits need trig coordinates; system kind "
             f"{self.kind!r} is not supported")
@@ -114,7 +103,7 @@ class SystemInstance:
             d.flags.writeable = False
             yield from ((n, d) for n in ns)
             return
-        p = self.bulk_size(states)
+        p = len(states)
         dsum = np.zeros((p, p))
         done = 0
         for n in ns:
@@ -181,15 +170,13 @@ class Rotation(SystemInstance):
     def pairwise_distance(self, xs) -> np.ndarray:
         return circle_dist_matrix(xs)
 
-    def _items(self, xs) -> list:
-        return np.asarray(xs).tolist()
-
     def coords(self, xs) -> np.ndarray:
         return np.asarray(xs, dtype=np.float64)[:, None]
 
-    def orbit_coords(self, x0, lo, hi, carry):
-        ns = np.arange(lo, hi, dtype=np.float64)
-        return np.mod(float(x0) + ns * self.a, 1.0)[:, None]
+    def orbit_coords(self, x0, n_max, chunk):
+        for lo in range(1, n_max + 1, chunk):
+            ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.float64)
+            yield np.mod(float(x0) + ns * self.a, 1.0)[:, None]
 
     def nearest_centers(self, coords, ctraj, n_total):
         """dbar_L(T^n x0, c) = ||x_n - c||, so only the first center
@@ -197,51 +184,16 @@ class Rotation(SystemInstance):
         return assign_nearest_circle(coords[:, 0], ctraj[:, :1, 0], n_total)
 
 
-def _skew_snapshots(y, dx: np.ndarray, h_at: Callable, ns):
-    """dbar_n for a skew product over a rotation under the sup metric.
-
-    The base rotation is an isometry, so the base distance dx of a pair is
-    the same at every step and is computed once by the caller; h_at(i) is
-    the fibre increment at step i.  Each step adds only
-    max(dx, ||y_i - y_j||).  Against step-wise recomputation of the rotated
-    base coordinates the snapshots differ by float rounding alone (a few
-    1e-15).  Snapshots are exactly symmetric with a zero diagonal.
-    """
-    p = len(y)
-    y = np.mod(np.asarray(y, dtype=np.float64), 1.0)
-    dsum = np.zeros((p, p))
-    done = 0
-    ys = np.empty((STEP_CHUNK, p))
-    for n in ns:
-        while done < n:
-            chunk = min(STEP_CHUNK, n - done)
-            for s in range(chunk):
-                ys[s] = y
-                y = np.mod(y + h_at(done + s), 1.0)
-            accumulate_torus(ys[:chunk], dx, dsum)
-            done += chunk
-        yield n, dsum / n
-
-
-def _skew_orbit(carry: dict, y0: float, lo: int, hi: int,
-                increments: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Closed-form orbit chunk of a skew over a rotation: the base
-    coordinates at n in [lo, hi) beside the fibre coordinate y0 plus the
-    carried Birkhoff sum of the increments h(base_{n-1})."""
-    if "y" not in carry:
-        carry["y"] = y0
-        carry["n"] = 1
-    if carry["n"] != lo:
-        raise AssertionError("orbit chunks must be consumed in order")
-    y = carry["y"] + np.cumsum(increments)
-    carry["y"] = float(y[-1])
-    carry["n"] = hi
-    return np.column_stack([base, np.mod(y, 1.0)])
-
-
 class TorusSkew(SystemInstance):
-    """(x, y) -> (x + alpha, y + h(x)) on T^2 under the sup metric; the
-    circle form of `group_skew` is this system with that kind."""
+    """(g, y) -> (g + a, y + h(g)) on G x T^1 under the sup metric, over a
+    minimal rotation of a compact abelian group G; a state is the row
+    [g, y].  Here G = T^1 and a = alpha (the circle form of `group_skew`
+    is this system with that kind); `GroupSkew` is G = Z/q.
+
+    The base rotation enters only through `_advance(g, i)` = g + i a,
+    `_h(g)`, the fibre increment, `_point(g)`, g as a circle point, and
+    `_base_distance(g)`, the pairwise base distance.
+    """
 
     def __init__(self, descriptor: dict, kind: str = "skew2"):
         alpha = parse_alpha(descriptor["alpha"])
@@ -252,12 +204,25 @@ class TorusSkew(SystemInstance):
         self.kind = kind
         self.a = alpha.as_float()
 
+    def _advance(self, x, i):
+        return np.mod(x + i * self.a, 1.0)
+
+    def _h(self, x):
+        return self.h.evaluate(x)
+
+    def _point(self, x):
+        return x
+
+    def _base_distance(self, x) -> np.ndarray:
+        return circle_dist_matrix(x)
+
     def step(self, state):
-        x, y = state
-        return np.array([(x + self.a) % 1.0, (y + self.h.evaluate(x)) % 1.0])
+        g, y = state
+        return np.array([self._advance(g, 1), (y + self._h(g)) % 1.0])
 
     def metric(self, s, t) -> float:
-        return float(max(circle_dist(s[0], t[0]), circle_dist(s[1], t[1])))
+        return float(max(circle_dist(self._point(s[0]), self._point(t[0])),
+                         circle_dist(s[1], t[1])))
 
     def sample(self, count: int, seed: int):
         desc = self.descriptor
@@ -270,35 +235,59 @@ class TorusSkew(SystemInstance):
 
     def step_bulk(self, states):
         out = np.empty_like(states)
-        out[:, 0] = np.mod(states[:, 0] + self.a, 1.0)
-        out[:, 1] = np.mod(states[:, 1] + self.h.evaluate(states[:, 0]), 1.0)
+        out[:, 0] = self._advance(states[:, 0], 1)
+        out[:, 1] = np.mod(states[:, 1] + self._h(states[:, 0]), 1.0)
         return out
 
     def pairwise_distance(self, states) -> np.ndarray:
-        return np.maximum(circle_dist_matrix(states[:, 0]),
+        return np.maximum(circle_dist_matrix(self._point(states[:, 0])),
                           circle_dist_matrix(states[:, 1]))
 
     def coords(self, states) -> np.ndarray:
-        return np.asarray(states, dtype=np.float64)
+        return np.column_stack([self._point(states[:, 0]), states[:, 1]])
 
-    def orbit_coords(self, x0, lo, hi, carry):
-        xs = np.mod(float(x0[0])
-                    + np.arange(lo - 1, hi, dtype=np.float64) * self.a, 1.0)
-        return _skew_orbit(carry, float(x0[1]), lo, hi,
-                           self.h.evaluate(xs[:-1]), xs[1:])
+    def orbit_coords(self, x0, n_max, chunk):
+        """Closed form: the base coordinates beside the fibre coordinate y0
+        plus the Birkhoff sum of the increments h(g_{n-1}), carried from
+        chunk to chunk as a float."""
+        y = float(x0[1])
+        for lo in range(1, n_max + 1, chunk):
+            # steps in the type of a: float over T^1, int (exact) over Z/q
+            ns = np.arange(lo - 1, min(lo + chunk, n_max + 1), dtype=type(self.a))
+            g = self._advance(x0[0], ns)
+            ys = y + np.cumsum(self._h(g[:-1]))
+            y = float(ys[-1])
+            yield np.column_stack([self._point(g[1:]), np.mod(ys, 1.0)])
 
     def dbar_snapshots(self, states, ns):
-        """The base distance is the circle distance of mod(x, 1)."""
-        arr = np.asarray(states, dtype=np.float64)
-        x = arr[:, 0]
-        return _skew_snapshots(
-            arr[:, 1], circle_dist_matrix(x),
-            lambda i: self.h.evaluate(np.mod(x + i * self.a, 1.0)), ns)
+        """The base rotation is an isometry, so the base distance dx of a
+        pair is the same at every step and is computed once; each step adds
+        only max(dx, ||y_i - y_j||).  Against step-wise recomputation of the
+        rotated base coordinates the snapshots differ by float rounding alone
+        (a few 1e-15).  Snapshots are exactly symmetric with a zero diagonal.
+        """
+        g = states[:, 0]
+        y = np.mod(states[:, 1], 1.0)
+        dx = self._base_distance(g)
+        p = len(y)
+        dsum = np.zeros((p, p))
+        done = 0
+        ys = np.empty((STEP_CHUNK, p))
+        for n in ns:
+            while done < n:
+                chunk = min(STEP_CHUNK, n - done)
+                for s in range(chunk):
+                    ys[s] = y
+                    y = np.mod(y + self._h(self._advance(g, done + s)), 1.0)
+                accumulate_torus(ys[:chunk], dx, dsum)
+                done += chunk
+            yield n, dsum / n
 
 
-class GroupSkew(SystemInstance):
-    """(g, y) -> (g + a, y + h(g/q)) on Z/q x T^1.  The group element g
-    enters the metric and the trig coordinates as the circle point g/q."""
+class GroupSkew(TorusSkew):
+    """The skew product over g -> g + a on G = Z/q.  A state is [g, y] with
+    g held as an integral float, exact for q <= MAX_GROUP_ORDER; g enters
+    the metric and the trig coordinates as the circle point g/q."""
 
     kind = "group_skew"
 
@@ -307,74 +296,45 @@ class GroupSkew(SystemInstance):
         q = int(group["q"]) if isinstance(group, dict) else int(group)
         if q < 1:
             raise DomainError(f"cyclic group order must be >= 1, got {q}")
+        if q > MAX_GROUP_ORDER:
+            raise SizingError(
+                f"cyclic group order {q} exceeds {MAX_GROUP_ORDER}, the cap "
+                "on the table of h over Z/q")
         a = int(descriptor["a"]) % q
         if math.gcd(a, q) != 1:
             warnings.warn(f"a={a} does not generate Z/{q}: rotation not minimal")
         h = _h_from_descriptor(descriptor)
-        super().__init__(descriptor, h=h)
+        # TorusSkew.__init__ parses an alpha; the Z/q rotation is by an integer
+        SystemInstance.__init__(self, descriptor, h=h)
         self.q = q
         self.a = a
         self.h_table = h.evaluate(np.arange(q) / q)   # h on the group points
 
-    def step(self, state):
-        g, y = state
-        return ((g + self.a) % self.q, (y + self.h_table[g]) % 1.0)
+    def _advance(self, g, i):
+        return (g + i * self.a) % self.q
 
-    def metric(self, s, t) -> float:
-        q = self.q
-        return float(max(circle_dist(s[0] / q, t[0] / q),
-                         circle_dist(s[1], t[1])))
+    def _h(self, g):
+        return self.h_table[np.asarray(g, dtype=np.int64)]
+
+    def _point(self, g):
+        return g / self.q
+
+    def _base_distance(self, g) -> np.ndarray:
+        """Exactly min(k, q - k)/q with k = (g_i - g_j) mod q."""
+        k = np.subtract.outer(g, g) % self.q
+        return np.minimum(k, self.q - k) / self.q
 
     def sample(self, count: int, seed: int):
         rng = np.random.default_rng(seed)
-        return (rng.integers(0, self.q, count), rng.random(count))
-
-    def step_bulk(self, states):
-        g, y = states
-        return ((g + self.a) % self.q, np.mod(y + self.h_table[g], 1.0))
-
-    def pairwise_distance(self, states) -> np.ndarray:
-        g, y = states
-        return np.maximum(circle_dist_matrix(g / self.q), circle_dist_matrix(y))
-
-    def bulk_size(self, states) -> int:
-        return states[0].shape[0]
-
-    def _items(self, states) -> list:
-        g, y = states
-        return [(int(gi), float(yi)) for gi, yi in zip(g, y)]
-
-    def bulk_from_list(self, items):
-        return (np.array([g for (g, _) in items], dtype=np.int64),
-                np.array([y for (_, y) in items], dtype=np.float64))
-
-    def take(self, states, index):
-        g, y = states
-        return g[index], y[index]
-
-    def coords(self, states) -> np.ndarray:
-        g, y = states
-        return np.column_stack([g / self.q, y])
-
-    def orbit_coords(self, x0, lo, hi, carry):
-        g = (int(x0[0]) + np.arange(lo - 1, hi, dtype=np.int64) * self.a) % self.q
-        return _skew_orbit(carry, float(x0[1]), lo, hi, self.h_table[g[:-1]],
-                           g[1:] / self.q)
-
-    def dbar_snapshots(self, states, ns):
-        """The base distance is exactly min(k, q - k)/q with
-        k = (g_i - g_j) mod q, from integers."""
-        g, y = states
-        q = self.q
-        k = np.subtract.outer(g, g) % q
-        return _skew_snapshots(y, np.minimum(k, q - k) / q,
-                               lambda i: self.h_table[(g + i * self.a) % q], ns)
+        return np.column_stack([rng.integers(0, self.q, count),
+                                rng.random(count)])
 
 
 class Shift(SystemInstance):
     """The left shift on sequences over a finite alphabet with Bernoulli
-    measure; d = 2^-(first differing offset).  States in one bulk payload
-    share a position along a sampled window of `horizon` symbols."""
+    measure; d = 2^-(first differing offset).  A state is the window of
+    symbols ahead of it, sampled `horizon` symbols long; a step drops the
+    first symbol, so a bulk payload is a (P, w) symbol matrix."""
 
     kind = "shift"
 
@@ -389,33 +349,27 @@ class Shift(SystemInstance):
         self.horizon = int(descriptor.get("horizon", 64))
 
     def step(self, s):
-        return (s[0], s[1] + 1)
+        return s[1:]
 
     def metric(self, s, t) -> float:
-        (m1, p1), (m2, p2) = s, t
-        if p1 != p2:
-            raise DomainError("shift metric needs states at a common position")
-        w1, w2 = m1[p1:], m2[p1:]
-        diff = np.nonzero(w1 != w2)[0]
+        if len(s) != len(t):
+            raise DomainError("shift metric needs windows of a common length")
+        diff = np.nonzero(s != t)[0]
         if len(diff) == 0:
-            return 2.0 ** -(len(w1))   # agree through the horizon
+            return 2.0 ** -(len(s))   # agree through the window
         return 2.0 ** -int(diff[0])
 
     def sample(self, count: int, seed: int):
         rng = np.random.default_rng(seed)
-        mat = rng.choice(len(self.weights), size=(count, self.horizon),
-                         p=self.weights).astype(np.int8)
-        return (mat, 0)
+        return rng.choice(len(self.weights), size=(count, self.horizon),
+                          p=self.weights).astype(np.int8)
 
     def step_bulk(self, states):
-        mat, pos = states
-        if pos + 1 >= mat.shape[1]:
-            raise DomainError(f"shift horizon {mat.shape[1]} exhausted")
-        return (mat, pos + 1)
+        if states.shape[1] <= 1:
+            raise DomainError(f"shift window of {states.shape[1]} symbols exhausted")
+        return states[:, 1:]
 
-    def pairwise_distance(self, states) -> np.ndarray:
-        mat, pos = states
-        window = mat[:, pos:]
+    def pairwise_distance(self, window) -> np.ndarray:
         p, w = window.shape
         # distance 2^-(first differing offset); right-to-left recurrence
         val = np.full((p, p), 2.0 ** -w)
@@ -424,40 +378,25 @@ class Shift(SystemInstance):
             val = np.where(diff, 2.0 ** -j, val)
         return val
 
-    def bulk_size(self, states) -> int:
-        return states[0].shape[0]
-
-    def _items(self, states) -> list:
-        mat, pos = states
-        return [(row, pos) for row in mat]
-
-    def bulk_from_list(self, items):
-        pos = items[0][1]
-        if any(p != pos for (_, p) in items):
-            raise DomainError("shift states must share a common position")
-        return (np.stack([m for (m, _) in items]), pos)
-
     def dbar_snapshots(self, states, ns):
         """Per pair, the profile v_j = 2^-(next difference at or after offset
         j) is built right to left and summed, in float32, chunked over rows,
         offset-major: on the window transposed once to (w, p), one contiguous
         (rows, p) slice per offset and no (rows, p, w) difference cube."""
-        mat, pos = states
-        p, horizon = mat.shape
+        p, w = states.shape
         n_max = max(ns)
-        if pos + n_max > horizon:
-            raise DomainError(
-                f"shift horizon {horizon} too short for n={n_max} from position {pos}")
-        cols = np.ascontiguousarray(mat[:, pos:].T)
+        if n_max > w:
+            raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
+        cols = np.ascontiguousarray(states.T)
         snaps = np.zeros((len(ns), p, p), dtype=np.float32)
-        chunk = max(1, (1 << 25) // (p * horizon))
+        chunk = max(1, (1 << 25) // (p * w))
         for lo in range(0, p, chunk):
             hi = min(p, lo + chunk)
             diff = np.empty((hi - lo, p), dtype=bool)
-            # v_j = 2^{-(next diff offset from j)}, virtual diff at the horizon
+            # v_j = 2^{-(next diff offset from j)}, virtual diff at the window end
             val = np.ones((hi - lo, p), dtype=np.float32)
             prof = np.empty((n_max, hi - lo, p), dtype=np.float32)
-            for j in range(len(cols) - 1, -1, -1):
+            for j in range(w - 1, -1, -1):
                 np.not_equal(cols[j, lo:hi, None], cols[j], out=diff)
                 np.multiply(val, np.float32(0.5), out=val)
                 np.copyto(val, np.float32(1.0), where=diff)
@@ -484,7 +423,7 @@ def orbit_states(system: SystemInstance, x0, count: int,
         items.append(state)
         for _ in range(stride):
             state = system.step(state)
-    return system.bulk_from_list(items)
+    return np.array(items)
 
 
 def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
@@ -624,7 +563,7 @@ class Conjugated(SystemInstance):
     def metric(self, s, t) -> float:
         # the pairwise metric on a two-state payload, so dbar_distance and
         # the snapshots measure with the same metric
-        return float(self.metric_matrix(self.bulk_from_list([s, t]))[0, 1])
+        return float(self.metric_matrix(np.array([s, t]))[0, 1])
 
     def sample(self, count: int, seed: int):
         return self.pi(self.base.sample(count, seed))
@@ -635,16 +574,7 @@ class Conjugated(SystemInstance):
     def pairwise_distance(self, states) -> np.ndarray:
         return self.metric_matrix(states)
 
-    def bulk_size(self, states) -> int:
-        return self.base.bulk_size(states)
-
-    def _items(self, states) -> list:
-        return self.base._items(states)
-
-    def bulk_from_list(self, items):
-        return self.base.bulk_from_list(items)
-
-    def orbit_coords(self, x0, lo, hi, carry):
+    def orbit_coords(self, x0, n_max, chunk):
         raise DomainError(
             f"correlation orbits are streamed in closed form for unconjugated "
             f"systems only; this {self.kind!r} system is conjugated")

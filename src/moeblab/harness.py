@@ -123,15 +123,14 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
         raise SizingError(
             f"checkpoint {n_max} exceeds sieve limit {table.limit}")
 
-    carry: dict = {}
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j          # Kahan compensation
     values = []
     next_cp = 0
     mu = table.values
-    for lo in range(1, n_max + 1, CHUNK):
-        hi = min(lo + CHUNK, n_max + 1)
-        coords = system.orbit_coords(x0, lo, hi, carry)
+    lo = 1
+    for coords in system.orbit_coords(x0, n_max, CHUNK):
+        hi = lo + len(coords)
         terms = mu[lo:hi].astype(np.float64) * f.bulk(coords)
         while next_cp < len(cps) and cps[next_cp] < hi:
             cp = cps[next_cp]
@@ -139,6 +138,7 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
             values.append((_kahan(total, comp, part)[0]) / cp)
             next_cp += 1
         total, comp = _kahan(total, comp, complex(np.sum(terms)))
+        lo = hi
     assert len(values) == len(cps)
     return CorrelationSeries(descriptor=dict(system.descriptor),
                              observable=f, x0=x0,
@@ -231,7 +231,7 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
     # the (m, L, d) trig coordinates of the center orbits
-    states = system.take(cloud.states, centers)
+    states = cloud.states[centers]
     rows = [system.coords(states)]
     for _ in range(ell - 1):
         states = system.step_bulk(states)
@@ -275,11 +275,8 @@ def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
     """Nearest covering center in dbar_L for each orbit point T^n x0,
     n = 1..N, given the (m, L, d) center trajectories ctraj: the system's
     `nearest_centers` on the orbit coordinates of T^1 x0 .. T^{N+L} x0."""
-    n_orbit = n_total + ctraj.shape[1]
-    carry: dict = {}
     coords = np.concatenate(
-        [system.orbit_coords(x0, lo, min(lo + CHUNK, n_orbit + 1), carry)
-         for lo in range(1, n_orbit + 1, CHUNK)], axis=0)
+        list(system.orbit_coords(x0, n_total + ctraj.shape[1], CHUNK)))
     return system.nearest_centers(coords, ctraj, n_total)
 
 
@@ -451,10 +448,7 @@ def _exp_correlation(params: dict, seed: int):
     _require(params, "system", "f", "x0", "checkpoints")
     system = make_system(params["system"])
     table = build_mobius_table(max(int(n) for n in params["checkpoints"]))
-    x0 = params["x0"]
-    if isinstance(x0, list):
-        x0 = np.asarray(x0, dtype=np.float64)
-    series_data = correlation_sum(table, system, params["f"], x0,
+    series_data = correlation_sum(table, system, params["f"], params["x0"],
                                   [int(n) for n in params["checkpoints"]])
     rows = [{"N": n, "re": v.real, "im": v.imag, "abs": abs(v)}
             for n, v in zip(series_data.checkpoints, series_data.values)]
@@ -489,11 +483,8 @@ def _exp_block_trace(params: dict, seed: int):
     system = make_system(params["system"])
     n_total = int(params["N"])
     table = build_mobius_table(n_total + int(params["L"]))
-    x0 = params["x0"]
-    if isinstance(x0, list):
-        x0 = np.asarray(x0, dtype=np.float64)
     trace = block_decomposition_trace(
-        table, system, params["f"], x0, int(params["L"]),
+        table, system, params["f"], params["x0"], int(params["L"]),
         float(params["delta"]), float(params["epsilon"]), n_total,
         cloud_size=int(params.get("cloud", 512)), seed=seed)
     rows = [

@@ -60,14 +60,14 @@ def test_dbar_snapshot_matrix_matches_scalar():
 def test_dbar_shift_profile_matches_scalar():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5], "horizon": 40})
     cloud = cx.sample_cloud(shift, 8, seed=5)
-    mat0, pos0 = cloud.states
+    mat0 = cloud.states
     for n, mat in cx._iter_dbar(cloud, [1, 2, 6]):
         for i in range(8):
             for j in range(8):
                 if i == j:
                     continue
                 total = 0.0
-                si, sj = (mat0[i], 0), (mat0[j], 0)
+                si, sj = mat0[i], mat0[j]
                 for _ in range(n):
                     total += shift.metric(si, sj)
                     si, sj = shift.step(si), shift.step(sj)

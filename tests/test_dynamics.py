@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from moeblab import cocycle as cc
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
-from moeblab.errors import ConjugacyError, DomainError
+from moeblab.errors import ConjugacyError, DomainError, SizingError
 
 SKEW_DESC = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 
@@ -117,6 +118,92 @@ def test_bulk_step_agrees_with_scalar(systems):
             assert sys_.metric(sys_.step(s), t) < 1e-12, name
 
 
+# one descriptor per registered kind; a kind added without one fails here
+CONTRACT_DESCRIPTORS = {
+    "rotation": {"kind": "rotation", "alpha": "sqrt2-1"},
+    "skew2": SKEW_DESC,
+    "skew": dict(SKEW_DESC, kind="skew"),
+    "group_skew": {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                   "h": [[1, 0.05, 0.0]]},
+    "shift": {"kind": "shift", "weights": [0.2, 0.3, 0.5], "horizon": 16},
+}
+
+
+def _reflect(states):
+    return np.mod(1.0 - np.asarray(states), 1.0)
+
+
+@pytest.mark.parametrize("kind", [*sorted(dy._KINDS), "conjugated_rotation"])
+def test_bulk_payload_is_one_array_row_per_state(kind):
+    if kind == "conjugated_rotation":
+        system = dy.conjugate_system(
+            dy.make_system(CONTRACT_DESCRIPTORS["rotation"]), _reflect, _reflect)
+    else:
+        system = dy.make_system(CONTRACT_DESCRIPTORS[kind])
+    p = 9
+    states = system.sample(p, 4)
+    assert isinstance(states, np.ndarray) and len(states) == p
+    stepped = system.step_bulk(states)
+    assert isinstance(stepped, np.ndarray) and len(stepped) == p
+    for s in (states, stepped):
+        rebuilt = np.array(system.states_list(s))
+        assert rebuilt.dtype == s.dtype
+        assert rebuilt.tobytes() == s.tobytes()
+        assert system.pairwise_distance(s).shape == (p, p)
+
+
+@pytest.mark.parametrize("name,x0", [("rotation", 0.37), ("skew2", [0.1, 0.2]),
+                                     ("group", [3, 0.2])])
+@pytest.mark.parametrize("n_max", [6, 7, 8, 21])
+def test_orbit_chunks_concatenate_to_one_chunk(systems, name, x0, n_max):
+    # n_max below, equal to and one past the chunk, and a multiple of it
+    system = systems[name]
+    chunk = 7
+    chunks = list(system.orbit_coords(x0, n_max, chunk))
+    assert [len(c) for c in chunks] == [min(chunk, n_max - lo)
+                                        for lo in range(0, n_max, chunk)]
+    got = np.concatenate(chunks)
+    whole, = system.orbit_coords(x0, n_max, n_max)
+    assert got.shape == whole.shape == (n_max, 1 if name == "rotation" else 2)
+    if name == "rotation":
+        assert got.tobytes() == whole.tobytes()
+    else:
+        # the fibre sum is carried across a cut as a float: last bits only
+        assert np.max(dy.circle_dist(got, whole)) <= 1e-12
+
+
+def test_group_order_above_cap_refused_before_allocating():
+    # h on Z/q for q = 2^40 would be an 8 TiB table
+    tracemalloc.start()
+    try:
+        for q in (dy.MAX_GROUP_ORDER + 1, 2 ** 40):
+            with pytest.raises(SizingError, match="exceeds"):
+                dy.make_system({"kind": "group_skew", "group": {"q": q},
+                                "a": 1, "h": [[1, 0.05, 0.0]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_shift_step_refused_on_exhausted_window():
+    shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                            "horizon": 3})
+    states = shift.step_bulk(shift.step_bulk(shift.sample(4, 0)))
+    assert states.shape == (4, 1)
+    with pytest.raises(DomainError, match="exhausted"):
+        shift.step_bulk(states)
+
+
+def test_shift_snapshots_refused_past_window():
+    shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                            "horizon": 8})
+    states = shift.step_bulk(shift.sample(4, 0))     # windows of 7 symbols
+    assert [n for n, _ in shift.dbar_snapshots(states, [1, 7])] == [1, 7]
+    with pytest.raises(DomainError, match="too short"):
+        next(shift.dbar_snapshots(states, [2, 8]))
+
+
 # ---------------------------------------------------------------------------
 # Metric axioms
 # ---------------------------------------------------------------------------
@@ -173,7 +260,7 @@ def test_skew_x_marginal_uniform(systems):
 
 
 def test_bernoulli_marginals(systems):
-    mat, pos = systems["shift"].sample(10 ** 4, seed=21)
+    mat = systems["shift"].sample(10 ** 4, seed=21)
     freq = mat.mean(axis=0)
     sigma = math.sqrt(0.25 / mat.shape[0])
     assert np.all(np.abs(freq - 0.5) < 3 * sigma + 1e-9)

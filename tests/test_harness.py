@@ -67,7 +67,7 @@ def test_prefix_consistency(table_100k):
                                 [1000, 2000])
     total_1000 = series.values[0] * 1000
     total_2000 = series.values[1] * 2000
-    coords = ROT.orbit_coords(0.1, 1001, 2001, {})
+    _, coords = ROT.orbit_coords(0.1, 2000, 1000)
     middle = complex(np.sum(table_100k.values[1001:2001]
                             * np.exp(2j * np.pi * coords[:, 0])))
     assert total_2000 == pytest.approx(total_1000 + middle, abs=1e-9)

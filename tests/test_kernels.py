@@ -84,11 +84,9 @@ def _stepwise_torus_reference(cloud, ns):
     dsum = np.zeros((p, p))
     out = {}
     for s in range(max(ns)):
-        if isinstance(states, tuple):       # Z/q: positions g/q on the circle
-            q = system.descriptor["group"]["q"]
-            bx, fy = states[0] / q, states[1]
-        else:
-            bx, fy = states[:, 0], states[:, 1]
+        bx, fy = states[:, 0], states[:, 1]
+        if isinstance(system, dy.GroupSkew):   # Z/q: positions g/q on the circle
+            bx = bx / system.descriptor["group"]["q"]
         dx_s = dy.circle_dist(bx[:, None], bx[None, :])
         dy_s = dy.circle_dist(fy[:, None], fy[None, :])
         dsum += np.maximum(dx_s, dy_s)
@@ -228,7 +226,7 @@ def test_rotation_snapshot_reduces_positions_mod_one(rng):
     ({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]},
      np.array([[0.2, 1.3], [0.2, 0.2]])),
     ({"kind": "group_skew", "group": {"q": 12}, "a": 5, "h": [[1, 0.05, 0.0]]},
-     (np.array([4, 4]), np.array([1.3, 0.2]))),
+     np.array([[4, 1.3], [4, 0.2]])),
 ], ids=["skew2-base", "skew2-fibre", "group-fibre"])
 def test_skew_distances_reduce_coordinates_mod_one(desc, states):
     # one coordinate a whole turn out: unreduced, its circle distance came
@@ -254,7 +252,7 @@ def test_rotation_nearest_centers_match_the_base_loop(ell):
         rows.append(rot.coords(states))
     ctraj = np.stack(rows, axis=1)
     n_total = 2500
-    coords = rot.orbit_coords(0.61, 1, n_total + ell + 1, {})
+    coords, = rot.orbit_coords(0.61, n_total + ell, n_total + ell)
     j_fast, d_fast = rot.nearest_centers(coords, ctraj, n_total)
     j_base, d_base = dy.SystemInstance.nearest_centers(rot, coords, ctraj,
                                                        n_total)
@@ -284,7 +282,7 @@ def _ref_accumulate_torus(ys, dx, dsum):
 
 
 def _ref_shift_snapshots(states, ns):
-    mat, pos = states
+    mat, pos = states, 0
     p, horizon = mat.shape
     n_max = max(ns)
     idx = {n: k for k, n in enumerate(ns)}
