@@ -1,12 +1,46 @@
-"""Hot-loop kernels for pairwise averaged-metric accumulation.  The torus
-kernel sweeps the upper triangle in strips of TORUS_BLOCK rows, so its
-scratch is O(TORUS_BLOCK * p) and each strip stays in cache."""
+"""Hot-loop kernels: pairwise averaged-metric accumulation, reduction mod
+1 and trig evaluation.  The torus kernel sweeps the upper triangle in
+strips of TORUS_BLOCK rows, so its scratch is O(TORUS_BLOCK * p) and each
+strip stays in cache."""
 
 from __future__ import annotations
 
 import numpy as np
 
 TORUS_BLOCK = 64     # strip height of accumulate_torus, measured at p = 1000, 2000
+
+
+def frac(v):
+    """v mod 1, bit-equal to np.mod(v, 1.0): both round v - floor(v) once."""
+    return v - np.floor(v)
+
+
+def _phase(m, x):
+    # 2 pi m x; w.real, a zero signed like m, signs a zero phase as 2j*pi*m*x does
+    w = 2j * np.pi * m
+    return w.imag * np.asarray(x, dtype=np.float64) + w.real
+
+
+def unit(m, x):
+    """e(m x) from cos and sin, bit-equal to np.exp(2j*np.pi*m*x) for finite
+    x; a scalar for 0-d x, as numpy rounds scalar complex products apart."""
+    theta = _phase(m, x)
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out[()]
+
+
+def twice_re(c, m, x):
+    """2 Re(c e(m x)), bit-equal to 2.0 * (c * np.exp(2j*np.pi*m*x)).real for
+    finite x: one cos for real c, one sin for imaginary c, unless |c| < 2^-960
+    (a product may underflow to a zero whose sign the dropped term decides)."""
+    c = complex(c)
+    if abs(c) >= 2.0 ** -960 and c.imag == 0:
+        return 2.0 * (c.real * np.cos(_phase(m, x)))
+    if abs(c) >= 2.0 ** -960 and c.real == 0:
+        return 2.0 * (c.real - c.imag * np.sin(_phase(m, x)))
+    return 2.0 * (c * unit(m, x)).real
 
 
 def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:

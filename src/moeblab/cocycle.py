@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from ._kernels import frac, twice_re
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
                        MAX_BITS, _centered_parts, _norm_parts, parse_alpha)
 from .errors import DomainError, ParameterError, ResonanceError
@@ -37,10 +38,6 @@ ENVELOPE_SLACK = 1 + 1e-9
 
 def tau1_exponent(tau: Fraction | float) -> Fraction:
     return 2 / Fraction(tau) + 6
-
-
-def e_of(theta: float) -> complex:
-    return cmath.exp(2j * math.pi * theta)
 
 
 def e_minus_one_exact(alpha: ExactAlpha, m: int) -> complex:
@@ -108,18 +105,13 @@ class FourierCocycle:
         return sum(2 * math.pi * abs(m) * abs(c)
                    for m, c in self.coefficients.items())
 
-    def _positive_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ms = np.array([m for m in self.coefficients if m > 0], dtype=np.int64)
-        cs = np.array([self.coefficients[m] for m in ms], dtype=np.complex128)
-        return ms, cs
-
     def evaluate(self, x):
         """h(x) for scalar or ndarray x, exactly real via the m>0 half-sum."""
         x = np.asarray(x, dtype=np.float64)
-        ms, cs = self._positive_arrays()
         total = np.full(x.shape, self.mean, dtype=np.float64)
-        for m, c in zip(ms, cs):
-            total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
+        for m, c in self.coefficients.items():
+            if m > 0:
+                total += twice_re(c, m, x)
         return total if total.shape else float(total)
 
     def restrict(self, keep: Callable[[int], bool]) -> "FourierCocycle":
@@ -195,7 +187,7 @@ class CocycleSplit:
         x = np.asarray(x, dtype=np.float64)
         total = np.zeros(x.shape, dtype=np.float64)
         for m, c in self.psi_coefficients.items():
-            total += 2.0 * (c * np.exp(2j * np.pi * m * x)).real
+            total += twice_re(c, m, x)
         return total if total.shape else float(total)
 
 
@@ -274,7 +266,7 @@ def coboundary_residual(split: CocycleSplit, h: FourierCocycle,
                         xs: np.ndarray) -> float:
     """max over xs of |psi(x + alpha) - psi(x) - (h(x) - h1(x))|."""
     alpha_f = split.alpha.as_float()
-    lhs = split.psi(np.mod(xs + alpha_f, 1.0)) - split.psi(xs)
+    lhs = split.psi(frac(xs + alpha_f)) - split.psi(xs)
     rhs = h.evaluate(xs) - split.h1.evaluate(xs)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -302,10 +294,11 @@ def birkhoff_sum(h1: FourierCocycle, alpha: ExactAlpha | object, x: float,
             continue
         c = h1.coefficients[m]
         den = e_minus_one_exact(alpha, m)
+        e_mx = cmath.exp(2j * math.pi * (m * x))
         if den == 0:
-            term = n * c * e_of(m * x)
+            term = n * c * e_mx
         else:
-            term = c * e_of(m * x) * e_minus_one_exact(alpha, m * n) / den
+            term = c * e_mx * e_minus_one_exact(alpha, m * n) / den
         total += 2.0 * term.real
     return float(total)
 
@@ -328,7 +321,7 @@ def birkhoff_deviation_grid(h1: FourierCocycle, alpha: ExactAlpha, n: int,
         if den == 0:
             raise ResonanceError(f"resonant frequency m={m} for this alpha")
         c = h1.coefficients[m] * e_minus_one_exact(alpha, m * n) / den
-        total += 2.0 * (c * np.exp(2j * np.pi * m * xs)).real
+        total += twice_re(c, m, xs)
         lip += 2 * (2 * math.pi * abs(m) * abs(c))
     grid_max = float(np.max(np.abs(total)))
     return grid_max + lip / (2 * grid_size), grid_max
@@ -378,6 +371,6 @@ def block_estimate_check(h1: FourierCocycle, cf: ContinuedFraction,
 
 def circle_dist(u, v):
     """||u - v|| on the circle R/Z, elementwise in float64."""
-    d = np.mod(np.asarray(u, dtype=np.float64) - v, 1.0)
+    d = frac(np.asarray(u, dtype=np.float64) - v)
     return np.minimum(d, 1.0 - d)
 

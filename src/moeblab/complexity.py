@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._kernels import frac, unit
 from .cocycle import FourierCocycle
 from .contfrac import ContinuedFraction, ResonanceData, _centered_parts
 from .dynamics import SystemInstance, circle_dist
@@ -68,10 +69,10 @@ def dbar_distance(system: SystemInstance, x, y, n: int) -> float:
     """dbar_n(x, y) as the exact average of n step-metric values."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    total = 0.0
-    for _ in range(n):
-        total += system.metric(x, y)
+    total = system.metric(x, y)
+    for _ in range(n - 1):
         x, y = system.step(x), system.step(y)
+        total += system.metric(x, y)
     return total / n
 
 
@@ -354,8 +355,8 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
     pts = rng.random((sample_points, 2))
     alpha = cf.alpha
     nx = l_const * q_t * k_tilde
-    x_star = np.rint(pts[:, 0] * nx) / nx % 1.0
-    y_star = np.rint(pts[:, 1] * l_const) / l_const % 1.0
+    x_star = frac(np.rint(pts[:, 0] * nx) / nx)
+    y_star = frac(np.rint(pts[:, 1] * l_const) / l_const)
 
     subsampled = n_t > i_sample_cap
     if subsampled:
@@ -390,9 +391,9 @@ def _birkhoff_block(h1: FourierCocycle, alpha, i_vals: Sequence[int],
     """
     ms = np.array([m for m in h1.support if m > 0], dtype=np.int64)
     cs = np.array([h1.coefficients[m] for m in ms], dtype=np.complex128)
-    dens = np.array([np.exp(2j * np.pi * truediv(*_centered_parts(alpha, int(m)))) - 1.0
+    dens = np.array([unit(1, truediv(*_centered_parts(alpha, int(m)))) - 1.0
                      for m in ms], dtype=np.complex128)
-    e_mx = np.exp(2j * np.pi * ms[:, None] * xs[None, :])
+    e_mx = unit(ms[:, None], xs[None, :])
     out = np.empty((len(i_vals), len(xs)), dtype=np.float64)
     mean = h1.mean
     for row, i in enumerate(i_vals):
@@ -400,7 +401,7 @@ def _birkhoff_block(h1: FourierCocycle, alpha, i_vals: Sequence[int],
             out[row] = 0.0
             continue
         t_i = truediv(*_centered_parts(alpha, i))
-        num = np.exp(2j * np.pi * ms * t_i) - 1.0
+        num = unit(ms, t_i) - 1.0
         coeff = cs * num / dens
         out[row] = i * mean + 2.0 * (coeff[:, None] * e_mx).real.sum(axis=0)
     return out

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import accumulate_torus, assign_nearest_circle
+from ._kernels import accumulate_torus, assign_nearest_circle, frac
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError, SizingError
@@ -46,7 +46,7 @@ def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
 
     Positions are reduced mod 1 first: unreduced ones would give negative
     distances.  The reduction is the identity on [0, 1)."""
-    xs = np.mod(np.asarray(xs, dtype=np.float64), 1.0)
+    xs = frac(np.asarray(xs, dtype=np.float64))
     d = np.abs(xs[:, None] - xs[None, :])
     return np.minimum(d, 1.0 - d)
 
@@ -156,7 +156,7 @@ class Rotation(SystemInstance):
         self.a = alpha.as_float()
 
     def step(self, x):
-        return (x + self.a) % 1.0
+        return frac(x + self.a)
 
     def metric(self, x, y) -> float:
         return float(circle_dist(x, y))
@@ -165,7 +165,7 @@ class Rotation(SystemInstance):
         return np.random.default_rng(seed).random(count)
 
     def step_bulk(self, xs):
-        return np.mod(xs + self.a, 1.0)
+        return frac(xs + self.a)
 
     def pairwise_distance(self, xs) -> np.ndarray:
         return circle_dist_matrix(xs)
@@ -176,7 +176,7 @@ class Rotation(SystemInstance):
     def orbit_coords(self, x0, n_max, chunk):
         for lo in range(1, n_max + 1, chunk):
             ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.float64)
-            yield np.mod(float(x0) + ns * self.a, 1.0)[:, None]
+            yield frac(float(x0) + ns * self.a)[:, None]
 
     def nearest_centers(self, coords, ctraj, n_total):
         """dbar_L(T^n x0, c) = ||x_n - c||, so only the first center
@@ -195,6 +195,8 @@ class TorusSkew(SystemInstance):
     `_base_distance(g)`, the pairwise base distance.
     """
 
+    orbit_x0 = (0.1, 0.2)     # the start of "sampler": "orbit" without "x0"
+
     def __init__(self, descriptor: dict, kind: str = "skew2"):
         alpha = parse_alpha(descriptor["alpha"])
         if alpha.is_rational:
@@ -205,7 +207,7 @@ class TorusSkew(SystemInstance):
         self.a = alpha.as_float()
 
     def _advance(self, x, i):
-        return np.mod(x + i * self.a, 1.0)
+        return frac(x + i * self.a)
 
     def _h(self, x):
         return self.h.evaluate(x)
@@ -218,7 +220,7 @@ class TorusSkew(SystemInstance):
 
     def step(self, state):
         g, y = state
-        return np.array([self._advance(g, 1), (y + self._h(g)) % 1.0])
+        return np.array([self._advance(g, 1), frac(y + self._h(g))])
 
     def metric(self, s, t) -> float:
         return float(max(circle_dist(self._point(s[0]), self._point(t[0])),
@@ -228,7 +230,7 @@ class TorusSkew(SystemInstance):
         desc = self.descriptor
         if desc.get("sampler") == "orbit":
             return orbit_states(
-                self, np.asarray(desc.get("x0", [0.1, 0.2]), dtype=np.float64),
+                self, np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64),
                 count, int(desc.get("burn_in", ORBIT_BURN_IN)),
                 int(desc.get("stride", ORBIT_STRIDE)))
         return np.random.default_rng(seed).random((count, 2))
@@ -236,7 +238,7 @@ class TorusSkew(SystemInstance):
     def step_bulk(self, states):
         out = np.empty_like(states)
         out[:, 0] = self._advance(states[:, 0], 1)
-        out[:, 1] = np.mod(states[:, 1] + self._h(states[:, 0]), 1.0)
+        out[:, 1] = frac(states[:, 1] + self._h(states[:, 0]))
         return out
 
     def pairwise_distance(self, states) -> np.ndarray:
@@ -257,7 +259,7 @@ class TorusSkew(SystemInstance):
             g = self._advance(x0[0], ns)
             ys = y + np.cumsum(self._h(g[:-1]))
             y = float(ys[-1])
-            yield np.column_stack([self._point(g[1:]), np.mod(ys, 1.0)])
+            yield np.column_stack([self._point(g[1:]), frac(ys)])
 
     def dbar_snapshots(self, states, ns):
         """The base rotation is an isometry, so the base distance dx of a
@@ -267,7 +269,7 @@ class TorusSkew(SystemInstance):
         (a few 1e-15).  Snapshots are exactly symmetric with a zero diagonal.
         """
         g = states[:, 0]
-        y = np.mod(states[:, 1], 1.0)
+        y = frac(states[:, 1])
         dx = self._base_distance(g)
         p = len(y)
         dsum = np.zeros((p, p))
@@ -278,7 +280,7 @@ class TorusSkew(SystemInstance):
                 chunk = min(STEP_CHUNK, n - done)
                 for s in range(chunk):
                     ys[s] = y
-                    y = np.mod(y + self._h(self._advance(g, done + s)), 1.0)
+                    y = frac(y + self._h(self._advance(g, done + s)))
                 accumulate_torus(ys[:chunk], dx, dsum)
                 done += chunk
             yield n, dsum / n
@@ -290,6 +292,7 @@ class GroupSkew(TorusSkew):
     the metric and the trig coordinates as the circle point g/q."""
 
     kind = "group_skew"
+    orbit_x0 = (0, 0.2)
 
     def __init__(self, descriptor: dict):
         group = descriptor["group"]
@@ -325,6 +328,8 @@ class GroupSkew(TorusSkew):
         return np.minimum(k, self.q - k) / self.q
 
     def sample(self, count: int, seed: int):
+        if self.descriptor.get("sampler") == "orbit":
+            return super().sample(count, seed)
         rng = np.random.default_rng(seed)
         return np.column_stack([rng.integers(0, self.q, count),
                                 rng.random(count)])
@@ -349,7 +354,7 @@ class Shift(SystemInstance):
         self.horizon = int(descriptor.get("horizon", 64))
 
     def step(self, s):
-        return s[1:]
+        return self.step_bulk(np.asarray(s)[None])[0]
 
     def metric(self, s, t) -> float:
         if len(s) != len(t):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moeblab import cocycle as cc
+from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
 from moeblab.errors import ConjugacyError, DomainError, SizingError
@@ -195,6 +196,19 @@ def test_shift_step_refused_on_exhausted_window():
         shift.step_bulk(states)
 
 
+def test_scalar_shift_step_refused_on_exhausted_window():
+    shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                            "horizon": 4})
+    s, t = shift.sample(2, 0)
+    with pytest.raises(DomainError, match="exhausted"):
+        shift.step(s[3:])
+    # the window carries dbar_n up to n = horizon, as the snapshots do
+    _, d4 = next(shift.dbar_snapshots(np.array([s, t]), [4]))
+    assert cx.dbar_distance(shift, s, t, 4) == pytest.approx(d4[0, 1], rel=1e-6)
+    with pytest.raises(DomainError, match="exhausted"):
+        cx.dbar_distance(shift, s, t, 10)
+
+
 def test_shift_snapshots_refused_past_window():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                             "horizon": 8})
@@ -281,6 +295,21 @@ def test_orbit_sampler_provenance():
     sys_ = dy.make_system(desc)
     states = sys_.sample(50, seed=0)
     assert np.asarray(states).shape == (50, 2)
+
+
+def test_group_orbit_sampler_follows_the_orbit():
+    desc = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+            "h": [[1, 0.05, 0.0]], "sampler": "orbit", "x0": [3, 0.2],
+            "burn_in": 10, "stride": 1}
+    gs = dy.make_system(desc)
+    states = gs.sample(5, seed=0)
+    expect = dy.orbit_states(gs, np.array([3.0, 0.2]), 5, 10, 1)
+    assert states.tobytes() == expect.tobytes()
+    assert states[:, 0].tolist() == [5, 10, 3, 8, 1]     # 3 + 5 (10 + k) mod 12
+    # without "x0" the orbit starts at the group's zero
+    del desc["x0"]
+    start = dy.make_system(dict(desc, burn_in=0)).sample(1, seed=0)[0]
+    assert start.tolist() == [0.0, 0.2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeblab import cocycle as cc
 from moeblab import dynamics as dy
 from moeblab import harness as hx
 from moeblab import numtheory as nt
@@ -92,6 +93,113 @@ SKEW2 = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1",
                         "h": [[1, 0.0, -0.15]]})
 Z12 = dy.make_system({"kind": "group_skew", "group": {"q": 12}, "a": 5,
                       "h": [[1, 0.05, 0.0]]})
+
+
+def _ref_bulk(f, coords):
+    """TrigObservable.bulk before the trig helper: a zero phase seed and
+    one complex exponential per frequency."""
+    out = np.zeros(coords.shape[0], dtype=np.complex128)
+    for freqs, c in f.coefficients.items():
+        phase = np.zeros(coords.shape[0])
+        for axis, m in enumerate(freqs):
+            if m:
+                phase = phase + m * coords[:, axis]
+        out += c * np.exp(2j * np.pi * phase)
+    return out
+
+
+def _ref_correlation_sum(table, system, f, x0, checkpoints):
+    """The correlation_sum body before the mu = 0 skip: f at every n."""
+    f = hx.parse_observable(f)
+    cps = sorted(int(n) for n in checkpoints)
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    values = []
+    next_cp = 0
+    mu = table.values
+    lo = 1
+    for coords in system.orbit_coords(x0, cps[-1], hx.CHUNK):
+        hi = lo + len(coords)
+        terms = mu[lo:hi].astype(np.float64) * _ref_bulk(f, coords)
+        while next_cp < len(cps) and cps[next_cp] < hi:
+            cp = cps[next_cp]
+            part = complex(np.sum(terms[: cp - lo + 1]))
+            values.append((hx._kahan(total, comp, part)[0]) / cp)
+            next_cp += 1
+        total, comp = hx._kahan(total, comp, complex(np.sum(terms)))
+        lo = hi
+    return tuple(values)
+
+
+def _old_arithmetic(mp):
+    """Put back np.mod and the complex exponential in the orbit and in h."""
+    mp.setattr(dy, "frac", lambda v: np.mod(v, 1.0))
+    mp.setattr(cc, "twice_re",
+               lambda c, m, x: 2.0 * (c * np.exp(2j * np.pi * m * x)).real)
+
+
+STREAM_CHECKPOINTS = [1, 2, 7, 32767, 32768, 32769, 2 * 10 ** 5]
+
+
+@pytest.mark.parametrize("desc,x0", [
+    ({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}, (0.3, 0.7)),
+    ({"kind": "skew2", "alpha": "golden", "h": [[1, 0.1, 0.05], [3, 0.0, 0.02]]},
+     (0.61, 0.05)),
+    ({"kind": "group_skew", "group": {"q": 12}, "a": 5, "h": [[1, 0.05, 0.0]]},
+     (7, 0.4)),
+    ({"kind": "rotation", "alpha": "sqrt2-1"}, 0.1),
+])
+@pytest.mark.parametrize("shape", ["complex", "cos", "constant", "imaginary",
+                                   "general"])
+def test_correlation_stream_equals_the_old_stream_bit_for_bit(table_1m, desc, x0,
+                                                               shape):
+    rows = {"complex": [[1, 0.5, 0.0], [2, 0.0, -0.3]],      # f complex-valued
+            "cos": [[1, 0.5, 0.0], [-1, 0.5, 0.0]],
+            "constant": [[0, 0.7, 0.0]],
+            "imaginary": [[0, 0.0, -1.0]],
+            "general": [[1, 0.5, 0.2], [2, -0.3, 0.1]]}[shape]
+    if desc["kind"] != "rotation":
+        # the first frequency on the base, the second on the fibre
+        rows = [[m, 0, re, im] if k else [0, m, re, im]
+                for k, (m, re, im) in enumerate(rows)]
+    with pytest.MonkeyPatch.context() as mp:
+        if shape == "general":
+            # on a temporary of 2^14 complex values or more numpy runs the old
+            # c * np.exp(...) as np.exp(...) * c, and the operand order sets
+            # the last bit of the imaginary part; smaller chunks keep c first
+            mp.setattr(hx, "CHUNK", 1 << 13)
+        got = hx.correlation_sum(table_1m, dy.make_system(desc), rows, x0,
+                                 STREAM_CHECKPOINTS).values
+        _old_arithmetic(mp)
+        ref = _ref_correlation_sum(table_1m, dy.make_system(desc), rows, x0,
+                                   STREAM_CHECKPOINTS)
+    assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("system,rows", [
+    (ROT, [[1, 0.5, 0.2], [2, -0.3, 0.1]]),
+    (SKEW2, [[1, 1, 0.5, 0.2], [0, 1, -0.3, 0.1]]),
+])
+def test_observable_values_do_not_depend_on_the_batch(system, rows):
+    # one point gets the same bits alone, in a small batch and in a large one
+    f = hx.parse_observable(rows)
+    coords = next(system.orbit_coords((0.3, 0.7) if system is SKEW2 else 0.3,
+                                      40000, 40000))
+    full = f.bulk(coords)
+    for idx in (np.arange(0, 40000, 3), np.arange(7), np.array([12345])):
+        assert f.bulk(coords.take(idx, axis=0)).tobytes() == full[idx].tobytes()
+
+
+def test_observable_evaluated_only_where_mu_is_nonzero(table_100k, monkeypatch):
+    seen = []
+    bulk = hx.TrigObservable.bulk
+    monkeypatch.setattr(hx.TrigObservable, "bulk",
+                        lambda self, coords: seen.append(len(coords))
+                        or bulk(self, coords))
+    n = 70000       # three chunks, the last one partial
+    hx.correlation_sum(table_100k, SKEW2, [[0, 1, 1.0, 0.0]], (0.3, 0.7), [n])
+    assert sum(seen) == np.count_nonzero(table_100k.values[1:n + 1])
+    assert len(seen) == -(-n // hx.CHUNK)
 
 
 def _correlation_at(chunk, table, system, f, x0, cps):

@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import _kernels as kn
 from moeblab import complexity as cx
@@ -391,3 +393,74 @@ def test_shift_profiles_peak_below_cube_peak():
     new = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
     old = _traced_peak_mib(lambda: deque(_ref_shift_snapshots(states, ns), 0))
     assert new < old, (new, old)
+
+
+# ---------------------------------------------------------------------------
+# Trigonometric evaluations and the reduction mod 1: bit-equal to the
+# complex-exponential and np.mod formulas they replace
+# ---------------------------------------------------------------------------
+
+_FREQS = st.tuples(st.integers(1, 1 << 14), st.sampled_from([1, -1]),
+                   st.sampled_from([int, np.int64])).map(lambda t: t[2](t[0] * t[1]))
+_PARTS = st.floats(-1e300, 1e300)
+_ZERO = st.sampled_from([0.0, -0.0])
+_COEFFS = st.one_of(st.builds(complex, _PARTS, _ZERO),      # pure real
+                    st.builds(complex, _ZERO, _PARTS),      # pure imaginary
+                    st.builds(complex, _PARTS, _PARTS))
+_POINTS = st.one_of(
+    st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=24)
+    .map(np.array),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=24).map(np.array),
+    st.floats(-1e6, 1e6).map(np.asarray))                   # 0-d
+
+
+def _old_twice_re(c, m, x):
+    return 2.0 * (c * np.exp(2j * np.pi * m * x)).real
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=_COEFFS, m=_FREQS, x=_POINTS)
+def test_trig_helpers_equal_the_complex_exponential_bit_for_bit(c, m, x):
+    with np.errstate(over="ignore"):
+        old, new = _old_twice_re(c, m, x), kn.twice_re(c, m, x)
+    # a scalar stays a scalar: numpy rounds complex scalar products apart
+    # from array ones
+    assert (type(new), np.shape(new)) == (type(old), np.shape(old))
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes(), (c, m, x)
+    old, new = np.exp(2j * np.pi * m * x), kn.unit(m, x)
+    assert (type(new), np.shape(new)) == (type(old), np.shape(old))
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes(), (m, x)
+
+
+def test_trig_helpers_on_zero_and_tiny_phases():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 0.25, 1.0, -3.75])
+    for m in (1, -1, np.int64(7), -(1 << 14)):
+        assert kn.unit(m, x).tobytes() == np.exp(2j * np.pi * m * x).tobytes()
+        for c in (0j, -0j, complex(-0.0, 0.0), 5e-324 + 0j, 5e-324j,
+                  1e-310j, complex(-0.0, 0.15), complex(0.3, -0.0), 0.1 + 0.2j):
+            assert (kn.twice_re(c, m, x).tobytes()
+                    == _old_twice_re(c, m, x).tobytes()), (m, c)
+    # a general c at a 0-d x, where scalar and array products round apart
+    assert kn.twice_re(5 + 1j, -1, np.asarray(2.875)) == _old_twice_re(
+        5 + 1j, -1, np.asarray(2.875))
+
+
+_FRAC_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1e-20, 0.5, -0.5,
+               1.0, -1.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 3.75, -3.75,
+               2.0 ** 51 + 0.5, -(2.0 ** 51 + 0.5), 2.0 ** 53, -(2.0 ** 60),
+               1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def test_frac_equals_np_mod_on_edge_values():
+    v = np.array(_FRAC_EDGES)
+    with np.errstate(invalid="ignore"):
+        assert kn.frac(v).tobytes() == np.mod(v, 1.0).tobytes()
+        for e in _FRAC_EDGES:
+            assert np.asarray(kn.frac(e)).tobytes() == np.asarray(np.mod(e, 1.0)).tobytes(), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=24).map(np.array))
+def test_frac_equals_np_mod(v):
+    assert kn.frac(v).tobytes() == np.mod(v, 1.0).tobytes()
