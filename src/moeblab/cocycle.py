@@ -143,12 +143,12 @@ def cocycle_from_pairs(pairs: Iterable[tuple[int, complex]],
 
 
 def envelope_cocycle(freq_bound: int, decay_constant: float = 1.0,
-                     tau: Fraction | float = 1,
-                     mean: float = 0.0) -> FourierCocycle:
-    """The extremal real even cocycle hhat(m) = C |m|^{-tau1} on |m| <= bound."""
+                     tau: Fraction | float = 1) -> FourierCocycle:
+    """The extremal real even cocycle hhat(m) = C |m|^{-tau1} on |m| <= bound,
+    with mean 0."""
     tau = Fraction(tau)
     t1 = float(tau1_exponent(tau))
-    coeffs = {0: complex(mean)}
+    coeffs = {0: 0j}
     for m in range(1, freq_bound + 1):
         c = decay_constant * m ** (-t1)
         coeffs[m] = complex(c)
@@ -251,12 +251,12 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
         lower = (j, qk + (qs[k] if k < len(qs) else qk))
         case = 2
     # ||m alpha|| >= lower, by cross-multiplication on the unreduced ends
-    (num, den), _hi = _norm_parts(alpha, m)
+    (num, den), _hi = next(_norm_parts(alpha, m))
     certified = num * lower[1] >= lower[0] * den
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is
         # too loose, so refine once at top precision before giving up
-        (num, den), _hi = _norm_parts(alpha, m, bits=MAX_BITS)
+        (num, den), _hi = next(_norm_parts(alpha, m, bits=MAX_BITS))
         certified = num * lower[1] >= lower[0] * den
     return TailCaseRow(m=m, case=case, level=k,
                        norm_lower_bound=Fraction(*lower), certified=certified)

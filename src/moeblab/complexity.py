@@ -27,6 +27,8 @@ from .dynamics import SystemInstance, circle_dist
 from .errors import DomainError, SizingError
 
 EXACT_COVER_MAX_POINTS = 20
+# grid_cover_check averages over every i < n_t up to this n_t, else 256 draws
+I_SAMPLE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +320,7 @@ class GridCoverReport:
 
 def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
                      h1: FourierCocycle, epsilon: float, c_cert: float,
-                     t: int, sample_points: int = 200,
-                     i_sample_cap: int = 4096, seed: int = 0
+                     t: int, sample_points: int = 200, seed: int = 0
                      ) -> GridCoverReport:
     """Check that the explicit product grid F_t covers the torus by
     dbar_{n_t}-balls of radius eps, where n_t = q_t^{[1/tau]+2}.
@@ -329,7 +330,7 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
     torus, using the recorded block-estimate constant c_cert and the
     certified Lipschitz bound of h1), and a random spot check that sampled
     points land within eps of their nearest grid center (the i-average is
-    exact when n_t is small, Monte Carlo over i otherwise).
+    exact for n_t <= I_SAMPLE_CAP, Monte Carlo over i otherwise).
     """
     tau = res.tau
     e_int = int(Fraction(1) / tau)          # [1/tau]
@@ -358,7 +359,7 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
     x_star = frac(np.rint(pts[:, 0] * nx) / nx)
     y_star = frac(np.rint(pts[:, 1] * l_const) / l_const)
 
-    subsampled = n_t > i_sample_cap
+    subsampled = n_t > I_SAMPLE_CAP
     if subsampled:
         i_vals = sorted(int(r * n_t) for r in rng.random(256))
     else:

@@ -12,12 +12,13 @@ Convergent indexing follows the classical convention
 
 so an expansion of depth K carries convergents p_k/q_k for k = 1 .. K+1.
 
-All strict-inequality certification goes through rational interval
-enclosures of alpha: the default target width is 2^-256, doubled on demand
-up to 2^-4096 before giving up with a precision error.  The enclosures stay
-exact (dyadic rounding would widen them); phases m*alpha mod 1 are reduced
-in integers on their numerators and denominators, with results equal to
-Fraction arithmetic on the same enclosure.
+Expansion and all strict-inequality certification go through rational
+interval enclosures of alpha.  Certification starts at width 2^-256 and
+doubles the bits on demand up to 2^-4096 before giving up with a precision
+error; expansion doubles them until it has the quotients asked for.  The
+enclosures stay exact (dyadic rounding would widen them); phases m*alpha
+mod 1 are reduced in integers on their numerators and denominators, with
+results equal to Fraction arithmetic on the same enclosure.
 """
 
 from __future__ import annotations
@@ -112,27 +113,13 @@ class QuadraticAlpha(ExactAlpha):
                               "outside (0, 1)")
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        # sqrt(d) in [s, s+1] / 2^t with s = isqrt(d * 4^t); widen t until
-        # the alpha interval is narrow enough.
+        # sqrt(d) in [s, s+1] / 2^t with s = isqrt(d * 4^t); this t makes the
+        # width |b| / (|c| 2^t) at most 2^-bits
         t = bits + abs(self.b).bit_length() + abs(self.c).bit_length() + 8
-        target = Fraction(1, 2 ** bits)
-        while True:
-            s = math.isqrt(self.d << (2 * t))
-            r_lo = Fraction(s, 1 << t)
-            r_hi = Fraction(s + 1, 1 << t)
-            if self.b >= 0:
-                lo = Fraction(self.a) + self.b * r_lo
-                hi = Fraction(self.a) + self.b * r_hi
-            else:
-                lo = Fraction(self.a) + self.b * r_hi
-                hi = Fraction(self.a) + self.b * r_lo
-            if self.c > 0:
-                lo, hi = lo / self.c, hi / self.c
-            else:
-                lo, hi = hi / self.c, lo / self.c
-            if hi - lo <= target:
-                return (lo, hi)
-            t *= 2
+        s = math.isqrt(self.d << (2 * t))
+        lo, hi = sorted(Fraction((self.a << t) + self.b * r, self.c << t)
+                        for r in (s, s + 1))
+        return lo, hi
 
     def __str__(self) -> str:
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
@@ -234,59 +221,18 @@ def _convergents(quotients: Sequence[int]) -> tuple[list[int], list[int]]:
     return ps, qs
 
 
-def _cmp_int_vs_root(x: int, b: int, d: int) -> int:
-    """Sign of x - b*sqrt(d) via integer arithmetic only."""
-    if b >= 0:
-        if x < 0:
-            return -1
-        return (x * x > b * b * d) - (x * x < b * b * d)
-    if x >= 0:
-        return 1
-    return (x * x < b * b * d) - (x * x > b * b * d)
-
-
-def _floor_quad(a: int, b: int, c: int, d: int) -> int:
-    """Exact floor of (a + b*sqrt(d)) / c for integer a, b, c, d."""
-    if c < 0:
-        a, b, c = -a, -b, -c
-    s = math.isqrt(b * b * d)
-    if b >= 0:
-        lo_num, hi_num = a + s, a + s + 1
-    else:
-        lo_num, hi_num = a - s - 1, a - s
-    m = lo_num // c
-    # (a + b*sqrt(d))/c >= m+1  iff  (m+1)c - a <= b*sqrt(d)
-    while m + 1 <= hi_num // c and _cmp_int_vs_root((m + 1) * c - a, b, d) <= 0:
-        m += 1
-    return m
-
-
-def _expand_quadratic(alpha: QuadraticAlpha, depth: int) -> list[int]:
-    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+def _shared_quotients(lo: Fraction, hi: Fraction) -> tuple[list[int], bool]:
+    """The partial quotients that every x in [lo, hi] within (0, 1) shares,
+    by Euclid on both ends at once: a continued-fraction cylinder is an
+    interval, so a quotient both ends agree on is one of x's.  Finite when
+    both remainders reach 0 together, which means lo = hi."""
     quotients = []
-    # state xi = (a + b sqrt(d)) / c; for the first step xi = 1/alpha
-    a, b, c = c * a, -c * b, a * a - b * b * d   # invert once: 1/alpha
-    for _ in range(depth):
-        g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        q = _floor_quad(a, b, c, d)
+    a, b, c, d = lo.denominator, lo.numerator, hi.denominator, hi.numerator
+    while b and d and a // b == c // d:
+        q = a // b
         quotients.append(q)
-        # xi <- 1/(xi - q):  (a' + b sqrt d)/c with a' = a - q c, inverted
-        a2 = a - q * c
-        a, b, c = c * a2, -c * b, a2 * a2 - b * b * d
-    return quotients
-
-
-def _expand_rational(value: Fraction, depth: int) -> list[int]:
-    quotients = []
-    num, den = value.numerator, value.denominator
-    # value in (0,1): expansion of [0; a1, a2, ...] via Euclid on den/num
-    a, b = den, num
-    while b and len(quotients) < depth:
-        quotients.append(a // b)
-        a, b = b, a % b
-    return quotients
+        a, b, c, d = b, a - q * b, d, c - q * d
+    return quotients, b == d == 0
 
 
 @dataclass(frozen=True)
@@ -327,19 +273,17 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
     if isinstance(alpha, ZeroAlpha):
         raise DomainError("alpha = 0 has no continued-fraction expansion here")
 
-    if isinstance(alpha, RationalAlpha):
-        quotients = _expand_rational(alpha.value, depth)
-        ps, qs = _convergents(quotients)
-        finite = Fraction(ps[-1], qs[-1]) == alpha.value
-    elif isinstance(alpha, QuadraticAlpha):
-        quotients = _expand_quadratic(alpha, depth)
-        ps, qs = _convergents(quotients)
-        finite = False
+    if isinstance(alpha, QuotientAlpha):
+        quotients, finite = list(alpha.quotients[:depth]), False
     else:
-        assert isinstance(alpha, QuotientAlpha)
-        quotients = list(alpha.quotients[:depth])
-        ps, qs = _convergents(quotients)
-        finite = False
+        # rational or quadratic: from enclosures of doubling precision
+        bits, quotients, finite = DEFAULT_BITS // 2, [], False
+        while not finite and len(quotients) < depth:
+            bits *= 2
+            quotients, finite = _shared_quotients(*alpha.enclosure(bits))
+        finite = finite and len(quotients) <= depth
+        quotients = quotients[:depth]
+    ps, qs = _convergents(quotients)
 
     cf = ContinuedFraction(alpha=alpha, quotients=tuple(quotients),
                            ps=tuple(ps), qs=tuple(qs), finite=finite)
@@ -416,25 +360,32 @@ def centered_fractional(alpha: ExactAlpha, m: int,
     return Fraction(*_centered_parts(alpha, m, bits))
 
 
-def _norm_parts(alpha: ExactAlpha, m: int,
-                bits: int = DEFAULT_BITS) -> tuple[tuple[int, int], ...]:
-    """The ends of `circle_norm_interval` as unreduced (num, den) pairs."""
+def _norm_parts(alpha: ExactAlpha, m: int, bits: int = DEFAULT_BITS
+                ) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """The ends of `circle_norm_interval` as unreduced (num, den) pairs, at
+    each precision of the `_reductions` ladder, from `bits` up to MAX_BITS,
+    at which m*[a/b, c/d] less r fits [-1/2, 1/2].  Raises PrecisionError
+    when none fits."""
+    fitted = False
     for t_lo, den_lo, t_hi, den_hi, _u, _den in _reductions(alpha, m, bits):
         if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
+            fitted = True
             near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
             if near[0] * far[1] > far[0] * near[1]:
                 near, far = far, near
-            return ((0, 1) if t_lo <= 0 <= t_hi else near), far
-    raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
+            yield ((0, 1) if t_lo <= 0 <= t_hi else near), far
+    if not fitted:
+        raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
 
 
 def circle_norm_interval(alpha: ExactAlpha, m: int,
                          bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
     """Certified interval for ||m*alpha|| (distance to nearest integer),
-    decided in integers like `centered_fractional`, with equal ends.
-    `cocycle._classify_tail` compares the unreduced ends of `_norm_parts`
-    by cross-multiplication instead."""
-    lo, hi = _norm_parts(alpha, m, bits)
+    decided in integers like `centered_fractional`, with equal ends: the
+    first interval `_norm_parts` yields, at the lowest precision from
+    `bits` that fits.  `cocycle._classify_tail` compares the unreduced
+    ends of that first yield by cross-multiplication instead."""
+    lo, hi = next(_norm_parts(alpha, m, bits))
     return Fraction(*lo), Fraction(*hi)
 
 
@@ -451,15 +402,16 @@ class ApproxRow:
     boundary: bool           # k = 1 rows sit at the bound's boundary
 
 
-def best_approx_check(cf: ContinuedFraction,
-                      bits: int = DEFAULT_BITS) -> list[ApproxRow]:
+def best_approx_check(cf: ContinuedFraction) -> list[ApproxRow]:
     """Check 1/(q_{k+1}+q_k) < ||q_k alpha|| < 1/q_{k+1} for each k.
 
-    For a finite (rational) expansion the terminal index is excluded:
-    there ||q_K alpha|| equals 1/q_{K+1} exactly.  A quotient-prefix alpha
-    likewise stops one index early, where its enclosure runs out of
-    information.  The k = 1 row can sit on the lower bound's boundary
-    (golden-ratio-type alpha) and is flagged rather than certified.
+    Each row walks the `_norm_parts` ladder once and decides at the first
+    precision that decides.  For a finite (rational) expansion the terminal
+    index is excluded: there ||q_K alpha|| equals 1/q_{K+1} exactly.  A
+    quotient-prefix alpha likewise stops one index early, where its
+    enclosure runs out of information.  The k = 1 row can sit on the lower
+    bound's boundary (golden-ratio-type alpha) and is flagged rather than
+    certified.
     """
     rows = []
     top = cf.depth - 1 if (cf.finite or isinstance(cf.alpha, QuotientAlpha)) \
@@ -468,24 +420,17 @@ def best_approx_check(cf: ContinuedFraction,
         qk, qk1 = cf.q(k), cf.q(k + 1)
         lower = Fraction(1, qk1 + qk)
         upper = Fraction(1, qk1)
-        b = bits
-        while True:
-            n_lo, n_hi = circle_norm_interval(cf.alpha, qk, b)
-            if n_lo > lower and n_hi < upper:
-                certified = True
+        for lo, hi in _norm_parts(cf.alpha, qk):
+            n_lo, n_hi = Fraction(*lo), Fraction(*hi)
+            # certified, or genuinely violated; else too wide to decide
+            certified = n_lo > lower and n_hi < upper
+            if certified or n_hi <= lower or n_lo >= upper:
                 break
-            # genuinely violated, or interval too wide to decide?
-            if n_hi <= lower or n_lo >= upper:
-                certified = False
-                break
-            if b >= MAX_BITS:
-                if k > 1:
-                    raise PrecisionError(
-                        f"cannot certify strict bounds at k={k} "
-                        f"within {MAX_BITS} bits")
-                certified = False
-                break
-            b *= 2
+        else:
+            if k > 1:
+                raise PrecisionError(
+                    f"cannot certify strict bounds at k={k} "
+                    f"within {MAX_BITS} bits")
         rows.append(ApproxRow(k=k, norm_lo=float(n_lo), norm_hi=float(n_hi),
                               lower_bound=lower, upper_bound=upper,
                               certified=certified, boundary=(k == 1)))

@@ -327,8 +327,19 @@ class GroupSkew(TorusSkew):
         k = np.subtract.outer(g, g) % self.q
         return np.minimum(k, self.q - k) / self.q
 
+    def _check_start(self, x0) -> None:
+        """Refuse an orbit start off the group, before any step."""
+        if not float(x0[0]).is_integer():
+            raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
+                              f"element of Z/{self.q}")
+
+    def orbit_coords(self, x0, n_max, chunk):
+        self._check_start(x0)
+        return super().orbit_coords(x0, n_max, chunk)
+
     def sample(self, count: int, seed: int):
         if self.descriptor.get("sampler") == "orbit":
+            self._check_start(self.descriptor.get("x0", self.orbit_x0))
             return super().sample(count, seed)
         rng = np.random.default_rng(seed)
         return np.column_stack([rng.integers(0, self.q, count),

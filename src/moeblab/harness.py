@@ -542,29 +542,26 @@ _EXPERIMENTS: dict[str, Callable] = {
 # Minimal SVG line charts
 # ---------------------------------------------------------------------------
 
-def write_line_svg(path: Path, series: list[tuple[str, list[tuple[float, float]]]],
-                   width: int = 640, height: int = 400,
-                   logx: bool = True, logy: bool = True) -> None:
-    """Hand-rolled polyline chart; log-scaled axes suit decay curves."""
-    pad = 50
+def write_line_svg(path: Path,
+                   series: list[tuple[str, list[tuple[float, float]]]]) -> None:
+    """Hand-rolled 640x400 polyline chart; log-scaled axes suit decay curves."""
+    width, height, pad = 640, 400, 50
     pts_all = [(x, y) for _, pts in series for (x, y) in pts if y > 0 and x > 0]
     if not pts_all:
         path.write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")
         return
-    fx = math.log10 if logx else float
-    fy = math.log10 if logy else float
-    xs = [fx(x) for x, _ in pts_all]
-    ys = [fy(y) for _, y in pts_all]
+    xs = [math.log10(x) for x, _ in pts_all]
+    ys = [math.log10(y) for _, y in pts_all]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
     def sx(x):
-        return pad + (fx(x) - x_lo) / x_span * (width - 2 * pad)
+        return pad + (math.log10(x) - x_lo) / x_span * (width - 2 * pad)
 
     def sy(y):
-        return height - pad - (fy(y) - y_lo) / y_span * (height - 2 * pad)
+        return height - pad - (math.log10(y) - y_lo) / y_span * (height - 2 * pad)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "

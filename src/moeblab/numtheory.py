@@ -220,7 +220,7 @@ def _unit_group_components(q: int) -> list[tuple[int, list[tuple[int, int]]]]:
     return out
 
 
-def dirichlet_characters(q: int, cap: int = DEFAULT_CHARACTER_CAP) -> CharacterTable:
+def dirichlet_characters(q: int) -> CharacterTable:
     """All phi(q) Dirichlet characters mod q from the unit-group decomposition.
 
     Characters are indexed lexicographically over the exponent tuples on the
@@ -228,8 +228,9 @@ def dirichlet_characters(q: int, cap: int = DEFAULT_CHARACTER_CAP) -> CharacterT
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
-    if q > cap:
-        raise SizingError(f"q={q} exceeds character modulus cap {cap}")
+    if q > DEFAULT_CHARACTER_CAP:
+        raise SizingError(
+            f"q={q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
 
     if q == 1:
         chi = DirichletCharacter(1, 0, np.ones(1, dtype=np.complex128), True)
@@ -313,7 +314,6 @@ def pretentious_scan(
     n_max: int,
     big_q: int,
     t_grid: Iterable[float],
-    cap: int = DEFAULT_CHARACTER_CAP,
 ) -> list[PretentiousRow]:
     """Distance of mu to every twisted character chi(n) n^{it} on the grid.
 
@@ -325,8 +325,9 @@ def pretentious_scan(
     t_values = [float(t) for t in t_grid]
     if not t_values:
         raise DomainError("t_grid must be nonempty")
-    if big_q > cap:
-        raise SizingError(f"Q={big_q} exceeds character modulus cap {cap}")
+    if big_q > DEFAULT_CHARACTER_CAP:
+        raise SizingError(
+            f"Q={big_q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
     ps = table.primes[table.primes <= n_max]
     if len(ps) == 0:
         raise DomainError(f"no primes <= {n_max} in table (limit {table.limit})")
@@ -334,7 +335,7 @@ def pretentious_scan(
     logp = np.log(pf)
     inv_p = 1.0 / pf
     chars = [chi for q in range(1, big_q + 1)
-             for chi in dirichlet_characters(q, cap=cap).characters]
+             for chi in dirichlet_characters(q).characters]
     chi_ps = [chi.values[ps % chi.modulus] for chi in chars]
     dist = np.empty((len(chars), len(t_values)))
     for k, t in enumerate(t_values):
@@ -351,13 +352,12 @@ def mobius_non_pretentious(
     n_max: int,
     big_q: int,
     t_grid: Iterable[float],
-    cap: int = DEFAULT_CHARACTER_CAP,
 ) -> float:
     """Grid-restricted M(mu; N, Q): min over q <= Q, chi mod q, t in the grid.
 
     An upper bound for the true infimum over continuous t; it grows with N,
     witnessing that mu pretends to be no twisted character.
     """
-    rows = pretentious_scan(table, n_max, big_q, t_grid, cap=cap)
+    rows = pretentious_scan(table, n_max, big_q, t_grid)
     return min(r.distance_sq for r in rows)
 

@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moeblab import contfrac as cf
@@ -87,6 +88,84 @@ def test_growth_lower_bound_all_fixtures():
             assert c.q(k) >= 2 ** ((k - 2) / 2)
 
 
+def _sign_of_alpha_minus(alpha, u, v):
+    """Sign of alpha - u/v for v > 0, decided in exact integers."""
+    if isinstance(alpha, cf.RationalAlpha):
+        p, q = alpha.value.numerator, alpha.value.denominator
+        return (p * v > u * q) - (p * v < u * q)
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    x, y = a * v - u * c, b * v          # alpha - u/v = (x + y sqrt d) / (c v)
+    dominant = y if x * y >= 0 or x * x < y * y * d else x
+    return (1 if dominant > 0 else -1) * (1 if c > 0 else -1)
+
+
+@st.composite
+def _quadratic_alphas(draw):
+    b = draw(st.integers(-40, 40).filter(bool))
+    c = draw(st.integers(-60, 60).filter(bool))
+    d = draw(st.integers(2, 500))
+    assume(math.isqrt(d) ** 2 != d)
+    r = math.isqrt(b * b * d)
+    r = r if b > 0 else -r - 1                   # floor(b sqrt d)
+    # a + b sqrt d lands in (j, j + 1) times sign(c); j = -1 and j = |c|
+    # put alpha outside (0, 1)
+    j = draw(st.integers(-1, abs(c)))
+    a = j - r if c > 0 else -j - 1 - r
+    try:
+        return cf.QuadraticAlpha(a, b, c, d)
+    except DomainError:
+        assume(False)
+
+
+RATIONAL_ALPHAS = st.fractions(0, 1, max_denominator=10 ** 15).filter(
+    lambda v: 0 < v < 1).map(cf.RationalAlpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(_quadratic_alphas(), RATIONAL_ALPHAS),
+       depth=st.integers(1, 300))
+def test_expansion_lies_in_every_cylinder(alpha, depth):
+    # [0; a_1..a_k + t] for t in [0, 1) is the set of numbers whose first k
+    # quotients are a_1..a_k: alpha lies strictly between its ends
+    # p_{k+1}/q_{k+1} (t = 0) and (p_{k+1}+p_k)/(q_{k+1}+q_k) (t = 1)
+    # for every k, and a finite expansion ends at alpha
+    c = cf.expand(alpha, depth)
+    assert all(a >= 1 for a in c.quotients)
+    assert len(c.quotients) == depth or c.finite
+    (p0, q0), (p1, q1) = (1, 0), (0, 1)       # p_0/q_0 and p_1/q_1
+    for k, a in enumerate(c.quotients, start=1):
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        near = _sign_of_alpha_minus(alpha, p1, q1)
+        if c.finite and k == c.depth:
+            assert near == 0, k
+        else:
+            assert near * _sign_of_alpha_minus(alpha, p1 + p0, q1 + q0) == -1, k
+    assert (c.ps[-1], c.qs[-1]) == (p1, q1)
+
+
+@pytest.mark.parametrize("lo,hi,shared", [
+    ("2/7", "2/7", ([3, 2], True)),
+    ("2/3", "7/10", ([1, 2], False)),    # lo ends the cylinder [2/3, 3/4)
+    ("3/10", "1/3", ([3], False)),       # hi ends the cylinder (1/4, 1/3]
+    ("1/3", "1/2", ([], False)),
+])
+def test_shared_quotients_stop_where_the_ends_part(lo, hi, shared):
+    # one end running out alone is not a rational alpha
+    assert cf._shared_quotients(Fraction(lo), Fraction(hi)) == shared
+
+
+@pytest.mark.parametrize("spec,head,period", [
+    ("quad:-2,1,1,7", (), (1, 1, 1, 4)),          # sqrt(7) - 2
+    ("quad:-3,1,1,13", (), (1, 1, 1, 1, 6)),      # sqrt(13) - 3
+    ("quad:-1,-1,-3,2", (1,), (4, 8)),            # (1 + sqrt(2)) / 3
+    ("quad:3,-1,1,5", (1, 3), (4,)),              # 3 - sqrt(5)
+])
+def test_pinned_quadratic_expansions(spec, head, period):
+    depth = 200
+    want = (head + period * depth)[:depth]
+    assert cf.expand(spec, depth).quotients == want
+
+
 # ---------------------------------------------------------------------------
 # Best approximation bounds
 # ---------------------------------------------------------------------------
@@ -120,6 +199,79 @@ def test_best_approx_rational_below_terminal():
     c = cf.expand("2/7", 10)              # depth 2, terminal convergent exact
     rows = cf.best_approx_check(c)
     assert [r.k for r in rows] == [1]
+
+
+def _ref_best_approx_check(c, bits=cf.DEFAULT_BITS):
+    # the body the one-walk ladder replaced: a second doubling loop around
+    # circle_norm_interval, kept as the reference
+    rows = []
+    top = c.depth - 1 if (c.finite or isinstance(c.alpha, cf.QuotientAlpha)) \
+        else c.depth
+    for k in range(1, top + 1):
+        qk, qk1 = c.q(k), c.q(k + 1)
+        lower = Fraction(1, qk1 + qk)
+        upper = Fraction(1, qk1)
+        b = bits
+        while True:
+            n_lo, n_hi = cf.circle_norm_interval(c.alpha, qk, b)
+            if n_lo > lower and n_hi < upper:
+                certified = True
+                break
+            if n_hi <= lower or n_lo >= upper:
+                certified = False
+                break
+            if b >= cf.MAX_BITS:
+                if k > 1:
+                    raise PrecisionError(
+                        f"cannot certify strict bounds at k={k} "
+                        f"within {cf.MAX_BITS} bits")
+                certified = False
+                break
+            b *= 2
+        rows.append(cf.ApproxRow(k=k, norm_lo=float(n_lo),
+                                 norm_hi=float(n_hi), lower_bound=lower,
+                                 upper_bound=upper, certified=certified,
+                                 boundary=(k == 1)))
+    return rows
+
+
+def _rows_or_error(fn, c):
+    try:
+        # every field, the float norms by repr
+        return [repr(dataclasses.astuple(r)) for r in fn(c)]
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+@pytest.mark.parametrize("spec,depth", [
+    ("sqrt2-1", 300), ("golden", 300), ("2/7", 10),
+    ([2, 17, 8, 34, 8], 5),
+    ([1, 1], 2),          # only k = 1, flagged
+    ([1, 2, 1], 3),       # k = 2 runs out of prefix
+])
+def test_best_approx_equals_the_doubling_loop(spec, depth):
+    c = cf.expand(spec, depth)
+    got = _rows_or_error(cf.best_approx_check, c)
+    assert got == _rows_or_error(_ref_best_approx_check, c)
+    if isinstance(spec, list) and len(spec) == 3:
+        assert got == ("PrecisionError",
+                       "cannot certify strict bounds at k=2 within 4096 bits")
+
+
+def test_best_approx_walks_the_ladder_once_per_row(monkeypatch):
+    walks = []
+    reductions = cf._reductions
+
+    def counted(alpha, m, bits):
+        walks.append(m)
+        return reductions(alpha, m, bits)
+
+    monkeypatch.setattr(cf, "_reductions", counted)
+    for spec in ("sqrt2-1", "golden"):
+        walks.clear()
+        rows = cf.best_approx_check(cf.expand(spec, 300))
+        assert len(rows) == 300
+        assert walks == [cf.expand(spec, 300).q(k) for k in range(1, 301)]
 
 
 def test_nearby_fractions_are_convergents():

@@ -312,6 +312,22 @@ def test_group_orbit_sampler_follows_the_orbit():
     assert start.tolist() == [0.0, 0.2]
 
 
+def test_group_orbit_start_must_lie_on_the_group():
+    desc = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+            "h": [[1, 0.05, 0.0]], "sampler": "orbit", "burn_in": 0,
+            "stride": 1}
+    for x0 in ([3.5, 0.2], np.array([3.5, 0.2]), [float("nan"), 0.2]):
+        gs = dy.make_system(dict(desc, x0=x0))
+        with pytest.raises(DomainError, match="Z/12"):
+            gs.sample(4, seed=0)
+        with pytest.raises(DomainError, match="Z/12"):
+            gs.orbit_coords(x0, 4, 2)    # refused before any step
+    gs = dy.make_system(dict(desc, x0=[3.0, 0.2]))
+    assert gs.sample(4, seed=0)[:, 0].tolist() == [3, 8, 1, 6]
+    coords = np.concatenate(list(gs.orbit_coords([3.0, 0.2], 4, 2)))
+    assert (coords[:, 0] * 12).round().tolist() == [8, 1, 6, 11]
+
+
 # ---------------------------------------------------------------------------
 # Function-family metric
 # ---------------------------------------------------------------------------
