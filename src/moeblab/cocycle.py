@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -115,8 +116,15 @@ class FourierCocycle:
         return total if total.shape else float(total)
 
     def restrict(self, keep: Callable[[int], bool]) -> "FourierCocycle":
+        """The coefficients at the frequencies `keep` selects.  They are
+        already checked, so only the symmetry of the selection is."""
         kept = {m: c for m, c in self.coefficients.items() if keep(m)}
-        return FourierCocycle(kept, self.decay_constant, self.tau)
+        for m in kept:
+            if -m not in kept:
+                raise DomainError(f"restriction keeps m={m} but not -m")
+        out = copy.copy(self)
+        object.__setattr__(out, "coefficients", kept)
+        return out
 
 
 def cocycle_from_pairs(pairs: Iterable[tuple[int, complex]],

@@ -277,10 +277,16 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
         quotients, finite = list(alpha.quotients[:depth]), False
     else:
         # rational or quadratic: from enclosures of doubling precision
-        bits, quotients, finite = DEFAULT_BITS // 2, [], False
+        bits, quotients, finite, last = DEFAULT_BITS // 2, [], False, None
         while not finite and len(quotients) < depth:
             bits *= 2
-            quotients, finite = _shared_quotients(*alpha.enclosure(bits))
+            enclosure = alpha.enclosure(bits)
+            if enclosure == last:
+                raise PrecisionError(
+                    f"the enclosure of {alpha} did not narrow from {bits // 2} "
+                    f"to {bits} bits, after {len(quotients)} quotients")
+            last = enclosure
+            quotients, finite = _shared_quotients(*enclosure)
         finite = finite and len(quotients) <= depth
         quotients = quotients[:depth]
     ps, qs = _convergents(quotients)

@@ -39,6 +39,20 @@ MAX_ALPHABET = 16
 # g0 + n a within int64 for every n < 2^39
 MAX_GROUP_ORDER = 1 << 24
 STEP_CHUNK = 256
+# bytes one dbar_snapshots call may hold at once, checked before it
+# allocates anything
+DBAR_MEMORY_CAP = 1 << 31
+# 2^-e in float32 for e = 0..255: 0 from e = 150 on, as repeated halving
+_HALVINGS = np.zeros(256, dtype=np.float32)
+_HALVINGS[:150] = 2.0 ** -np.arange(150)
+
+
+def _admit(nbytes: int, kind: str, p: int, n_max: int) -> None:
+    """Refuse dbar snapshots whose working set of `nbytes` passes the cap."""
+    if nbytes > DBAR_MEMORY_CAP:
+        raise SizingError(
+            f"dbar snapshots of {p} {kind} states up to n={n_max} need about "
+            f"{nbytes >> 20} MiB, over the cap of {DBAR_MEMORY_CAP >> 20} MiB")
 
 
 def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
@@ -97,13 +111,16 @@ class SystemInstance:
         An isometry keeps d(T^i x, T^i y) = d(x, y), so the one-step
         distance is dbar_n for every n: it is yielded, read-only, for each n.
         Generic form: the pairwise metric of the stepped states, summed.
+        Its working set is taken as six float64 (p, p) matrices: the sum,
+        a snapshot and the temporaries of a pairwise metric.
         """
+        p = len(states)
+        _admit(48 * p * p, self.kind, p, max(ns))
         if self.isometric:
             d = self.pairwise_distance(states)
             d.flags.writeable = False
             yield from ((n, d) for n in ns)
             return
-        p = len(states)
         dsum = np.zeros((p, p))
         done = 0
         for n in ns:
@@ -267,11 +284,14 @@ class TorusSkew(SystemInstance):
         only max(dx, ||y_i - y_j||).  Against step-wise recomputation of the
         rotated base coordinates the snapshots differ by float rounding alone
         (a few 1e-15).  Snapshots are exactly symmetric with a zero diagonal.
+        The working set is four float64 (p, p) matrices while dx is built,
+        then dx, the sum and a snapshot, beside STEP_CHUNK fibre rows.
         """
+        p = len(states)
+        _admit(32 * p * p + 8 * STEP_CHUNK * p, self.kind, p, max(ns))
         g = states[:, 0]
         y = frac(states[:, 1])
         dx = self._base_distance(g)
-        p = len(y)
         dsum = np.zeros((p, p))
         done = 0
         ys = np.empty((STEP_CHUNK, p))
@@ -395,36 +415,46 @@ class Shift(SystemInstance):
         return val
 
     def dbar_snapshots(self, states, ns):
-        """Per pair, the profile v_j = 2^-(next difference at or after offset
-        j) is built right to left and summed, in float32, chunked over rows,
-        offset-major: on the window transposed once to (w, p), one contiguous
-        (rows, p) slice per offset and no (rows, p, w) difference cube."""
+        """Two passes.  Pass 1 runs right to left over the window, transposed
+        once to (w, p) and chunked over rows, and keeps per pair and offset
+        j < n_max one byte: e_j, the distance from j to the next differing
+        offset (a virtual one at w), saturated at 255, past float32 underflow
+        at 150.  Pass 2 adds 2^-e_j for j = 0, 1, ... into one float32
+        running sum, the sequential additions of a cumulative sum, and
+        yields each n asked for.  Working set, whatever len(ns): n_max p^2
+        exponent bytes, two float32 (p, p) matrices, one float64 snapshot or
+        the intp plane np.take makes, and two bytes per pair of a chunk."""
         p, w = states.shape
         n_max = max(ns)
         if n_max > w:
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
+        _admit((n_max + 18) * p * p, self.kind, p, n_max)
         cols = np.ascontiguousarray(states.T)
-        snaps = np.zeros((len(ns), p, p), dtype=np.float32)
+        expo = np.empty((n_max, p, p), dtype=np.uint8)
         chunk = max(1, (1 << 25) // (p * w))
         for lo in range(0, p, chunk):
             hi = min(p, lo + chunk)
-            diff = np.empty((hi - lo, p), dtype=bool)
-            # v_j = 2^{-(next diff offset from j)}, virtual diff at the window end
-            val = np.ones((hi - lo, p), dtype=np.float32)
-            prof = np.empty((n_max, hi - lo, p), dtype=np.float32)
+            same = np.empty((hi - lo, p), dtype=bool)
+            e = np.zeros((hi - lo, p), dtype=np.uint8)
             for j in range(w - 1, -1, -1):
-                np.not_equal(cols[j, lo:hi, None], cols[j], out=diff)
-                np.multiply(val, np.float32(0.5), out=val)
-                np.copyto(val, np.float32(1.0), where=diff)
+                np.equal(cols[j, lo:hi, None], cols[j], out=same)
+                if j < w - 255:     # e <= w - j, so only here can it wrap
+                    np.minimum(e, 254, out=e)
+                np.add(e, 1, out=e)
+                np.multiply(e, same, out=e)
                 if j < n_max:
-                    prof[j] = val
-            np.cumsum(prof, axis=0, out=prof)      # ascending, sequential
-            for k, n in enumerate(ns):
-                np.divide(prof[n - 1], np.float32(n), out=snaps[k, lo:hi])
-        for k, n in enumerate(ns):
-            d = snaps[k].astype(np.float64)
-            np.fill_diagonal(d, 0.0)
-            yield n, d
+                    expo[j, lo:hi] = e
+        run = np.zeros((p, p), dtype=np.float32)
+        term = np.empty((p, p), dtype=np.float32)
+        for j in range(n_max):
+            np.take(_HALVINGS, expo[j], out=term, mode="clip")
+            np.add(run, term, out=run)
+            if j + 1 in ns:
+                np.divide(run, np.float32(j + 1), out=term)
+                d = term.astype(np.float64)
+                np.fill_diagonal(d, 0.0)
+                yield j + 1, d
+                del d       # frees a snapshot the caller dropped before the next
 
 
 def orbit_states(system: SystemInstance, x0, count: int,

@@ -52,6 +52,23 @@ def test_envelope_cocycle_shape():
     assert len(h.support) == 33
 
 
+def test_restrict_checks_only_the_symmetry_of_the_selection(monkeypatch):
+    h = cc.envelope_cocycle(16, decay_constant=2.0, tau=1)
+    checks = []
+    post_init = cc.FourierCocycle.__post_init__
+    monkeypatch.setattr(cc.FourierCocycle, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    low = h.restrict(lambda m: abs(m) <= 4)
+    assert checks == []
+    assert low == cc.FourierCocycle(
+        {m: c for m, c in h.coefficients.items() if abs(m) <= 4},
+        h.decay_constant, h.tau)
+    assert h.restrict(lambda m: False).support == ()
+    for keep in (lambda m: m >= 0, lambda m: m != -3):
+        with pytest.raises(DomainError, match="but not -m"):
+            h.restrict(keep)
+
+
 # ---------------------------------------------------------------------------
 # Coboundary split
 # ---------------------------------------------------------------------------

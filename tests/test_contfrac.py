@@ -490,6 +490,27 @@ class _FixedEnclosure(cf.ExactAlpha):
         return f"[{self.lo},{self.hi}]"
 
 
+@dataclass(frozen=True)
+class _CountedFixedEnclosure(_FixedEnclosure):
+    """A fixed enclosure that records the precisions it is asked for and
+    fails after eight, so an expansion that never stops fails fast."""
+
+    calls: list = dataclasses.field(default_factory=list, compare=False)
+
+    def enclosure(self, bits):
+        self.calls.append(bits)
+        assert len(self.calls) <= 8, "enclosure asked for again and again"
+        return super().enclosure(bits)
+
+
+def test_expand_refuses_an_enclosure_that_stops_narrowing():
+    # (1/4, 1/2) shares no quotient: a_1 is 2, 3 or 4
+    alpha = _CountedFixedEnclosure()
+    with pytest.raises(PrecisionError, match="did not narrow"):
+        cf.expand(alpha, 3)
+    assert alpha.calls == [cf.DEFAULT_BITS, 2 * cf.DEFAULT_BITS]
+
+
 @pytest.mark.parametrize("alpha", [
     cf.parse_alpha("quotients:1,1"), cf.parse_alpha("quotients:1,2"),
     cf.parse_alpha("3/8"), _FixedEnclosure()], ids=str)

@@ -187,6 +187,62 @@ def test_group_order_above_cap_refused_before_allocating():
     assert peak < 1 << 20, peak
 
 
+GROUP_DESC = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+              "h": [[1, 0.05, 0.0]]}
+SHIFT_DESC = {"kind": "shift", "weights": [0.5, 0.5], "horizon": 64}
+
+
+def _dbar_cases():
+    """label -> (system, one state) for each dbar_snapshots implementation:
+    the isometric and the step-wise generic form, TorusSkew over T^1 and
+    over Z/q, and the shift."""
+    rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
+    return {"rotation": (rot, np.zeros(())),
+            "generic": (dy.conjugate_system(rot, np.asarray, np.asarray),
+                        np.zeros(())),
+            "skew2": (dy.make_system(SKEW_DESC), np.zeros(2)),
+            "group_skew": (dy.make_system(GROUP_DESC), np.zeros(2)),
+            "shift": (dy.make_system(SHIFT_DESC), np.zeros(64, dtype=np.int8))}
+
+
+@pytest.mark.parametrize("label", ["rotation", "generic", "skew2",
+                                   "group_skew", "shift"])
+@pytest.mark.parametrize("p", [9000, 10 ** 6])
+def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
+    # zero-copy states: only the estimate can refuse without allocating
+    system, state = _dbar_cases()[label]
+    states = np.broadcast_to(state, (p,) + state.shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            next(system.dbar_snapshots(states, [1, 64]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (label, peak)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_cli_default_cloud_is_admitted(monkeypatch):
+    # the CLI's 2000 samples, to the shift's horizon: the estimate is asked
+    # and nothing is computed
+    asked = []
+
+    def admit(nbytes, kind, p, n_max):
+        asked.append(nbytes)
+        raise _Admitted
+
+    monkeypatch.setattr(dy, "_admit", admit)
+    for system, state in _dbar_cases().values():
+        states = np.broadcast_to(state, (2000,) + state.shape)
+        with pytest.raises(_Admitted):
+            next(system.dbar_snapshots(states, [1, 2, 4, 8, 16, 32, 64]))
+    assert len(asked) == 5 and max(asked) <= dy.DBAR_MEMORY_CAP, asked
+
+
 def test_shift_step_refused_on_exhausted_window():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                             "horizon": 3})

@@ -364,6 +364,62 @@ def test_offset_major_shift_profiles_over_several_row_chunks():
         assert np.array_equal(mat, expect), n
 
 
+def _agreeing_windows(k, p, w, seed):
+    """p windows of k symbols, copies of three words each changed at about
+    one offset in 128, every fifth one unchanged: pairs agree over long
+    runs, so exponents pass float32 underflow (150) and a byte (255) on
+    long windows."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, k, (3, w))
+    rows = words[rng.integers(0, 3, p)]
+    flips = rng.random((p, w)) < 1 / 128
+    flips[::5] = False
+    return np.where(flips, (rows + 1) % k, rows).astype(np.int8)
+
+
+@pytest.mark.parametrize("k", [2, 3, 16])
+@pytest.mark.parametrize("w", [1, 2, 127, 128, 129, 130, 256, 300])
+def test_streamed_shift_snapshots_equal_reference(k, w):
+    system = dy.make_system({"kind": "shift", "weights": [1 / k] * k,
+                             "horizon": w})
+    states = _agreeing_windows(k, 40, w, seed=k * 1000 + w)
+    for ns in (list(range(1, w + 1)), sorted({1, (w + 1) // 2, w}),
+               sorted({1, (w + 2) // 3}), [w]):
+        got = list(system.dbar_snapshots(states, ns))
+        ref = list(_ref_shift_snapshots(states, ns))
+        assert [n for n, _ in got] == [n for n, _ in ref] == ns
+        for (n, mat), (_, expect) in zip(got, ref):
+            assert np.array_equal(mat, expect), (ns, n)
+
+
+def test_agreeing_windows_reach_saturation_and_underflow():
+    # at w = 300: a real difference 150..254 offsets ahead of some j, and
+    # one more than 255 ahead (the window end, for identical windows)
+    states = _agreeing_windows(2, 40, 300, seed=2300)
+    p, w = states.shape
+    ahead = np.full((p, p), w)
+    in_band = past_byte = False
+    for j in range(w - 1, -1, -1):
+        ahead[states[:, j, None] != states[:, j]] = j
+        in_band |= np.any((ahead - j >= 150) & (ahead - j < 255) & (ahead < w))
+        past_byte |= np.any(ahead - j > 255)
+    assert in_band and past_byte
+
+
+@pytest.mark.parametrize("p", [300, 400])
+def test_streamed_shift_snapshots_on_both_sides_of_the_row_chunk(p):
+    # at w = 300 the row chunk is 372 rows at p = 300 and 279 at p = 400
+    w = 300
+    assert ((1 << 25) // (p * w) >= p) == (p == 300)
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": w})
+    states = _agreeing_windows(2, p, w, seed=p)
+    ns = [1, 40, 45]
+    for (n, mat), (_, expect) in zip(system.dbar_snapshots(states, ns),
+                                     _ref_shift_snapshots(states, ns)):
+        assert np.array_equal(mat, expect), n
+
+
 def _traced_peak_mib(fn):
     tracemalloc.start()
     try:
@@ -393,6 +449,16 @@ def test_shift_profiles_peak_below_cube_peak():
     new = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
     old = _traced_peak_mib(lambda: deque(_ref_shift_snapshots(states, ns), 0))
     assert new < old, (new, old)
+
+
+def test_shift_peak_does_not_grow_with_the_snapshots_asked_for():
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": 64})
+    states = system.sample(800, 4)
+    one = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, [14]), 0))
+    every = _traced_peak_mib(
+        lambda: deque(system.dbar_snapshots(states, range(1, 15)), 0))
+    assert abs(every - one) < 1.0, (one, every)
 
 
 # ---------------------------------------------------------------------------
