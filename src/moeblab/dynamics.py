@@ -31,6 +31,7 @@ from ._kernels import accumulate_torus, assign_nearest_circle, frac
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError, SizingError
+from .numtheory import DEFAULT_MEMORY_CAP
 
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
@@ -39,20 +40,22 @@ MAX_ALPHABET = 16
 # g0 + n a within int64 for every n < 2^39
 MAX_GROUP_ORDER = 1 << 24
 STEP_CHUNK = 256
-# bytes one dbar_snapshots call may hold at once, checked before it
-# allocates anything
-DBAR_MEMORY_CAP = 1 << 31
+# offsets of shift exponents held at once: with the 149 offsets looked
+# ahead of a block, an exponent stays below 256
+SHIFT_BLOCK = 64
 # 2^-e in float32 for e = 0..255: 0 from e = 150 on, as repeated halving
+_UNDERFLOW = 150
 _HALVINGS = np.zeros(256, dtype=np.float32)
-_HALVINGS[:150] = 2.0 ** -np.arange(150)
+_HALVINGS[:_UNDERFLOW] = 2.0 ** -np.arange(_UNDERFLOW)
 
 
 def _admit(nbytes: int, kind: str, p: int, n_max: int) -> None:
-    """Refuse dbar snapshots whose working set of `nbytes` passes the cap."""
-    if nbytes > DBAR_MEMORY_CAP:
+    """Refuse dbar snapshots whose working set of `nbytes` passes the
+    memory cap, before anything is allocated."""
+    if nbytes > DEFAULT_MEMORY_CAP:
         raise SizingError(
             f"dbar snapshots of {p} {kind} states up to n={n_max} need about "
-            f"{nbytes >> 20} MiB, over the cap of {DBAR_MEMORY_CAP >> 20} MiB")
+            f"{nbytes >> 20} MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
 
 
 def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
@@ -111,11 +114,12 @@ class SystemInstance:
         An isometry keeps d(T^i x, T^i y) = d(x, y), so the one-step
         distance is dbar_n for every n: it is yielded, read-only, for each n.
         Generic form: the pairwise metric of the stepped states, summed.
-        Its working set is taken as six float64 (p, p) matrices: the sum,
-        a snapshot and the temporaries of a pairwise metric.
+        Working sets, in float64 (p, p) matrices: three for an isometry's
+        pairwise metric; six for the sum, a snapshot and a skew product's
+        metric, the largest a `Conjugated` steps.
         """
         p = len(states)
-        _admit(48 * p * p, self.kind, p, max(ns))
+        _admit((24 if self.isometric else 48) * p * p, self.kind, p, max(ns))
         if self.isometric:
             d = self.pairwise_distance(states)
             d.flags.writeable = False
@@ -415,46 +419,48 @@ class Shift(SystemInstance):
         return val
 
     def dbar_snapshots(self, states, ns):
-        """Two passes.  Pass 1 runs right to left over the window, transposed
-        once to (w, p) and chunked over rows, and keeps per pair and offset
-        j < n_max one byte: e_j, the distance from j to the next differing
-        offset (a virtual one at w), saturated at 255, past float32 underflow
-        at 150.  Pass 2 adds 2^-e_j for j = 0, 1, ... into one float32
-        running sum, the sequential additions of a cumulative sum, and
-        yields each n asked for.  Working set, whatever len(ns): n_max p^2
-        exponent bytes, two float32 (p, p) matrices, one float64 snapshot or
-        the intp plane np.take makes, and two bytes per pair of a chunk."""
+        """Two passes per block of SHIFT_BLOCK offsets below n_max.  Pass 1,
+        right to left over the window transposed to (w, p) and chunked over
+        rows, keeps per pair and offset j one byte e_j, the distance to the
+        next differing offset.  It starts 149 offsets past the block, with a
+        virtual difference there: the e_j this shortens stay >= 150, where
+        2^-e is 0 in float32.  Pass 2 adds 2^-e_j in ascending j into one
+        float32 running sum, the additions of a cumulative sum, and yields
+        each n asked for.  Working set: the (block, p, p) bytes, two float32
+        and one float64 (p, p) matrices, and two bytes per pair of a chunk."""
         p, w = states.shape
         n_max = max(ns)
         if n_max > w:
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
-        _admit((n_max + 18) * p * p, self.kind, p, n_max)
+        block = min(n_max, SHIFT_BLOCK)
+        _admit((block + 18) * p * p, self.kind, p, n_max)
         cols = np.ascontiguousarray(states.T)
-        expo = np.empty((n_max, p, p), dtype=np.uint8)
-        chunk = max(1, (1 << 25) // (p * w))
-        for lo in range(0, p, chunk):
-            hi = min(p, lo + chunk)
-            same = np.empty((hi - lo, p), dtype=bool)
-            e = np.zeros((hi - lo, p), dtype=np.uint8)
-            for j in range(w - 1, -1, -1):
-                np.equal(cols[j, lo:hi, None], cols[j], out=same)
-                if j < w - 255:     # e <= w - j, so only here can it wrap
-                    np.minimum(e, 254, out=e)
-                np.add(e, 1, out=e)
-                np.multiply(e, same, out=e)
-                if j < n_max:
-                    expo[j, lo:hi] = e
+        expo = np.empty((block, p, p), dtype=np.uint8)
+        chunk = max(1, (1 << 19) // p)
         run = np.zeros((p, p), dtype=np.float32)
         term = np.empty((p, p), dtype=np.float32)
-        for j in range(n_max):
-            np.take(_HALVINGS, expo[j], out=term, mode="clip")
-            np.add(run, term, out=run)
-            if j + 1 in ns:
-                np.divide(run, np.float32(j + 1), out=term)
-                d = term.astype(np.float64)
-                np.fill_diagonal(d, 0.0)
-                yield j + 1, d
-                del d       # frees a snapshot the caller dropped before the next
+        for start in range(0, n_max, block):
+            end = min(n_max, start + block)
+            top = min(w, end + _UNDERFLOW - 1)
+            for lo in range(0, p, chunk):
+                hi = min(p, lo + chunk)
+                same = np.empty((hi - lo, p), dtype=bool)
+                e = np.zeros((hi - lo, p), dtype=np.uint8)
+                for j in range(top - 1, start - 1, -1):
+                    np.equal(cols[j, lo:hi, None], cols[j], out=same)
+                    np.add(e, 1, out=e)
+                    np.multiply(e, same, out=e)
+                    if j < end:
+                        expo[j - start, lo:hi] = e
+            for j in range(start, end):
+                np.take(_HALVINGS, expo[j - start], out=term, mode="clip")
+                np.add(run, term, out=run)
+                if j + 1 in ns:
+                    np.divide(run, np.float32(j + 1), out=term)
+                    d = term.astype(np.float64)
+                    np.fill_diagonal(d, 0.0)
+                    yield j + 1, d
+                    del d   # frees a snapshot the caller dropped before the next
 
 
 def orbit_states(system: SystemInstance, x0, count: int,

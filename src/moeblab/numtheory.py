@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, SizingError
 
 SIEVE_BLOCK = 1 << 20           # segment length; bounds transient memory
-DEFAULT_MEMORY_CAP = 1 << 31    # bytes for the value table
+DEFAULT_MEMORY_CAP = 1 << 31    # bytes for a value table or a dbar working set
 DEFAULT_CHARACTER_CAP = 100
 
 

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from moeblab import cli
 from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
 from moeblab.errors import ConjugacyError, DomainError, SizingError
+from moeblab.numtheory import DEFAULT_MEMORY_CAP
 
 SKEW_DESC = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 
@@ -192,24 +194,26 @@ GROUP_DESC = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
 SHIFT_DESC = {"kind": "shift", "weights": [0.5, 0.5], "horizon": 64}
 
 
-def _dbar_cases():
+def _dbar_cases(horizon=64):
     """label -> (system, one state) for each dbar_snapshots implementation:
     the isometric and the step-wise generic form, TorusSkew over T^1 and
     over Z/q, and the shift."""
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
+    shift = dy.make_system(dict(SHIFT_DESC, horizon=horizon))
     return {"rotation": (rot, np.zeros(())),
             "generic": (dy.conjugate_system(rot, np.asarray, np.asarray),
                         np.zeros(())),
             "skew2": (dy.make_system(SKEW_DESC), np.zeros(2)),
             "group_skew": (dy.make_system(GROUP_DESC), np.zeros(2)),
-            "shift": (dy.make_system(SHIFT_DESC), np.zeros(64, dtype=np.int8))}
+            "shift": (shift, np.zeros(horizon, dtype=np.int8))}
 
 
 @pytest.mark.parametrize("label", ["rotation", "generic", "skew2",
                                    "group_skew", "shift"])
-@pytest.mark.parametrize("p", [9000, 10 ** 6])
+@pytest.mark.parametrize("p", [9500, 10 ** 6])
 def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
-    # zero-copy states: only the estimate can refuse without allocating
+    # zero-copy states: only the estimate can refuse without allocating;
+    # p = 9500 is just past the isometric cap of 24 p^2 bytes
     system, state = _dbar_cases()[label]
     states = np.broadcast_to(state, (p,) + state.shape)
     tracemalloc.start()
@@ -226,21 +230,49 @@ class _Admitted(Exception):
     pass
 
 
-def test_cli_default_cloud_is_admitted(monkeypatch):
-    # the CLI's 2000 samples, to the shift's horizon: the estimate is asked
-    # and nothing is computed
-    asked = []
+_ADMIT = dy._admit
 
-    def admit(nbytes, kind, p, n_max):
-        asked.append(nbytes)
+
+def _admissions(monkeypatch, cases, p, ns):
+    """The estimate each case states for p states and these ns, each passed
+    through the real admission and then stopped: nothing is computed."""
+    asked = {}
+
+    def spy(nbytes, kind, p, n_max):
+        _ADMIT(nbytes, kind, p, n_max)
+        asked[label] = nbytes
         raise _Admitted
 
-    monkeypatch.setattr(dy, "_admit", admit)
-    for system, state in _dbar_cases().values():
-        states = np.broadcast_to(state, (2000,) + state.shape)
+    monkeypatch.setattr(dy, "_admit", spy)
+    for label, (system, state) in cases.items():
+        states = np.broadcast_to(state, (p,) + state.shape)
         with pytest.raises(_Admitted):
-            next(system.dbar_snapshots(states, [1, 2, 4, 8, 16, 32, 64]))
-    assert len(asked) == 5 and max(asked) <= dy.DBAR_MEMORY_CAP, asked
+            next(system.dbar_snapshots(states, ns))
+    return asked
+
+
+def test_cli_default_cloud_is_admitted(monkeypatch):
+    # the complexity command's default samples and ns, on a shift whose
+    # horizon reaches the last n
+    args = cli._build_parser().parse_args(["complexity", "--system", "s.json"])
+    ns = [int(n) for n in args.ns.split(",")]
+    asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
+                        args.samples, ns)
+    assert len(asked) == 5 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
+
+
+def test_isometric_snapshots_admitted_just_under_the_cap(monkeypatch):
+    # 24 p^2 bytes at p = 9400 is 1.97 GiB
+    rotation = {"rotation": _dbar_cases()["rotation"]}
+    asked = _admissions(monkeypatch, rotation, 9400, [1, 64])
+    assert asked == {"rotation": 24 * 9400 ** 2}
+
+
+def test_shift_estimate_does_not_grow_with_n_max(monkeypatch):
+    shift = {"shift": _dbar_cases(horizon=4096)["shift"]}
+    asked = [_admissions(monkeypatch, shift, 2000, ns)["shift"]
+             for ns in ([1, 64], [4096], range(1, 4097))]
+    assert asked == [(dy.SHIFT_BLOCK + 18) * 2000 ** 2] * 3
 
 
 def test_shift_step_refused_on_exhausted_window():

@@ -378,7 +378,7 @@ def _agreeing_windows(k, p, w, seed):
 
 
 @pytest.mark.parametrize("k", [2, 3, 16])
-@pytest.mark.parametrize("w", [1, 2, 127, 128, 129, 130, 256, 300])
+@pytest.mark.parametrize("w", [1, 2, 127, 128, 129, 130, 256, 300, 600])
 def test_streamed_shift_snapshots_equal_reference(k, w):
     system = dy.make_system({"kind": "shift", "weights": [1 / k] * k,
                              "horizon": w})
@@ -406,11 +406,28 @@ def test_agreeing_windows_reach_saturation_and_underflow():
     assert in_band and past_byte
 
 
-@pytest.mark.parametrize("p", [300, 400])
-def test_streamed_shift_snapshots_on_both_sides_of_the_row_chunk(p):
-    # at w = 300 the row chunk is 372 rows at p = 300 and 279 at p = 400
+@pytest.mark.parametrize("block", [1, 7, 106])
+def test_streamed_shift_snapshots_in_other_blocks(monkeypatch, block):
+    # down to one offset, and up to 106, the longest block whose exponents
+    # (at most the block and the 149 offsets looked ahead) fit a byte
+    monkeypatch.setattr(dy, "SHIFT_BLOCK", block)
     w = 300
-    assert ((1 << 25) // (p * w) >= p) == (p == 300)
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": w})
+    states = _agreeing_windows(2, 30, w, seed=block)
+    for ns in (list(range(1, w + 1)), [1, 8, 151, 152, 299]):
+        got = list(system.dbar_snapshots(states, ns))
+        ref = list(_ref_shift_snapshots(states, ns))
+        assert [n for n, _ in got] == [n for n, _ in ref] == ns
+        for (n, mat), (_, expect) in zip(got, ref):
+            assert np.array_equal(mat, expect), (ns, n)
+
+
+@pytest.mark.parametrize("p", [700, 800])
+def test_streamed_shift_snapshots_on_both_sides_of_the_row_chunk(p):
+    # the row chunk is 748 rows at p = 700 and 655 at p = 800
+    w = 300
+    assert ((1 << 19) // p >= p) == (p == 700)
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": w})
     states = _agreeing_windows(2, p, w, seed=p)
@@ -459,6 +476,15 @@ def test_shift_peak_does_not_grow_with_the_snapshots_asked_for():
     every = _traced_peak_mib(
         lambda: deque(system.dbar_snapshots(states, range(1, 15)), 0))
     assert abs(every - one) < 1.0, (one, every)
+
+
+def test_shift_peak_does_not_grow_with_n_max():
+    system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
+                             "horizon": 600})
+    states = system.sample(400, 4)
+    peaks = [_traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
+             for ns in ([dy.SHIFT_BLOCK], [600], range(1, 601))]
+    assert max(peaks) - min(peaks) < 1.0, peaks
 
 
 # ---------------------------------------------------------------------------
