@@ -1,6 +1,6 @@
 """Hot-loop kernels: pairwise averaged-metric accumulation, reduction mod
-1 and trig evaluation.  The torus kernel sweeps the upper triangle in
-strips of TORUS_BLOCK rows, so its scratch is O(TORUS_BLOCK * p) and each
+1 and trig evaluation.  The torus kernel sweeps a band of pairs in strips
+of TORUS_BLOCK rows, so its scratch is O(TORUS_BLOCK * width) and each
 strip stays in cache."""
 
 from __future__ import annotations
@@ -51,31 +51,67 @@ def accumulate_circle(xs: np.ndarray, dsum: np.ndarray) -> None:
         dsum += np.triu(d, 1)
 
 
-def accumulate_torus(ys: np.ndarray, dx: np.ndarray, dsum: np.ndarray) -> None:
-    """dsum[i,j] += sum over fibre rows y of max(dx[i,j], ||y_i - y_j||).
+def band_stops(x: np.ndarray, reach: float) -> np.ndarray:
+    """The band of the ascending circle points x in [0, 1) at `reach`: per
+    strip of TORUS_BLOCK rows, the exclusive end of its cyclic column run.
 
-    ys is (steps, p); dx is the fixed, exactly symmetric (p, p) base distance
-    of a skew product over an isometry; dsum is symmetric on entry and is
-    accumulated in place.  Each strip [r0, r1) of the upper triangle takes
-    every step on columns r0: while it stays in cache, then is mirrored
-    below the diagonal.  |y_i - y_j| and |y_j - y_i| are the same float, so
-    the mirror is exact: dsum stays exactly symmetric with a zero diagonal.
+    Row i takes the columns i+1, i+2, ... (mod p) while the forward arc
+    from x_i stays within reach + 2^-50; the margin covers the rounding of
+    the arcs and of the circle distances of the pairs, so every pair whose
+    float circle distance is below `reach` is held by at least one of its
+    rows.  A strip's run is the longest of its rows', capped at p columns.
     """
-    p = ys.shape[1]
-    d = np.empty((TORUS_BLOCK, p))
-    e = np.empty((TORUS_BLOCK, p))
-    for r0 in range(0, p, TORUS_BLOCK):
-        r1 = min(p, r0 + TORUS_BLOCK)
-        dd, ee = d[:r1 - r0, :p - r0], e[:r1 - r0, :p - r0]
-        strip, dxs = dsum[r0:r1, r0:], dx[r0:r1, r0:]
-        for row in ys:
-            np.subtract(row[r0:r1, None], row[None, r0:], out=dd)
-            np.abs(dd, out=dd)
-            np.subtract(1.0, dd, out=ee)
-            np.minimum(dd, ee, out=dd)
-            np.maximum(dd, dxs, out=dd)
-            np.add(strip, dd, out=strip)
-        dsum[r1:, r0:r1] = dsum[r0:r1, r1:].T
+    p = len(x)
+    starts = np.arange(0, p, TORUS_BLOCK)
+    ext = np.concatenate([x, x + 1.0])
+    ends = np.searchsorted(ext, x + (reach + 2.0 ** -50), side="right")
+    return np.minimum(np.maximum.reduceat(ends, starts), starts + 1 + p)
+
+
+def band_strips(stops: np.ndarray, p: int):
+    """(rows, cyclic columns) of each strip of a band of p points."""
+    for r0, stop in zip(range(0, p, TORUS_BLOCK), stops):
+        yield slice(r0, min(p, r0 + TORUS_BLOCK)), np.arange(r0 + 1, stop) % p
+
+
+def accumulate_torus(ys: np.ndarray, stops: np.ndarray, dx: np.ndarray,
+                     sums: np.ndarray) -> None:
+    """sums[i, c] += sum over fibre rows y of max(dx[i, c], ||y_i - y_j||)
+    for each pair (i, j) of the band, j the c-th column of row i's strip.
+
+    ys is (steps, p); stops are the band's strip ends (`band_stops`); dx,
+    the fixed base distance of a skew product over an isometry, and sums
+    are (p, width) in the same layout.  Each strip takes every step on its
+    columns while it stays in cache; the steps of a pair are added in
+    order, so its sum is the same float as a dense sweep's.  A pair held by
+    both of its rows gets the same sum twice: |y_i - y_j| and |y_j - y_i|
+    are the same float and dx is exactly symmetric.
+    """
+    for rows, cols in band_strips(stops, ys.shape[1]):
+        if not len(cols):
+            continue
+        dxs, strip = dx[rows, :len(cols)], sums[rows, :len(cols)]
+        yc = ys[:, cols]
+        d = np.empty(dxs.shape)
+        e = np.empty(dxs.shape)
+        for row, col in zip(ys[:, rows], yc):
+            np.subtract(row[:, None], col[None, :], out=d)
+            np.abs(d, out=d)
+            np.subtract(1.0, d, out=e)
+            np.minimum(d, e, out=d)
+            np.maximum(d, dxs, out=d)
+            np.add(strip, d, out=strip)
+
+
+def band_matrix(sums: np.ndarray, stops: np.ndarray, n: int, value,
+                out: np.ndarray) -> None:
+    """out[..., i, j] = out[..., j, i] = value(sums[i, c] / n) over the band,
+    block by block: value maps a (rows, cols) block of dbar_n to a
+    (..., rows, cols) one.  Entries off the band are left as they are."""
+    for rows, cols in band_strips(stops, out.shape[-1]):
+        block = value(sums[rows, :len(cols)] / n)
+        out[..., rows, cols] = block
+        out[..., cols, rows] = np.swapaxes(block, -1, -2)
 
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,

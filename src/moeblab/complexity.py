@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,15 +78,12 @@ def dbar_distance(system: SystemInstance, x, y, n: int) -> float:
     return total / n
 
 
-def _iter_dbar(cloud: OrbitCloud, n_list: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, dbar_n pairwise matrix) for ascending n in n_list, from the
-    system's `dbar_snapshots`: one snapshot for every n when the step is an
-    isometry, the fixed base distance of a skew over a rotation, and the
-    generic step-wise accumulation otherwise."""
+def _ns(n_list: Sequence[int]) -> list[int]:
+    """The distinct n of n_list, ascending; each must be positive."""
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise DomainError("n_list must contain positive integers")
-    yield from cloud.system.dbar_snapshots(cloud.states, ns)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,9 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray,
     """
     p = len(weights)
     uncovered = weights.astype(np.float64).copy()
-    ball_f = ball.astype(np.float64)      # cast once, not per lazy refresh
+    # cast once, not per lazy refresh; C order, so that BLAS sums each gain
+    # in one order whatever the layout of `ball`
+    ball_f = np.asarray(ball, dtype=np.float64, order="C")
     gains = ball_f @ uncovered
     chosen = []
     covered_count = 0
@@ -199,8 +198,8 @@ def covering_number(cloud: OrbitCloud, n: int, epsilon: float,
         raise DomainError(f"epsilon must be in (0,1), got {epsilon}")
     if method not in ("greedy", "exact"):
         raise DomainError(f"method must be 'greedy' or 'exact', got {method!r}")
-    _, dbar = next(iter(_iter_dbar(cloud, [n])))
-    ball = dbar < epsilon
+    (_, balls), = cloud.system.dbar_balls(cloud.states, _ns([n]), [epsilon])
+    ball = balls[0]
     if method == "exact":
         result = exact_cover(ball, cloud.weights, epsilon)
     else:
@@ -276,24 +275,24 @@ def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],
                        ) -> list[CoveringProfile]:
     """Greedy S_n over the n-grid for each epsilon, with growth readouts.
 
-    Distance snapshots are accumulated in one ascending pass over n_list
-    and shared by all epsilon values.
+    The balls of every epsilon come from one ascending pass over n_list
+    (`dbar_balls`); each n's are dropped before the next n's are built.
     """
     eps = [float(e) for e in epsilon_list]
     if any(not 0 < e < 1 for e in eps):
         raise DomainError("every epsilon must lie in (0,1)")
-    ns = sorted(set(int(n) for n in n_list))
+    ns = _ns(n_list)
     if sorted(n_list) != list(n_list):
         raise DomainError("n_list must be ascending")
     rows_per_eps: dict[float, list[ProfileRow]] = {e: [] for e in eps}
-    for n, dbar in _iter_dbar(cloud, ns):
-        for e in eps:
-            ball = dbar < e
-            res = greedy_cover(ball, cloud.weights, e)
+    for n, balls in cloud.system.dbar_balls(cloud.states, ns, eps):
+        for k, e in enumerate(eps):
+            res = greedy_cover(balls[k], cloud.weights, e)
             assert res.covered_mass > 1 - e - 1e-12
             rows_per_eps[e].append(ProfileRow(n=n, s_n=res.count,
                                               method="greedy",
                                               covered_mass=res.covered_mass))
+        del balls
     return [CoveringProfile(epsilon=e, rows=tuple(rows_per_eps[e]),
                             classification=_classify(rows_per_eps[e], tau))
             for e in eps]

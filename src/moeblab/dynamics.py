@@ -3,9 +3,10 @@
 One class per kind packages an iteration step, a metric, and a seeded
 sampler of an invariant measure, in both scalar and vectorised (bulk)
 form, together with what its structure gives: the averaged-metric
-snapshots (`dbar_snapshots`), the nearest covering centers of an orbit
-(`nearest_centers`), the closed-form orbit in trigonometric coordinates
-(`orbit_coords`) and the `isometric` flag, which only this module reads.
+snapshots (`dbar_snapshots`) and their eps-balls (`dbar_balls`), the
+nearest covering centers of an orbit (`nearest_centers`), the closed-form
+orbit in trigonometric coordinates (`orbit_coords`) and the `isometric`
+flag, which only this module reads.
 A bulk payload is one ndarray with one row per state: a (P,) array of
 circle positions, (P, 2) rows [g, y] on G x T^1 for a skew product, or
 the (P, w) windows of symbols ahead of each state for a shift.  The skew
@@ -27,7 +28,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import accumulate_torus, assign_nearest_circle, frac
+from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
+                       band_matrix, band_stops, band_strips, frac)
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError, SizingError
@@ -58,13 +60,16 @@ def _admit(nbytes: int, kind: str, p: int, n_max: int) -> None:
             f"{nbytes >> 20} MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
 
 
-def circle_dist_matrix(xs: np.ndarray) -> np.ndarray:
-    """Pairwise ||x_i - x_j|| on the circle for a vector of positions.
+def circle_dist_matrix(xs: np.ndarray, ys: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """Pairwise ||x_i - y_j|| on the circle for vectors of positions, ys = xs
+    by default.
 
     Positions are reduced mod 1 first: unreduced ones would give negative
     distances.  The reduction is the identity on [0, 1)."""
     xs = frac(np.asarray(xs, dtype=np.float64))
-    d = np.abs(xs[:, None] - xs[None, :])
+    ys = xs if ys is None else frac(np.asarray(ys, dtype=np.float64))
+    d = np.abs(xs[:, None] - ys[None, :])
     return np.minimum(d, 1.0 - d)
 
 
@@ -107,6 +112,13 @@ class SystemInstance:
             f"correlation orbits need trig coordinates; system kind "
             f"{self.kind!r} is not supported")
 
+    def _working_set(self, p: int, ns: Sequence[int]) -> int:
+        """Bytes `dbar_snapshots` holds for p states: in float64 (p, p)
+        matrices, three for an isometry's pairwise metric; six for the sum,
+        a snapshot and a skew product's metric, the largest a `Conjugated`
+        steps."""
+        return (24 if self.isometric else 48) * p * p
+
     def dbar_snapshots(self, states, ns: Sequence[int]
                        ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (n, dbar_n pairwise matrix) for the ascending positive ns.
@@ -114,12 +126,9 @@ class SystemInstance:
         An isometry keeps d(T^i x, T^i y) = d(x, y), so the one-step
         distance is dbar_n for every n: it is yielded, read-only, for each n.
         Generic form: the pairwise metric of the stepped states, summed.
-        Working sets, in float64 (p, p) matrices: three for an isometry's
-        pairwise metric; six for the sum, a snapshot and a skew product's
-        metric, the largest a `Conjugated` steps.
         """
         p = len(states)
-        _admit((24 if self.isometric else 48) * p * p, self.kind, p, max(ns))
+        _admit(self._working_set(p, ns), self.kind, p, max(ns))
         if self.isometric:
             d = self.pairwise_distance(states)
             d.flags.writeable = False
@@ -132,9 +141,32 @@ class SystemInstance:
                 dsum += self.pairwise_distance(states)
                 states = self.step_bulk(states)
                 done += 1
-            d = dsum / n
-            np.fill_diagonal(d, 0.0)
-            yield n, d
+            yield n, _zero_diagonal(dsum / n)
+
+    def dbar_balls(self, states, ns: Sequence[int], eps: Sequence[float]
+                   ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, balls) for the ascending positive ns: balls[k, i, j] is
+        dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
+        array in cloud order.
+
+        Generic form: each snapshot thresholded; an isometry's one snapshot
+        is thresholded once and its balls yielded, read-only, for every n.
+        No array yielded is held here once the next n is asked for.  The
+        working set is the snapshots' and the balls.
+        """
+        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
+        p = len(states)
+        _admit(self._working_set(p, ns) + len(eps) * p * p, self.kind, p,
+               max(ns))
+        snaps = self.dbar_snapshots(states, ns)
+        if self.isometric:
+            balls = next(snaps)[1] < eps
+            snaps.close()
+            balls.flags.writeable = False
+            yield from ((n, balls) for n in ns)
+            return
+        for n in ns:
+            yield n, next(snaps)[1] < eps
 
     def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
                         n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +245,7 @@ class TorusSkew(SystemInstance):
 
     The base rotation enters only through `_advance(g, i)` = g + i a,
     `_h(g)`, the fibre increment, `_point(g)`, g as a circle point, and
-    `_base_distance(g)`, the pairwise base distance.
+    `_base_distance(g, h)`, the base distances of g against h.
     """
 
     orbit_x0 = (0.1, 0.2)     # the start of "sampler": "orbit" without "x0"
@@ -236,8 +268,8 @@ class TorusSkew(SystemInstance):
     def _point(self, x):
         return x
 
-    def _base_distance(self, x) -> np.ndarray:
-        return circle_dist_matrix(x)
+    def _base_distance(self, x, z) -> np.ndarray:
+        return circle_dist_matrix(x, z)
 
     def step(self, state):
         g, y = state
@@ -282,32 +314,114 @@ class TorusSkew(SystemInstance):
             y = float(ys[-1])
             yield np.column_stack([self._point(g[1:]), frac(ys)])
 
-    def dbar_snapshots(self, states, ns):
-        """The base rotation is an isometry, so the base distance dx of a
-        pair is the same at every step and is computed once; each step adds
-        only max(dx, ||y_i - y_j||).  Against step-wise recomputation of the
-        rotated base coordinates the snapshots differ by float rounding alone
-        (a few 1e-15).  Snapshots are exactly symmetric with a zero diagonal.
-        The working set is four float64 (p, p) matrices while dx is built,
-        then dx, the sum and a snapshot, beside STEP_CHUNK fibre rows.
+    def _band_sums(self, states, ns, reach: float, held: int):
+        """Yield (n, order, stops, sums) for the ascending ns: the band sums
+        of every pair whose base distance is below `reach`, in strips of
+        TORUS_BLOCK rows of the cloud sorted by base point (`band_stops`).
+
+        The base rotation is an isometry, so the base distance dx of a pair
+        is the same at every step and each step adds max(dx, ||y_i - y_j||)
+        >= dx.  Each strip's dx comes from the exact `_base_distance`, and
+        the steps of a pair are added in order, so a band sum is the float a
+        dense sweep gives.  Against step-wise recomputation of the rotated
+        base coordinates dbar_n differs by float rounding alone (a few
+        1e-15).  At reach >= 1/2 the band is every pair: the upper triangle
+        in cloud order (order None), unsorted.
+
+        The working set, admitted before anything is allocated: dx and the
+        sums, (p, width) for the widest strip, STEP_CHUNK fibre rows, a
+        strip's scratch and `held` bytes of the caller's.
         """
         p = len(states)
-        _admit(32 * p * p + 8 * STEP_CHUNK * p, self.kind, p, max(ns))
         g = states[:, 0]
+        starts = np.arange(0, p, TORUS_BLOCK)
+        if reach >= 0.5:
+            order, stops = None, np.full(len(starts), p)
+        else:
+            x = frac(self._point(g))
+            order = np.argsort(x, kind="stable")
+            stops = band_stops(x[order], reach)
+        width = int(np.max(stops - starts)) - 1
+        _admit(16 * p * width + held + 8 * STEP_CHUNK * p
+               + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
+               self.kind, p, max(ns))
+        gs = g if order is None else g[order]
+        dx = np.zeros((p, width))
+        for rows, cols in band_strips(stops, p):
+            dx[rows, :len(cols)] = self._base_distance(gs[rows], gs[cols])
+        sums = np.zeros((p, width))
         y = frac(states[:, 1])
-        dx = self._base_distance(g)
-        dsum = np.zeros((p, p))
-        done = 0
         ys = np.empty((STEP_CHUNK, p))
+        done = 0
         for n in ns:
             while done < n:
                 chunk = min(STEP_CHUNK, n - done)
                 for s in range(chunk):
-                    ys[s] = y
+                    ys[s] = y if order is None else y[order]
                     y = frac(y + self._h(self._advance(g, done + s)))
-                accumulate_torus(ys[:chunk], dx, dsum)
+                accumulate_torus(ys[:chunk], stops, dx, sums)
                 done += chunk
-            yield n, dsum / n
+            yield n, order, stops, sums
+
+    def dbar_snapshots(self, states, ns):
+        """The band sums at full reach, every pair, in cloud order: exactly
+        symmetric with a zero diagonal.  Beside the band's, the working set
+        is a snapshot."""
+        p = len(states)
+        for n, _, stops, sums in self._band_sums(states, ns, math.inf,
+                                                 8 * p * p):
+            yield n, _band_snapshot(sums, stops, n, p)
+
+    def dbar_balls(self, states, ns, eps):
+        """The balls from the band at reach r = max(eps) (1 + n_max 2^-52).
+
+        A pair off the band has dx >= r, and each of its n step terms is
+        >= dx.  In floats the first addition (to 0) is exact; each later
+        one and the division by n lose at most a factor 1 + 2^-53, so
+        dbar_1 >= dx and dbar_n >= dx (1 + 2^-53)^-n.  r is a rounded
+        product: r >= max(eps), and r (1 + 2^-53) >= max(eps) (1 + n 2^-52).
+        As (1 + 2^-53)^(n+1) <= 1 + n 2^-52 for 2 <= n < 2^50, dbar_n >=
+        max(eps) at every n: the dense snapshot puts the pair in no ball
+        either, and every ball equals the dense threshold bit for bit.
+        Beside the band's, the working set is the balls in sorted order and
+        their row-permuted copy.
+        """
+        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
+        p = len(states)
+        reach = float(eps.max()) * (1.0 + max(ns) * 2.0 ** -52)
+        for n, order, stops, sums in self._band_sums(states, ns, reach,
+                                                     2 * len(eps) * p * p):
+            yield n, _band_balls(sums, stops, n, eps, order)
+
+
+def _zero_diagonal(d: np.ndarray) -> np.ndarray:
+    """d with its diagonal set to 0.  A generator that yields
+    `_zero_diagonal(...)` keeps no name for the snapshot, so once the
+    caller drops it, it is freed."""
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _band_snapshot(sums, stops, n, p) -> np.ndarray:
+    """dbar_n from the band sums of every pair in cloud order; the diagonal
+    is a zero sum or never written."""
+    d = np.zeros((p, p))
+    band_matrix(sums, stops, n, lambda block: block, d)
+    return d
+
+
+def _band_balls(sums, stops, n, eps, order) -> np.ndarray:
+    """The (len(eps), p, p) balls of the band in cloud order: False off the
+    band, True on the diagonal."""
+    p = len(sums)
+    balls = np.zeros((len(eps), p, p), dtype=bool)
+    band_matrix(sums, stops, n, lambda block: block < eps, balls)
+    balls[:, np.arange(p), np.arange(p)] = True
+    if order is None:
+        return balls
+    inv = np.argsort(order)
+    rows = np.take(balls, inv, axis=1)
+    return np.take(rows, inv, axis=2, out=balls)
 
 
 class GroupSkew(TorusSkew):
@@ -346,9 +460,9 @@ class GroupSkew(TorusSkew):
     def _point(self, g):
         return g / self.q
 
-    def _base_distance(self, g) -> np.ndarray:
-        """Exactly min(k, q - k)/q with k = (g_i - g_j) mod q."""
-        k = np.subtract.outer(g, g) % self.q
+    def _base_distance(self, g, h) -> np.ndarray:
+        """Exactly min(k, q - k)/q with k = (g_i - h_j) mod q."""
+        k = np.subtract.outer(g, h) % self.q
         return np.minimum(k, self.q - k) / self.q
 
     def _check_start(self, x0) -> None:
@@ -409,6 +523,9 @@ class Shift(SystemInstance):
             raise DomainError(f"shift window of {states.shape[1]} symbols exhausted")
         return states[:, 1:]
 
+    def _working_set(self, p, ns):
+        return (min(max(ns), SHIFT_BLOCK) + 18) * p * p
+
     def pairwise_distance(self, window) -> np.ndarray:
         p, w = window.shape
         # distance 2^-(first differing offset); right-to-left recurrence
@@ -432,8 +549,8 @@ class Shift(SystemInstance):
         n_max = max(ns)
         if n_max > w:
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
+        _admit(self._working_set(p, ns), self.kind, p, n_max)
         block = min(n_max, SHIFT_BLOCK)
-        _admit((block + 18) * p * p, self.kind, p, n_max)
         cols = np.ascontiguousarray(states.T)
         expo = np.empty((block, p, p), dtype=np.uint8)
         chunk = max(1, (1 << 19) // p)
@@ -457,10 +574,7 @@ class Shift(SystemInstance):
                 np.add(run, term, out=run)
                 if j + 1 in ns:
                     np.divide(run, np.float32(j + 1), out=term)
-                    d = term.astype(np.float64)
-                    np.fill_diagonal(d, 0.0)
-                    yield j + 1, d
-                    del d   # frees a snapshot the caller dropped before the next
+                    yield j + 1, _zero_diagonal(term.astype(np.float64))
 
 
 def orbit_states(system: SystemInstance, x0, count: int,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import unit
-from .complexity import greedy_cover, _iter_dbar, sample_cloud
+from .complexity import greedy_cover, sample_cloud
 from .dynamics import SystemInstance, make_system
 from .errors import DomainError, ParameterError, SizingError
 from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
@@ -225,8 +225,8 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     epsilon1 = min(epsilon ** 2, (epsilon / lip) ** 2) / 2
 
     cloud = sample_cloud(system, cloud_size, seed)
-    _, dbar_l = next(iter(_iter_dbar(cloud, [ell])))
-    cover = greedy_cover(dbar_l < epsilon1, cloud.weights, epsilon1)
+    (_, balls), = system.dbar_balls(cloud.states, [ell], [epsilon1])
+    cover = greedy_cover(balls[0], cloud.weights, epsilon1)
     centers = list(cover.centers)
     m_count = len(centers)
     budget = epsilon ** 3 * ell ** (delta / 20) / 2.0

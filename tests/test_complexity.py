@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_dbar_skew_matches_hand_computation():
 def test_dbar_snapshot_matrix_matches_scalar():
     cloud = cx.sample_cloud(SKEW, 10, seed=2)
     lst = SKEW.states_list(cloud.states)
-    for n, mat in cx._iter_dbar(cloud, [1, 3, 7]):
+    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 3, 7]):
         for i in range(10):
             for j in range(10):
                 expect = cx.dbar_distance(SKEW, lst[i], lst[j], n) if i != j else 0.0
@@ -61,7 +62,7 @@ def test_dbar_shift_profile_matches_scalar():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5], "horizon": 40})
     cloud = cx.sample_cloud(shift, 8, seed=5)
     mat0 = cloud.states
-    for n, mat in cx._iter_dbar(cloud, [1, 2, 6]):
+    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 2, 6]):
         for i in range(8):
             for j in range(8):
                 if i == j:
@@ -312,6 +313,22 @@ def test_greedy_tie_break_lowest_index():
     assert res.centers[0] == 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 4])
+def test_greedy_cover_independent_of_ball_layout(seed, n):
+    # a gain is a BLAS dot product, whose order of summation followed the
+    # layout of the ball; here the F-order ball picked other centers
+    system = EVERY_KIND["skew2"]
+    cloud = cx.sample_cloud(system, 150, seed)
+    (_, balls), = system.dbar_balls(cloud.states, [n], [0.2])
+    ball = balls[0]
+    wide = np.zeros((150, 300), dtype=bool)
+    wide[:, ::2] = ball
+    results = [cx.greedy_cover(b, cloud.weights, 0.2)
+               for b in (ball, np.asfortranarray(ball), wide[:, ::2])]
+    assert results[0] == results[1] == results[2]
+
+
 def test_doubling_radius_dominates_arbitrary_centers():
     # a hand-built eps-cover with centers OFF the cloud: greedy restricted
     # to cloud centers at radius 2*eps must not need more balls
@@ -356,6 +373,29 @@ def test_profile_shift_exponential():
     assert prof.classification.kind == "exponential"
     assert prof.classification.exp_rate > 0.2
     assert prof.classification.entropy_rate > 0.4
+
+
+@pytest.mark.parametrize("name", ["skew2", "group_skew", "shift",
+                                  "conjugated_skew"])
+def test_profile_drops_each_n_balls_before_the_next(name, monkeypatch):
+    # one n's balls at a time: each yielded array is dead once the
+    # profile asks for the next n
+    system = EVERY_KIND[name]
+    cloud = cx.sample_cloud(system, 60, 3)
+    real = system.dbar_balls
+    refs = []
+
+    def spy(states, ns, eps):
+        for item in real(states, ns, eps):
+            refs.append(weakref.ref(item[1]))
+            held = [item]
+            del item
+            yield held.pop()
+            assert all(ref() is None for ref in refs), len(refs)
+
+    monkeypatch.setattr(system, "dbar_balls", spy)
+    cx.complexity_profile(cloud, [0.1, 0.2], [1, 2, 4, 8])
+    assert len(refs) == 4
 
 
 def test_profile_requires_ascending_ns():

@@ -268,6 +268,66 @@ def test_isometric_snapshots_admitted_just_under_the_cap(monkeypatch):
     assert asked == {"rotation": 24 * 9400 ** 2}
 
 
+def test_cli_default_cloud_balls_are_admitted(monkeypatch):
+    # the balls the complexity command's profile asks for, on every kind
+    args = cli._build_parser().parse_args(["complexity", "--system", "s.json"])
+    ns = [int(n) for n in args.ns.split(",")]
+    eps = [float(e) for e in args.eps.split(",")]
+    asked = {}
+
+    def spy(nbytes, kind, p, n_max):
+        _ADMIT(nbytes, kind, p, n_max)
+        asked[label] = nbytes
+        raise _Admitted
+
+    monkeypatch.setattr(dy, "_admit", spy)
+    for label, (system, _) in _dbar_cases(horizon=max(ns)).items():
+        states = system.sample(args.samples, 0)
+        with pytest.raises(_Admitted):
+            next(system.dbar_balls(states, ns, eps))
+    assert len(asked) == 5 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
+
+
+def _band_estimate(monkeypatch, p, eps):
+    """The working set the balls of a sampled skew2 cloud of p states state,
+    and the tracemalloc peak of reaching that estimate."""
+    system = dy.make_system(SKEW_DESC)
+    states = system.sample(p, 0)
+    asked = []
+
+    def spy(nbytes, kind, p, n_max):
+        asked.append(nbytes)
+        _ADMIT(nbytes, kind, p, n_max)
+        raise _Admitted
+
+    monkeypatch.setattr(dy, "_admit", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises((_Admitted, SizingError)) as caught:
+            next(system.dbar_balls(states, [1, 64], eps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return asked[0], caught.type is SizingError, peak
+
+
+def test_band_admits_a_skew_cloud_the_dense_snapshots_refused(monkeypatch):
+    # the dense path stated 32 p^2 bytes and the fibre rows: 3071 MiB here
+    p = 10 ** 4
+    assert 32 * p * p + 8 * dy.STEP_CHUNK * p > DEFAULT_MEMORY_CAP
+    nbytes, refused, peak = _band_estimate(monkeypatch, p, [0.1, 0.2])
+    assert not refused and nbytes < DEFAULT_MEMORY_CAP // 2, nbytes
+    assert peak < 1 << 20, peak      # the sort; nothing of the working set
+
+
+def test_band_past_the_cap_is_refused(monkeypatch):
+    # the band sums alone, 8 p (0.45 p + 64) bytes, pass the cap
+    p = 3 * 10 ** 4
+    nbytes, refused, peak = _band_estimate(monkeypatch, p, [0.45])
+    assert refused and nbytes - 2 * p * p > DEFAULT_MEMORY_CAP, nbytes
+    assert peak < 4 << 20, peak
+
+
 def test_shift_estimate_does_not_grow_with_n_max(monkeypatch):
     shift = {"shift": _dbar_cases(horizon=4096)["shift"]}
     asked = [_admissions(monkeypatch, shift, 2000, ns)["shift"]

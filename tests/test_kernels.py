@@ -33,13 +33,36 @@ def test_circle_kernel_against_reference(circle_block):
     assert np.allclose(np.tril(dsum), 0.0)      # upper triangle only
 
 
+def _full_band(p):
+    """Strip ends of the band of every pair: the upper triangle."""
+    return np.full(len(range(0, p, kn.TORUS_BLOCK)), p)
+
+
+def _band_layout(dense, stops):
+    """A (p, p) matrix in the band's (p, width) layout."""
+    p = len(dense)
+    out = np.zeros((p, max(p - 1, 0)))
+    for rows, cols in kn.band_strips(stops, p):
+        out[rows, :len(cols)] = dense[rows][:, cols]
+    return out
+
+
+def _band_dense(stops, sums, n=1, fill=0.0):
+    """The band's dbar_n as a (p, p) matrix, `fill` off the band."""
+    out = np.full((len(sums), len(sums)), fill)
+    kn.band_matrix(sums, stops, n, lambda block: block, out)
+    return out
+
+
 def test_torus_kernel_against_reference(rng):
     xs = rng.random((9, 25))
     ys = rng.random((9, 25))
     dx = np.abs(xs[0][:, None] - xs[0][None, :])
     dx = np.minimum(dx, 1.0 - dx)
-    dsum = np.zeros((25, 25))
-    kn.accumulate_torus(ys, dx, dsum)
+    sums = np.zeros((25, 24))
+    stops = _full_band(25)
+    kn.accumulate_torus(ys, stops, _band_layout(dx, stops), sums)
+    dsum = _band_dense(stops, sums)
     ref = np.zeros((25, 25))
     for ry in ys:
         dy_ = np.abs(ry[:, None] - ry[None, :])
@@ -54,7 +77,7 @@ def test_rotation_fast_path_matches_scalar():
     rot = dy.make_system({"kind": "rotation", "alpha": "golden"})
     cloud = cx.sample_cloud(rot, 15, seed=8)
     lst = rot.states_list(cloud.states)
-    for n, mat in cx._iter_dbar(cloud, [1, 5, 13]):
+    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 5, 13]):
         for i in range(15):
             for j in range(i + 1, 15):
                 expect = cx.dbar_distance(rot, lst[i], lst[j], n)
@@ -68,7 +91,7 @@ def test_rotation_isometry_matches_stepwise_accumulation():
     rows = [cloud.states]
     while len(rows) < ns[-1]:
         rows.append(rot.step_bulk(rows[-1]))
-    for n, mat in cx._iter_dbar(cloud, ns):
+    for n, mat in cloud.system.dbar_snapshots(cloud.states, ns):
         dsum = np.zeros((50, 50))
         kn.accumulate_circle(np.stack(rows[:n]), dsum)
         expect = (dsum + dsum.T) / n
@@ -107,7 +130,7 @@ def test_skew_base_isometry_matches_stepwise_accumulation(descriptor):
     cloud = cx.sample_cloud(system, 60, seed=4)
     ns = [2 ** k for k in range(8)]
     expect = _stepwise_torus_reference(cloud, ns)
-    for n, mat in cx._iter_dbar(cloud, ns):
+    for n, mat in cloud.system.dbar_snapshots(cloud.states, ns):
         assert np.max(np.abs(mat - expect[n])) <= 1e-12, n
         for eps in (0.1, 0.2):
             assert np.array_equal(mat < eps, expect[n] < eps), (n, eps)
@@ -268,8 +291,9 @@ def test_rotation_nearest_centers_match_the_base_loop(ell):
     assert np.array_equal(j_fast[clear], j_base[clear])
 
 
-# the full-matrix kernel and the cube-based shift profiles that the strip
-# kernel and the offset-major profiles replaced, kept as the reference
+# the full-matrix kernel, the dense strip kernel and the cube-based shift
+# profiles that the strip kernel, the band kernel and the offset-major
+# profiles replaced, kept as the reference
 def _ref_accumulate_torus(ys, dx, dsum):
     p = ys.shape[1]
     d = np.empty((p, p))
@@ -281,6 +305,50 @@ def _ref_accumulate_torus(ys, dx, dsum):
         np.minimum(d, e, out=d)
         np.maximum(d, dx, out=d)
         np.add(dsum, d, out=dsum)
+
+
+def _ref_strip_kernel(ys, dx, dsum):
+    p = ys.shape[1]
+    d = np.empty((kn.TORUS_BLOCK, p))
+    e = np.empty((kn.TORUS_BLOCK, p))
+    for r0 in range(0, p, kn.TORUS_BLOCK):
+        r1 = min(p, r0 + kn.TORUS_BLOCK)
+        dd, ee = d[:r1 - r0, :p - r0], e[:r1 - r0, :p - r0]
+        strip, dxs = dsum[r0:r1, r0:], dx[r0:r1, r0:]
+        for row in ys:
+            np.subtract(row[r0:r1, None], row[None, r0:], out=dd)
+            np.abs(dd, out=dd)
+            np.subtract(1.0, dd, out=ee)
+            np.minimum(dd, ee, out=dd)
+            np.maximum(dd, dxs, out=dd)
+            np.add(strip, dd, out=strip)
+        dsum[r1:, r0:r1] = dsum[r0:r1, r1:].T
+
+
+def _ref_skew_sums(system, states, ns):
+    """(n, dense sums of every pair) of a skew product: the fixed base
+    distance of every pair and the dense strip kernel, step by step."""
+    g = states[:, 0]
+    y = kn.frac(states[:, 1])
+    dx = system._base_distance(g, g)
+    dsum = np.zeros((len(states), len(states)))
+    done = 0
+    for n in ns:
+        while done < n:
+            _ref_strip_kernel(y[None], dx, dsum)
+            y = kn.frac(y + system._h(system._advance(g, done)))
+            done += 1
+        yield n, dsum.copy()
+
+
+def _ref_balls(system, states, ns, eps):
+    """(n, balls) from the dense dbar_n, thresholded at each eps."""
+    if system.isometric:
+        dense = ((n, system.pairwise_distance(states)) for n in ns)
+    else:
+        dense = ((n, dsum / n) for n, dsum in _ref_skew_sums(system, states, ns))
+    for n, dbar in dense:
+        yield n, np.stack([dbar < e for e in eps])
 
 
 def _ref_shift_snapshots(states, ns):
@@ -320,18 +388,134 @@ def _circle_base_distance(x):
 
 @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130, 200])
 def test_torus_strips_equal_full_matrix_kernel(p):
-    # two calls into one dsum, as _skew_snapshots makes one per step chunk;
-    # p on both sides of the strip height and its multiples (last strips of
-    # 1, 63, 64, 1, 2 and 8 rows)
+    # the band of every pair; two calls into one sums, as the snapshots make
+    # one per step chunk; p on both sides of the strip height and its
+    # multiples (last strips of 1, 63, 64, 1, 2 and 8 rows)
     rng = np.random.default_rng(p)
     dx = _circle_base_distance(rng.random(p))
+    stops = _full_band(p)
+    dx_band = _band_layout(dx, stops)
     for steps in range(1, 10):
-        dsum, ref = np.zeros((p, p)), np.zeros((p, p))
+        sums, ref = np.zeros((p, max(p - 1, 0))), np.zeros((p, p))
         for _ in range(2):
             ys = rng.random((steps, p))
-            kn.accumulate_torus(ys, dx, dsum)
+            kn.accumulate_torus(ys, stops, dx_band, sums)
             _ref_accumulate_torus(ys, dx, ref)
-            assert np.array_equal(dsum, ref), (p, steps)
+            assert np.array_equal(_band_dense(stops, sums), ref), (p, steps)
+
+
+BAND_SYSTEMS = {
+    "rotation": {"kind": "rotation", "alpha": "sqrt2-1"},
+    "skew2": {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]},
+    "group_skew-circle": {"kind": "group_skew", "alpha": "golden",
+                          "h": [[1, 0.05, 0.0]]},
+    "group_skew-Zq": {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                      "h": [[1, 0.05, 0.0]]},
+}
+SKEW_BANDS = ["skew2", "group_skew-circle", "group_skew-Zq"]
+
+
+def _assert_balls_equal_reference(system, states, ns, eps):
+    got = list(system.dbar_balls(states, ns, eps))
+    assert [n for n, _ in got] == ns
+    for (n, balls), (_, expect) in zip(got, _ref_balls(system, states, ns, eps)):
+        assert balls.dtype == bool and balls.flags.c_contiguous
+        assert balls.shape == (len(eps), len(states), len(states))
+        assert np.array_equal(balls, expect), n
+
+
+@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.05], [0.3, 0.6]],
+                         ids=["band", "narrow", "whole-triangle"])
+@pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("name", sorted(BAND_SYSTEMS))
+def test_band_balls_equal_dense_threshold(name, p, eps):
+    # eps_max >= 1/2 is the band of every pair
+    system = dy.make_system(BAND_SYSTEMS[name])
+    _assert_balls_equal_reference(system, system.sample(p, p), [1, 2, 7, 16, 33],
+                                  eps)
+
+
+@pytest.mark.parametrize("reach", [0.05, 0.2, 0.45, 0.5, np.inf])
+@pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("name", SKEW_BANDS)
+def test_band_sums_equal_dense_sums(name, p, reach):
+    # every pair below the reach is held, with the dense sum's float
+    system = dy.make_system(BAND_SYSTEMS[name])
+    states = system.sample(p, p + 1)
+    ns = [1, 3, 40]
+    for (n, order, stops, sums), (_, dense) in zip(
+            system._band_sums(states, ns, reach, 0),
+            _ref_skew_sums(system, states, ns)):
+        perm = np.arange(p) if order is None else order
+        assert (order is None) == (reach >= 0.5)
+        got = _band_dense(stops, sums, fill=np.nan)
+        held = ~np.isnan(got)
+        assert np.array_equal(got[held], dense[np.ix_(perm, perm)][held]), n
+        g = states[perm, 0]
+        below = system._base_distance(g, g) < reach
+        np.fill_diagonal(below, False)
+        assert np.all(held[below]), n
+
+
+@pytest.mark.parametrize("name", SKEW_BANDS)
+def test_band_wraps_past_the_last_sorted_row(name):
+    system = dy.make_system(BAND_SYSTEMS[name])
+    states = system.sample(130, 5)
+    (_, order, stops, _), = system._band_sums(states, [1], 0.2, 0)
+    assert order is not None and stops[-1] > 130
+    _assert_balls_equal_reference(system, states, [1, 9, 64], [0.1, 0.2])
+
+
+_QUARTER_ULPS = [np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0)]
+
+
+@pytest.mark.parametrize("eps", _QUARTER_ULPS, ids=["below", "at", "above"])
+def test_band_balls_at_base_distance_eps_on_the_circle(eps):
+    # base points on a grid of 1/8 and one ulp either side of its points:
+    # base distances of exactly 1/4 and one ulp either side of it; the
+    # fibre moves little, so dbar_n stays near the base distance
+    system = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1",
+                             "h": [[1, 0.0, -0.001]]})
+    grid = np.arange(8) / 8
+    g = np.concatenate([grid, np.nextafter(grid, 1.0),
+                        np.nextafter(grid[1:], 0.0)])
+    states = np.column_stack([g, np.full(len(g), 0.3)])
+    dx = system._base_distance(g, g)
+    assert all(np.any(dx == d) for d in _QUARTER_ULPS)
+    _assert_balls_equal_reference(system, states, [1, 2, 3, 5, 64], [eps])
+    _assert_balls_equal_reference(system, states, [1, 7], [0.1, eps])
+
+
+@pytest.mark.parametrize("desc, g", [
+    ({"kind": "skew2", "alpha": "sqrt2-1", "h": []},
+     np.concatenate([np.linspace(0.0, 0.04, 63), [0.1, 0.2, 0.6]])),
+    ({"kind": "group_skew", "group": {"q": 100}, "a": 3, "h": []},
+     np.concatenate([np.arange(63) % 5, [10, 20, 60]])),
+], ids=["circle", "zq"])
+def test_band_keeps_pairs_whose_average_rounds_below_eps(desc, g):
+    # no fibre motion: dbar_n of the pair of rows 63 and 64 is n copies of
+    # dx = 0.1 = eps summed and divided by n, which rounds below 0.1 at
+    # n = 6..12: the pair is in a ball then, and only row 63, the last of
+    # its strip, can hold it, so the band must reach past eps
+    system = dy.make_system(desc)
+    states = np.column_stack([g, np.full(len(g), 0.3)])
+    assert system._base_distance(g[63:64], g[64:65])[0, 0] == 0.1
+    ns = [1, 5, 6, 10, 13]
+    dense = dict(_ref_balls(system, states, ns, [0.1]))
+    assert not dense[5][0, 63, 64] and dense[10][0, 63, 64]
+    _assert_balls_equal_reference(system, states, ns, [0.1])
+
+
+@pytest.mark.parametrize("q", [8, 12])
+@pytest.mark.parametrize("eps", _QUARTER_ULPS, ids=["below", "at", "above"])
+def test_band_balls_at_base_distance_eps_over_zq(q, eps):
+    # k/q = 1/4 for k = q/4: base distances of exactly eps
+    system = dy.make_system({"kind": "group_skew", "group": {"q": q}, "a": 5,
+                             "h": [[1, 0.001, 0.0]]})
+    states = system.sample(90, q)
+    g = states[:, 0]
+    assert np.any(system._base_distance(g, g) == 0.25)
+    _assert_balls_equal_reference(system, states, [1, 2, 3, 5, 64], [eps])
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.3, 0.5],
@@ -447,13 +631,17 @@ def _traced_peak_mib(fn):
 
 
 def test_torus_kernel_scratch_is_a_strip():
-    # the full-matrix kernel's two (p, p) scratch buffers were 16 MiB here
+    # the full-matrix kernel's two (p, p) scratch buffers were 16 MiB here;
+    # the band of every pair is the widest
     p = 1000
     rng = np.random.default_rng(11)
     dx = _circle_base_distance(rng.random(p))
     ys = rng.random((8, p))
-    dsum = np.zeros((p, p))
-    peak = _traced_peak_mib(lambda: kn.accumulate_torus(ys, dx, dsum))
+    stops = _full_band(p)
+    dx_band = _band_layout(dx, stops)
+    sums = np.zeros((p, p - 1))
+    peak = _traced_peak_mib(
+        lambda: kn.accumulate_torus(ys, stops, dx_band, sums))
     assert peak < 4.0, peak
 
 
