@@ -103,15 +103,23 @@ def accumulate_torus(ys: np.ndarray, stops: np.ndarray, dx: np.ndarray,
             np.add(strip, d, out=strip)
 
 
-def band_matrix(sums: np.ndarray, stops: np.ndarray, n: int, value,
-                out: np.ndarray) -> None:
-    """out[..., i, j] = out[..., j, i] = value(sums[i, c] / n) over the band,
-    block by block: value maps a (rows, cols) block of dbar_n to a
-    (..., rows, cols) one.  Entries off the band are left as they are."""
-    for rows, cols in band_strips(stops, out.shape[-1]):
-        block = value(sums[rows, :len(cols)] / n)
-        out[..., rows, cols] = block
-        out[..., cols, rows] = np.swapaxes(block, -1, -2)
+def band_matrix(sums: np.ndarray, stops: np.ndarray, n: int, eps: np.ndarray,
+                order: np.ndarray) -> np.ndarray:
+    """The balls sums[i, c] / n < eps[k] of the band of the points sorted
+    by `order`, for eps of shape (k, 1, 1): a C-contiguous (k, p, p) bool
+    array in the points' own order, False off the band, True on the
+    diagonal.  Beside it, one row-permuted copy is made."""
+    p = len(sums)
+    balls = np.zeros((len(eps), p, p), dtype=bool)
+    for rows, cols in band_strips(stops, p):
+        block = sums[rows, :len(cols)] / n < eps
+        balls[:, rows, cols] = block
+        balls[:, cols, rows] = np.swapaxes(block, 1, 2)
+    balls[:, np.arange(p), np.arange(p)] = True
+    inv = np.argsort(order)
+    permuted = np.take(balls, inv, axis=1)
+    # mode="clip": with the default mode, take buffers `out` in a copy
+    return np.take(permuted, inv, axis=2, out=balls, mode="clip")
 
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,

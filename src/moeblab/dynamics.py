@@ -2,11 +2,10 @@
 
 One class per kind packages an iteration step, a metric, and a seeded
 sampler of an invariant measure, in both scalar and vectorised (bulk)
-form, together with what its structure gives: the averaged-metric
-snapshots (`dbar_snapshots`) and their eps-balls (`dbar_balls`), the
-nearest covering centers of an orbit (`nearest_centers`), the closed-form
-orbit in trigonometric coordinates (`orbit_coords`) and the `isometric`
-flag, which only this module reads.
+form, together with what its structure gives: the eps-balls of the averaged
+metric (`dbar_balls`), the nearest covering centers of an orbit
+(`nearest_centers`) and the closed-form orbit in trigonometric
+coordinates (`orbit_coords`).
 A bulk payload is one ndarray with one row per state: a (P,) array of
 circle positions, (P, 2) rows [g, y] on G x T^1 for a skew product, or
 the (P, w) windows of symbols ahead of each state for a shift.  The skew
@@ -52,11 +51,11 @@ _HALVINGS[:_UNDERFLOW] = 2.0 ** -np.arange(_UNDERFLOW)
 
 
 def _admit(nbytes: int, kind: str, p: int, n_max: int) -> None:
-    """Refuse dbar snapshots whose working set of `nbytes` passes the
-    memory cap, before anything is allocated."""
+    """Refuse dbar balls whose working set of `nbytes` passes the memory
+    cap, before anything is allocated."""
     if nbytes > DEFAULT_MEMORY_CAP:
         raise SizingError(
-            f"dbar snapshots of {p} {kind} states up to n={n_max} need about "
+            f"dbar balls of {p} {kind} states up to n={n_max} need about "
             f"{nbytes >> 20} MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
 
 
@@ -87,8 +86,6 @@ class SystemInstance:
     """
 
     kind: str
-    # the step is an isometry of the metric, so dbar_n = d for every n
-    isometric = False
 
     def __init__(self, descriptor: dict, alpha: ExactAlpha | None = None,
                  h: FourierCocycle | None = None):
@@ -112,28 +109,31 @@ class SystemInstance:
             f"correlation orbits need trig coordinates; system kind "
             f"{self.kind!r} is not supported")
 
-    def _working_set(self, p: int, ns: Sequence[int]) -> int:
-        """Bytes `dbar_snapshots` holds for p states: in float64 (p, p)
-        matrices, three for an isometry's pairwise metric; six for the sum,
-        a snapshot and a skew product's metric, the largest a `Conjugated`
-        steps."""
-        return (24 if self.isometric else 48) * p * p
+    def dbar_balls(self, states, ns: Sequence[int], eps: Sequence[float]
+                   ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, balls) for the ascending positive ns: balls[k, i, j] is
+        dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
+        array in cloud order, True on the diagonal.
 
-    def dbar_snapshots(self, states, ns: Sequence[int]
-                       ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, dbar_n pairwise matrix) for the ascending positive ns.
+        Base form: the dense means of `_dbar_means` thresholded.  No array
+        yielded is held here once the next n is asked for.
+        """
+        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
+        p = len(states)
+        means = self._dbar_means(states, ns, len(eps) * p * p)
+        for n in ns:
+            yield n, _true_diagonal(next(means)[1] < eps)
 
-        An isometry keeps d(T^i x, T^i y) = d(x, y), so the one-step
-        distance is dbar_n for every n: it is yielded, read-only, for each n.
-        Generic form: the pairwise metric of the stepped states, summed.
+    def _dbar_means(self, states, ns: Sequence[int], held: int
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, dbar_n pairwise matrix) for the ascending positive ns,
+        once their working set and `held` bytes of the caller's are
+        admitted.  Generic form (`Conjugated`): the pairwise metric of the
+        stepped states, summed; six float64 (p, p) matrices, for the sum, a
+        mean and the metric's own.
         """
         p = len(states)
-        _admit(self._working_set(p, ns), self.kind, p, max(ns))
-        if self.isometric:
-            d = self.pairwise_distance(states)
-            d.flags.writeable = False
-            yield from ((n, d) for n in ns)
-            return
+        _admit(48 * p * p + held, self.kind, p, max(ns))
         dsum = np.zeros((p, p))
         done = 0
         for n in ns:
@@ -141,32 +141,7 @@ class SystemInstance:
                 dsum += self.pairwise_distance(states)
                 states = self.step_bulk(states)
                 done += 1
-            yield n, _zero_diagonal(dsum / n)
-
-    def dbar_balls(self, states, ns: Sequence[int], eps: Sequence[float]
-                   ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, balls) for the ascending positive ns: balls[k, i, j] is
-        dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
-        array in cloud order.
-
-        Generic form: each snapshot thresholded; an isometry's one snapshot
-        is thresholded once and its balls yielded, read-only, for every n.
-        No array yielded is held here once the next n is asked for.  The
-        working set is the snapshots' and the balls.
-        """
-        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
-        p = len(states)
-        _admit(self._working_set(p, ns) + len(eps) * p * p, self.kind, p,
-               max(ns))
-        snaps = self.dbar_snapshots(states, ns)
-        if self.isometric:
-            balls = next(snaps)[1] < eps
-            snaps.close()
-            balls.flags.writeable = False
-            yield from ((n, balls) for n in ns)
-            return
-        for n in ns:
-            yield n, next(snaps)[1] < eps
+            yield n, dsum / n
 
     def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
                         n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +173,6 @@ class Rotation(SystemInstance):
     """x -> x + alpha on the circle, an isometry of the circle metric."""
 
     kind = "rotation"
-    isometric = True
 
     def __init__(self, descriptor: dict):
         alpha = parse_alpha(descriptor["alpha"])
@@ -222,6 +196,18 @@ class Rotation(SystemInstance):
 
     def pairwise_distance(self, xs) -> np.ndarray:
         return circle_dist_matrix(xs)
+
+    def dbar_balls(self, states, ns, eps):
+        """An isometry keeps dbar_n = d for every n: the pairwise distance
+        is thresholded once and the same read-only balls are yielded for
+        each n.  Working set: the distance and its scratch, 24 p^2 bytes,
+        or the distance and the balls."""
+        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
+        p = len(states)
+        _admit(max(24, 8 + len(eps)) * p * p, self.kind, p, max(ns))
+        balls = self.pairwise_distance(states) < eps
+        balls.flags.writeable = False
+        yield from ((n, balls) for n in ns)
 
     def coords(self, xs) -> np.ndarray:
         return np.asarray(xs, dtype=np.float64)[:, None]
@@ -325,8 +311,8 @@ class TorusSkew(SystemInstance):
         the steps of a pair are added in order, so a band sum is the float a
         dense sweep gives.  Against step-wise recomputation of the rotated
         base coordinates dbar_n differs by float rounding alone (a few
-        1e-15).  At reach >= 1/2 the band is every pair: the upper triangle
-        in cloud order (order None), unsorted.
+        1e-15).  The reach is capped at 1/2: no base distance exceeds it,
+        and the forward half circle of each row holds every pair.
 
         The working set, admitted before anything is allocated: dx and the
         sums, (p, width) for the widest strip, STEP_CHUNK fibre rows, a
@@ -334,18 +320,14 @@ class TorusSkew(SystemInstance):
         """
         p = len(states)
         g = states[:, 0]
-        starts = np.arange(0, p, TORUS_BLOCK)
-        if reach >= 0.5:
-            order, stops = None, np.full(len(starts), p)
-        else:
-            x = frac(self._point(g))
-            order = np.argsort(x, kind="stable")
-            stops = band_stops(x[order], reach)
-        width = int(np.max(stops - starts)) - 1
+        x = frac(self._point(g))
+        order = np.argsort(x, kind="stable")
+        stops = band_stops(x[order], min(reach, 0.5))
+        width = int(np.max(stops - np.arange(0, p, TORUS_BLOCK))) - 1
         _admit(16 * p * width + held + 8 * STEP_CHUNK * p
                + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
                self.kind, p, max(ns))
-        gs = g if order is None else g[order]
+        gs = g[order]
         dx = np.zeros((p, width))
         for rows, cols in band_strips(stops, p):
             dx[rows, :len(cols)] = self._base_distance(gs[rows], gs[cols])
@@ -357,20 +339,11 @@ class TorusSkew(SystemInstance):
             while done < n:
                 chunk = min(STEP_CHUNK, n - done)
                 for s in range(chunk):
-                    ys[s] = y if order is None else y[order]
+                    ys[s] = y[order]
                     y = frac(y + self._h(self._advance(g, done + s)))
                 accumulate_torus(ys[:chunk], stops, dx, sums)
                 done += chunk
             yield n, order, stops, sums
-
-    def dbar_snapshots(self, states, ns):
-        """The band sums at full reach, every pair, in cloud order: exactly
-        symmetric with a zero diagonal.  Beside the band's, the working set
-        is a snapshot."""
-        p = len(states)
-        for n, _, stops, sums in self._band_sums(states, ns, math.inf,
-                                                 8 * p * p):
-            yield n, _band_snapshot(sums, stops, n, p)
 
     def dbar_balls(self, states, ns, eps):
         """The balls from the band at reach r = max(eps) (1 + n_max 2^-52).
@@ -381,47 +354,25 @@ class TorusSkew(SystemInstance):
         dbar_1 >= dx and dbar_n >= dx (1 + 2^-53)^-n.  r is a rounded
         product: r >= max(eps), and r (1 + 2^-53) >= max(eps) (1 + n 2^-52).
         As (1 + 2^-53)^(n+1) <= 1 + n 2^-52 for 2 <= n < 2^50, dbar_n >=
-        max(eps) at every n: the dense snapshot puts the pair in no ball
-        either, and every ball equals the dense threshold bit for bit.
-        Beside the band's, the working set is the balls in sorted order and
-        their row-permuted copy.
+        max(eps) at every n: the dense mean puts the pair in no ball
+        either, and every ball equals the dense threshold bit for bit.  At
+        r >= 1/2 no pair is off the band.  Beside the band's, the working
+        set is the balls in sorted order and their row-permuted copy.
         """
         eps = np.asarray(eps, dtype=np.float64)[:, None, None]
         p = len(states)
         reach = float(eps.max()) * (1.0 + max(ns) * 2.0 ** -52)
         for n, order, stops, sums in self._band_sums(states, ns, reach,
                                                      2 * len(eps) * p * p):
-            yield n, _band_balls(sums, stops, n, eps, order)
+            yield n, band_matrix(sums, stops, n, eps, order)
 
 
-def _zero_diagonal(d: np.ndarray) -> np.ndarray:
-    """d with its diagonal set to 0.  A generator that yields
-    `_zero_diagonal(...)` keeps no name for the snapshot, so once the
-    caller drops it, it is freed."""
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def _band_snapshot(sums, stops, n, p) -> np.ndarray:
-    """dbar_n from the band sums of every pair in cloud order; the diagonal
-    is a zero sum or never written."""
-    d = np.zeros((p, p))
-    band_matrix(sums, stops, n, lambda block: block, d)
-    return d
-
-
-def _band_balls(sums, stops, n, eps, order) -> np.ndarray:
-    """The (len(eps), p, p) balls of the band in cloud order: False off the
-    band, True on the diagonal."""
-    p = len(sums)
-    balls = np.zeros((len(eps), p, p), dtype=bool)
-    band_matrix(sums, stops, n, lambda block: block < eps, balls)
+def _true_diagonal(balls: np.ndarray) -> np.ndarray:
+    """balls, True on the diagonal.  A generator that yields it keeps no
+    name for the balls, so once the caller drops them, they are freed."""
+    p = balls.shape[-1]
     balls[:, np.arange(p), np.arange(p)] = True
-    if order is None:
-        return balls
-    inv = np.argsort(order)
-    rows = np.take(balls, inv, axis=1)
-    return np.take(rows, inv, axis=2, out=balls)
+    return balls
 
 
 class GroupSkew(TorusSkew):
@@ -523,9 +474,6 @@ class Shift(SystemInstance):
             raise DomainError(f"shift window of {states.shape[1]} symbols exhausted")
         return states[:, 1:]
 
-    def _working_set(self, p, ns):
-        return (min(max(ns), SHIFT_BLOCK) + 18) * p * p
-
     def pairwise_distance(self, window) -> np.ndarray:
         p, w = window.shape
         # distance 2^-(first differing offset); right-to-left recurrence
@@ -535,7 +483,7 @@ class Shift(SystemInstance):
             val = np.where(diff, 2.0 ** -j, val)
         return val
 
-    def dbar_snapshots(self, states, ns):
+    def _dbar_means(self, states, ns, held):
         """Two passes per block of SHIFT_BLOCK offsets below n_max.  Pass 1,
         right to left over the window transposed to (w, p) and chunked over
         rows, keeps per pair and offset j one byte e_j, the distance to the
@@ -543,14 +491,16 @@ class Shift(SystemInstance):
         virtual difference there: the e_j this shortens stay >= 150, where
         2^-e is 0 in float32.  Pass 2 adds 2^-e_j in ascending j into one
         float32 running sum, the additions of a cumulative sum, and yields
-        each n asked for.  Working set: the (block, p, p) bytes, two float32
-        and one float64 (p, p) matrices, and two bytes per pair of a chunk."""
+        each n's float32 mean in one reused matrix; a float64 eps compares
+        with it exactly.  Working set: the (block, p, p) bytes, two float32
+        (p, p) matrices, the 8-byte indices `np.take` makes of a block's
+        bytes, and two bytes per pair of a chunk."""
         p, w = states.shape
         n_max = max(ns)
         if n_max > w:
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
-        _admit(self._working_set(p, ns), self.kind, p, n_max)
         block = min(n_max, SHIFT_BLOCK)
+        _admit((block + 18) * p * p + held, self.kind, p, n_max)
         cols = np.ascontiguousarray(states.T)
         expo = np.empty((block, p, p), dtype=np.uint8)
         chunk = max(1, (1 << 19) // p)
@@ -574,7 +524,7 @@ class Shift(SystemInstance):
                 np.add(run, term, out=run)
                 if j + 1 in ns:
                     np.divide(run, np.float32(j + 1), out=term)
-                    yield j + 1, _zero_diagonal(term.astype(np.float64))
+                    yield j + 1, term
 
 
 def orbit_states(system: SystemInstance, x0, count: int,
@@ -728,7 +678,7 @@ class Conjugated(SystemInstance):
 
     def metric(self, s, t) -> float:
         # the pairwise metric on a two-state payload, so dbar_distance and
-        # the snapshots measure with the same metric
+        # the balls measure with the same metric
         return float(self.metric_matrix(np.array([s, t]))[0, 1])
 
     def sample(self, count: int, seed: int):

@@ -65,9 +65,3 @@ def m_pm1_fixture(depth: int = 20, tau: Fraction | int = 1
     h = cocycle_from_pairs(
         [(0, 0.0), (1, 0.2), (2, 0.04), (3, 0.01j), (4, 0.002)], tau=tau)
     return cf, res, h
-
-
-def smooth_skew_h() -> FourierCocycle:
-    """h(x) = 0.3 sin(2 pi x): the smooth skew-product driver."""
-    # 0.3 sin(2 pi x) = -0.15i e(x) + 0.15i e(-x)
-    return cocycle_from_pairs([(1, -0.15j)], tau=1)

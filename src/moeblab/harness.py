@@ -27,8 +27,8 @@ from ._kernels import unit
 from .complexity import greedy_cover, sample_cloud
 from .dynamics import SystemInstance, make_system
 from .errors import DomainError, ParameterError, SizingError
-from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
-                        mertens, mobius_non_pretentious)
+from .numtheory import (DEFAULT_MEMORY_CAP, MobiusTable, build_mobius_table,
+                        default_t_grid, mertens, mobius_non_pretentious)
 
 CHUNK = 1 << 15
 
@@ -205,7 +205,18 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     if f.sup_bound() > 1 + 1e-9:
         raise DomainError("observable must be bounded by 1 for the traced claims")
 
-    # first, as it also rejects systems with no closed-form orbit
+    # the orbit rows T^1 x0 .. T^{N+L} x0, as chunks and concatenated, the
+    # nearest-center search's scratch, at most 144 bytes a point (the sorted
+    # circle search; the generic search's is bounded by its chunk), and the
+    # center trajectories, as rows and stacked; a system with no closed-form
+    # orbit is rejected here
+    dim = next(system.orbit_coords(x0, 1, 1)).shape[1]
+    nbytes = (16 * dim + 144) * (n_total + ell) + 16 * dim * cloud_size * ell
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise SizingError(
+            f"block trace of N={n_total}, L={ell} needs about {nbytes >> 20} "
+            f"MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
+
     orbit_avg = correlation_sum(table, system, f, x0, [n_total]).values[0]
 
     w_param = ell ** delta

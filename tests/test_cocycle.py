@@ -38,11 +38,16 @@ def test_from_pairs_symmetrises_and_fits_constant():
 
 
 def test_evaluate_real_trig():
-    # h(x) = 0.3 cos(2 pi x) via hhat(+-1) = 0.15
-    h = cc.cocycle_from_pairs([(1, 0.15)], tau=1)
-    xs = np.linspace(0, 1, 7, endpoint=False)
-    assert np.allclose(h.evaluate(xs), 0.3 * np.cos(2 * np.pi * xs), atol=1e-12)
-    assert h.lipschitz_bound() == pytest.approx(2 * 2 * math.pi * 0.15)
+    # h(x) = 0.3 cos(2 pi x) via hhat(+-1) = 0.15, and 0.3 sin(2 pi x) via
+    # hhat(1) = -0.15i, hhat(-1) = 0.15i
+    for coeff, trig in ((0.15, np.cos), (-0.15j, np.sin)):
+        h = cc.cocycle_from_pairs([(1, coeff)], tau=1)
+        assert h.coefficients[1] == coeff
+        for k in (7, 9):
+            xs = np.linspace(0, 1, k, endpoint=False)
+            assert np.allclose(h.evaluate(xs), 0.3 * trig(2 * np.pi * xs),
+                               atol=1e-12), (coeff, k)
+        assert h.lipschitz_bound() == pytest.approx(2 * 2 * math.pi * 0.15)
 
 
 def test_envelope_cocycle_shape():
@@ -139,14 +144,6 @@ def test_tail_case_classification(resonant):
 # ---------------------------------------------------------------------------
 # Birkhoff sums
 # ---------------------------------------------------------------------------
-
-def test_smooth_skew_helper_coefficients():
-    # 0.3 sin(2 pi x) corresponds to hhat(1) = -0.15i
-    h = fx.smooth_skew_h()
-    assert h.coefficients[1] == -0.15j
-    xs = np.linspace(0, 1, 9, endpoint=False)
-    assert np.allclose(h.evaluate(xs), 0.3 * np.sin(2 * np.pi * xs), atol=1e-12)
-
 
 def test_birkhoff_zero_steps():
     h = cc.cocycle_from_pairs([(1, 0.15)], tau=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeblab import _kernels as kn
 from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
@@ -48,10 +50,37 @@ def test_dbar_skew_matches_hand_computation():
     assert cx.dbar_distance(SKEW, x, y, 8) == pytest.approx(total / 8, abs=1e-12)
 
 
+def _dbar_matrices(system, states, ns):
+    """(n, dbar_n) in cloud order from what each kind's balls read: the
+    rotation's pairwise distance, a skew product's band sums at reach 1/2
+    (every pair), and the dense means of the shift and of `Conjugated`."""
+    if isinstance(system, dy.Rotation):
+        yield from ((n, system.pairwise_distance(states)) for n in ns)
+    elif isinstance(system, dy.TorusSkew):
+        for n, order, stops, sums in system._band_sums(states, ns, 0.5, 0):
+            mat = np.zeros((len(states), len(states)))
+            for rows, cols in kn.band_strips(stops, len(states)):
+                block = sums[rows, :len(cols)] / n
+                mat[order[rows][:, None], order[cols]] = block
+                mat[order[cols][:, None], order[rows]] = block.T
+            yield n, mat
+    else:
+        # the shift's float32 mean is one reused matrix: copied, widened
+        yield from ((n, mean.astype(np.float64))
+                    for n, mean in system._dbar_means(states, ns, 0))
+
+
+def _thresholds(mat, eps):
+    """The balls of a dbar_n matrix: mat < eps, True on the diagonal."""
+    balls = np.stack([mat < e for e in eps])
+    balls[:, np.arange(len(mat)), np.arange(len(mat))] = True
+    return balls
+
+
 def test_dbar_snapshot_matrix_matches_scalar():
     cloud = cx.sample_cloud(SKEW, 10, seed=2)
     lst = SKEW.states_list(cloud.states)
-    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 3, 7]):
+    for n, mat in _dbar_matrices(SKEW, cloud.states, [1, 3, 7]):
         for i in range(10):
             for j in range(10):
                 expect = cx.dbar_distance(SKEW, lst[i], lst[j], n) if i != j else 0.0
@@ -62,7 +91,7 @@ def test_dbar_shift_profile_matches_scalar():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5], "horizon": 40})
     cloud = cx.sample_cloud(shift, 8, seed=5)
     mat0 = cloud.states
-    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 2, 6]):
+    for n, mat in _dbar_matrices(shift, cloud.states, [1, 2, 6]):
         for i in range(8):
             for j in range(8):
                 if i == j:
@@ -120,20 +149,27 @@ EVERY_KIND = {
        seed=st.integers(0, 2 ** 16),
        ns=st.sets(st.integers(1, 20), min_size=1, max_size=5))
 def test_dbar_snapshots_of_every_kind(name, p, seed, ns):
-    # exactly symmetric, zero diagonal, and the scalar dbar_n on sampled
-    # pairs (the shift path sums in float32)
+    # what each kind's balls read is exactly symmetric, holds the scalar
+    # dbar_n on sampled pairs and on the diagonal (0, but for the shift's
+    # window end; the shift path sums in float32), and its threshold is
+    # the balls, True on the diagonal
     system = EVERY_KIND[name]
     states = system.sample(p, seed)
     lst = system.states_list(states)
     pairs = np.random.default_rng(seed).integers(0, p, (4, 2))
+    pairs = np.concatenate([pairs, pairs[:, :1].repeat(2, axis=1)])
     tol = {"rel": 1e-6} if name == "shift" else {"abs": 1e-10}
-    for n, mat in system.dbar_snapshots(states, sorted(ns)):
+    eps = [0.1, 0.3]
+    ns = sorted(ns)
+    for (n, mat), (_, balls) in zip(_dbar_matrices(system, states, ns),
+                                    system.dbar_balls(states, ns, eps)):
         assert np.array_equal(mat, mat.T), n
-        assert np.all(np.diag(mat) == 0.0), n
+        if name != "shift":
+            assert np.all(np.diag(mat) == 0.0), n
+        assert np.array_equal(balls, _thresholds(mat, eps)), n
         for i, j in pairs:
-            if i != j:
-                expect = cx.dbar_distance(system, lst[i], lst[j], n)
-                assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
+            expect = cx.dbar_distance(system, lst[i], lst[j], n)
+            assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 100])
@@ -144,22 +180,29 @@ def test_skew_snapshots_independent_of_step_chunk(name, chunk, monkeypatch):
     system = EVERY_KIND[name]
     states = system.sample(70, 7)
     ns = [1, 255, 256, 257, 300, 513]
-    expect = [mat.tobytes() for _, mat in system.dbar_snapshots(states, ns)]
+
+    def run():
+        sums = [mat.tobytes() for _, mat in _dbar_matrices(system, states, ns)]
+        balls = [b.tobytes() for _, b in system.dbar_balls(states, ns, [0.1, 0.2])]
+        return sums, balls
+
+    expect = run()
     monkeypatch.setattr(dy, "STEP_CHUNK", chunk)
-    got = [mat.tobytes() for _, mat in system.dbar_snapshots(states, ns)]
-    assert got == expect
+    assert run() == expect
 
 
 def test_conjugated_scalar_metric_is_its_own_metric():
     # dbar_distance steps the scalar metric given with the conjugation,
-    # the one the snapshots use, not the base rotation's circle metric
+    # the one the balls use, not the base rotation's circle metric
     states = FAMILY_ROT.sample(20, 3)
     lst = FAMILY_ROT.states_list(states)
-    (_, mat), = FAMILY_ROT.dbar_snapshots(states, [3])
+    (_, mat), = FAMILY_ROT._dbar_means(states, [3], 0)
     for i in range(20):
         for j in range(i + 1, 20):
             expect = cx.dbar_distance(FAMILY_ROT, lst[i], lst[j], 3)
             assert mat[i, j] == pytest.approx(expect, abs=1e-12), (i, j)
+    (_, balls), = FAMILY_ROT.dbar_balls(states, [3], [0.05, 0.1])
+    assert np.array_equal(balls, _thresholds(mat, [0.05, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +370,42 @@ def test_greedy_cover_independent_of_ball_layout(seed, n):
     results = [cx.greedy_cover(b, cloud.weights, 0.2)
                for b in (ball, np.asfortranarray(ball), wide[:, ::2])]
     assert results[0] == results[1] == results[2]
+
+
+class _CastReached(Exception):
+    pass
+
+
+class _NumpyStoppingAtTheCast:
+    """numpy, but for `asarray`, which stops greedy_cover at its cast."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def asarray(self, *args, **kwargs):
+        raise _CastReached
+
+
+@pytest.mark.parametrize("p", [16384, 16385])
+def test_greedy_cover_cast_refused_past_the_cap(p, monkeypatch):
+    # the float64 cast of a zero-copy ball is 8 p^2 bytes: 2 GiB, the cap,
+    # at p = 16384; past it, refused before anything of p^2 is allocated.
+    # The cast itself is never made: reaching it is admission.
+    ball = np.broadcast_to(True, (p, p))
+    weights = np.broadcast_to(1.0 / p, (p,))
+    monkeypatch.setattr(cx, "np", _NumpyStoppingAtTheCast())
+    if p == 16384:
+        with pytest.raises(_CastReached):
+            cx.greedy_cover(ball, weights, 0.1)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            cx.greedy_cover(ball, weights, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_doubling_radius_dominates_arbitrary_centers():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -195,9 +196,9 @@ SHIFT_DESC = {"kind": "shift", "weights": [0.5, 0.5], "horizon": 64}
 
 
 def _dbar_cases(horizon=64):
-    """label -> (system, one state) for each dbar_snapshots implementation:
-    the isometric and the step-wise generic form, TorusSkew over T^1 and
-    over Z/q, and the shift."""
+    """label -> (system, one state) for each dbar_balls implementation: the
+    rotation's, the step-wise generic form, TorusSkew over T^1 and over
+    Z/q, and the shift."""
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
     shift = dy.make_system(dict(SHIFT_DESC, horizon=horizon))
     return {"rotation": (rot, np.zeros(())),
@@ -213,17 +214,21 @@ def _dbar_cases(horizon=64):
 @pytest.mark.parametrize("p", [9500, 10 ** 6])
 def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
     # zero-copy states: only the estimate can refuse without allocating;
-    # p = 9500 is just past the isometric cap of 24 p^2 bytes
+    # p = 9500 is just past the rotation's cap of 24 p^2 bytes, and past a
+    # skew product's of 16 p^2 for its band of every pair (the states are
+    # one point) and 2 p^2 for each of four balls.  A skew product sorts
+    # its base points before it knows its band, 56 bytes a state.
     system, state = _dbar_cases()[label]
     states = np.broadcast_to(state, (p,) + state.shape)
     tracemalloc.start()
     try:
         with pytest.raises(SizingError, match="over the cap"):
-            next(system.dbar_snapshots(states, [1, 64]))
+            next(system.dbar_balls(states, [1, 64], [0.1, 0.2, 0.3, 0.4]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20, (label, peak)
+    limit = 64 * p if label in ("skew2", "group_skew") else 1 << 20
+    assert peak < limit, (label, peak)
 
 
 class _Admitted(Exception):
@@ -233,9 +238,10 @@ class _Admitted(Exception):
 _ADMIT = dy._admit
 
 
-def _admissions(monkeypatch, cases, p, ns):
-    """The estimate each case states for p states and these ns, each passed
-    through the real admission and then stopped: nothing is computed."""
+def _admissions(monkeypatch, cases, p, ns, eps=(0.1,)):
+    """The estimate each case's balls state for p states, these ns and eps,
+    each passed through the real admission and then stopped: nothing is
+    computed."""
     asked = {}
 
     def spy(nbytes, kind, p, n_max):
@@ -247,8 +253,34 @@ def _admissions(monkeypatch, cases, p, ns):
     for label, (system, state) in cases.items():
         states = np.broadcast_to(state, (p,) + state.shape)
         with pytest.raises(_Admitted):
-            next(system.dbar_snapshots(states, ns))
+            next(system.dbar_balls(states, ns, eps))
     return asked
+
+
+@pytest.mark.parametrize("eps", [[0.1], [0.1, 0.2, 0.3], [0.6]],
+                         ids=["one", "three", "wide"])
+@pytest.mark.parametrize("label", ["rotation", "generic", "skew2",
+                                   "group_skew", "shift"])
+def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
+    # what each kind admits is at least what its balls allocate, but for
+    # the (p,) vectors beside them
+    system, _ = _dbar_cases()[label]
+    p = 600
+    states = system.sample(p, 1)
+    asked = []
+
+    def spy(nbytes, kind, p, n_max):
+        asked.append(nbytes)
+        _ADMIT(nbytes, kind, p, n_max)
+
+    monkeypatch.setattr(dy, "_admit", spy)
+    tracemalloc.start()
+    try:
+        deque(system.dbar_balls(states, [1, 2, 8, 64], eps), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(asked) == 1 and peak <= asked[0] + 64 * p, (asked, peak)
 
 
 def test_cli_default_cloud_is_admitted(monkeypatch):
@@ -262,9 +294,11 @@ def test_cli_default_cloud_is_admitted(monkeypatch):
 
 
 def test_isometric_snapshots_admitted_just_under_the_cap(monkeypatch):
-    # 24 p^2 bytes at p = 9400 is 1.97 GiB
+    # 24 p^2 bytes at p = 9400 is 1.97 GiB: the rotation's distance matrix
+    # and its scratch, which up to 16 eps outweigh the matrix and the balls
     rotation = {"rotation": _dbar_cases()["rotation"]}
-    asked = _admissions(monkeypatch, rotation, 9400, [1, 64])
+    asked = _admissions(monkeypatch, rotation, 9400, [1, 64],
+                        [0.05 * k for k in range(1, 17)])
     assert asked == {"rotation": 24 * 9400 ** 2}
 
 
@@ -332,7 +366,7 @@ def test_shift_estimate_does_not_grow_with_n_max(monkeypatch):
     shift = {"shift": _dbar_cases(horizon=4096)["shift"]}
     asked = [_admissions(monkeypatch, shift, 2000, ns)["shift"]
              for ns in ([1, 64], [4096], range(1, 4097))]
-    assert asked == [(dy.SHIFT_BLOCK + 18) * 2000 ** 2] * 3
+    assert asked == [(dy.SHIFT_BLOCK + 18 + 1) * 2000 ** 2] * 3
 
 
 def test_shift_step_refused_on_exhausted_window():
@@ -350,8 +384,8 @@ def test_scalar_shift_step_refused_on_exhausted_window():
     s, t = shift.sample(2, 0)
     with pytest.raises(DomainError, match="exhausted"):
         shift.step(s[3:])
-    # the window carries dbar_n up to n = horizon, as the snapshots do
-    _, d4 = next(shift.dbar_snapshots(np.array([s, t]), [4]))
+    # the window carries dbar_n up to n = horizon, as the balls' means do
+    _, d4 = next(shift._dbar_means(np.array([s, t]), [4], 0))
     assert cx.dbar_distance(shift, s, t, 4) == pytest.approx(d4[0, 1], rel=1e-6)
     with pytest.raises(DomainError, match="exhausted"):
         cx.dbar_distance(shift, s, t, 10)
@@ -361,9 +395,9 @@ def test_shift_snapshots_refused_past_window():
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                             "horizon": 8})
     states = shift.step_bulk(shift.sample(4, 0))     # windows of 7 symbols
-    assert [n for n, _ in shift.dbar_snapshots(states, [1, 7])] == [1, 7]
+    assert [n for n, _ in shift.dbar_balls(states, [1, 7], [0.1])] == [1, 7]
     with pytest.raises(DomainError, match="too short"):
-        next(shift.dbar_snapshots(states, [2, 8]))
+        next(shift.dbar_balls(states, [2, 8], [0.1]))
 
 
 # ---------------------------------------------------------------------------

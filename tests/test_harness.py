@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,35 @@ def test_block_trace_parameter_errors(table_100k):
         hx.block_decomposition_trace(table_100k, ROT, [[1, 2.0, 0.0]], 0.1,
                                      ell=16, delta=0.001, epsilon=0.3,
                                      n_total=1000)
+
+
+@pytest.mark.parametrize("system, f, x0", [
+    (ROT, [[1, 0.5, 0.0]], 0.1),
+    (SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6)),
+], ids=["rotation", "skew2"])
+def test_block_trace_refused_from_the_estimate_alone(system, f, x0,
+                                                     monkeypatch):
+    # 10^9 orbit points over a zero-copy table: refused before the
+    # correlation sum (here stopped, were it reached) or any orbit row
+    def reached(*args):
+        raise AssertionError("the correlation sum was reached")
+
+    monkeypatch.setattr(hx, "correlation_sum", reached)
+    n_total, ell = 10 ** 9, 16
+    table = nt.MobiusTable(
+        limit=n_total + ell,
+        values=np.broadcast_to(np.int8(1), (n_total + ell + 1,)),
+        primes=np.empty(0, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            hx.block_decomposition_trace(table, system, f, x0, ell=ell,
+                                         delta=0.001, epsilon=0.3,
+                                         n_total=n_total, cloud_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,21 @@ def _band_layout(dense, stops):
 
 def _band_dense(stops, sums, n=1, fill=0.0):
     """The band's dbar_n as a (p, p) matrix, `fill` off the band."""
-    out = np.full((len(sums), len(sums)), fill)
-    kn.band_matrix(sums, stops, n, lambda block: block, out)
+    p = len(sums)
+    out = np.full((p, p), fill)
+    for rows, cols in kn.band_strips(stops, p):
+        block = sums[rows, :len(cols)] / n
+        out[rows, cols] = block
+        out[cols, rows] = block.T
     return out
+
+
+def _band_dbar(system, states, ns):
+    """(n, dbar_n) in cloud order from the band sums of a skew product's
+    balls at reach 1/2, where the band holds every pair."""
+    for n, order, stops, sums in system._band_sums(states, ns, 0.5, 0):
+        inv = np.argsort(order)
+        yield n, _band_dense(stops, sums, n)[np.ix_(inv, inv)]
 
 
 def test_torus_kernel_against_reference(rng):
@@ -74,14 +86,17 @@ def test_torus_kernel_against_reference(rng):
 
 
 def test_rotation_fast_path_matches_scalar():
+    # the rotation's balls threshold its pairwise distance at every n
     rot = dy.make_system({"kind": "rotation", "alpha": "golden"})
     cloud = cx.sample_cloud(rot, 15, seed=8)
     lst = rot.states_list(cloud.states)
-    for n, mat in cloud.system.dbar_snapshots(cloud.states, [1, 5, 13]):
+    mat = rot.pairwise_distance(cloud.states)
+    for n in [1, 5, 13]:
         for i in range(15):
             for j in range(i + 1, 15):
                 expect = cx.dbar_distance(rot, lst[i], lst[j], n)
                 assert mat[i, j] == pytest.approx(expect, abs=1e-10)
+    _assert_balls_equal_reference(rot, cloud.states, [1, 5, 13], [0.1, 0.3])
 
 
 def test_rotation_isometry_matches_stepwise_accumulation():
@@ -91,13 +106,15 @@ def test_rotation_isometry_matches_stepwise_accumulation():
     rows = [cloud.states]
     while len(rows) < ns[-1]:
         rows.append(rot.step_bulk(rows[-1]))
-    for n, mat in cloud.system.dbar_snapshots(cloud.states, ns):
+    mat = rot.pairwise_distance(cloud.states)
+    for n, balls in rot.dbar_balls(cloud.states, ns, [0.1, 0.2]):
         dsum = np.zeros((50, 50))
         kn.accumulate_circle(np.stack(rows[:n]), dsum)
         expect = (dsum + dsum.T) / n
         assert np.max(np.abs(mat - expect)) <= 1e-12, n
-        for eps in (0.1, 0.2):
+        for k, eps in enumerate((0.1, 0.2)):
             assert np.array_equal(mat < eps, expect < eps), (n, eps)
+            assert np.array_equal(balls[k], expect < eps), (n, eps)
 
 
 def _stepwise_torus_reference(cloud, ns):
@@ -130,10 +147,13 @@ def test_skew_base_isometry_matches_stepwise_accumulation(descriptor):
     cloud = cx.sample_cloud(system, 60, seed=4)
     ns = [2 ** k for k in range(8)]
     expect = _stepwise_torus_reference(cloud, ns)
-    for n, mat in cloud.system.dbar_snapshots(cloud.states, ns):
+    for (n, mat), (_, balls) in zip(_band_dbar(system, cloud.states, ns),
+                                    system.dbar_balls(cloud.states, ns,
+                                                      [0.1, 0.2])):
         assert np.max(np.abs(mat - expect[n])) <= 1e-12, n
-        for eps in (0.1, 0.2):
+        for k, eps in enumerate((0.1, 0.2)):
             assert np.array_equal(mat < eps, expect[n] < eps), (n, eps)
+            assert np.array_equal(balls[k], expect[n] < eps), (n, eps)
         assert np.array_equal(mat, mat.T), n
         assert np.all(np.diag(mat) == 0.0), n
 
@@ -214,20 +234,23 @@ def test_rotation_assignment_matches_l_step_average(ell):
 
 @pytest.mark.parametrize("p", [1, 2, 50, 1000])
 def test_rotation_snapshot_is_the_one_row_circle_kernel(p):
-    # the base-class isometry snapshot equals the one-row circle kernel,
-    # mirrored, bit for bit, and is the same read-only matrix for every n
+    # the rotation's pairwise distance equals the one-row circle kernel,
+    # mirrored, bit for bit, and its balls are the same read-only array
+    # for every n
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
     states = rot.sample(p, seed=p)
     dsum = np.zeros((p, p))
     kn.accumulate_circle(states[None, :], dsum)
-    expect = (dsum + dsum.T).tobytes()
-    snaps = list(rot.dbar_snapshots(states, [1, 3, 64]))
-    assert [n for n, _ in snaps] == [1, 3, 64]
-    for _, mat in snaps:
-        assert mat.tobytes() == expect
-        assert not mat.flags.writeable
+    expect = dsum + dsum.T
+    assert rot.pairwise_distance(states).tobytes() == expect.tobytes()
+    got = list(rot.dbar_balls(states, [1, 3, 64], [0.1, 0.3]))
+    assert [n for n, _ in got] == [1, 3, 64]
+    for _, balls in got:
+        assert balls is got[0][1]
+        assert balls.tobytes() == np.stack([expect < 0.1, expect < 0.3]).tobytes()
+        assert not balls.flags.writeable
         with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
+            balls[0, 0, 0] = False
 
 
 def test_rotation_snapshot_reduces_positions_mod_one(rng):
@@ -237,12 +260,15 @@ def test_rotation_snapshot_reduces_positions_mod_one(rng):
     rot = dy.make_system({"kind": "rotation", "alpha": "golden"})
     x = rng.random(60)
     moved = x + np.where(np.arange(60) % 2 == 0, 1.0, -3.0)
-    (_, got), = rot.dbar_snapshots(moved, [5])
-    (_, reduced), = rot.dbar_snapshots(np.mod(moved, 1.0), [5])
+    got = rot.pairwise_distance(moved)
+    reduced = rot.pairwise_distance(np.mod(moved, 1.0))
     assert np.array_equal(got, reduced)
     assert np.all(got >= 0.0) and np.all(got <= 0.5)
-    (_, plain), = rot.dbar_snapshots(x, [5])
+    plain = rot.pairwise_distance(x)
     assert np.max(np.abs(got - plain)) <= 1e-12
+    (_, balls), = rot.dbar_balls(moved, [5], [0.1, 0.3])
+    (_, expect), = rot.dbar_balls(np.mod(moved, 1.0), [5], [0.1, 0.3])
+    assert np.array_equal(balls, expect)
 
 
 @pytest.mark.parametrize("desc,states", [
@@ -260,8 +286,10 @@ def test_skew_distances_reduce_coordinates_mod_one(desc, states):
     s, t = system.states_list(states)
     assert system.metric(s, t) == pytest.approx(0.1, abs=1e-12)
     assert system.pairwise_distance(states)[0, 1] == pytest.approx(0.1, abs=1e-12)
-    (_, snap), = system.dbar_snapshots(states, [1])
+    (_, snap), = _band_dbar(system, states, [1])
     assert snap[0, 1] == pytest.approx(0.1, abs=1e-12)
+    (_, balls), = system.dbar_balls(states, [1], [0.09, 0.11])
+    assert balls[:, 0, 1].tolist() == [False, True]
     assert cx.dbar_distance(system, s, t, 1) == pytest.approx(0.1, abs=1e-12)
 
 
@@ -343,7 +371,7 @@ def _ref_skew_sums(system, states, ns):
 
 def _ref_balls(system, states, ns, eps):
     """(n, balls) from the dense dbar_n, thresholded at each eps."""
-    if system.isometric:
+    if isinstance(system, dy.Rotation):
         dense = ((n, system.pairwise_distance(states)) for n in ns)
     else:
         dense = ((n, dsum / n) for n, dsum in _ref_skew_sums(system, states, ns))
@@ -379,6 +407,20 @@ def _ref_shift_snapshots(states, ns):
         d = snaps[:, :, idx[n]].astype(np.float64)
         np.fill_diagonal(d, 0.0)
         yield n, d
+
+
+def _assert_shift_equal_reference(system, states, ns, eps=(0.1, 0.5)):
+    """The shift's float32 means, widened, with the diagonal zeroed, and its
+    balls against the cube-based snapshots, bit for bit."""
+    means = [(n, mean.astype(np.float64))
+             for n, mean in system._dbar_means(states, ns, 0)]
+    balls = list(system.dbar_balls(states, ns, eps))
+    ref = list(_ref_shift_snapshots(states, ns))
+    assert [n for n, _ in means] == [n for n, _ in balls] == [n for n, _ in ref] == ns
+    for (n, mat), (_, got), (_, expect) in zip(means, balls, ref):
+        np.fill_diagonal(mat, 0.0)
+        assert np.array_equal(mat, expect), (ns, n)
+        assert np.array_equal(got, np.stack([expect < e for e in eps])), (ns, n)
 
 
 def _circle_base_distance(x):
@@ -424,12 +466,12 @@ def _assert_balls_equal_reference(system, states, ns, eps):
         assert np.array_equal(balls, expect), n
 
 
-@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.05], [0.3, 0.6]],
-                         ids=["band", "narrow", "whole-triangle"])
+@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.05], [0.3, 0.6], [0.5]],
+                         ids=["band", "narrow", "whole-triangle", "half"])
 @pytest.mark.parametrize("p", [1, 2, 63, 64, 65, 130])
 @pytest.mark.parametrize("name", sorted(BAND_SYSTEMS))
 def test_band_balls_equal_dense_threshold(name, p, eps):
-    # eps_max >= 1/2 is the band of every pair
+    # the reach is capped at 1/2, where the band holds every pair
     system = dy.make_system(BAND_SYSTEMS[name])
     _assert_balls_equal_reference(system, system.sample(p, p), [1, 2, 7, 16, 33],
                                   eps)
@@ -446,13 +488,12 @@ def test_band_sums_equal_dense_sums(name, p, reach):
     for (n, order, stops, sums), (_, dense) in zip(
             system._band_sums(states, ns, reach, 0),
             _ref_skew_sums(system, states, ns)):
-        perm = np.arange(p) if order is None else order
-        assert (order is None) == (reach >= 0.5)
         got = _band_dense(stops, sums, fill=np.nan)
         held = ~np.isnan(got)
-        assert np.array_equal(got[held], dense[np.ix_(perm, perm)][held]), n
-        g = states[perm, 0]
-        below = system._base_distance(g, g) < reach
+        assert np.array_equal(got[held], dense[np.ix_(order, order)][held]), n
+        g = states[order, 0]
+        # from reach 1/2 on, every pair
+        below = (system._base_distance(g, g) < reach) | (reach >= 0.5)
         np.fill_diagonal(below, False)
         assert np.all(held[below]), n
 
@@ -461,8 +502,8 @@ def test_band_sums_equal_dense_sums(name, p, reach):
 def test_band_wraps_past_the_last_sorted_row(name):
     system = dy.make_system(BAND_SYSTEMS[name])
     states = system.sample(130, 5)
-    (_, order, stops, _), = system._band_sums(states, [1], 0.2, 0)
-    assert order is not None and stops[-1] > 130
+    (_, _, stops, _), = system._band_sums(states, [1], 0.2, 0)
+    assert stops[-1] > 130
     _assert_balls_equal_reference(system, states, [1, 9, 64], [0.1, 0.2])
 
 
@@ -529,11 +570,7 @@ def test_offset_major_shift_profiles_equal_cube_profiles(weights, shifted):
         states = system.step_bulk(states)
     for ns in ([1], [1, 2, 3, 7, 20], [4, 40 - shifted],
                list(range(1, 41 - shifted))):
-        got = list(system.dbar_snapshots(states, ns))
-        ref = list(_ref_shift_snapshots(states, ns))
-        assert [n for n, _ in got] == [n for n, _ in ref] == ns
-        for (n, mat), (_, expect) in zip(got, ref):
-            assert np.array_equal(mat, expect), (ns, n)
+        _assert_shift_equal_reference(system, states, ns)
 
 
 def test_offset_major_shift_profiles_over_several_row_chunks():
@@ -542,10 +579,7 @@ def test_offset_major_shift_profiles_over_several_row_chunks():
                              "horizon": 64})
     states = system.sample(800, 2)
     assert (1 << 25) // (800 * 64) < 800
-    ns = [1, 2, 5, 14, 24]
-    for (n, mat), (_, expect) in zip(system.dbar_snapshots(states, ns),
-                                     _ref_shift_snapshots(states, ns)):
-        assert np.array_equal(mat, expect), n
+    _assert_shift_equal_reference(system, states, [1, 2, 5, 14, 24])
 
 
 def _agreeing_windows(k, p, w, seed):
@@ -569,11 +603,7 @@ def test_streamed_shift_snapshots_equal_reference(k, w):
     states = _agreeing_windows(k, 40, w, seed=k * 1000 + w)
     for ns in (list(range(1, w + 1)), sorted({1, (w + 1) // 2, w}),
                sorted({1, (w + 2) // 3}), [w]):
-        got = list(system.dbar_snapshots(states, ns))
-        ref = list(_ref_shift_snapshots(states, ns))
-        assert [n for n, _ in got] == [n for n, _ in ref] == ns
-        for (n, mat), (_, expect) in zip(got, ref):
-            assert np.array_equal(mat, expect), (ns, n)
+        _assert_shift_equal_reference(system, states, ns)
 
 
 def test_agreeing_windows_reach_saturation_and_underflow():
@@ -600,11 +630,7 @@ def test_streamed_shift_snapshots_in_other_blocks(monkeypatch, block):
                              "horizon": w})
     states = _agreeing_windows(2, 30, w, seed=block)
     for ns in (list(range(1, w + 1)), [1, 8, 151, 152, 299]):
-        got = list(system.dbar_snapshots(states, ns))
-        ref = list(_ref_shift_snapshots(states, ns))
-        assert [n for n, _ in got] == [n for n, _ in ref] == ns
-        for (n, mat), (_, expect) in zip(got, ref):
-            assert np.array_equal(mat, expect), (ns, n)
+        _assert_shift_equal_reference(system, states, ns)
 
 
 @pytest.mark.parametrize("p", [700, 800])
@@ -615,10 +641,7 @@ def test_streamed_shift_snapshots_on_both_sides_of_the_row_chunk(p):
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": w})
     states = _agreeing_windows(2, p, w, seed=p)
-    ns = [1, 40, 45]
-    for (n, mat), (_, expect) in zip(system.dbar_snapshots(states, ns),
-                                     _ref_shift_snapshots(states, ns)):
-        assert np.array_equal(mat, expect), n
+    _assert_shift_equal_reference(system, states, [1, 40, 45])
 
 
 def _traced_peak_mib(fn):
@@ -650,8 +673,8 @@ def test_shift_profiles_peak_below_cube_peak():
                              "horizon": 64})
     states = system.sample(800, 4)
     ns = list(range(1, 15))
-    # snapshots are dropped as they come, as a covering profile drops them
-    new = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
+    # balls are dropped as they come, as a covering profile drops them
+    new = _traced_peak_mib(lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
     old = _traced_peak_mib(lambda: deque(_ref_shift_snapshots(states, ns), 0))
     assert new < old, (new, old)
 
@@ -660,9 +683,10 @@ def test_shift_peak_does_not_grow_with_the_snapshots_asked_for():
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 64})
     states = system.sample(800, 4)
-    one = _traced_peak_mib(lambda: deque(system.dbar_snapshots(states, [14]), 0))
+    one = _traced_peak_mib(
+        lambda: deque(system.dbar_balls(states, [14], [0.1]), 0))
     every = _traced_peak_mib(
-        lambda: deque(system.dbar_snapshots(states, range(1, 15)), 0))
+        lambda: deque(system.dbar_balls(states, range(1, 15), [0.1]), 0))
     assert abs(every - one) < 1.0, (one, every)
 
 
@@ -670,7 +694,8 @@ def test_shift_peak_does_not_grow_with_n_max():
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 600})
     states = system.sample(400, 4)
-    peaks = [_traced_peak_mib(lambda: deque(system.dbar_snapshots(states, ns), 0))
+    peaks = [_traced_peak_mib(
+        lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
              for ns in ([dy.SHIFT_BLOCK], [600], range(1, 601))]
     assert max(peaks) - min(peaks) < 1.0, peaks
 
