@@ -115,11 +115,20 @@ def band_matrix(sums: np.ndarray, stops: np.ndarray, n: int, eps: np.ndarray,
         block = sums[rows, :len(cols)] / n < eps
         balls[:, rows, cols] = block
         balls[:, cols, rows] = np.swapaxes(block, 1, 2)
-    balls[:, np.arange(p), np.arange(p)] = True
+    true_diagonal(balls)
     inv = np.argsort(order)
     permuted = np.take(balls, inv, axis=1)
     # mode="clip": with the default mode, take buffers `out` in a copy
     return np.take(permuted, inv, axis=2, out=balls, mode="clip")
+
+
+def true_diagonal(balls: np.ndarray) -> np.ndarray:
+    """balls, True on the diagonal, as every (k, p, p) ball array is.  A
+    generator that yields it keeps no name for the balls, so once the
+    caller drops them, they are freed."""
+    p = balls.shape[-1]
+    balls[:, np.arange(p), np.arange(p)] = True
+    return balls
 
 
 def assign_nearest_circle(coords: np.ndarray, ctraj: np.ndarray,

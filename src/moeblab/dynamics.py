@@ -28,7 +28,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
-                       band_matrix, band_stops, band_strips, frac)
+                       band_matrix, band_stops, band_strips, frac,
+                       true_diagonal)
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
 from .errors import ConjugacyError, DomainError, SizingError
@@ -41,6 +42,8 @@ MAX_ALPHABET = 16
 # g0 + n a within int64 for every n < 2^39
 MAX_GROUP_ORDER = 1 << 24
 STEP_CHUNK = 256
+# entries of each (m, chunk) sum of the generic nearest-center search
+CENTER_SUM_ENTRIES = 1 << 23
 # offsets of shift exponents held at once: with the 149 offsets looked
 # ahead of a block, an exponent stays below 256
 SHIFT_BLOCK = 64
@@ -122,7 +125,7 @@ class SystemInstance:
         p = len(states)
         means = self._dbar_means(states, ns, len(eps) * p * p)
         for n in ns:
-            yield n, _true_diagonal(next(means)[1] < eps)
+            yield n, true_diagonal(next(means)[1] < eps)
 
     def _dbar_means(self, states, ns: Sequence[int], held: int
                     ) -> Iterator[tuple[int, np.ndarray]]:
@@ -151,7 +154,7 @@ class SystemInstance:
         m_count, ell, _ = ctraj.shape
         j_all = np.empty(n_total, dtype=np.int64)
         dmin = np.empty(n_total)
-        chunk = max(1, (1 << 23) // max(m_count, 1))
+        chunk = max(1, CENTER_SUM_ENTRIES // max(m_count, 1))
         for lo in range(0, n_total, chunk):
             hi = min(n_total, lo + chunk)
             dsum = np.zeros((m_count, hi - lo))
@@ -314,19 +317,26 @@ class TorusSkew(SystemInstance):
         1e-15).  The reach is capped at 1/2: no base distance exceeds it,
         and the forward half circle of each row holds every pair.
 
-        The working set, admitted before anything is allocated: dx and the
-        sums, (p, width) for the widest strip, STEP_CHUNK fibre rows, a
-        strip's scratch and `held` bytes of the caller's.
+        The working set: dx and the sums, (p, width) for the widest strip,
+        STEP_CHUNK fibre rows, a strip's scratch and `held` bytes of the
+        caller's.  The band holds at least the diagonal, so the set at
+        width 1 is admitted before the base points are sorted (about 56
+        bytes a state), and the set at the band's width after.
         """
         p = len(states)
+
+        def admit(width):
+            _admit(16 * p * width + held + 8 * STEP_CHUNK * p
+                   + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
+                   self.kind, p, max(ns))
+
+        admit(1)
         g = states[:, 0]
         x = frac(self._point(g))
         order = np.argsort(x, kind="stable")
         stops = band_stops(x[order], min(reach, 0.5))
         width = int(np.max(stops - np.arange(0, p, TORUS_BLOCK))) - 1
-        _admit(16 * p * width + held + 8 * STEP_CHUNK * p
-               + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
-               self.kind, p, max(ns))
+        admit(width)
         gs = g[order]
         dx = np.zeros((p, width))
         for rows, cols in band_strips(stops, p):
@@ -365,14 +375,6 @@ class TorusSkew(SystemInstance):
         for n, order, stops, sums in self._band_sums(states, ns, reach,
                                                      2 * len(eps) * p * p):
             yield n, band_matrix(sums, stops, n, eps, order)
-
-
-def _true_diagonal(balls: np.ndarray) -> np.ndarray:
-    """balls, True on the diagonal.  A generator that yields it keeps no
-    name for the balls, so once the caller drops them, they are freed."""
-    p = balls.shape[-1]
-    balls[:, np.arange(p), np.arange(p)] = True
-    return balls
 
 
 class GroupSkew(TorusSkew):

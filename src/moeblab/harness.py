@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from ._kernels import unit
 from .complexity import greedy_cover, sample_cloud
-from .dynamics import SystemInstance, make_system
+from .dynamics import CENTER_SUM_ENTRIES, SystemInstance, make_system
 from .errors import DomainError, ParameterError, SizingError
 from .numtheory import (DEFAULT_MEMORY_CAP, MobiusTable, build_mobius_table,
                         default_t_grid, mertens, mobius_non_pretentious)
@@ -206,12 +206,14 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         raise DomainError("observable must be bounded by 1 for the traced claims")
 
     # the orbit rows T^1 x0 .. T^{N+L} x0, as chunks and concatenated, the
-    # nearest-center search's scratch, at most 144 bytes a point (the sorted
-    # circle search; the generic search's is bounded by its chunk), and the
-    # center trajectories, as rows and stacked; a system with no closed-form
-    # orbit is rejected here
+    # nearest-center search's scratch and the center trajectories, as rows
+    # and stacked; a system with no closed-form orbit is rejected here.
+    # Measured with the rows: the sorted circle search 156 bytes a point
+    # (rotation), the generic one 48 and three (m, chunk) float sums
     dim = next(system.orbit_coords(x0, 1, 1)).shape[1]
     nbytes = (16 * dim + 144) * (n_total + ell) + 16 * dim * cloud_size * ell
+    if type(system).nearest_centers is SystemInstance.nearest_centers:
+        nbytes += 24 * min(cloud_size * n_total, CENTER_SUM_ENTRIES)
     if nbytes > DEFAULT_MEMORY_CAP:
         raise SizingError(
             f"block trace of N={n_total}, L={ell} needs about {nbytes >> 20} "

@@ -63,16 +63,17 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
     """Sieve mu(n) and the primes <= n_max in one pass, segmented at
     SIEVE_BLOCK entries.
 
-    Each segment keeps the int64 product of the base primes p <= isqrt(n_max)
+    Each segment keeps the product of the base primes p <= isqrt(n_max)
     that divide each entry: every such p flips the sign, and multiples of
     p^2 are zeroed in the sign itself.  A squarefree n has a prime factor
     above isqrt(n_max), and then exactly one, when its product is below n
     (one more flip).  The entries above isqrt(n_max) with product 1 are the
-    primes beyond the base primes.
+    primes beyond the base primes.  A product divides its entry, so the
+    products and the entries are int32 below 2^31, exactly.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # values (int8) + product and index scratch (int64 per block) + primes
+    # values (int8) + product and index scratch (per block) + primes
     if n_max + 1 > memory_cap:
         raise SizingError(
             f"n_max={n_max} exceeds memory cap of {memory_cap} table bytes")
@@ -81,9 +82,10 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
     base_primes = _simple_prime_sieve(root)
     values = np.zeros(n_max + 1, dtype=np.int8)
     primes_chunks = [base_primes]
+    index = np.int32 if n_max < 1 << 31 else np.int64
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, n_max + 1)
-        prod = np.ones(hi - lo, dtype=np.int64)
+        prod = np.ones(hi - lo, dtype=index)
         sign = values[lo:hi]
         sign[:] = 1
         for p in base_primes.tolist():
@@ -92,7 +94,7 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
             prod[start::p] *= p
             if p * p < hi:
                 sign[(-lo) % (p * p):: p * p] = 0
-        seg = np.arange(lo, hi, dtype=np.int64)
+        seg = np.arange(lo, hi, dtype=index)
         np.negative(sign, out=sign, where=prod < seg)
         seg = seg[prod == 1]
         primes_chunks.append(seg[seg > root])

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moeblab import _kernels as kn
 from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
 from moeblab.errors import DomainError, SizingError
+
+from band_reference import band_dbar
 
 ROT = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
 SKEW = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.15, 0.0]]})  # 0.3 cos(2 pi x)
@@ -57,13 +58,7 @@ def _dbar_matrices(system, states, ns):
     if isinstance(system, dy.Rotation):
         yield from ((n, system.pairwise_distance(states)) for n in ns)
     elif isinstance(system, dy.TorusSkew):
-        for n, order, stops, sums in system._band_sums(states, ns, 0.5, 0):
-            mat = np.zeros((len(states), len(states)))
-            for rows, cols in kn.band_strips(stops, len(states)):
-                block = sums[rows, :len(cols)] / n
-                mat[order[rows][:, None], order[cols]] = block
-                mat[order[cols][:, None], order[rows]] = block.T
-            yield n, mat
+        yield from band_dbar(system, states, ns)
     else:
         # the shift's float32 mean is one reused matrix: copied, widened
         yield from ((n, mean.astype(np.float64))

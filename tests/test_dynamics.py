@@ -217,7 +217,7 @@ def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
     # p = 9500 is just past the rotation's cap of 24 p^2 bytes, and past a
     # skew product's of 16 p^2 for its band of every pair (the states are
     # one point) and 2 p^2 for each of four balls.  A skew product sorts
-    # its base points before it knows its band, 56 bytes a state.
+    # its base points (56 bytes a state) once its four balls are admitted.
     system, state = _dbar_cases()[label]
     states = np.broadcast_to(state, (p,) + state.shape)
     tracemalloc.start()
@@ -227,8 +227,7 @@ def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    limit = 64 * p if label in ("skew2", "group_skew") else 1 << 20
-    assert peak < limit, (label, peak)
+    assert peak < 1 << 20, (label, peak)
 
 
 class _Admitted(Exception):
@@ -236,25 +235,37 @@ class _Admitted(Exception):
 
 
 _ADMIT = dy._admit
+# a skew product admits its band at width 1 before it sorts the base
+# points, then at the band's width; every other kind admits once
+_ADMISSIONS = {"skew2": 2, "group_skew": 2}
 
 
-def _admissions(monkeypatch, cases, p, ns, eps=(0.1,)):
-    """The estimate each case's balls state for p states, these ns and eps,
-    each passed through the real admission and then stopped: nothing is
-    computed."""
-    asked = {}
-
+def _spy_admit(monkeypatch, asked, stop=True):
+    """Pass each admission through the real one and append its figure to
+    `asked`; with `stop`, raise _Admitted at a kind's last admission, so
+    nothing of the working set is computed."""
     def spy(nbytes, kind, p, n_max):
+        asked.append(nbytes)
         _ADMIT(nbytes, kind, p, n_max)
-        asked[label] = nbytes
-        raise _Admitted
+        if stop and len(asked) == _ADMISSIONS.get(kind, 1):
+            raise _Admitted
 
     monkeypatch.setattr(dy, "_admit", spy)
+
+
+def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
+    """The estimate each case's balls state for p states (one repeated
+    state, or a sample), these ns and eps, each passed through the real
+    admission and then stopped: nothing is computed."""
+    asked = {}
     for label, (system, state) in cases.items():
-        states = np.broadcast_to(state, (p,) + state.shape)
+        states = (system.sample(p, 0) if sample
+                  else np.broadcast_to(state, (p,) + state.shape))
+        asked[label] = []
+        _spy_admit(monkeypatch, asked[label])
         with pytest.raises(_Admitted):
             next(system.dbar_balls(states, ns, eps))
-    return asked
+    return {label: figures[-1] for label, figures in asked.items()}
 
 
 @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.2, 0.3], [0.6]],
@@ -268,19 +279,15 @@ def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
     p = 600
     states = system.sample(p, 1)
     asked = []
-
-    def spy(nbytes, kind, p, n_max):
-        asked.append(nbytes)
-        _ADMIT(nbytes, kind, p, n_max)
-
-    monkeypatch.setattr(dy, "_admit", spy)
+    _spy_admit(monkeypatch, asked, stop=False)
     tracemalloc.start()
     try:
         deque(system.dbar_balls(states, [1, 2, 8, 64], eps), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(asked) == 1 and peak <= asked[0] + 64 * p, (asked, peak)
+    assert len(asked) == _ADMISSIONS.get(system.kind, 1), asked
+    assert asked == sorted(asked) and peak <= asked[-1] + 64 * p, (asked, peak)
 
 
 def test_cli_default_cloud_is_admitted(monkeypatch):
@@ -307,18 +314,8 @@ def test_cli_default_cloud_balls_are_admitted(monkeypatch):
     args = cli._build_parser().parse_args(["complexity", "--system", "s.json"])
     ns = [int(n) for n in args.ns.split(",")]
     eps = [float(e) for e in args.eps.split(",")]
-    asked = {}
-
-    def spy(nbytes, kind, p, n_max):
-        _ADMIT(nbytes, kind, p, n_max)
-        asked[label] = nbytes
-        raise _Admitted
-
-    monkeypatch.setattr(dy, "_admit", spy)
-    for label, (system, _) in _dbar_cases(horizon=max(ns)).items():
-        states = system.sample(args.samples, 0)
-        with pytest.raises(_Admitted):
-            next(system.dbar_balls(states, ns, eps))
+    asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
+                        args.samples, ns, eps, sample=True)
     assert len(asked) == 5 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
 
 
@@ -328,13 +325,7 @@ def _band_estimate(monkeypatch, p, eps):
     system = dy.make_system(SKEW_DESC)
     states = system.sample(p, 0)
     asked = []
-
-    def spy(nbytes, kind, p, n_max):
-        asked.append(nbytes)
-        _ADMIT(nbytes, kind, p, n_max)
-        raise _Admitted
-
-    monkeypatch.setattr(dy, "_admit", spy)
+    _spy_admit(monkeypatch, asked)
     tracemalloc.start()
     try:
         with pytest.raises((_Admitted, SizingError)) as caught:
@@ -342,7 +333,7 @@ def _band_estimate(monkeypatch, p, eps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return asked[0], caught.type is SizingError, peak
+    return asked[-1], caught.type is SizingError, peak
 
 
 def test_band_admits_a_skew_cloud_the_dense_snapshots_refused(monkeypatch):

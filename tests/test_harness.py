@@ -357,6 +357,13 @@ def test_block_trace_parameter_errors(table_100k):
                                      n_total=1000)
 
 
+def _broadcast_table(limit):
+    """A zero-copy MobiusTable up to `limit`, mu = 1 throughout."""
+    return nt.MobiusTable(limit=limit,
+                          values=np.broadcast_to(np.int8(1), (limit + 1,)),
+                          primes=np.empty(0, dtype=np.int64))
+
+
 @pytest.mark.parametrize("system, f, x0", [
     (ROT, [[1, 0.5, 0.0]], 0.1),
     (SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6)),
@@ -370,10 +377,7 @@ def test_block_trace_refused_from_the_estimate_alone(system, f, x0,
 
     monkeypatch.setattr(hx, "correlation_sum", reached)
     n_total, ell = 10 ** 9, 16
-    table = nt.MobiusTable(
-        limit=n_total + ell,
-        values=np.broadcast_to(np.int8(1), (n_total + ell + 1,)),
-        primes=np.empty(0, dtype=np.int64))
+    table = _broadcast_table(n_total + ell)
     tracemalloc.start()
     try:
         with pytest.raises(SizingError, match="over the cap"):
@@ -384,6 +388,31 @@ def test_block_trace_refused_from_the_estimate_alone(system, f, x0,
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("system, f, x0, admitted", [
+    (ROT, [[1, 0.5, 0.0]], 0.1, True),
+    (SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6), False),
+], ids=["rotation", "skew2"])
+def test_block_trace_counts_the_generic_search_sums(system, f, x0, admitted,
+                                                    monkeypatch):
+    # at N = 1.15 10^7 the orbit rows and the per-point scratch fit the cap
+    # for either kind (1.84 and 2.02 GB); the skew product's generic
+    # nearest-center search adds three (m, chunk) sums of 2^23 floats
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(hx, "correlation_sum", reached)
+    n_total, ell = 115 * 10 ** 5, 16
+    assert 176 * (n_total + ell) + 32 * 64 * ell < nt.DEFAULT_MEMORY_CAP
+    with pytest.raises(_Reached if admitted else SizingError):
+        hx.block_decomposition_trace(_broadcast_table(n_total + ell), system,
+                                     f, x0, ell=ell, delta=0.001, epsilon=0.3,
+                                     n_total=n_total, cloud_size=64)
 
 
 # ---------------------------------------------------------------------------

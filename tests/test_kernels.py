@@ -10,6 +10,8 @@ from moeblab import _kernels as kn
 from moeblab import complexity as cx
 from moeblab import dynamics as dy
 
+from band_reference import band_dbar, band_dense
+
 
 @pytest.fixture()
 def circle_block(rng):
@@ -47,25 +49,6 @@ def _band_layout(dense, stops):
     return out
 
 
-def _band_dense(stops, sums, n=1, fill=0.0):
-    """The band's dbar_n as a (p, p) matrix, `fill` off the band."""
-    p = len(sums)
-    out = np.full((p, p), fill)
-    for rows, cols in kn.band_strips(stops, p):
-        block = sums[rows, :len(cols)] / n
-        out[rows, cols] = block
-        out[cols, rows] = block.T
-    return out
-
-
-def _band_dbar(system, states, ns):
-    """(n, dbar_n) in cloud order from the band sums of a skew product's
-    balls at reach 1/2, where the band holds every pair."""
-    for n, order, stops, sums in system._band_sums(states, ns, 0.5, 0):
-        inv = np.argsort(order)
-        yield n, _band_dense(stops, sums, n)[np.ix_(inv, inv)]
-
-
 def test_torus_kernel_against_reference(rng):
     xs = rng.random((9, 25))
     ys = rng.random((9, 25))
@@ -74,7 +57,7 @@ def test_torus_kernel_against_reference(rng):
     sums = np.zeros((25, 24))
     stops = _full_band(25)
     kn.accumulate_torus(ys, stops, _band_layout(dx, stops), sums)
-    dsum = _band_dense(stops, sums)
+    dsum = band_dense(stops, sums)
     ref = np.zeros((25, 25))
     for ry in ys:
         dy_ = np.abs(ry[:, None] - ry[None, :])
@@ -147,7 +130,7 @@ def test_skew_base_isometry_matches_stepwise_accumulation(descriptor):
     cloud = cx.sample_cloud(system, 60, seed=4)
     ns = [2 ** k for k in range(8)]
     expect = _stepwise_torus_reference(cloud, ns)
-    for (n, mat), (_, balls) in zip(_band_dbar(system, cloud.states, ns),
+    for (n, mat), (_, balls) in zip(band_dbar(system, cloud.states, ns),
                                     system.dbar_balls(cloud.states, ns,
                                                       [0.1, 0.2])):
         assert np.max(np.abs(mat - expect[n])) <= 1e-12, n
@@ -286,7 +269,7 @@ def test_skew_distances_reduce_coordinates_mod_one(desc, states):
     s, t = system.states_list(states)
     assert system.metric(s, t) == pytest.approx(0.1, abs=1e-12)
     assert system.pairwise_distance(states)[0, 1] == pytest.approx(0.1, abs=1e-12)
-    (_, snap), = _band_dbar(system, states, [1])
+    (_, snap), = band_dbar(system, states, [1])
     assert snap[0, 1] == pytest.approx(0.1, abs=1e-12)
     (_, balls), = system.dbar_balls(states, [1], [0.09, 0.11])
     assert balls[:, 0, 1].tolist() == [False, True]
@@ -443,7 +426,7 @@ def test_torus_strips_equal_full_matrix_kernel(p):
             ys = rng.random((steps, p))
             kn.accumulate_torus(ys, stops, dx_band, sums)
             _ref_accumulate_torus(ys, dx, ref)
-            assert np.array_equal(_band_dense(stops, sums), ref), (p, steps)
+            assert np.array_equal(band_dense(stops, sums), ref), (p, steps)
 
 
 BAND_SYSTEMS = {
@@ -488,7 +471,7 @@ def test_band_sums_equal_dense_sums(name, p, reach):
     for (n, order, stops, sums), (_, dense) in zip(
             system._band_sums(states, ns, reach, 0),
             _ref_skew_sums(system, states, ns)):
-        got = _band_dense(stops, sums, fill=np.nan)
+        got = band_dense(stops, sums, fill=np.nan)
         held = ~np.isnan(got)
         assert np.array_equal(got[held], dense[np.ix_(order, order)][held]), n
         g = states[order, 0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ def test_sieve_independent_of_segment_size(n_max, block):
     assert table.values.tolist() == MU_ORACLE[: n_max + 1]
     assert table.primes.dtype == np.int64
     assert table.primes.tolist() == nt._simple_prime_sieve(n_max).tolist()
+
+
+def test_sieve_scratch_is_narrow():
+    # below 2^31 each block's products and entries are int32: beside the
+    # values and the primes (chunks and concatenated), under 8 bytes an
+    # entry of a block, where int64 scratch took about 15
+    n_max = 4 * nt.SIEVE_BLOCK
+    tracemalloc.start()
+    try:
+        table = nt.build_mobius_table(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_max + 16 * len(table.primes) + 8 * nt.SIEVE_BLOCK, peak
 
 
 def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
