@@ -495,17 +495,18 @@ class Shift(SystemInstance):
         float32 running sum, the additions of a cumulative sum, and yields
         each n's float32 mean in one reused matrix; a float64 eps compares
         with it exactly.  Working set: the (block, p, p) bytes, two float32
-        (p, p) matrices, the 8-byte indices `np.take` makes of a block's
-        bytes, and two bytes per pair of a chunk."""
+        (p, p) matrices, and per pair of a chunk of rows two bytes and the
+        8-byte index `np.take` makes of each byte."""
         p, w = states.shape
         n_max = max(ns)
         if n_max > w:
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
         block = min(n_max, SHIFT_BLOCK)
-        _admit((block + 18) * p * p + held, self.kind, p, n_max)
+        chunk = min(p, max(1, (1 << 19) // p))
+        _admit((block + 8) * p * p + 10 * chunk * p + held,
+               self.kind, p, n_max)
         cols = np.ascontiguousarray(states.T)
         expo = np.empty((block, p, p), dtype=np.uint8)
-        chunk = max(1, (1 << 19) // p)
         run = np.zeros((p, p), dtype=np.float32)
         term = np.empty((p, p), dtype=np.float32)
         for start in range(0, n_max, block):
@@ -522,7 +523,9 @@ class Shift(SystemInstance):
                     if j < end:
                         expo[j - start, lo:hi] = e
             for j in range(start, end):
-                np.take(_HALVINGS, expo[j - start], out=term, mode="clip")
+                for lo in range(0, p, chunk):
+                    np.take(_HALVINGS, expo[j - start, lo:lo + chunk],
+                            out=term[lo:lo + chunk], mode="clip")
                 np.add(run, term, out=run)
                 if j + 1 in ns:
                     np.divide(run, np.float32(j + 1), out=term)

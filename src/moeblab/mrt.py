@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ParameterError, SizingError
-from .numtheory import MobiusTable, _simple_prime_sieve
+from .numtheory import DEFAULT_MEMORY_CAP, MobiusTable, _simple_prime_sieve
 
 LEVEL_CAP = 64   # Q_J grows doubly fast; desk N never admits J > 3
 BILINEAR_CHUNK = 1 << 16   # float32 sums of at most 2^16 terms of +-1 are exact
@@ -177,7 +177,11 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     Gram adds into a float64 total.  Every partial sum is an integer, at
     most BILINEAR_CHUNK < 2^24 in a chunk and N < 2^53 in total, so the
     result is exact.  Passing ladder=None disables the membership
-    restriction (S = [1, N]).
+    restriction (S = [1, N]).  Working set: the float64 Gram, a chunk's
+    float32 Gram, two float32 (L, chunk) operands (the masked windows, or
+    the copy numpy makes of the strided windows), and the mask with its
+    per-level scratch; it is refused past the memory cap before anything
+    is allocated.
     """
     if ell < 1:
         raise DomainError(f"L must be >= 1, got {ell}")
@@ -186,6 +190,11 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     if n + ell > table.limit + 1:
         raise SizingError(
             f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
+    nbytes = 12 * ell * ell + 8 * ell * min(n, BILINEAR_CHUNK) + 2 * (n + 1)
+    if nbytes > DEFAULT_MEMORY_CAP:
+        raise SizingError(
+            f"bilinear Gram of L={ell}, N={n} needs about {nbytes >> 20} MiB, "
+            f"over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
     mask = None if ladder is None else typical_set_mask(ladder, n)
     gram = np.zeros((ell, ell))
     for lo in range(1, n + 1, BILINEAR_CHUNK):

@@ -12,6 +12,7 @@ squares the printed form, so we never take the root).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -59,7 +60,7 @@ def _simple_prime_sieve(n: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
-def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> MobiusTable:
+def build_mobius_table(n_max: int) -> MobiusTable:
     """Sieve mu(n) and the primes <= n_max in one pass, segmented at
     SIEVE_BLOCK entries.
 
@@ -69,23 +70,26 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
     above isqrt(n_max), and then exactly one, when its product is below n
     (one more flip).  The entries above isqrt(n_max) with product 1 are the
     primes beyond the base primes.  A product divides its entry, so the
-    products and the entries are int32 below 2^31, exactly.
+    products and the entries are int32, exactly: the values alone refuse
+    every n_max >= 2^31 at the memory cap.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # values (int8) + product and index scratch (per block) + primes
-    if n_max + 1 > memory_cap:
+    # int8 values, int64 primes (pi(x) < 1.25506 x / ln x), int32 scratch
+    primes_bound = math.ceil(1.25506 * n_max / math.log(max(n_max, 2)))
+    nbytes = n_max + 1 + 8 * primes_bound + 8 * min(n_max, SIEVE_BLOCK)
+    if nbytes > DEFAULT_MEMORY_CAP:
         raise SizingError(
-            f"n_max={n_max} exceeds memory cap of {memory_cap} table bytes")
+            f"n_max={n_max} needs about {nbytes >> 20} MiB, over the cap of "
+            f"{DEFAULT_MEMORY_CAP >> 20} MiB")
 
     root = math.isqrt(n_max)
     base_primes = _simple_prime_sieve(root)
     values = np.zeros(n_max + 1, dtype=np.int8)
     primes_chunks = [base_primes]
-    index = np.int32 if n_max < 1 << 31 else np.int64
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, n_max + 1)
-        prod = np.ones(hi - lo, dtype=index)
+        prod = np.ones(hi - lo, dtype=np.int32)
         sign = values[lo:hi]
         sign[:] = 1
         for p in base_primes.tolist():
@@ -94,7 +98,7 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
             prod[start::p] *= p
             if p * p < hi:
                 sign[(-lo) % (p * p):: p * p] = 0
-        seg = np.arange(lo, hi, dtype=index)
+        seg = np.arange(lo, hi, dtype=np.int32)
         np.negative(sign, out=sign, where=prod < seg)
         seg = seg[prod == 1]
         primes_chunks.append(seg[seg > root])
@@ -104,24 +108,28 @@ def build_mobius_table(n_max: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> Mobi
     return MobiusTable(limit=n_max, values=values, primes=primes)
 
 
-def mu_by_factorization(n: int) -> int:
-    """mu(n) straight from the definition by trial division (test oracle)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    k = 0
+def _factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (p, e) by trial division."""
+    factors = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            k += 1
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        k += 1
-    return -1 if k % 2 else 1
+        factors.append((n, 1))
+    return factors
+
+
+def mu_by_factorization(n: int) -> int:
+    """mu(n) from the factorization (the sieve's reference)."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return math.prod(-1 if e == 1 else 0 for _, e in _factor(n))
 
 
 def mertens(table: MobiusTable, n: int) -> int:
@@ -161,28 +169,12 @@ class CharacterTable:
 
 
 def _primitive_root(p: int, e: int) -> int:
-    """Primitive root mod p^e for odd prime p (brute-force search, p^e small)."""
-    phi_p = p - 1
-    factors = set()
-    m = phi_p
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, phi_p // f, p) != 1 for f in factors):
-            g = cand
-            break
-    assert g is not None
-    if e == 1:
-        return g
-    # g or g + p generates mod p^2, and then mod every higher power.
-    if pow(g, p - 1, p * p) == 1:
+    """Primitive root mod p^e for odd prime p: the least one mod p, or g + p
+    when g does not generate mod p^2 (then g + p generates mod every p^e)."""
+    factors = _factor(p - 1)
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // f, p) != 1 for f, _ in factors))
+    if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
     return g
 
@@ -192,41 +184,27 @@ def _unit_group_components(q: int) -> list[tuple[int, list[tuple[int, int]]]]:
 
     Odd p^e is cyclic on a primitive root; 2^e for e >= 3 needs the pair
     (-1, 3) with orders (2, 2^{e-2})."""
-    comps = []
-    m = q
-    for p in range(2, q + 1):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            comps.append((p, e))
-    if m > 1:
-        comps.append((m, 1))
-
     out = []
-    for p, e in comps:
+    for p, e in _factor(q):
         pe = p ** e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                out.append((pe, [(3, 2)]))
-            else:
-                out.append((pe, [(pe - 1, 2), (3, 1 << (e - 2))]))
-        else:
-            g = _primitive_root(p, e)
-            out.append((pe, [(g, pe // p * (p - 1))]))
+        if p > 2:
+            out.append((pe, [(_primitive_root(p, e), pe // p * (p - 1))]))
+        elif e == 2:
+            out.append((pe, [(3, 2)]))
+        elif e > 2:
+            out.append((pe, [(pe - 1, 2), (3, 1 << (e - 2))]))
     return out
 
 
 def dirichlet_characters(q: int) -> CharacterTable:
-    """All phi(q) Dirichlet characters mod q from the unit-group decomposition.
+    """All phi(q) Dirichlet characters mod q on the generators of
+    `_unit_group_components`, flattened in prime order with orders d_i.
 
-    Characters are indexed lexicographically over the exponent tuples on the
-    cyclic generators, so index 0 is always the principal character.
+    Character `index` is the index-th exponent tuple k, 0 <= k_i < d_i, in
+    lexicographic order with the last generator fastest, so index 0 is the
+    principal character.  On a unit with discrete logs l its value is
+    exp(2 pi i sum_i k_i l_i / d_i), the float sum taken in generator order.
+    chi_index in the pretentious rows and in every bundle is this index.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
@@ -234,61 +212,23 @@ def dirichlet_characters(q: int) -> CharacterTable:
         raise SizingError(
             f"q={q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
 
-    if q == 1:
-        chi = DirichletCharacter(1, 0, np.ones(1, dtype=np.complex128), True)
-        return CharacterTable(1, (chi,))
-
     components = _unit_group_components(q)
-    gens: list[tuple[int, int]] = []          # flattened (modulus, order)
-    orders: list[int] = []
-    joint_tables = []                          # per component: val -> exponent tuple
-    for pe, comp_gens in components:
-        for _, d in comp_gens:
-            gens.append((pe, d))
-            orders.append(d)
-        table: dict[int, tuple[int, ...]] = {}
-        exps = [0] * len(comp_gens)
-        while True:
-            v = 1
-            for (g, _), k in zip(comp_gens, exps):
-                v = (v * pow(g, k, pe)) % pe
-            table[v] = tuple(exps)
-            for gi in range(len(comp_gens) - 1, -1, -1):
-                exps[gi] += 1
-                if exps[gi] < comp_gens[gi][1]:
-                    break
-                exps[gi] = 0
-            else:
-                break
-        joint_tables.append((pe, len(comp_gens), table))
-
-    # Discrete log of every unit w.r.t. the flattened generator list.
+    orders = [d for _, gens in components for _, d in gens]
+    logs = []           # per component: (p^e, residue -> exponent tuple)
+    for pe, gens in components:
+        exps = itertools.product(*(range(d) for _, d in gens))
+        logs.append((pe, {math.prod(pow(g, k, pe) for (g, _), k in
+                                    zip(gens, ks)) % pe: ks for ks in exps}))
     units = [a for a in range(q) if math.gcd(a, q) == 1]
-    dlogs = np.zeros((len(units), len(gens)), dtype=np.int64)
-    for ui, a in enumerate(units):
-        col = 0
-        for pe, n_gens, table in joint_tables:
-            for k in table[a % pe]:
-                dlogs[ui, col] = k
-                col += 1
-
-    phi_q = int(np.prod(orders)) if orders else 1
+    dlogs = [sum((log[a % pe] for pe, log in logs), ()) for a in units]
     chars = []
-    exps = [0] * len(gens)
-    for index in range(phi_q):
+    for index, exps in enumerate(itertools.product(*map(range, orders))):
         values = np.zeros(q, dtype=np.complex128)
-        for ui, a in enumerate(units):
-            angle = sum(exps[gi] * int(dlogs[ui, gi]) / orders[gi]
-                        for gi in range(len(gens)))
+        for a, dlog in zip(units, dlogs):
+            angle = sum(k * l / d for k, l, d in zip(exps, dlog, orders))
             values[a] = np.exp(2j * np.pi * angle)
-        chars.append(DirichletCharacter(
-            q, index, values, is_principal=all(e == 0 for e in exps)))
-        for gi in range(len(gens) - 1, -1, -1):
-            exps[gi] += 1
-            if exps[gi] < orders[gi]:
-                break
-            exps[gi] = 0
-    assert len(chars) == phi_q
+        chars.append(DirichletCharacter(q, index, values,
+                                        is_principal=not any(exps)))
     return CharacterTable(q, tuple(chars))
 
 

@@ -357,7 +357,11 @@ def test_shift_estimate_does_not_grow_with_n_max(monkeypatch):
     shift = {"shift": _dbar_cases(horizon=4096)["shift"]}
     asked = [_admissions(monkeypatch, shift, 2000, ns)["shift"]
              for ns in ([1, 64], [4096], range(1, 4097))]
-    assert asked == [(dy.SHIFT_BLOCK + 18 + 1) * 2000 ** 2] * 3
+    # the exponent block, two float32 matrices and the eps balls, and ten
+    # bytes a pair of a row chunk: two bytes and the index np.take makes
+    chunk = (1 << 19) // 2000
+    assert asked == [(dy.SHIFT_BLOCK + 8 + 1) * 2000 ** 2
+                     + 10 * chunk * 2000] * 3
 
 
 def test_shift_step_refused_on_exhausted_window():

@@ -166,6 +166,34 @@ def test_bilinear_range_check(table_100k, ladder_11_17):
                                     table_100k.limit)
 
 
+def test_oversize_bilinear_gram_refused_before_allocation(table_100k):
+    # the Gram alone would take 12 L^2 bytes, about 10 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            mrt.bilinear_mobius_average(table_100k, None, 100, 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_bilinear_stated_working_set_covers_the_traced_peak(table_100k, masked):
+    # two chunks, so the float64 total and a chunk's operands coexist; the
+    # stated figure is 12 L^2 + 8 L chunk + 2 (N + 1) bytes
+    n, ell = mrt.BILINEAR_CHUNK + 100, 300
+    ladder = mrt.build_ladder(11, 17, n, n) if masked else None
+    tracemalloc.start()
+    try:
+        mrt.bilinear_mobius_average(table_100k, ladder, n, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stated = 12 * ell * ell + 8 * ell * mrt.BILINEAR_CHUNK + 2 * (n + 1)
+    assert peak <= stated + 64 * ell + 4 * mrt.BILINEAR_CHUNK, (peak, stated)
+
+
 def _ref_bilinear_mobius_average(table, ladder, n, ell):
     """The former one-shot Gram of the (L, N) float64 shifted slices."""
     if ladder is None:

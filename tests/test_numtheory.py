@@ -145,8 +145,17 @@ def test_mertens_range_error(table_100k):
 def test_build_rejects_bad_sizes():
     with pytest.raises(SizingError):
         nt.build_mobius_table(0)
-    with pytest.raises(SizingError):
-        nt.build_mobius_table(10 ** 6, memory_cap=10 ** 4)
+    # the values of 2^31 - 2^27 fit the cap, but not with their int64
+    # primes; refused before anything is allocated
+    tracemalloc.start()
+    try:
+        for n_max in (2 ** 31 - 2 ** 27, 2 ** 31, 2 ** 40):
+            with pytest.raises(SizingError, match="over the cap"):
+                nt.build_mobius_table(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_prime_list(table_100k):
@@ -174,6 +183,147 @@ def test_table_is_read_only():
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10 ** 6))
+def test_factor_is_an_ascending_prime_factorization(n):
+    factors = nt._factor(n)
+    assert math.prod(p ** e for p, e in factors) == n
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    assert all(e >= 1 for _, e in factors)
+    assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+               for p, _ in factors)
+
+
+def _ref_primitive_root(p: int, e: int) -> int:
+    """The former primitive root search, with its own trial division."""
+    phi_p = p - 1
+    factors = set()
+    m = phi_p
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors.add(d)
+            m //= d
+        d += 1
+    if m > 1:
+        factors.add(m)
+    g = None
+    for cand in range(2, p):
+        if all(pow(cand, phi_p // f, p) != 1 for f in factors):
+            g = cand
+            break
+    assert g is not None
+    if e == 1:
+        return g
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def _ref_unit_group_components(q: int):
+    """The former decomposition, factoring q by its own trial division."""
+    comps = []
+    m = q
+    for p in range(2, q + 1):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            comps.append((p, e))
+    if m > 1:
+        comps.append((m, 1))
+
+    out = []
+    for p, e in comps:
+        pe = p ** e
+        if p == 2:
+            if e == 1:
+                continue
+            if e == 2:
+                out.append((pe, [(3, 2)]))
+            else:
+                out.append((pe, [(pe - 1, 2), (3, 1 << (e - 2))]))
+        else:
+            g = _ref_primitive_root(p, e)
+            out.append((pe, [(g, pe // p * (p - 1))]))
+    return out
+
+
+def _ref_dirichlet_characters(q: int) -> nt.CharacterTable:
+    """The former table: q = 1 on its own, and hand-written odometers over
+    each component's exponents and over the global exponent tuples."""
+    if q == 1:
+        chi = nt.DirichletCharacter(1, 0, np.ones(1, dtype=np.complex128), True)
+        return nt.CharacterTable(1, (chi,))
+
+    components = _ref_unit_group_components(q)
+    gens = []
+    orders = []
+    joint_tables = []
+    for pe, comp_gens in components:
+        for _, d in comp_gens:
+            gens.append((pe, d))
+            orders.append(d)
+        table = {}
+        exps = [0] * len(comp_gens)
+        while True:
+            v = 1
+            for (g, _), k in zip(comp_gens, exps):
+                v = (v * pow(g, k, pe)) % pe
+            table[v] = tuple(exps)
+            for gi in range(len(comp_gens) - 1, -1, -1):
+                exps[gi] += 1
+                if exps[gi] < comp_gens[gi][1]:
+                    break
+                exps[gi] = 0
+            else:
+                break
+        joint_tables.append((pe, len(comp_gens), table))
+
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    dlogs = np.zeros((len(units), len(gens)), dtype=np.int64)
+    for ui, a in enumerate(units):
+        col = 0
+        for pe, n_gens, table in joint_tables:
+            for k in table[a % pe]:
+                dlogs[ui, col] = k
+                col += 1
+
+    phi_q = int(np.prod(orders)) if orders else 1
+    chars = []
+    exps = [0] * len(gens)
+    for index in range(phi_q):
+        values = np.zeros(q, dtype=np.complex128)
+        for ui, a in enumerate(units):
+            angle = sum(exps[gi] * int(dlogs[ui, gi]) / orders[gi]
+                        for gi in range(len(gens)))
+            values[a] = np.exp(2j * np.pi * angle)
+        chars.append(nt.DirichletCharacter(
+            q, index, values, is_principal=all(e == 0 for e in exps)))
+        for gi in range(len(gens) - 1, -1, -1):
+            exps[gi] += 1
+            if exps[gi] < orders[gi]:
+                break
+            exps[gi] = 0
+    assert len(chars) == phi_q
+    return nt.CharacterTable(q, tuple(chars))
+
+
+@pytest.mark.parametrize("q", range(1, nt.DEFAULT_CHARACTER_CAP + 1))
+def test_characters_equal_the_odometer_reference(q):
+    # same generators, same index order, same values to the bit
+    assert nt._unit_group_components(q) == _ref_unit_group_components(q)
+    table, ref = nt.dirichlet_characters(q), _ref_dirichlet_characters(q)
+    assert table.modulus == ref.modulus == q
+    assert [(c.modulus, c.index, c.is_principal, c.values.dtype,
+             c.values.tobytes()) for c in table.characters] \
+        == [(c.modulus, c.index, c.is_principal, c.values.dtype,
+             c.values.tobytes()) for c in ref.characters]
+
 
 def test_characters_q1():
     table = nt.dirichlet_characters(1)
