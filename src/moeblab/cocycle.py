@@ -31,7 +31,8 @@ import numpy as np
 
 from ._kernels import frac, twice_re
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
-                       MAX_BITS, _centered_parts, _norm_parts, parse_alpha)
+                       MAX_BITS, _centered_parts, _norm_parts, _split_parts,
+                       parse_alpha)
 from .errors import DomainError, ParameterError, ResonanceError
 
 ENVELOPE_SLACK = 1 + 1e-9
@@ -45,13 +46,17 @@ def e_minus_one_exact(alpha: ExactAlpha, m: int) -> complex:
     """e(m*alpha) - 1 with an exactly reduced phase (m may be a huge
     integer, such as a frequency times a Birkhoff length).
 
-    Uses 2i sin(pi t) e^{i pi t} on the centered fractional part t of
-    m*alpha, which keeps full relative accuracy when ||m alpha|| is tiny.
-    Returns exactly 0 only when m*alpha is an exact integer.  Reads the
-    unreduced pair t = u/den of `_centered_parts`: `u / den` is correctly
-    rounded, so it equals float(centered_fractional(alpha, m)).
+    `_e_minus_one` of the unreduced pair t = u/den of `_centered_parts`,
+    which is exactly 0 only when m*alpha is an exact integer: `u / den` is
+    correctly rounded, so it equals float(centered_fractional(alpha, m)).
     """
-    u, den = _centered_parts(alpha, m)
+    return _e_minus_one(*_centered_parts(alpha, m))
+
+
+def _e_minus_one(u: int, den: int) -> complex:
+    """e(t) - 1 for the centered fractional part t = u/den, as
+    2i sin(pi t) e^{i pi t}, which keeps full relative accuracy when t is
+    tiny; exactly 0 only when u = 0."""
     if u == 0:
         return 0j
     tf = u / den
@@ -203,9 +208,12 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
     """Partition h into the resonant part h1 (support in M u {0}) and the
     coboundary tail, with the psi series built on the tail.
 
-    Raises ResonanceError when a tail frequency satisfies e(m alpha) = 1
-    exactly (rational alpha), and refuses supports at or beyond the last
-    computed convergent denominator, where the case analysis is blind.
+    Each frequency m > 0 walks the precision ladder once (`_split_parts`)
+    for both the centered phase of psi's denominator and the near end of
+    ||m alpha|| that its case row certifies.  Raises ResonanceError when a
+    tail frequency satisfies e(m alpha) = 1 exactly (rational alpha), and
+    refuses supports at or beyond the last computed convergent
+    denominator, where the case analysis is blind.
     """
     alpha = res.alpha
     m_set = res.M
@@ -230,7 +238,8 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
     for m in tail.support:
         if m < 0:
             continue          # h is real, so psi reads the m > 0 half only
-        den = e_minus_one_exact(alpha, m)
+        centered, near = _split_parts(alpha, m)
+        den = _e_minus_one(*centered)
         if den == 0:
             raise ResonanceError(
                 f"e({m}*alpha) = 1 exactly; {m}*alpha is an integer and the "
@@ -239,14 +248,17 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
         if not rational:
             # the two-case small-denominator diagnostic needs the infinite
             # expansion; rational alpha has exact norms and no case split
-            rows.append(_classify_tail(alpha, res, e_set, m))
+            rows.append(_classify_tail(alpha, res, e_set, m, near))
 
     return CocycleSplit(h1=h1, tail=tail, alpha=alpha, resonance=res,
                         psi_coefficients=psi_coeffs, case_rows=tuple(rows))
 
 
-def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
-                   e_set: set[int], m: int) -> TailCaseRow:
+def _classify_tail(alpha: ExactAlpha, res: ResonanceData, e_set: set[int],
+                   m: int, near: tuple[int, int] | None = None) -> TailCaseRow:
+    """The case row of tail frequency m.  `near` is the unreduced near end
+    of `_norm_parts(alpha, m)`'s first yield, when the caller has walked
+    the ladder already."""
     qs = res.qs
     k = bisect.bisect_right(qs, m)   # last level with q_k <= m
     qk = qs[k - 1]
@@ -258,16 +270,16 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData,
         assert k not in e_set or j > res.a(k)   # else m would be in M
         lower = (j, qk + (qs[k] if k < len(qs) else qk))
         case = 2
-    # ||m alpha|| >= lower, by cross-multiplication on the unreduced ends
-    (num, den), _hi = next(_norm_parts(alpha, m))
+    # ||m alpha|| >= lower, by cross-multiplication on the unreduced end
+    num, den = near if near is not None else next(_norm_parts(alpha, m))[0]
     certified = num * lower[1] >= lower[0] * den
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is
         # too loose, so refine once at top precision before giving up
         (num, den), _hi = next(_norm_parts(alpha, m, bits=MAX_BITS))
         certified = num * lower[1] >= lower[0] * den
-    return TailCaseRow(m=m, case=case, level=k,
-                       norm_lower_bound=Fraction(*lower), certified=certified)
+    # positional: a frozen dataclass takes keywords slower, once per tail m
+    return TailCaseRow(m, case, k, Fraction(*lower), certified)
 
 
 def coboundary_residual(split: CocycleSplit, h: FourierCocycle,

@@ -221,14 +221,34 @@ def _convergents(quotients: Sequence[int]) -> tuple[list[int], list[int]]:
     return ps, qs
 
 
-def _shared_quotients(lo: Fraction, hi: Fraction) -> tuple[list[int], bool]:
+def _shared_quotients(lo: Fraction, hi: Fraction, known: Sequence[int] = (),
+                      limit: int | float = math.inf) -> tuple[list[int], bool]:
     """The partial quotients that every x in [lo, hi] within (0, 1) shares,
     by Euclid on both ends at once: a continued-fraction cylinder is an
     interval, so a quotient both ends agree on is one of x's.  Finite when
-    both remainders reach 0 together, which means lo = hi."""
-    quotients = []
+    both remainders reach 0 together, which means lo = hi.  Stops at
+    `limit` quotients.
+
+    Euclid resumes after `known`, the quotients a wider enclosure of the
+    same number shared: each end's (den, num) is mapped through the
+    inverse of their convergent matrix to (A, B).  When both ends keep
+    0 < B < A, Euclid from the start takes the same quotients to that same
+    state, so it goes on from there; otherwise it restarts."""
     a, b, c, d = lo.denominator, lo.numerator, hi.denominator, hi.numerator
-    while b and d and a // b == c // d:
+    quotients = list(known)
+    if quotients:
+        # x = (P_k + y P_{k-1}) / (Q_k + y Q_{k-1}) with determinant (-1)^k
+        p0, q0, p1, q1 = 1, 0, 0, 1
+        for quot in quotients:
+            p0, q0, p1, q1 = p1, q1, quot * p1 + p0, quot * q1 + q0
+        s = -1 if len(quotients) % 2 else 1
+        ends = (s * (p0 * a - q0 * b), s * (q1 * b - p1 * a),
+                s * (p0 * c - q0 * d), s * (q1 * d - p1 * c))
+        if 0 < ends[1] < ends[0] and 0 < ends[3] < ends[2]:
+            a, b, c, d = ends
+        else:
+            quotients = []
+    while len(quotients) < limit and b and d and a // b == c // d:
         q = a // b
         quotients.append(q)
         a, b, c, d = b, a - q * b, d, c - q * d
@@ -276,7 +296,8 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
     if isinstance(alpha, QuotientAlpha):
         quotients, finite = list(alpha.quotients[:depth]), False
     else:
-        # rational or quadratic: from enclosures of doubling precision
+        # rational or quadratic: from enclosures of doubling precision,
+        # each resuming Euclid after the quotients the last one shared
         bits, quotients, finite, last = DEFAULT_BITS // 2, [], False, None
         while not finite and len(quotients) < depth:
             bits *= 2
@@ -286,9 +307,7 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
                     f"the enclosure of {alpha} did not narrow from {bits // 2} "
                     f"to {bits} bits, after {len(quotients)} quotients")
             last = enclosure
-            quotients, finite = _shared_quotients(*enclosure)
-        finite = finite and len(quotients) <= depth
-        quotients = quotients[:depth]
+            quotients, finite = _shared_quotients(*enclosure, quotients, depth)
     ps, qs = _convergents(quotients)
 
     cf = ContinuedFraction(alpha=alpha, quotients=tuple(quotients),
@@ -338,16 +357,49 @@ def _reductions(alpha: ExactAlpha, m: int,
         b_now *= 2
 
 
+def _fits_centered(t_lo: int, den_lo: int, t_hi: int, den_hi: int) -> bool:
+    """A rung fits `centered_fractional` when its ends fit [-1/2, 1/2), or
+    straddle +-1/2 narrower than 1/4; either way the midpoint
+    representative, in [-1/2, 1/2) by the choice of r, stands for it."""
+    return ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
+            or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi)
+
+
+def _fits_norm(t_lo: int, den_lo: int, t_hi: int, den_hi: int) -> bool:
+    """A rung fits `circle_norm_interval` when its ends fit [-1/2, 1/2]."""
+    return -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi
+
+
+def _near_far(t_lo: int, den_lo: int, t_hi: int,
+              den_hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of {|t| : t in [t_lo/den_lo, t_hi/den_hi]}, the one nearer
+    to 0 first.  The ends are ordered, so their signs decide; only the far
+    end of an interval that straddles 0 takes a comparison."""
+    if t_lo > 0:
+        return (t_lo, den_lo), (t_hi, den_hi)
+    if t_hi < 0:
+        return (-t_hi, den_hi), (-t_lo, den_lo)
+    if -t_lo * den_hi > t_hi * den_lo:
+        return (0, 1), (-t_lo, den_lo)
+    return (0, 1), (t_hi, den_hi)
+
+
+def _unreduced(m: int) -> PrecisionError:
+    return PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
+
+
+def _uncertified(m: int) -> PrecisionError:
+    return PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
+
+
 def _centered_parts(alpha: ExactAlpha, m: int,
                     bits: int = DEFAULT_BITS) -> tuple[int, int]:
-    """`centered_fractional` as the unreduced pair (u, den), den = 2bd."""
+    """`centered_fractional` as the unreduced pair (u, den), den = 2bd, at
+    the first rung of the `_reductions` ladder that fits."""
     for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m, bits):
-        # fits [-1/2, 1/2), or straddles +-1/2 narrower than 1/4; either
-        # way the midpoint representative, in [-1/2, 1/2) by the choice of r
-        if ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
-                or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi):
+        if _fits_centered(t_lo, den_lo, t_hi, den_hi):
             return u, den
-    raise PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
+    raise _unreduced(m)
 
 
 def centered_fractional(alpha: ExactAlpha, m: int,
@@ -356,41 +408,60 @@ def centered_fractional(alpha: ExactAlpha, m: int,
 
     The result inherits the enclosure width (~2^-bits) around the true
     value; the reduction is centered so that values near an integer come
-    out tiny instead of as 1 - tiny.  Integer cross-multiplications decide
-    the fit, so it equals the Fraction arithmetic on the same enclosure.
-    `cocycle.e_minus_one_exact` and `complexity._birkhoff_block` read the
-    unreduced pair of `_centered_parts` instead and skip the gcd on the
-    large denominator 2bd: int `u / den` is correctly rounded, as is
-    `float(Fraction(u, den))`, so the floats they compute are equal.
+    out tiny instead of as 1 - tiny.  The fit is decided in integers by
+    `_fits_centered`, so it equals the Fraction arithmetic on the same
+    enclosure.  `cocycle.e_minus_one_exact`, `cocycle.split_cocycle` and
+    `complexity._birkhoff_block` read the unreduced pair (u, den) instead
+    and skip the gcd on the large denominator 2bd: int `u / den` is
+    correctly rounded, as is `float(Fraction(u, den))`, so the floats they
+    compute are equal.
     """
     return Fraction(*_centered_parts(alpha, m, bits))
 
 
 def _norm_parts(alpha: ExactAlpha, m: int, bits: int = DEFAULT_BITS
                 ) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """The ends of `circle_norm_interval` as unreduced (num, den) pairs, at
-    each precision of the `_reductions` ladder, from `bits` up to MAX_BITS,
-    at which m*[a/b, c/d] less r fits [-1/2, 1/2].  Raises PrecisionError
-    when none fits."""
+    """The ends of `circle_norm_interval` as unreduced (num, den) pairs,
+    near end first, at each rung of the `_reductions` ladder, from `bits`
+    up to MAX_BITS, that `_fits_norm`.  `_near_far` picks the near end by
+    signs; its pair can differ from a cross-multiplication's only when the
+    two ends are equal, and then its value cannot.  Raises PrecisionError
+    when no rung fits."""
     fitted = False
     for t_lo, den_lo, t_hi, den_hi, _u, _den in _reductions(alpha, m, bits):
-        if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
+        if _fits_norm(t_lo, den_lo, t_hi, den_hi):
             fitted = True
-            near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
-            if near[0] * far[1] > far[0] * near[1]:
-                near, far = far, near
-            yield ((0, 1) if t_lo <= 0 <= t_hi else near), far
+            yield _near_far(t_lo, den_lo, t_hi, den_hi)
     if not fitted:
-        raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
+        raise _uncertified(m)
+
+
+def _split_parts(alpha: ExactAlpha, m: int) -> tuple[tuple[int, int],
+                                                     tuple[int, int]]:
+    """`_centered_parts(alpha, m)` and the near end of the first yield of
+    `_norm_parts(alpha, m)`, from one walk of the ladder: it goes on until
+    both fit tests have passed, which is most often at the first rung.
+    Raises the PrecisionError of `_centered_parts` before that of
+    `_norm_parts`."""
+    centered = near = None
+    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m,
+                                                          DEFAULT_BITS):
+        if centered is None and _fits_centered(t_lo, den_lo, t_hi, den_hi):
+            centered = u, den
+        if near is None and _fits_norm(t_lo, den_lo, t_hi, den_hi):
+            near = _near_far(t_lo, den_lo, t_hi, den_hi)[0]
+        if centered is not None and near is not None:
+            return centered, near
+    raise _unreduced(m) if centered is None else _uncertified(m)
 
 
 def circle_norm_interval(alpha: ExactAlpha, m: int,
                          bits: int = DEFAULT_BITS) -> tuple[Fraction, Fraction]:
     """Certified interval for ||m*alpha|| (distance to nearest integer),
-    decided in integers like `centered_fractional`, with equal ends: the
-    first interval `_norm_parts` yields, at the lowest precision from
-    `bits` that fits.  `cocycle._classify_tail` compares the unreduced
-    ends of that first yield by cross-multiplication instead."""
+    equal to the Fraction arithmetic on the same enclosure: the first
+    interval `_norm_parts` yields, at the lowest precision from `bits`
+    that fits.  `cocycle.split_cocycle` reads the unreduced near end of
+    that yield from its own walk of the ladder (`_split_parts`)."""
     lo, hi = next(_norm_parts(alpha, m, bits))
     return Fraction(*lo), Fraction(*hi)
 

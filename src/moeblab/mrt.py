@@ -171,17 +171,17 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     """(1/(N L^2)) sum_{l1,l2 < L} |sum_{m in [1,N] cap S} mu(m+l1) mu(m+l2)|.
 
     The inner sums over all (l1, l2) pairs form one L x L Gram matrix of
-    shifted mu slices, with the typical-set mask folded into one side
+    shifted mu slices, each multiplied by the typical-set mask
     (mask^2 = mask).  It is built from m-chunks of BILINEAR_CHUNK: a chunk's
-    L shifted slices are the float32 windows of one mu segment, and their
-    Gram adds into a float64 total.  Every partial sum is an integer, at
-    most BILINEAR_CHUNK < 2^24 in a chunk and N < 2^53 in total, so the
-    result is exact.  Passing ladder=None disables the membership
-    restriction (S = [1, N]).  Working set: the float64 Gram, a chunk's
-    float32 Gram, two float32 (L, chunk) operands (the masked windows, or
-    the copy numpy makes of the strided windows), and the mask with its
-    per-level scratch; it is refused past the memory cap before anything
-    is allocated.
+    L shifted slices are the float32 windows of one mu segment, masked or
+    made contiguous, and their Gram rows @ rows.T, which numpy hands to
+    BLAS as a symmetric rank-k update, adds into a float64 total.  Every
+    partial sum is an integer, at most BILINEAR_CHUNK < 2^24 in a chunk and
+    N < 2^53 in total, so the result is exact.  Passing ladder=None
+    disables the membership restriction (S = [1, N]).  Working set: the
+    float64 Gram, a chunk's float32 Gram, the float32 (L, chunk) rows
+    (4 L chunk bytes), and the mask with its per-level scratch; it is
+    refused past the memory cap before anything is allocated.
     """
     if ell < 1:
         raise DomainError(f"L must be >= 1, got {ell}")
@@ -190,7 +190,7 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     if n + ell > table.limit + 1:
         raise SizingError(
             f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
-    nbytes = 12 * ell * ell + 8 * ell * min(n, BILINEAR_CHUNK) + 2 * (n + 1)
+    nbytes = 12 * ell * ell + 4 * ell * min(n, BILINEAR_CHUNK) + 2 * (n + 1)
     if nbytes > DEFAULT_MEMORY_CAP:
         raise SizingError(
             f"bilinear Gram of L={ell}, N={n} needs about {nbytes >> 20} MiB, "
@@ -201,7 +201,9 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
         hi = min(lo + BILINEAR_CHUNK, n + 1)
         seg = table.values[lo: hi + ell - 1].astype(np.float32)
         shifts = sliding_window_view(seg, hi - lo)
-        masked = shifts if mask is None else shifts * mask[lo:hi]
-        gram += masked @ shifts.T
+        rows = (np.ascontiguousarray(shifts) if mask is None
+                else shifts * mask[lo:hi])
+        gram += rows @ rows.T
+        del rows          # before the next chunk's rows are allocated
     return float(np.sum(np.abs(gram)) / (n * ell * ell))
 

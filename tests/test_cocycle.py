@@ -1,5 +1,6 @@
 import bisect
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,3 +369,130 @@ def test_birkhoff_block_equals_fraction_formula(resonant, rng):
     xs = rng.random(50)
     got = cx._birkhoff_block(split.h1, c.alpha, i_vals, xs)
     assert got.tobytes() == _ref_birkhoff_block(split.h1, c.alpha, i_vals, xs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One ladder walk per tail frequency: the split equals the two-walk body
+# ---------------------------------------------------------------------------
+
+def _ref_first_norm(alpha, m, bits=cf.DEFAULT_BITS):
+    """The first yield of `_norm_parts` as it was, its near end picked by
+    cross-multiplication."""
+    for t_lo, den_lo, t_hi, den_hi, _u, _den in cf._reductions(alpha, m, bits):
+        if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
+            near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
+            if near[0] * far[1] > far[0] * near[1]:
+                near, far = far, near
+            return ((0, 1) if t_lo <= 0 <= t_hi else near), far
+    raise PrecisionError(f"cannot certify ||{m}*alpha|| at {cf.MAX_BITS} bits")
+
+
+def _ref_tail_row(alpha, res, e_set, m):
+    qs = res.qs
+    k = bisect.bisect_right(qs, m)
+    qk = qs[k - 1]
+    if m % qk != 0:
+        lower, case = (1, 2 * m), 1
+    else:
+        lower, case = (m // qk, qk + (qs[k] if k < len(qs) else qk)), 2
+    (num, den), _hi = _ref_first_norm(alpha, m)
+    certified = num * lower[1] >= lower[0] * den
+    if case == 1 and not certified:
+        (num, den), _hi = _ref_first_norm(alpha, m, bits=cf.MAX_BITS)
+        certified = num * lower[1] >= lower[0] * den
+    return cc.TailCaseRow(m=m, case=case, level=k,
+                          norm_lower_bound=Fraction(*lower), certified=certified)
+
+
+def _ref_split_cocycle(h, res):
+    """The split as it was: psi's denominator and the case row each walk
+    the ladder, checks and refusals included."""
+    alpha, m_set, top_q = res.alpha, res.M, res.qs[-1]
+    support = [m for m in h.support if m != 0]
+    if any(abs(m) > res.truncation_bound for m in support):
+        raise ParameterError(
+            "cocycle support exceeds the resonance truncation bound "
+            f"{res.truncation_bound}")
+    rational = alpha.is_rational
+    if not rational and support and max(abs(m) for m in support) >= top_q:
+        raise ParameterError(
+            f"support reaches q_{{K+1}} = {top_q}; expand alpha deeper to "
+            "classify all tail frequencies")
+    h1 = h.restrict(lambda m: m == 0 or m in m_set)
+    tail = h.restrict(lambda m: m != 0 and m not in m_set)
+    psi_coeffs, rows, e_set = {}, [], set(res.E)
+    for m in tail.support:
+        if m < 0:
+            continue
+        den = cc.e_minus_one_exact(alpha, m)
+        if den == 0:
+            raise ResonanceError(
+                f"e({m}*alpha) = 1 exactly; {m}*alpha is an integer and the "
+                "coboundary series is undefined at this frequency")
+        psi_coeffs[m] = tail.coefficients[m] / den
+        if not rational:
+            rows.append(_ref_tail_row(alpha, res, e_set, m))
+    return cc.CocycleSplit(h1=h1, tail=tail, alpha=alpha, resonance=res,
+                           psi_coefficients=psi_coeffs, case_rows=tuple(rows))
+
+
+def _assert_same_split(h, res):
+    got, want = cc.split_cocycle(h, res), _ref_split_cocycle(h, res)
+    assert (got.h1, got.tail) == (want.h1, want.tail)
+    assert [(m, _bits(c)) for m, c in got.psi_coefficients.items()] == \
+        [(m, _bits(c)) for m, c in want.psi_coefficients.items()]
+    assert got.case_rows == want.case_rows
+    return got
+
+
+def test_split_equals_two_walks_on_the_lemma54_config():
+    # the lemma54 experiment's split: resonant depth 11, freq bound 16384
+    _, res, h = fx.resonant_fixture(depth=11, freq_bound=16384)
+    split = _assert_same_split(h, res)
+    assert len(split.case_rows) == 16367
+
+
+def test_split_equals_two_walks_on_the_depth9_fixture(resonant):
+    _, res, h, _ = resonant
+    _assert_same_split(h, res)
+
+
+@pytest.mark.parametrize("spec", ["sqrt2-1", "golden"])
+def test_split_equals_two_walks_on_quadratic_alphas(spec):
+    res = cf.resonance_sets(cf.expand(spec, 20), 1, 10 ** 6)
+    split = _assert_same_split(cc.envelope_cocycle(3000), res)
+    assert len(split.case_rows) == 3000 - (spec == "golden")
+
+
+def test_split_equals_two_walks_on_a_loose_enclosure(resonant):
+    # the loose enclosure fails the norm fit at 256 bits for some m, so the
+    # walk goes on past the rung where the centered fit passed, and some
+    # case-1 row takes the 4096-bit retry
+    _, res, h, _ = resonant
+    loose = _LooseBelowTop()
+    split = _assert_same_split(h, dataclasses.replace(res, alpha=loose))
+    first = {row.m: next(cf._reductions(loose, row.m, cf.DEFAULT_BITS))
+             for row in split.case_rows}
+    walked_on = [m for m, rung in first.items()
+                 if cf._fits_centered(*rung[:4]) and not cf._fits_norm(*rung[:4])]
+
+    def uncertified_at_256(m):
+        num, den = _ref_first_norm(loose, m)[0]
+        return num * 2 * m < den          # ||m alpha|| >= 1/(2m) not shown
+
+    retried = [row.m for row in split.case_rows
+               if row.case == 1 and uncertified_at_256(row.m)]
+    assert walked_on and retried
+
+
+def test_split_refuses_355_1131_as_the_two_walks_do():
+    c = cf.expand(RATIONAL_355_1131, 20)
+    res = cf.resonance_sets(c, 1, 5000)
+    h = cc.cocycle_from_pairs([(1, 1e-3), (2262, 1e-30)], tau=1)
+    messages = []
+    for split in (cc.split_cocycle, _ref_split_cocycle):
+        with pytest.raises(ResonanceError) as caught:
+            split(h, res)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("e(2262*alpha) = 1 exactly")

@@ -154,6 +154,59 @@ def test_shared_quotients_stop_where_the_ends_part(lo, hi, shared):
     assert cf._shared_quotients(Fraction(lo), Fraction(hi)) == shared
 
 
+def _ref_expand(alpha, depth):
+    """The body that restarted Euclid at every doubling, kept as the
+    reference."""
+    alpha = cf.parse_alpha(alpha)
+    if isinstance(alpha, cf.QuotientAlpha):
+        quotients, finite = list(alpha.quotients[:depth]), False
+    else:
+        bits, quotients, finite, last = cf.DEFAULT_BITS // 2, [], False, None
+        while not finite and len(quotients) < depth:
+            bits *= 2
+            enclosure = alpha.enclosure(bits)
+            if enclosure == last:
+                raise PrecisionError(
+                    f"the enclosure of {alpha} did not narrow from {bits // 2} "
+                    f"to {bits} bits, after {len(quotients)} quotients")
+            last = enclosure
+            quotients, finite = cf._shared_quotients(*enclosure)
+        finite = finite and len(quotients) <= depth
+        quotients = quotients[:depth]
+    ps, qs = cf._convergents(quotients)
+    return tuple(quotients), tuple(ps), tuple(qs), finite
+
+
+def _expansion(alpha, depth):
+    c = cf.expand(alpha, depth)
+    return c.quotients, c.ps, c.qs, c.finite
+
+
+@pytest.mark.parametrize("depth", [1, 2, 299, 300, 301, 3000])
+@pytest.mark.parametrize("spec", [
+    "sqrt2-1", "golden", "2/7", "355/1131",
+    resonant_alpha(9), resonant_alpha(11)], ids=str)
+def test_expand_resumes_euclid_as_a_restart_would(spec, depth):
+    assert _expansion(spec, depth) == _ref_expand(spec, depth)
+
+
+@dataclass(frozen=True)
+class _Jumping(cf.ExactAlpha):
+    """golden's enclosures up to 256 bits, sqrt(2)-1's above: the second
+    enclosure leaves the cylinder of the quotients the first one shared."""
+
+    def enclosure(self, bits):
+        return (cf.GOLDEN if bits <= cf.DEFAULT_BITS
+                else cf.SQRT2_MINUS_1).enclosure(bits)
+
+
+def test_expand_restarts_when_the_enclosure_leaves_the_cylinder():
+    assert len(cf._shared_quotients(*_Jumping().enclosure(cf.DEFAULT_BITS))[0]) < 300
+    got = _expansion(_Jumping(), 300)
+    assert got == _ref_expand(_Jumping(), 300)
+    assert got[0] == (2,) * 300
+
+
 @pytest.mark.parametrize("spec,head,period", [
     ("quad:-2,1,1,7", (), (1, 1, 1, 4)),          # sqrt(7) - 2
     ("quad:-3,1,1,13", (), (1, 1, 1, 1, 6)),      # sqrt(13) - 3
@@ -429,6 +482,7 @@ def _outcome(fn, *args):
         return ("PrecisionError", str(exc))
 
 
+
 RATIONAL_355_1131 = cf.parse_alpha("355/1131")
 PHASE_ALPHAS = (cf.SQRT2_MINUS_1, cf.GOLDEN, resonant_alpha(9),
                 resonant_alpha(11), RATIONAL_355_1131)
@@ -501,6 +555,27 @@ class _CountedFixedEnclosure(_FixedEnclosure):
         self.calls.append(bits)
         assert len(self.calls) <= 8, "enclosure asked for again and again"
         return super().enclosure(bits)
+
+
+def _first_norm_values(alpha, m, bits):
+    near, far = next(cf._norm_parts(alpha, m, bits))
+    return Fraction(*near), Fraction(*far)
+
+
+_SMALL_FRACTIONS = st.fractions(0, 1, max_denominator=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS),
+       m=st.integers(-40, 40), bits=st.sampled_from((64, 256)))
+def test_sign_decided_norm_equals_the_fraction_reference(ends, m, bits):
+    # wide fixed enclosures put m*[lo, hi] less r across 0 or wholly below
+    # it, where the signs alone pick the near end
+    alpha = _FixedEnclosure(min(ends), max(ends))
+    rung = next(cf._reductions(alpha, m, bits))
+    assume(rung[0] <= 0)            # straddling 0, or on its negative side
+    assert _outcome(_first_norm_values, alpha, m, bits) == \
+        _outcome(_ref_circle_norm_interval, alpha, m, bits)
 
 
 def test_expand_refuses_an_enclosure_that_stops_narrowing():

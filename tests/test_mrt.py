@@ -180,8 +180,8 @@ def test_oversize_bilinear_gram_refused_before_allocation(table_100k):
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_bilinear_stated_working_set_covers_the_traced_peak(table_100k, masked):
-    # two chunks, so the float64 total and a chunk's operands coexist; the
-    # stated figure is 12 L^2 + 8 L chunk + 2 (N + 1) bytes
+    # two chunks, so the float64 total and a chunk's rows coexist; the
+    # stated figure is 12 L^2 + 4 L chunk + 2 (N + 1) bytes
     n, ell = mrt.BILINEAR_CHUNK + 100, 300
     ladder = mrt.build_ladder(11, 17, n, n) if masked else None
     tracemalloc.start()
@@ -190,7 +190,7 @@ def test_bilinear_stated_working_set_covers_the_traced_peak(table_100k, masked):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stated = 12 * ell * ell + 8 * ell * mrt.BILINEAR_CHUNK + 2 * (n + 1)
+    stated = 12 * ell * ell + 4 * ell * mrt.BILINEAR_CHUNK + 2 * (n + 1)
     assert peak <= stated + 64 * ell + 4 * mrt.BILINEAR_CHUNK, (peak, stated)
 
 
