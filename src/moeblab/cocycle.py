@@ -276,7 +276,7 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData, e_set: set[int],
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is
         # too loose, so refine once at top precision before giving up
-        (num, den), _hi = next(_norm_parts(alpha, m, bits=MAX_BITS))
+        num, den = next(_norm_parts(alpha, m, bits=MAX_BITS))[0]
         certified = num * lower[1] >= lower[0] * den
     # positional: a frozen dataclass takes keywords slower, once per tail m
     return TailCaseRow(m, case, k, Fraction(*lower), certified)

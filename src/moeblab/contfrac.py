@@ -444,8 +444,8 @@ def _split_parts(alpha: ExactAlpha, m: int) -> tuple[tuple[int, int],
     Raises the PrecisionError of `_centered_parts` before that of
     `_norm_parts`."""
     centered = near = None
-    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m,
-                                                          DEFAULT_BITS):
+    rungs = _reductions(alpha, m, DEFAULT_BITS)
+    for t_lo, den_lo, t_hi, den_hi, u, den in rungs:
         if centered is None and _fits_centered(t_lo, den_lo, t_hi, den_hi):
             centered = u, den
         if near is None and _fits_norm(t_lo, den_lo, t_hi, den_hi):

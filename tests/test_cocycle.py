@@ -483,6 +483,10 @@ def test_split_equals_two_walks_on_a_loose_enclosure(resonant):
     retried = [row.m for row in split.case_rows
                if row.case == 1 and uncertified_at_256(row.m)]
     assert walked_on and retried
+    for m in walked_on:
+        centered, near = cf._split_parts(loose, m)
+        assert centered == cf._centered_parts(loose, m)
+        assert Fraction(*near) == Fraction(*_ref_first_norm(loose, m)[0])
 
 
 def test_split_refuses_355_1131_as_the_two_walks_do():

@@ -180,9 +180,10 @@ def test_oversize_bilinear_gram_refused_before_allocation(table_100k):
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_bilinear_stated_working_set_covers_the_traced_peak(table_100k, masked):
-    # two chunks, so the float64 total and a chunk's rows coexist; the
-    # stated figure is 12 L^2 + 4 L chunk + 2 (N + 1) bytes
-    n, ell = mrt.BILINEAR_CHUNK + 100, 300
+    # two chunks, so the float64 total and a chunk's rows coexist, and the
+    # second half as wide, so rows kept from the first chunk would show;
+    # the stated figure is 12 L^2 + 4 L chunk + 2 (N + 1) bytes
+    n, ell = mrt.BILINEAR_CHUNK + mrt.BILINEAR_CHUNK // 2, 300
     ladder = mrt.build_ladder(11, 17, n, n) if masked else None
     tracemalloc.start()
     try:
