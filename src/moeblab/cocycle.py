@@ -255,10 +255,9 @@ def split_cocycle(h: FourierCocycle, res: ResonanceData) -> CocycleSplit:
 
 
 def _classify_tail(alpha: ExactAlpha, res: ResonanceData, e_set: set[int],
-                   m: int, near: tuple[int, int] | None = None) -> TailCaseRow:
+                   m: int, near: tuple[int, int]) -> TailCaseRow:
     """The case row of tail frequency m.  `near` is the unreduced near end
-    of `_norm_parts(alpha, m)`'s first yield, when the caller has walked
-    the ladder already."""
+    of `_norm_parts(alpha, m)`'s first yield."""
     qs = res.qs
     k = bisect.bisect_right(qs, m)   # last level with q_k <= m
     qk = qs[k - 1]
@@ -271,7 +270,7 @@ def _classify_tail(alpha: ExactAlpha, res: ResonanceData, e_set: set[int],
         lower = (j, qk + (qs[k] if k < len(qs) else qk))
         case = 2
     # ||m alpha|| >= lower, by cross-multiplication on the unreduced end
-    num, den = near if near is not None else next(_norm_parts(alpha, m))[0]
+    num, den = near
     certified = num * lower[1] >= lower[0] * den
     if case == 1 and not certified:
         # the claim is unconditional; failure here means the enclosure is

@@ -24,8 +24,7 @@ from ._kernels import frac, unit
 from .cocycle import FourierCocycle
 from .contfrac import ContinuedFraction, ResonanceData, _centered_parts
 from .dynamics import SystemInstance, circle_dist
-from .errors import DomainError, SizingError
-from .numtheory import DEFAULT_MEMORY_CAP
+from .errors import DomainError, SizingError, admit
 
 EXACT_COVER_MAX_POINTS = 20
 # grid_cover_check averages over every i < n_t up to this n_t, else 256 draws
@@ -120,10 +119,7 @@ def greedy_cover(ball: np.ndarray, weights: np.ndarray,
     ball, 8 p^2 bytes, is refused past the memory cap before it is made.
     """
     p = len(weights)
-    if 8 * p * p > DEFAULT_MEMORY_CAP:
-        raise SizingError(
-            f"greedy cover of {p} states casts its ball to {8 * p * p >> 20} "
-            f"MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
+    admit(8 * p * p, f"the float64 ball of a greedy cover of {p} states")
     uncovered = weights.astype(np.float64).copy()
     # cast once, not per lazy refresh; C order, so that BLAS sums each gain
     # in one order whatever the layout of `ball`

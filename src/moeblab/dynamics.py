@@ -1,9 +1,10 @@
 """Concrete systems: rotations, skew products over rotations, shifts.
 
-One class per kind packages an iteration step, a metric, and a seeded
-sampler of an invariant measure, in both scalar and vectorised (bulk)
-form, together with what its structure gives: the eps-balls of the averaged
-metric (`dbar_balls`), the nearest covering centers of an orbit
+One class per kind writes its step, metric and seeded invariant draw
+once, on a bulk payload; `SystemInstance` derives the scalar forms, so
+the dbar oracle and the covering code measure with one d.  A kind adds
+what its structure gives: the eps-balls of the averaged metric
+(`dbar_balls`), the nearest covering centers of an orbit
 (`nearest_centers`) and the closed-form orbit in trigonometric
 coordinates (`orbit_coords`).
 A bulk payload is one ndarray with one row per state: a (P,) array of
@@ -13,9 +14,8 @@ product over a rotation of G = T^1 or G = Z/q is one implementation,
 `TorusSkew`, of which `GroupSkew` supplies only the Z/q base rotation.
 
 Samplers draw Haar measure where it is invariant by fibered structure
-(always, for skews over rotations) and fall back to Birkhoff sampling
-along a long orbit when a descriptor asks for the empirical-measure
-reading (burn-in 10^4, stride 7).
+(always, for skews over rotations); "sampler": "orbit" asks for Birkhoff
+samples along a long orbit instead (burn-in 10^4, stride 7).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
                        true_diagonal)
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
-from .errors import ConjugacyError, DomainError, SizingError
-from .numtheory import DEFAULT_MEMORY_CAP
+from .errors import ConjugacyError, DomainError, SizingError, admit
 
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
@@ -53,15 +52,6 @@ _HALVINGS = np.zeros(256, dtype=np.float32)
 _HALVINGS[:_UNDERFLOW] = 2.0 ** -np.arange(_UNDERFLOW)
 
 
-def _admit(nbytes: int, kind: str, p: int, n_max: int) -> None:
-    """Refuse dbar balls whose working set of `nbytes` passes the memory
-    cap, before anything is allocated."""
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise SizingError(
-            f"dbar balls of {p} {kind} states up to n={n_max} need about "
-            f"{nbytes >> 20} MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
-
-
 def circle_dist_matrix(xs: np.ndarray, ys: np.ndarray | None = None
                        ) -> np.ndarray:
     """Pairwise ||x_i - y_j|| on the circle for vectors of positions, ys = xs
@@ -78,10 +68,11 @@ def circle_dist_matrix(xs: np.ndarray, ys: np.ndarray | None = None
 class SystemInstance:
     """A state space with iteration map, metric, and invariant sampler.
 
-    Subclasses implement `step`, `metric`, `sample`, `step_bulk` and
-    `pairwise_distance`.  Bulk states are an ndarray with one row per
-    state, so `len(states)`, `states[index]` and `np.array(items)` serve
-    every kind.  `nearest_centers(coords, ctraj, n_total)` reads
+    Subclasses implement `step_bulk`, `pairwise_distance` and `_draw(count,
+    rng)`, the invariant measure's draw; `step`, `metric` and `sample` are
+    derived here.  Bulk states are an ndarray with one row per state, so
+    `len(states)`, `states[index]` and `np.array(items)` serve every kind.
+    `nearest_centers(coords, ctraj, n_total)` reads
     coords[k] = T^{k+1} x0 (at least N + L - 1 rows) and the (m, L, d)
     center trajectories, and returns per n = 1..N the index of the center
     nearest to T^n x0 in dbar_L, the lower index winning a tie, and that
@@ -89,6 +80,7 @@ class SystemInstance:
     """
 
     kind: str
+    orbit_x0 = None     # the start of "sampler": "orbit" without "x0"
 
     def __init__(self, descriptor: dict, alpha: ExactAlpha | None = None,
                  h: FourierCocycle | None = None):
@@ -99,6 +91,43 @@ class SystemInstance:
     def states_list(self, states) -> list:
         """Bulk payload as a list of scalar states, copied."""
         return list(np.array(states))
+
+    def step(self, state):
+        """T(state), the bulk step of a one-state payload."""
+        return self.step_bulk(np.asarray(state)[None])[0]
+
+    def metric(self, s, t) -> float:
+        """d(s, t), the pairwise distance of a two-state payload."""
+        s, t = np.asarray(s), np.asarray(t)
+        if s.shape != t.shape:
+            raise DomainError(f"{self.kind} states of shapes {s.shape} and "
+                              f"{t.shape} have no distance")
+        return float(self.pairwise_distance(np.array([s, t]))[0, 1])
+
+    def sample(self, count: int, seed: int):
+        """`count` states of the invariant draw or, with "sampler":
+        "orbit", of the orbit of "x0" (default `orbit_x0`); a kind with no
+        orbit start, such as the shift, whose window shrinks, refuses it."""
+        desc = self.descriptor
+        sampler = desc.get("sampler")
+        if sampler is None:
+            return self._draw(count, np.random.default_rng(seed))
+        if sampler != "orbit" or self.orbit_x0 is None:
+            raise DomainError(
+                f"system kind {self.kind!r} has no sampler {sampler!r}")
+        x0 = np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64)
+        self._check_start(x0)
+        return orbit_states(self, x0, count,
+                            int(desc.get("burn_in", ORBIT_BURN_IN)),
+                            int(desc.get("stride", ORBIT_STRIDE)))
+
+    def _check_start(self, x0) -> None:
+        """Refuse an orbit start off the state space, before any step."""
+
+    def _admit(self, nbytes: int, p: int, n_max: int) -> None:
+        """Refuse dbar balls of p states up to n_max whose working set of
+        `nbytes` passes the memory cap, before anything is allocated."""
+        admit(nbytes, f"dbar balls of {p} {self.kind} states up to n={n_max}")
 
     # -- structure --------------------------------------------------------
     def coords(self, states) -> np.ndarray:
@@ -136,7 +165,7 @@ class SystemInstance:
         mean and the metric's own.
         """
         p = len(states)
-        _admit(48 * p * p + held, self.kind, p, max(ns))
+        self._admit(48 * p * p + held, p, max(ns))
         dsum = np.zeros((p, p))
         done = 0
         for n in ns:
@@ -185,14 +214,8 @@ class Rotation(SystemInstance):
         super().__init__(descriptor, alpha=alpha)
         self.a = alpha.as_float()
 
-    def step(self, x):
-        return frac(x + self.a)
-
-    def metric(self, x, y) -> float:
-        return float(circle_dist(x, y))
-
-    def sample(self, count: int, seed: int):
-        return np.random.default_rng(seed).random(count)
+    def _draw(self, count, rng):
+        return rng.random(count)
 
     def step_bulk(self, xs):
         return frac(xs + self.a)
@@ -207,7 +230,7 @@ class Rotation(SystemInstance):
         or the distance and the balls."""
         eps = np.asarray(eps, dtype=np.float64)[:, None, None]
         p = len(states)
-        _admit(max(24, 8 + len(eps)) * p * p, self.kind, p, max(ns))
+        self._admit(max(24, 8 + len(eps)) * p * p, p, max(ns))
         balls = self.pairwise_distance(states) < eps
         balls.flags.writeable = False
         yield from ((n, balls) for n in ns)
@@ -237,7 +260,7 @@ class TorusSkew(SystemInstance):
     `_base_distance(g, h)`, the base distances of g against h.
     """
 
-    orbit_x0 = (0.1, 0.2)     # the start of "sampler": "orbit" without "x0"
+    orbit_x0 = (0.1, 0.2)
 
     def __init__(self, descriptor: dict, kind: str = "skew2"):
         alpha = parse_alpha(descriptor["alpha"])
@@ -260,31 +283,18 @@ class TorusSkew(SystemInstance):
     def _base_distance(self, x, z) -> np.ndarray:
         return circle_dist_matrix(x, z)
 
-    def step(self, state):
-        g, y = state
-        return np.array([self._advance(g, 1), frac(y + self._h(g))])
-
-    def metric(self, s, t) -> float:
-        return float(max(circle_dist(self._point(s[0]), self._point(t[0])),
-                         circle_dist(s[1], t[1])))
-
-    def sample(self, count: int, seed: int):
-        desc = self.descriptor
-        if desc.get("sampler") == "orbit":
-            return orbit_states(
-                self, np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64),
-                count, int(desc.get("burn_in", ORBIT_BURN_IN)),
-                int(desc.get("stride", ORBIT_STRIDE)))
-        return np.random.default_rng(seed).random((count, 2))
+    def _draw(self, count, rng):
+        return rng.random((count, 2))
 
     def step_bulk(self, states):
-        out = np.empty_like(states)
+        out = np.empty(states.shape)     # float rows, also for integral g
         out[:, 0] = self._advance(states[:, 0], 1)
         out[:, 1] = frac(states[:, 1] + self._h(states[:, 0]))
         return out
 
     def pairwise_distance(self, states) -> np.ndarray:
-        return np.maximum(circle_dist_matrix(self._point(states[:, 0])),
+        g = states[:, 0]
+        return np.maximum(self._base_distance(g, g),
                           circle_dist_matrix(states[:, 1]))
 
     def coords(self, states) -> np.ndarray:
@@ -326,9 +336,9 @@ class TorusSkew(SystemInstance):
         p = len(states)
 
         def admit(width):
-            _admit(16 * p * width + held + 8 * STEP_CHUNK * p
-                   + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
-                   self.kind, p, max(ns))
+            self._admit(16 * p * width + held + 8 * STEP_CHUNK * p
+                        + 8 * (STEP_CHUNK + 2 * TORUS_BLOCK) * width,
+                        p, max(ns))
 
         admit(1)
         g = states[:, 0]
@@ -419,7 +429,6 @@ class GroupSkew(TorusSkew):
         return np.minimum(k, self.q - k) / self.q
 
     def _check_start(self, x0) -> None:
-        """Refuse an orbit start off the group, before any step."""
         if not float(x0[0]).is_integer():
             raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
                               f"element of Z/{self.q}")
@@ -428,11 +437,7 @@ class GroupSkew(TorusSkew):
         self._check_start(x0)
         return super().orbit_coords(x0, n_max, chunk)
 
-    def sample(self, count: int, seed: int):
-        if self.descriptor.get("sampler") == "orbit":
-            self._check_start(self.descriptor.get("x0", self.orbit_x0))
-            return super().sample(count, seed)
-        rng = np.random.default_rng(seed)
+    def _draw(self, count, rng):
         return np.column_stack([rng.integers(0, self.q, count),
                                 rng.random(count)])
 
@@ -455,19 +460,7 @@ class Shift(SystemInstance):
         self.weights = weights
         self.horizon = int(descriptor.get("horizon", 64))
 
-    def step(self, s):
-        return self.step_bulk(np.asarray(s)[None])[0]
-
-    def metric(self, s, t) -> float:
-        if len(s) != len(t):
-            raise DomainError("shift metric needs windows of a common length")
-        diff = np.nonzero(s != t)[0]
-        if len(diff) == 0:
-            return 2.0 ** -(len(s))   # agree through the window
-        return 2.0 ** -int(diff[0])
-
-    def sample(self, count: int, seed: int):
-        rng = np.random.default_rng(seed)
+    def _draw(self, count, rng):
         return rng.choice(len(self.weights), size=(count, self.horizon),
                           p=self.weights).astype(np.int8)
 
@@ -503,8 +496,7 @@ class Shift(SystemInstance):
             raise DomainError(f"shift window of {w} symbols too short for n={n_max}")
         block = min(n_max, SHIFT_BLOCK)
         chunk = min(p, max(1, (1 << 19) // p))
-        _admit((block + 8) * p * p + 10 * chunk * p + held,
-               self.kind, p, n_max)
+        self._admit((block + 8) * p * p + 10 * chunk * p + held, p, n_max)
         cols = np.ascontiguousarray(states.T)
         expo = np.empty((block, p, p), dtype=np.uint8)
         run = np.zeros((p, p), dtype=np.float32)
@@ -646,12 +638,9 @@ def conjugate_system(system: SystemInstance, pi: Callable, pi_inverse: Callable,
     metric is supplied independently or inherited.
     """
     probe = system.sample(check_samples, seed)
-    round_trip = pi_inverse(pi(probe))
-    d_pair = _max_pointwise_distance(system, probe, round_trip)
-    probe2 = pi(probe)
-    round_trip2 = pi(pi_inverse(probe2))
-    d_pair2 = _max_pointwise_distance(system, probe2, round_trip2)
-    resid = max(d_pair, d_pair2)
+    image = pi(probe)
+    resid = max(_max_pointwise_distance(system, probe, pi_inverse(image)),
+                _max_pointwise_distance(system, image, pi(pi_inverse(image))))
     if resid > tol:
         raise ConjugacyError(
             f"pi and pi_inverse fail to invert within {tol} (residual {resid:.3g})")
@@ -677,14 +666,6 @@ class Conjugated(SystemInstance):
         self.pi = pi
         self.pi_inverse = pi_inverse
         self.metric_matrix = metric_matrix
-
-    def step(self, s):
-        return self.pi(self.base.step_bulk(self.pi_inverse(np.asarray(s)[None, ...])))[0]
-
-    def metric(self, s, t) -> float:
-        # the pairwise metric on a two-state payload, so dbar_distance and
-        # the balls measure with the same metric
-        return float(self.metric_matrix(np.array([s, t]))[0, 1])
 
     def sample(self, count: int, seed: int):
         return self.pi(self.base.sample(count, seed))

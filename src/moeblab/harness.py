@@ -26,9 +26,9 @@ from . import __version__
 from ._kernels import unit
 from .complexity import greedy_cover, sample_cloud
 from .dynamics import CENTER_SUM_ENTRIES, SystemInstance, make_system
-from .errors import DomainError, ParameterError, SizingError
-from .numtheory import (DEFAULT_MEMORY_CAP, MobiusTable, build_mobius_table,
-                        default_t_grid, mertens, mobius_non_pretentious)
+from .errors import DomainError, ParameterError, SizingError, admit
+from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
+                        mertens, mobius_non_pretentious)
 
 CHUNK = 1 << 15
 
@@ -214,10 +214,7 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     nbytes = (16 * dim + 144) * (n_total + ell) + 16 * dim * cloud_size * ell
     if type(system).nearest_centers is SystemInstance.nearest_centers:
         nbytes += 24 * min(cloud_size * n_total, CENTER_SUM_ENTRIES)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise SizingError(
-            f"block trace of N={n_total}, L={ell} needs about {nbytes >> 20} "
-            f"MiB, over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
+    admit(nbytes, f"block trace of N={n_total}, L={ell}")
 
     orbit_avg = correlation_sum(table, system, f, x0, [n_total]).values[0]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, ParameterError, SizingError
-from .numtheory import DEFAULT_MEMORY_CAP, MobiusTable, _simple_prime_sieve
+from .errors import DomainError, ParameterError, SizingError, admit
+from .numtheory import MobiusTable, _simple_prime_sieve
 
 LEVEL_CAP = 64   # Q_J grows doubly fast; desk N never admits J > 3
 BILINEAR_CHUNK = 1 << 16   # float32 sums of at most 2^16 terms of +-1 are exact
@@ -191,10 +191,7 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
         raise SizingError(
             f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
     nbytes = 12 * ell * ell + 4 * ell * min(n, BILINEAR_CHUNK) + 2 * (n + 1)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise SizingError(
-            f"bilinear Gram of L={ell}, N={n} needs about {nbytes >> 20} MiB, "
-            f"over the cap of {DEFAULT_MEMORY_CAP >> 20} MiB")
+    admit(nbytes, f"bilinear Gram of L={ell}, N={n}")
     mask = None if ladder is None else typical_set_mask(ladder, n)
     gram = np.zeros((ell, ell))
     for lo in range(1, n + 1, BILINEAR_CHUNK):

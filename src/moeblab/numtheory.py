@@ -19,10 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, SizingError
+from .errors import DomainError, SizingError, admit
 
 SIEVE_BLOCK = 1 << 20           # segment length; bounds transient memory
-DEFAULT_MEMORY_CAP = 1 << 31    # bytes for a value table or a dbar working set
 DEFAULT_CHARACTER_CAP = 100
 
 
@@ -78,10 +77,7 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     # int8 values, int64 primes (pi(x) < 1.25506 x / ln x), int32 scratch
     primes_bound = math.ceil(1.25506 * n_max / math.log(max(n_max, 2)))
     nbytes = n_max + 1 + 8 * primes_bound + 8 * min(n_max, SIEVE_BLOCK)
-    if nbytes > DEFAULT_MEMORY_CAP:
-        raise SizingError(
-            f"n_max={n_max} needs about {nbytes >> 20} MiB, over the cap of "
-            f"{DEFAULT_MEMORY_CAP >> 20} MiB")
+    admit(nbytes, f"n_max={n_max}")
 
     root = math.isqrt(n_max)
     base_primes = _simple_prime_sieve(root)

@@ -353,7 +353,8 @@ def test_classify_tail_takes_the_4096_bit_retry(resonant):
     retried = []
     for row in split.case_rows:
         lower, certified, took_retry = _ref_classify_tail(loose, res, row.m)
-        got = cc._classify_tail(loose, res, e_set, row.m)
+        got = cc._classify_tail(loose, res, e_set, row.m,
+                                next(cf._norm_parts(loose, row.m))[0])
         assert (got.norm_lower_bound, got.certified) == (lower, certified), row.m
         if took_retry:
             retried.append((row.case, certified))

@@ -167,6 +167,23 @@ def test_dbar_snapshots_of_every_kind(name, p, seed, ns):
             assert mat[i, j] == pytest.approx(expect, **tol), (n, i, j)
 
 
+@pytest.mark.parametrize("name", sorted(EVERY_KIND))
+def test_scalar_oracle_and_balls_read_one_metric(name):
+    # dbar_1 of the scalar oracle is the pairwise distance, bit for bit,
+    # and a skew product's band at n = 1 is that matrix too: over Z/q both
+    # read the exact base distance min(k, q - k)/q
+    system = EVERY_KIND[name]
+    states = system.sample(40, 6)
+    mat = system.pairwise_distance(states)
+    lst = system.states_list(states)
+    scalar = np.array([[cx.dbar_distance(system, x, y, 1) for y in lst]
+                       for x in lst])
+    assert scalar.tobytes() == mat.tobytes()
+    if isinstance(system, dy.TorusSkew):
+        (_, band), = band_dbar(system, states, [1])
+        assert band.tobytes() == mat.tobytes()
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 100])
 @pytest.mark.parametrize("name", ["skew2", "group_skew"])
 def test_skew_snapshots_independent_of_step_chunk(name, chunk, monkeypatch):

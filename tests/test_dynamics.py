@@ -11,8 +11,8 @@ from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
-from moeblab.errors import ConjugacyError, DomainError, SizingError
-from moeblab.numtheory import DEFAULT_MEMORY_CAP
+from moeblab.errors import (DEFAULT_MEMORY_CAP, ConjugacyError, DomainError,
+                            SizingError)
 
 SKEW_DESC = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 
@@ -88,6 +88,15 @@ def test_skew_step_matches_formula(systems):
     assert s[1] == pytest.approx((0.5 + 0.3 * math.sin(2 * np.pi * 0.25)) % 1)
 
 
+@pytest.mark.parametrize("name", ["skew2", "group"])
+def test_skew_steps_integral_states_as_floats(systems, name):
+    # an integer row [3, 0] steps as the float row [3.0, 0.0], not cast back
+    skew = systems[name]
+    expect = skew.step(np.array([3.0, 0.0]))
+    assert skew.step([3, 0]).tobytes() == expect.tobytes()
+    assert skew.step_bulk(np.array([[3, 0]]))[0].tobytes() == expect.tobytes()
+
+
 def test_skew_power_formula(systems):
     # S^n(x, y) = (x + n alpha, y + H_n(x)), checked against n-fold stepping
     skew = systems["skew2"]
@@ -112,14 +121,6 @@ def test_iteration_identity_long(systems):
             s = skew.step(s)
         h_n = cc.birkhoff_sum(skew.h, skew.alpha, x0, n)
         assert dy.circle_dist(s[1], (y0 + h_n) % 1.0) < 1e-10
-
-
-def test_bulk_step_agrees_with_scalar(systems):
-    for name, sys_ in systems.items():
-        states = sys_.sample(17, seed=5)
-        bulk_next = sys_.step_bulk(states)
-        for s, t in zip(sys_.states_list(states), sys_.states_list(bulk_next)):
-            assert sys_.metric(sys_.step(s), t) < 1e-12, name
 
 
 # one descriptor per registered kind; a kind added without one fails here
@@ -234,23 +235,23 @@ class _Admitted(Exception):
     pass
 
 
-_ADMIT = dy._admit
+_ADMIT = dy.admit
 # a skew product admits its band at width 1 before it sorts the base
 # points, then at the band's width; every other kind admits once
 _ADMISSIONS = {"skew2": 2, "group_skew": 2}
 
 
-def _spy_admit(monkeypatch, asked, stop=True):
-    """Pass each admission through the real one and append its figure to
-    `asked`; with `stop`, raise _Admitted at a kind's last admission, so
-    nothing of the working set is computed."""
-    def spy(nbytes, kind, p, n_max):
+def _spy_admit(monkeypatch, asked, kind, stop=True):
+    """Pass each admission of a system of this kind through the real one
+    and append its figure to `asked`; with `stop`, raise _Admitted at the
+    kind's last admission, so nothing of the working set is computed."""
+    def spy(nbytes, what):
         asked.append(nbytes)
-        _ADMIT(nbytes, kind, p, n_max)
+        _ADMIT(nbytes, what)
         if stop and len(asked) == _ADMISSIONS.get(kind, 1):
             raise _Admitted
 
-    monkeypatch.setattr(dy, "_admit", spy)
+    monkeypatch.setattr(dy, "admit", spy)
 
 
 def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
@@ -262,7 +263,7 @@ def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
         states = (system.sample(p, 0) if sample
                   else np.broadcast_to(state, (p,) + state.shape))
         asked[label] = []
-        _spy_admit(monkeypatch, asked[label])
+        _spy_admit(monkeypatch, asked[label], system.kind)
         with pytest.raises(_Admitted):
             next(system.dbar_balls(states, ns, eps))
     return {label: figures[-1] for label, figures in asked.items()}
@@ -279,7 +280,7 @@ def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
     p = 600
     states = system.sample(p, 1)
     asked = []
-    _spy_admit(monkeypatch, asked, stop=False)
+    _spy_admit(monkeypatch, asked, system.kind, stop=False)
     tracemalloc.start()
     try:
         deque(system.dbar_balls(states, [1, 2, 8, 64], eps), 0)
@@ -325,7 +326,7 @@ def _band_estimate(monkeypatch, p, eps):
     system = dy.make_system(SKEW_DESC)
     states = system.sample(p, 0)
     asked = []
-    _spy_admit(monkeypatch, asked)
+    _spy_admit(monkeypatch, asked, system.kind)
     tracemalloc.start()
     try:
         with pytest.raises((_Admitted, SizingError)) as caught:
@@ -412,15 +413,13 @@ def test_metric_axioms(name, systems, rng):
         assert dxy <= sys_.metric(x, z) + sys_.metric(z, y) + 1e-12
 
 
-def test_pairwise_matches_scalar_metric(systems):
-    for name, sys_ in systems.items():
-        states = sys_.sample(12, seed=3)
-        mat = sys_.pairwise_distance(states)
-        lst = sys_.states_list(states)
-        for i in range(12):
-            for j in range(12):
-                assert mat[i, j] == pytest.approx(
-                    sys_.metric(lst[i], lst[j]), abs=1e-12), name
+def test_shift_metric_refuses_windows_of_unequal_length(systems):
+    shift = systems["shift"]
+    s, t = shift.sample(2, seed=3)
+    assert shift.metric(s[1:], t[1:]) == shift.pairwise_distance(
+        np.array([s[1:], t[1:]]))[0, 1]
+    with pytest.raises(DomainError, match="shapes"):
+        shift.metric(s, t[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +471,8 @@ def test_orbit_sampler_provenance():
     sys_ = dy.make_system(desc)
     states = sys_.sample(50, seed=0)
     assert np.asarray(states).shape == (50, 2)
+    expect = dy.orbit_states(sys_, np.array([0.1, 0.2]), 50, 100, 3)
+    assert states.tobytes() == expect.tobytes()
 
 
 def test_group_orbit_sampler_follows_the_orbit():
@@ -503,6 +504,22 @@ def test_group_orbit_start_must_lie_on_the_group():
     assert gs.sample(4, seed=0)[:, 0].tolist() == [3, 8, 1, 6]
     coords = np.concatenate(list(gs.orbit_coords([3.0, 0.2], 4, 2)))
     assert (coords[:, 0] * 12).round().tolist() == [8, 1, 6, 11]
+
+
+@pytest.mark.parametrize("kind", ["rotation", "shift"])
+def test_orbit_sampler_refused_without_an_orbit_start(kind):
+    # a rotation has no orbit start, and a shift's window shrinks at each
+    # step; neither falls back to its invariant draw
+    system = dy.make_system(dict(CONTRACT_DESCRIPTORS[kind], sampler="orbit"))
+    with pytest.raises(DomainError, match="no sampler 'orbit'"):
+        system.sample(3, seed=0)
+
+
+@pytest.mark.parametrize("kind", sorted(dy._KINDS))
+def test_unknown_sampler_refused(kind):
+    system = dy.make_system(dict(CONTRACT_DESCRIPTORS[kind], sampler="haar"))
+    with pytest.raises(DomainError, match="no sampler 'haar'"):
+        system.sample(3, seed=0)
 
 
 # ---------------------------------------------------------------------------

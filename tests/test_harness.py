@@ -12,7 +12,8 @@ from moeblab import cocycle as cc
 from moeblab import dynamics as dy
 from moeblab import harness as hx
 from moeblab import numtheory as nt
-from moeblab.errors import DomainError, ParameterError, SizingError
+from moeblab.errors import (DEFAULT_MEMORY_CAP, DomainError, ParameterError,
+                            SizingError)
 
 ROT = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
 FIXTURE = json.loads((Path(__file__).parent / "fixtures"
@@ -408,7 +409,7 @@ def test_block_trace_counts_the_generic_search_sums(system, f, x0, admitted,
 
     monkeypatch.setattr(hx, "correlation_sum", reached)
     n_total, ell = 115 * 10 ** 5, 16
-    assert 176 * (n_total + ell) + 32 * 64 * ell < nt.DEFAULT_MEMORY_CAP
+    assert 176 * (n_total + ell) + 32 * 64 * ell < DEFAULT_MEMORY_CAP
     with pytest.raises(_Reached if admitted else SizingError):
         hx.block_decomposition_trace(_broadcast_table(n_total + ell), system,
                                      f, x0, ell=ell, delta=0.001, epsilon=0.3,
