@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
@@ -331,13 +332,21 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
     torus, using the recorded block-estimate constant c_cert and the
     certified Lipschitz bound of h1), and a random spot check that sampled
     points land within eps of their nearest grid center (the i-average is
-    exact for n_t <= I_SAMPLE_CAP, Monte Carlo over i otherwise).
+    exact for n_t <= I_SAMPLE_CAP, Monte Carlo over i otherwise).  Both
+    read n_t as a float, so an n_t of 1024 bits or more is refused with
+    `SizingError` before any conversion.
     """
     tau = res.tau
     e_int = int(Fraction(1) / tau)          # [1/tau]
     exponent = float(1 / tau + 2)
     q_t = cf.q(t)
     n_t = q_t ** (e_int + 2)
+    # the certificate and the draws of i below read q_t and n_t as floats
+    if n_t.bit_length() >= sys.float_info.max_exp:
+        raise SizingError(
+            f"grid cover at t={t}: n_t = q_t^{e_int + 2} has "
+            f"{n_t.bit_length()} bits, beyond a float "
+            f"({sys.float_info.max_exp - 1} bits at most)")
     l_const = max(math.ceil(3.0 / epsilon), math.ceil(h1.lipschitz_bound()))
     k_tilde = math.floor(3.0 / epsilon) + 1
     grid_count = l_const * l_const * q_t * k_tilde

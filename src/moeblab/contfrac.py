@@ -56,7 +56,25 @@ class ExactAlpha:
         return False
 
 
-@dataclass(frozen=True)
+def _frozen_alpha(cls: type) -> type:
+    """A frozen dataclass whose hash is computed once per instance: the
+    certified reductions look up `_enclosure_ints` by alpha at every m, and
+    the fields of a resonant alpha are big integers."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", fields_hash(self))
+            return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_frozen_alpha
 class ZeroAlpha(ExactAlpha):
     """alpha = 0: the degenerate (identity) rotation.
 
@@ -74,7 +92,7 @@ class ZeroAlpha(ExactAlpha):
         return "0"
 
 
-@dataclass(frozen=True)
+@_frozen_alpha
 class RationalAlpha(ExactAlpha):
     value: Fraction
 
@@ -93,7 +111,7 @@ class RationalAlpha(ExactAlpha):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@_frozen_alpha
 class QuadraticAlpha(ExactAlpha):
     """(a + b*sqrt(d)) / c with integer a, b, c and d a positive nonsquare."""
 
@@ -125,7 +143,7 @@ class QuadraticAlpha(ExactAlpha):
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
-@dataclass(frozen=True)
+@_frozen_alpha
 class QuotientAlpha(ExactAlpha):
     """A number known only through a finite prefix of partial quotients.
 
@@ -317,10 +335,16 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
 
 
 def _check_determinants(cf: ContinuedFraction) -> None:
-    for k in range(1, cf.depth + 1):
-        det = cf.p(k + 1) * cf.q(k) - cf.p(k) * cf.q(k + 1)
-        if abs(det) != 1:
-            raise AssertionError(f"convergent determinant {det} at k={k}")
+    """Guard the convergents at O(1): the recurrence's first rows, and the
+    last determinant p_{K+1} q_K - p_K q_{K+1} = (-1)^{K+1}.  Each step of
+    the recurrence negates the determinant, so from p_1 = 0, q_1 = 1,
+    p_2 = 1, q_2 = a_1 every one is +-1 by construction."""
+    k = cf.depth
+    if cf.ps[:2] != (0, 1) or cf.qs[:2] != (1, cf.quotients[0]):
+        raise AssertionError(f"convergent start {cf.ps[:2]}, {cf.qs[:2]}")
+    det = cf.p(k + 1) * cf.q(k) - cf.p(k) * cf.q(k + 1)
+    if det != (-1) ** (k + 1):
+        raise AssertionError(f"convergent determinant {det} at k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +354,7 @@ def _check_determinants(cf: ContinuedFraction) -> None:
 @lru_cache(maxsize=256)
 def _enclosure_ints(alpha: ExactAlpha, bits: int) -> tuple[int, ...]:
     """(a, b, c, d, ad + cb, 2bd) for the enclosure [a/b, c/d] in lowest terms."""
-    # ExactAlpha instances are frozen dataclasses, hence hashable
+    # the alphas are frozen dataclasses, hashed once each (`_frozen_alpha`)
     lo, hi = alpha.enclosure(bits)
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     return a, b, c, d, a * d + c * b, 2 * b * d

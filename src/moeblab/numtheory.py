@@ -1,7 +1,10 @@
 """Mobius sieve, Mertens sums, Dirichlet characters, pretentious distance.
 
 The Mobius function is mu(1) = 1, mu(n) = (-1)^k when n is a product of k
-distinct primes, and mu(n) = 0 when a square divides n.  The pretentious
+distinct primes, and mu(n) = 0 when a square divides n.  The sieve reads
+mu off one signed int32 product per entry, (-1)^k times the k base primes
+that divide it, zeroed at a square; an entry whose product is below it
+has one more prime factor (`build_mobius_table`).  The pretentious
 distance between 1-bounded multiplicative functions f, g is the prime sum
 
     sum_{p <= N} (1 - Re(f(p) conj(g(p)))) / p,
@@ -63,14 +66,16 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     """Sieve mu(n) and the primes <= n_max in one pass, segmented at
     SIEVE_BLOCK entries.
 
-    Each segment keeps the product of the base primes p <= isqrt(n_max)
-    that divide each entry: every such p flips the sign, and multiples of
-    p^2 are zeroed in the sign itself.  A squarefree n has a prime factor
-    above isqrt(n_max), and then exactly one, when its product is below n
-    (one more flip).  The entries above isqrt(n_max) with product 1 are the
-    primes beyond the base primes.  A product divides its entry, so the
-    products and the entries are int32, exactly: the values alone refuse
-    every n_max >= 2^31 at the memory cap.
+    Each segment keeps one signed product (-1)^k p_1 ... p_k over the k
+    base primes p <= isqrt(n_max) that divide each entry: one strided
+    multiply by -p per base prime, and multiples of p^2 are zeroed.  The
+    sign of the product is written into the values; then the product is
+    taken in absolute value.  A squarefree n has a prime factor above
+    isqrt(n_max), and then exactly one, when its product is below n (one
+    more flip, an int8 multiply by 1 - 2 [product < n]).  The entries above
+    isqrt(n_max) with product 1 are the primes beyond the base primes.  A
+    product divides its entry, so the products and the entries are int32,
+    exactly: the values alone refuse every n_max >= 2^31 at the memory cap.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
@@ -86,17 +91,20 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, n_max + 1)
         prod = np.ones(hi - lo, dtype=np.int32)
-        sign = values[lo:hi]
-        sign[:] = 1
         for p in base_primes.tolist():
-            start = (-lo) % p
-            np.negative(sign[start::p], out=sign[start::p])
-            prod[start::p] *= p
+            prod[(-lo) % p:: p] *= -p
             if p * p < hi:
-                sign[(-lo) % (p * p):: p * p] = 0
+                prod[(-lo) % (p * p):: p * p] = 0
+        sign = values[lo:hi]
+        np.sign(prod, out=sign, casting="unsafe")
+        np.abs(prod, out=prod)
         seg = np.arange(lo, hi, dtype=np.int32)
-        np.negative(sign, out=sign, where=prod < seg)
-        seg = seg[prod == 1]
+        flip = np.less(prod, seg).view(np.int8)
+        flip *= -2
+        flip += 1
+        sign *= flip
+        seg = seg[np.equal(prod, 1, out=flip.view(bool))]
+        del flip    # freed before the next segment allocates its own
         primes_chunks.append(seg[seg > root])
     primes = np.concatenate(primes_chunks)
     values.flags.writeable = False

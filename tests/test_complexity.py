@@ -11,6 +11,7 @@ from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
+from moeblab import fixtures as fx
 from moeblab.errors import DomainError, SizingError
 
 from band_reference import band_dbar
@@ -560,6 +561,20 @@ def test_grid_cover_smallest_t(resonant):
     assert rep.grid_count == rep.lipschitz_l ** 2 * 2 * 16
     assert rep.certificate_ok and rep.sampled_ok
     assert not rep.i_subsampled
+
+
+def test_grid_cover_refuses_an_n_t_beyond_a_float():
+    # at depth 12, E = (2, 6, 8, 10, 12): n_t = q_12^3 has 3307 bits, which
+    # a float cannot hold; t = 10 (825 bits) still runs
+    c, res, h = fx.resonant_fixture(depth=12, freq_bound=4096)
+    h1 = cc.split_cocycle(h, res).h1
+    assert res.E[-1] == 12
+    with pytest.raises(SizingError, match=r"t=12: n_t = q_t\^3 has 3307 bits"):
+        cx.grid_cover_check(c, res, h1, epsilon=0.2, c_cert=1.0, t=12,
+                            sample_points=10)
+    rep = cx.grid_cover_check(c, res, h1, epsilon=0.2, c_cert=1.0, t=10,
+                              sample_points=10)
+    assert rep.n_t.bit_length() == 825 and rep.i_subsampled
 
 
 def test_function_family_metric_rotation_stays_bounded():

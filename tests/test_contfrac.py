@@ -88,6 +88,43 @@ def test_growth_lower_bound_all_fixtures():
             assert c.q(k) >= 2 ** ((k - 2) / 2)
 
 
+@pytest.mark.parametrize("alpha", [
+    cf.ZeroAlpha(), cf.RationalAlpha(Fraction(2, 7)), cf.SQRT2_MINUS_1,
+    resonant_alpha(11)], ids=str)
+def test_alpha_hash_is_the_fields_hash(alpha):
+    twin = dataclasses.replace(alpha)
+    assert twin == alpha and twin is not alpha
+    assert hash(alpha) == hash(twin) == hash(dataclasses.astuple(alpha))
+
+
+def test_alpha_fields_are_hashed_once():
+    # the certified reductions look up `_enclosure_ints` by alpha per m
+    calls = []
+
+    class Counted(int):
+        def __hash__(self):
+            calls.append(self)
+            return int.__hash__(self)
+
+    alpha = cf.QuotientAlpha((Counted(2), Counted(17)))
+    for bits in (256, 512, 256):
+        cf._enclosure_ints(alpha, bits)
+    assert hash(alpha) == hash(((2, 17),))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("depth", [2, 3, 300])
+def test_determinant_guard_refuses_corrupted_convergents(depth):
+    c = cf.expand("sqrt2-1", depth)
+    cf._check_determinants(c)
+    last = dataclasses.replace(c, ps=c.ps[:-1] + (c.ps[-1] + 1,))
+    with pytest.raises(AssertionError, match=f"determinant .* at k={depth}"):
+        cf._check_determinants(last)
+    start = dataclasses.replace(c, qs=(2,) + c.qs[1:])
+    with pytest.raises(AssertionError, match="convergent start"):
+        cf._check_determinants(start)
+
+
 def _sign_of_alpha_minus(alpha, u, v):
     """Sign of alpha - u/v for v > 0, decided in exact integers."""
     if isinstance(alpha, cf.RationalAlpha):

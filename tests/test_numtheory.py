@@ -115,6 +115,59 @@ def test_sieve_equals_two_pass_reference(n_max):
     assert np.array_equal(table.primes, ref.primes)
 
 
+def _ref_running_product_table(n_max: int) -> nt.MobiusTable:
+    """The former segment loop: an unsigned int32 product of the base
+    primes, a separate int8 sign flipped per prime and zeroed per p^2, and
+    a masked flip where the product is below the entry."""
+    root = math.isqrt(n_max)
+    base_primes = nt._simple_prime_sieve(root)
+    values = np.zeros(n_max + 1, dtype=np.int8)
+    primes_chunks = [base_primes]
+    for lo in range(1, n_max + 1, nt.SIEVE_BLOCK):
+        hi = min(lo + nt.SIEVE_BLOCK, n_max + 1)
+        prod = np.ones(hi - lo, dtype=np.int32)
+        sign = values[lo:hi]
+        sign[:] = 1
+        for p in base_primes.tolist():
+            start = (-lo) % p
+            np.negative(sign[start::p], out=sign[start::p])
+            prod[start::p] *= p
+            if p * p < hi:
+                sign[(-lo) % (p * p):: p * p] = 0
+        seg = np.arange(lo, hi, dtype=np.int32)
+        np.negative(sign, out=sign, where=prod < seg)
+        seg = seg[prod == 1]
+        primes_chunks.append(seg[seg > root])
+    primes = np.concatenate(primes_chunks)
+    return nt.MobiusTable(limit=n_max, values=values, primes=primes)
+
+
+def _assert_tables_equal(table, ref):
+    assert table.values.dtype == ref.values.dtype
+    assert np.array_equal(table.values, ref.values)
+    assert table.primes.dtype == ref.primes.dtype
+    assert np.array_equal(table.primes, ref.primes)
+
+
+@pytest.mark.parametrize("n_max", [
+    1, 2, 3, 4, 960, 961, nt.SIEVE_BLOCK - 1, nt.SIEVE_BLOCK,
+    nt.SIEVE_BLOCK + 1, 2 * nt.SIEVE_BLOCK + 3, 10 ** 6 + 7])
+def test_sieve_equals_running_product_reference(n_max):
+    _assert_tables_equal(nt.build_mobius_table(n_max),
+                         _ref_running_product_table(n_max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_max=st.integers(min_value=1, max_value=3000),
+       block=st.integers(min_value=1, max_value=300))
+def test_sieve_equals_running_product_reference_at_any_block(n_max, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "SIEVE_BLOCK", block)
+        table = nt.build_mobius_table(n_max)
+        ref = _ref_running_product_table(n_max)
+    _assert_tables_equal(table, ref)
+
+
 def test_multiplicativity_on_random_coprime_pairs(table_100k, rng):
     limit = table_100k.limit
     checked = 0
