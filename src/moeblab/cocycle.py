@@ -31,8 +31,7 @@ import numpy as np
 
 from ._kernels import frac, twice_re
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
-                       MAX_BITS, _centered_parts, _norm_parts, _split_parts,
-                       parse_alpha)
+                       MAX_BITS, _centered_parts, _norm_parts, _split_parts)
 from .errors import DomainError, ParameterError, ResonanceError
 
 ENVELOPE_SLACK = 1 + 1e-9
@@ -293,34 +292,6 @@ def coboundary_residual(split: CocycleSplit, h: FourierCocycle,
 # ---------------------------------------------------------------------------
 # Birkhoff sums
 # ---------------------------------------------------------------------------
-
-def birkhoff_sum(h1: FourierCocycle, alpha: ExactAlpha | object, x: float,
-                 n: int) -> float:
-    """H_n(x) = sum_{i<n} h1(x + i alpha) by the geometric closed form.
-
-    Frequencies with e(m alpha) = 1 exactly (rational alpha) contribute
-    n * hhat(m) e(mx), which is what direct term-by-term summation gives.
-    H_0 is identically 0.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    alpha = parse_alpha(alpha)
-    if n == 0:
-        return 0.0
-    total = n * h1.mean
-    for m in h1.support:
-        if m <= 0:
-            continue
-        c = h1.coefficients[m]
-        den = e_minus_one_exact(alpha, m)
-        e_mx = cmath.exp(2j * math.pi * (m * x))
-        if den == 0:
-            term = n * c * e_mx
-        else:
-            term = c * e_mx * e_minus_one_exact(alpha, m * n) / den
-        total += 2.0 * term.real
-    return float(total)
-
 
 def birkhoff_deviation_grid(h1: FourierCocycle, alpha: ExactAlpha, n: int,
                             grid_size: int) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Concrete systems: rotations, skew products over rotations, shifts.
 
-One class per kind writes its step, metric and seeded invariant draw
-once, on a bulk payload; `SystemInstance` derives the scalar forms, so
-the dbar oracle and the covering code measure with one d.  A kind adds
-what its structure gives: the eps-balls of the averaged metric
-(`dbar_balls`), the nearest covering centers of an orbit
+One class per kind writes its step, metric, seeded invariant draw and
+the eps-balls of the averaged metric (`dbar_balls`) once, on a bulk
+payload; `SystemInstance` derives the scalar forms, so the dbar oracle
+and the covering code measure with one d.  A kind adds what its
+structure gives: the nearest covering centers of an orbit
 (`nearest_centers`) and the closed-form orbit in trigonometric
 coordinates (`orbit_coords`).
 A bulk payload is one ndarray with one row per state: a (P,) array of
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
                        true_diagonal)
 from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
-from .errors import ConjugacyError, DomainError, SizingError, admit
+from .errors import DomainError, SizingError, admit
 
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
@@ -68,8 +67,12 @@ def circle_dist_matrix(xs: np.ndarray, ys: np.ndarray | None = None
 class SystemInstance:
     """A state space with iteration map, metric, and invariant sampler.
 
-    Subclasses implement `step_bulk`, `pairwise_distance` and `_draw(count,
-    rng)`, the invariant measure's draw; `step`, `metric` and `sample` are
+    Subclasses implement `step_bulk`, `pairwise_distance`, `_draw(count,
+    rng)`, the invariant measure's draw, and `dbar_balls(states, ns, eps)`,
+    which yields (n, balls) for the ascending positive ns: balls[k, i, j]
+    is dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
+    array in cloud order, True on the diagonal, and no array yielded is
+    held once the next n is asked for.  `step`, `metric` and `sample` are
     derived here.  Bulk states are an ndarray with one row per state, so
     `len(states)`, `states[index]` and `np.array(items)` serve every kind.
     `nearest_centers(coords, ctraj, n_total)` reads
@@ -140,40 +143,6 @@ class SystemInstance:
         raise DomainError(
             f"correlation orbits need trig coordinates; system kind "
             f"{self.kind!r} is not supported")
-
-    def dbar_balls(self, states, ns: Sequence[int], eps: Sequence[float]
-                   ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, balls) for the ascending positive ns: balls[k, i, j] is
-        dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
-        array in cloud order, True on the diagonal.
-
-        Base form: the dense means of `_dbar_means` thresholded.  No array
-        yielded is held here once the next n is asked for.
-        """
-        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
-        p = len(states)
-        means = self._dbar_means(states, ns, len(eps) * p * p)
-        for n in ns:
-            yield n, true_diagonal(next(means)[1] < eps)
-
-    def _dbar_means(self, states, ns: Sequence[int], held: int
-                    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, dbar_n pairwise matrix) for the ascending positive ns,
-        once their working set and `held` bytes of the caller's are
-        admitted.  Generic form (`Conjugated`): the pairwise metric of the
-        stepped states, summed; six float64 (p, p) matrices, for the sum, a
-        mean and the metric's own.
-        """
-        p = len(states)
-        self._admit(48 * p * p + held, p, max(ns))
-        dsum = np.zeros((p, p))
-        done = 0
-        for n in ns:
-            while done < n:
-                dsum += self.pairwise_distance(states)
-                states = self.step_bulk(states)
-                done += 1
-            yield n, dsum / n
 
     def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
                         n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -478,18 +447,28 @@ class Shift(SystemInstance):
             val = np.where(diff, 2.0 ** -j, val)
         return val
 
+    def dbar_balls(self, states, ns, eps):
+        """The float32 means of `_dbar_means` thresholded."""
+        eps = np.asarray(eps, dtype=np.float64)[:, None, None]
+        p = len(states)
+        for n, mean in self._dbar_means(states, ns, len(eps) * p * p):
+            yield n, true_diagonal(mean < eps)
+
     def _dbar_means(self, states, ns, held):
-        """Two passes per block of SHIFT_BLOCK offsets below n_max.  Pass 1,
-        right to left over the window transposed to (w, p) and chunked over
-        rows, keeps per pair and offset j one byte e_j, the distance to the
-        next differing offset.  It starts 149 offsets past the block, with a
-        virtual difference there: the e_j this shortens stay >= 150, where
-        2^-e is 0 in float32.  Pass 2 adds 2^-e_j in ascending j into one
-        float32 running sum, the additions of a cumulative sum, and yields
-        each n's float32 mean in one reused matrix; a float64 eps compares
-        with it exactly.  Working set: the (block, p, p) bytes, two float32
-        (p, p) matrices, and per pair of a chunk of rows two bytes and the
-        8-byte index `np.take` makes of each byte."""
+        """Yield (n, dbar_n pairwise matrix) for the ascending positive ns,
+        once their working set and `held` bytes of the caller's are
+        admitted.  Two passes per block of SHIFT_BLOCK offsets below n_max.
+        Pass 1, right to left over the window transposed to (w, p) and
+        chunked over rows, keeps per pair and offset j one byte e_j, the
+        distance to the next differing offset.  It starts 149 offsets past
+        the block, with a virtual difference there: the e_j this shortens
+        stay >= 150, where 2^-e is 0 in float32.  Pass 2 adds 2^-e_j in
+        ascending j into one float32 running sum, the additions of a
+        cumulative sum, and yields each n's float32 mean in one reused
+        matrix; a float64 eps compares with it exactly.  Working set: the
+        (block, p, p) bytes, two float32 (p, p) matrices, and per pair of a
+        chunk of rows two bytes and the 8-byte index `np.take` makes of
+        each byte."""
         p, w = states.shape
         n_max = max(ns)
         if n_max > w:
@@ -543,9 +522,8 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
     h_spec = descriptor.get("h", [])
     if isinstance(h_spec, FourierCocycle):
         return h_spec
-    tau = descriptor.get("tau", 1)
     pairs = [(int(m), complex(re, im)) for (m, re, im) in h_spec]
-    return cocycle_from_pairs(pairs, tau=tau)
+    return cocycle_from_pairs(pairs)
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:
@@ -580,109 +558,4 @@ def make_system(descriptor: dict) -> SystemInstance:
             raise DomainError(
                 f"system descriptor of kind {kind!r} is missing field {name!r}")
     return builder(dict(descriptor))
-
-
-# ---------------------------------------------------------------------------
-# Function-family metric
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FunctionFamilyMetric:
-    """d'(x,y) = sum_l |g_l(x) - g_l(y)| / (2^l (2||g_l|| + 1)), truncated."""
-
-    functions: tuple[Callable, ...]
-    norms: tuple[float, ...]
-    truncation_slack: float
-
-    def __call__(self, x, y) -> float:
-        total = 0.0
-        for ell, (g, norm) in enumerate(zip(self.functions, self.norms), start=1):
-            total += abs(g(x) - g(y)) / (2 ** ell * (2 * norm + 1))
-        return total
-
-
-def function_family_metric(functions: Sequence[Callable],
-                           l_max: int | None = None,
-                           norms: Sequence[float] | None = None,
-                           norm_grid: int = 4096) -> FunctionFamilyMetric:
-    """Truncated separating-family metric from continuous functions.
-
-    Sup-norms may be supplied; otherwise they are estimated on a circle
-    grid (adequate for the trigonometric families used here).  The
-    truncation slack sum_{l > L} 2^-l = 2^-L is recorded.
-    """
-    fns = tuple(functions)[: l_max if l_max else None]
-    if not fns:
-        raise DomainError("need at least one function")
-    if norms is None:
-        xs = np.arange(norm_grid) / norm_grid
-        norms = tuple(float(np.max(np.abs([g(x) for x in xs]))) for g in fns)
-    else:
-        norms = tuple(float(v) for v in norms)
-    return FunctionFamilyMetric(functions=fns, norms=norms,
-                                truncation_slack=2.0 ** -len(fns))
-
-
-# ---------------------------------------------------------------------------
-# Conjugation
-# ---------------------------------------------------------------------------
-
-def conjugate_system(system: SystemInstance, pi: Callable, pi_inverse: Callable,
-                     new_metric: Callable | None = None,
-                     check_samples: int = 200, seed: int = 0,
-                     tol: float = 1e-9) -> SystemInstance:
-    """System with step' = pi o step o pi^{-1}, sampler pushed forward.
-
-    pi and pi_inverse must act on bulk state arrays and be mutually inverse
-    on sampled states to within `tol` (checked, else ConjugacyError).  The
-    metric is supplied independently or inherited.
-    """
-    probe = system.sample(check_samples, seed)
-    image = pi(probe)
-    resid = max(_max_pointwise_distance(system, probe, pi_inverse(image)),
-                _max_pointwise_distance(system, image, pi(pi_inverse(image))))
-    if resid > tol:
-        raise ConjugacyError(
-            f"pi and pi_inverse fail to invert within {tol} (residual {resid:.3g})")
-
-    return Conjugated(system, pi, pi_inverse,
-                      new_metric if new_metric is not None
-                      else system.pairwise_distance)
-
-
-class Conjugated(SystemInstance):
-    """The system pi o T o pi^{-1} on the base system's bulk payload.
-
-    pi need not keep the isometries the base kind's fast paths rest on, so
-    it takes the generic dbar accumulation and has no closed-form orbit.
-    """
-
-    def __init__(self, base: SystemInstance, pi: Callable, pi_inverse: Callable,
-                 metric_matrix: Callable):
-        super().__init__({**base.descriptor, "conjugated": True},
-                         alpha=base.alpha, h=base.h)
-        self.kind = base.kind
-        self.base = base
-        self.pi = pi
-        self.pi_inverse = pi_inverse
-        self.metric_matrix = metric_matrix
-
-    def sample(self, count: int, seed: int):
-        return self.pi(self.base.sample(count, seed))
-
-    def step_bulk(self, states):
-        return self.pi(self.base.step_bulk(self.pi_inverse(states)))
-
-    def pairwise_distance(self, states) -> np.ndarray:
-        return self.metric_matrix(states)
-
-    def orbit_coords(self, x0, n_max, chunk):
-        raise DomainError(
-            f"correlation orbits are streamed in closed form for unconjugated "
-            f"systems only; this {self.kind!r} system is conjugated")
-
-
-def _max_pointwise_distance(system: SystemInstance, a, b) -> float:
-    la, lb = system.states_list(a), system.states_list(b)
-    return max(system.metric(x, y) for x, y in zip(la, lb))
 

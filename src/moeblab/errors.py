@@ -38,7 +38,3 @@ class PrecisionError(MoebLabError):
 
 class ResonanceError(MoebLabError):
     """A denominator e(m*alpha) - 1 vanishes exactly (rational alpha)."""
-
-
-class ConjugacyError(MoebLabError):
-    """Supplied maps fail to be mutually inverse within tolerance."""

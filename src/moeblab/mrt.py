@@ -102,22 +102,6 @@ def build_ladder(p1: float, q1: float, n0: int, n: int) -> MrtLadder:
     return MrtLadder(p1=p1, q1=q1, n0=n0, n=n, log_levels=tuple(levels))
 
 
-def in_typical_set(n: int, ladder: MrtLadder, primes) -> bool:
-    """True iff n has at least one prime factor in every ladder level."""
-    if not 1 <= n <= ladder.n:
-        raise DomainError(f"n={n} outside [1, {ladder.n}]")
-    primes = np.asarray(primes)
-    top = ladder.levels[-1][1]
-    if len(primes) == 0 or primes[-1] < math.floor(top):
-        raise DomainError(
-            f"prime list must cover ceil(Q_J) = {math.ceil(top)}")
-    for p_j, q_j in ladder.levels:
-        level = primes[(primes >= p_j) & (primes <= q_j)]
-        if not any(n % int(p) == 0 for p in level):
-            return False
-    return True
-
-
 def typical_set_mask(ladder: MrtLadder, n: int) -> np.ndarray:
     """Boolean membership of 1..n in the typical set (index 0 unused)."""
     if n > ladder.n:

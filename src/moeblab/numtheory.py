@@ -72,8 +72,9 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     sign of the product is written into the values; then the product is
     taken in absolute value.  A squarefree n has a prime factor above
     isqrt(n_max), and then exactly one, when its product is below n (one
-    more flip, an int8 multiply by 1 - 2 [product < n]).  The entries above
-    isqrt(n_max) with product 1 are the primes beyond the base primes.  A
+    more flip, an int8 multiply by 1 - 2 [product < n]).  The entries with
+    product 1 are 1, every other entry up to isqrt(n_max) having a base
+    prime factor, and the primes beyond the base primes.  A
     product divides its entry, so the products and the entries are int32,
     exactly: the values alone refuse every n_max >= 2^31 at the memory cap.
     """
@@ -84,8 +85,7 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     nbytes = n_max + 1 + 8 * primes_bound + 8 * min(n_max, SIEVE_BLOCK)
     admit(nbytes, f"n_max={n_max}")
 
-    root = math.isqrt(n_max)
-    base_primes = _simple_prime_sieve(root)
+    base_primes = _simple_prime_sieve(math.isqrt(n_max))
     values = np.zeros(n_max + 1, dtype=np.int8)
     primes_chunks = [base_primes]
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
@@ -105,7 +105,7 @@ def build_mobius_table(n_max: int) -> MobiusTable:
         sign *= flip
         seg = seg[np.equal(prod, 1, out=flip.view(bool))]
         del flip    # freed before the next segment allocates its own
-        primes_chunks.append(seg[seg > root])
+        primes_chunks.append(seg[1:] if lo == 1 else seg)    # n = 1 dropped
     primes = np.concatenate(primes_chunks)
     values.flags.writeable = False
     primes.flags.writeable = False

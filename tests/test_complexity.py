@@ -55,7 +55,7 @@ def test_dbar_skew_matches_hand_computation():
 def _dbar_matrices(system, states, ns):
     """(n, dbar_n) in cloud order from what each kind's balls read: the
     rotation's pairwise distance, a skew product's band sums at reach 1/2
-    (every pair), and the dense means of the shift and of `Conjugated`."""
+    (every pair), and the shift's dense means."""
     if isinstance(system, dy.Rotation):
         yield from ((n, system.pairwise_distance(states)) for n in ns)
     elif isinstance(system, dy.TorusSkew):
@@ -100,34 +100,6 @@ def test_dbar_shift_profile_matches_scalar():
                 assert mat[i, j] == pytest.approx(total / n, rel=1e-6), (n, i, j)
 
 
-def _shear(sign):
-    def pi(states):
-        arr = np.asarray(states)
-        return np.column_stack([arr[:, 0], np.mod(
-            arr[:, 1] + sign * 0.1 * np.sin(2 * np.pi * arr[:, 0]), 1.0)])
-    return pi
-
-
-COSINE_FAMILY = dy.function_family_metric(
-    [(lambda x, l=l: np.cos(2 * np.pi * l * np.asarray(x))) for l in (1, 2, 3)],
-    norms=[1.0, 1.0, 1.0])
-
-
-def _family_matrix(states):
-    xs = np.asarray(states)
-    out = np.zeros((len(xs), len(xs)))
-    for ell, (g, norm) in enumerate(zip(COSINE_FAMILY.functions,
-                                        COSINE_FAMILY.norms), start=1):
-        vals = g(xs)
-        out += np.abs(vals[:, None] - vals[None, :]) / (2 ** ell * (2 * norm + 1))
-    return out
-
-
-# the identity conjugation keeps the rotation's step and sampler floats and
-# takes the generic dbar accumulation under the family metric
-FAMILY_ROT = dy.conjugate_system(ROT, np.asarray, np.asarray,
-                                 new_metric=_family_matrix)
-
 EVERY_KIND = {
     "rotation": ROT,
     "skew2": SKEW,
@@ -135,8 +107,6 @@ EVERY_KIND = {
                                   "a": 5, "h": [[1, 0.05, 0.0]]}),
     "shift": dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 24}),
-    "conjugated_skew": dy.conjugate_system(SKEW, _shear(1), _shear(-1)),
-    "conjugated_family": FAMILY_ROT,
 }
 
 
@@ -202,20 +172,6 @@ def test_skew_snapshots_independent_of_step_chunk(name, chunk, monkeypatch):
     expect = run()
     monkeypatch.setattr(dy, "STEP_CHUNK", chunk)
     assert run() == expect
-
-
-def test_conjugated_scalar_metric_is_its_own_metric():
-    # dbar_distance steps the scalar metric given with the conjugation,
-    # the one the balls use, not the base rotation's circle metric
-    states = FAMILY_ROT.sample(20, 3)
-    lst = FAMILY_ROT.states_list(states)
-    (_, mat), = FAMILY_ROT._dbar_means(states, [3], 0)
-    for i in range(20):
-        for j in range(i + 1, 20):
-            expect = cx.dbar_distance(FAMILY_ROT, lst[i], lst[j], 3)
-            assert mat[i, j] == pytest.approx(expect, abs=1e-12), (i, j)
-    (_, balls), = FAMILY_ROT.dbar_balls(states, [3], [0.05, 0.1])
-    assert np.array_equal(balls, _thresholds(mat, [0.05, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +423,7 @@ def test_profile_shift_exponential():
     assert prof.classification.entropy_rate > 0.4
 
 
-@pytest.mark.parametrize("name", ["skew2", "group_skew", "shift",
-                                  "conjugated_skew"])
+@pytest.mark.parametrize("name", ["skew2", "group_skew", "shift"])
 def test_profile_drops_each_n_balls_before_the_next(name, monkeypatch):
     # one n's balls at a time: each yielded array is dead once the
     # profile asks for the next n
@@ -506,45 +461,29 @@ def test_profile_epsilon_monotone():
 
 
 def test_prop_22_surrogate_conjugation_preserves_boundedness():
-    alpha = cf.SQRT2_MINUS_1
-    a = alpha.as_float()
+    # the coboundary skew (x, y + phi(x + alpha) - phi(x)), phi = amp
+    # sin(2 pi x), is conjugated by the shear (x, y - phi(x)) to the
+    # rotation (x + alpha, y), the skew with h = 0; both stay bounded
+    a = cf.SQRT2_MINUS_1.as_float()
     amp = 0.2
     phase = np.exp(2j * np.pi * a) - 1.0
     c1 = (-0.5j * amp) * phase
     skew = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1",
                            "h": [[1, c1.real, c1.imag]]})
+    rotation = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1", "h": []})
 
-    def phi(x):
-        return amp * np.sin(2 * np.pi * x)
+    def shear(states):
+        return np.column_stack([states[:, 0], np.mod(
+            states[:, 1] - amp * np.sin(2 * np.pi * states[:, 0]), 1.0)])
 
-    def pi(states):
-        arr = np.asarray(states)
-        return np.column_stack([arr[:, 0], np.mod(arr[:, 1] - phi(arr[:, 0]), 1.0)])
-
-    def pi_inv(states):
-        arr = np.asarray(states)
-        return np.column_stack([arr[:, 0], np.mod(arr[:, 1] + phi(arr[:, 0]), 1.0)])
-
-    conj = dy.conjugate_system(skew, pi, pi_inv)
     ns = [1, 2, 4, 8, 16, 32]
-    cloud_a = cx.sample_cloud(skew, 300, seed=15)
-    cloud_b = cx.sample_cloud(conj, 300, seed=15)
-    prof_a = cx.complexity_profile(cloud_a, [0.2], ns, tau=1.0)[0]
-    prof_b = cx.complexity_profile(cloud_b, [0.2], ns, tau=1.0)[0]
-    assert prof_a.classification.kind == "bounded"
-    assert prof_b.classification.kind == "bounded"
-
-    # under the pushforward metric d'(u, v) = d(pi^-1 u, pi^-1 v) the
-    # conjugated covering counts match the original ones exactly
-    def pushforward_metric(states):
-        return skew.pairwise_distance(pi_inv(states))
-
-    conj_pf = dy.conjugate_system(skew, pi, pi_inv,
-                                  new_metric=pushforward_metric)
-    cloud_pf = cx.OrbitCloud(system=conj_pf, states=pi(cloud_a.states),
-                             weights=cloud_a.weights, provenance="pushforward")
-    prof_pf = cx.complexity_profile(cloud_pf, [0.2], ns, tau=1.0)[0]
-    assert [r.s_n for r in prof_pf.rows] == [r.s_n for r in prof_a.rows]
+    for system in (skew, rotation):
+        cloud = cx.sample_cloud(system, 300, seed=15)
+        prof = cx.complexity_profile(cloud, [0.2], ns, tau=1.0)[0]
+        assert prof.classification.kind == "bounded"
+    states = skew.sample(300, 15)
+    assert np.max(dy.circle_dist(shear(skew.step_bulk(states)),
+                                 rotation.step_bulk(shear(states)))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +514,3 @@ def test_grid_cover_refuses_an_n_t_beyond_a_float():
     rep = cx.grid_cover_check(c, res, h1, epsilon=0.2, c_cert=1.0, t=10,
                               sample_points=10)
     assert rep.n_t.bit_length() == 825 and rep.i_subsampled
-
-
-def test_function_family_metric_rotation_stays_bounded():
-    # a separating trig family replaces the canonical metric; covering
-    # numbers of the rotation must stay bounded under it as well
-    cloud = cx.sample_cloud(FAMILY_ROT, 200, seed=17)
-    prof = cx.complexity_profile(cloud, [0.05], [1, 2, 4, 8, 16, 32, 64],
-                                 tau=1.0)[0]
-    assert prof.classification.kind == "bounded"
-    counts = [r.s_n for r in prof.rows]
-    # dbar_n converges to the rotation-averaged family metric, so the
-    # counts stabilise after the first few scales instead of growing
-    assert len(set(counts[2:])) == 1

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from moeblab import cli
-from moeblab import cocycle as cc
 from moeblab import complexity as cx
-from moeblab import contfrac as cf
 from moeblab import dynamics as dy
-from moeblab.errors import (DEFAULT_MEMORY_CAP, ConjugacyError, DomainError,
-                            SizingError)
+from moeblab.errors import DEFAULT_MEMORY_CAP, DomainError, SizingError
+
+from birkhoff_reference import _ref_birkhoff_sum
 
 SKEW_DESC = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 
@@ -105,7 +104,7 @@ def test_skew_power_formula(systems):
     x0 = state.copy()
     for n in range(1, 101):
         state = skew.step(state)
-    h_n = cc.birkhoff_sum(skew.h, skew.alpha, float(x0[0]), 100)
+    h_n = _ref_birkhoff_sum(skew.h, skew.alpha, float(x0[0]), 100)
     assert state[0] == pytest.approx((x0[0] + 100 * a) % 1, abs=1e-10)
     assert dy.circle_dist(state[1], (x0[1] + h_n) % 1.0) < 1e-10
 
@@ -119,8 +118,19 @@ def test_iteration_identity_long(systems):
         s = np.array([x0, y0])
         for _ in range(n):
             s = skew.step(s)
-        h_n = cc.birkhoff_sum(skew.h, skew.alpha, x0, n)
+        h_n = _ref_birkhoff_sum(skew.h, skew.alpha, x0, n)
         assert dy.circle_dist(s[1], (y0 + h_n) % 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("tau", [0, 0.5, 3])
+def test_skew_descriptor_tau_is_not_read(tau):
+    # h's envelope constant is fitted to its coefficients, so a "tau" key
+    # would change no step; tau = 0 would divide by zero
+    plain = dy.make_system(SKEW_DESC)
+    keyed = dy.make_system(dict(SKEW_DESC, tau=tau))
+    assert keyed.h == plain.h
+    states = plain.sample(50, 3)
+    assert keyed.step_bulk(states).tobytes() == plain.step_bulk(states).tobytes()
 
 
 # one descriptor per registered kind; a kind added without one fails here
@@ -134,17 +144,9 @@ CONTRACT_DESCRIPTORS = {
 }
 
 
-def _reflect(states):
-    return np.mod(1.0 - np.asarray(states), 1.0)
-
-
-@pytest.mark.parametrize("kind", [*sorted(dy._KINDS), "conjugated_rotation"])
+@pytest.mark.parametrize("kind", sorted(dy._KINDS))
 def test_bulk_payload_is_one_array_row_per_state(kind):
-    if kind == "conjugated_rotation":
-        system = dy.conjugate_system(
-            dy.make_system(CONTRACT_DESCRIPTORS["rotation"]), _reflect, _reflect)
-    else:
-        system = dy.make_system(CONTRACT_DESCRIPTORS[kind])
+    system = dy.make_system(CONTRACT_DESCRIPTORS[kind])
     p = 9
     states = system.sample(p, 4)
     assert isinstance(states, np.ndarray) and len(states) == p
@@ -198,20 +200,17 @@ SHIFT_DESC = {"kind": "shift", "weights": [0.5, 0.5], "horizon": 64}
 
 def _dbar_cases(horizon=64):
     """label -> (system, one state) for each dbar_balls implementation: the
-    rotation's, the step-wise generic form, TorusSkew over T^1 and over
-    Z/q, and the shift."""
+    rotation's, TorusSkew over T^1 and over Z/q, and the shift's."""
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
     shift = dy.make_system(dict(SHIFT_DESC, horizon=horizon))
     return {"rotation": (rot, np.zeros(())),
-            "generic": (dy.conjugate_system(rot, np.asarray, np.asarray),
-                        np.zeros(())),
             "skew2": (dy.make_system(SKEW_DESC), np.zeros(2)),
             "group_skew": (dy.make_system(GROUP_DESC), np.zeros(2)),
             "shift": (shift, np.zeros(horizon, dtype=np.int8))}
 
 
-@pytest.mark.parametrize("label", ["rotation", "generic", "skew2",
-                                   "group_skew", "shift"])
+@pytest.mark.parametrize("label", ["rotation", "skew2", "group_skew",
+                                   "shift"])
 @pytest.mark.parametrize("p", [9500, 10 ** 6])
 def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
     # zero-copy states: only the estimate can refuse without allocating;
@@ -271,8 +270,8 @@ def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
 
 @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.2, 0.3], [0.6]],
                          ids=["one", "three", "wide"])
-@pytest.mark.parametrize("label", ["rotation", "generic", "skew2",
-                                   "group_skew", "shift"])
+@pytest.mark.parametrize("label", ["rotation", "skew2", "group_skew",
+                                   "shift"])
 def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
     # what each kind admits is at least what its balls allocate, but for
     # the (p,) vectors beside them
@@ -298,7 +297,7 @@ def test_cli_default_cloud_is_admitted(monkeypatch):
     ns = [int(n) for n in args.ns.split(",")]
     asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
                         args.samples, ns)
-    assert len(asked) == 5 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
+    assert len(asked) == 4 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
 
 
 def test_isometric_snapshots_admitted_just_under_the_cap(monkeypatch):
@@ -317,7 +316,7 @@ def test_cli_default_cloud_balls_are_admitted(monkeypatch):
     eps = [float(e) for e in args.eps.split(",")]
     asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
                         args.samples, ns, eps, sample=True)
-    assert len(asked) == 5 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
+    assert len(asked) == 4 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
 
 
 def _band_estimate(monkeypatch, p, eps):
@@ -520,93 +519,3 @@ def test_unknown_sampler_refused(kind):
     system = dy.make_system(dict(CONTRACT_DESCRIPTORS[kind], sampler="haar"))
     with pytest.raises(DomainError, match="no sampler 'haar'"):
         system.sample(3, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# Function-family metric
-# ---------------------------------------------------------------------------
-
-def test_family_metric_basics():
-    fam = dy.function_family_metric([lambda x: math.cos(2 * math.pi * x)])
-    assert fam(0.3, 0.3) == 0.0
-    assert fam(0.0, 0.5) <= 1.0
-    assert fam.truncation_slack == 0.5
-
-
-def test_family_metric_direct_series():
-    fns = [(lambda x, l=l: math.cos(2 * math.pi * l * x)) for l in range(1, 21)]
-    fam = dy.function_family_metric(fns, l_max=20)
-    x, y = 0.0, 0.5
-    expected = sum(abs(math.cos(0) - math.cos(math.pi * l)) / (2 ** l * 3)
-                   for l in range(1, 21))
-    assert fam(x, y) == pytest.approx(expected, abs=1e-9)
-    assert all(abs(nrm - 1.0) < 1e-6 for nrm in fam.norms)
-
-
-def test_family_metric_bound():
-    fns = [(lambda x, l=l: math.sin(2 * math.pi * l * x)) for l in range(1, 6)]
-    fam = dy.function_family_metric(fns)
-    for x, y in [(0.1, 0.9), (0.25, 0.75)]:
-        assert fam(x, y) <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# Conjugation
-# ---------------------------------------------------------------------------
-
-def _coboundary_skew(phi_amp=0.2):
-    alpha = cf.SQRT2_MINUS_1
-    a = alpha.as_float()
-    # h = phi(. + alpha) - phi with phi = amp * sin(2 pi x):
-    # hhat(1) = phihat(1) (e(alpha) - 1), phihat(1) = -i amp / 2
-    phase = np.exp(2j * np.pi * a) - 1.0
-    c1 = (-0.5j * phi_amp) * phase
-    h = [[1, c1.real, c1.imag]]
-    return dy.make_system({"kind": "skew2", "alpha": "sqrt2-1", "h": h}), phi_amp
-
-
-def _pi_pair(phi_amp):
-    def phi(x):
-        return phi_amp * np.sin(2 * np.pi * x)
-
-    def pi(states):
-        arr = np.asarray(states)
-        return np.column_stack([arr[:, 0], np.mod(arr[:, 1] - phi(arr[:, 0]), 1.0)])
-
-    def pi_inv(states):
-        arr = np.asarray(states)
-        return np.column_stack([arr[:, 0], np.mod(arr[:, 1] + phi(arr[:, 0]), 1.0)])
-
-    return pi, pi_inv
-
-
-def test_conjugate_identity(systems):
-    skew = systems["skew2"]
-    ident = lambda s: np.asarray(s)
-    conj = dy.conjugate_system(skew, ident, ident)
-    states = skew.sample(1000, seed=8)
-    a = skew.step_bulk(states)
-    b = conj.step_bulk(states)
-    lst = skew.states_list
-    assert max(skew.metric(x, y) for x, y in zip(lst(a), lst(b))) < 1e-12
-
-
-def test_conjugate_coboundary_gives_rotation():
-    skew, amp = _coboundary_skew()
-    pi, pi_inv = _pi_pair(amp)
-    conj = dy.conjugate_system(skew, pi, pi_inv)
-    states = skew.sample(1000, seed=4)
-    stepped = conj.step_bulk(states)
-    arr = np.asarray(states)
-    out = np.asarray(stepped)
-    a = skew.alpha.as_float()
-    assert np.max(dy.circle_dist(out[:, 0], (arr[:, 0] + a) % 1)) < 1e-9
-    assert np.max(dy.circle_dist(out[:, 1], arr[:, 1])) < 1e-9   # y frozen
-
-
-def test_conjugacy_error_on_bad_inverse():
-    skew, amp = _coboundary_skew()
-    pi, _ = _pi_pair(amp)
-    bad_inv = lambda s: np.asarray(s)    # not the inverse
-    with pytest.raises(ConjugacyError):
-        dy.conjugate_system(skew, pi, bad_inv)

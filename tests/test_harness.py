@@ -262,21 +262,6 @@ def test_shift_rejected_for_correlation(table_100k):
         hx.correlation_sum(table_100k, shift, [[1, 1.0, 0.0]], 0.0, [10])
 
 
-def test_conjugated_system_rejected(table_100k):
-    # under x -> 1 - x the rotation steps by -alpha; the closed-form orbit
-    # x0 + n alpha would be the unconjugated one
-    def reflect(states):
-        return np.mod(1.0 - np.asarray(states), 1.0)
-
-    conj = dy.conjugate_system(ROT, reflect, reflect)
-    with pytest.raises(DomainError, match="conjugated"):
-        hx.correlation_sum(table_100k, conj, [[1, 1.0, 0.0]], 0.1, [10])
-    with pytest.raises(DomainError, match="conjugated"):
-        hx.block_decomposition_trace(table_100k, conj, [[1, 1.0, 0.0]], 0.1,
-                                     ell=16, delta=0.001, epsilon=0.3,
-                                     n_total=1000, cloud_size=50)
-
-
 # ---------------------------------------------------------------------------
 # Block tracer
 # ---------------------------------------------------------------------------
