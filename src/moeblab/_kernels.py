@@ -15,6 +15,15 @@ def frac(v):
     return v - np.floor(v)
 
 
+def circle_dist(u, v):
+    """||u - v|| on the circle R/Z, elementwise with broadcasting: both sides
+    reduced mod 1, then |u - v| folded into [0, 1/2].  The reduction is the
+    identity on [0, 1); unreduced positions would give negative distances."""
+    d = np.abs(frac(np.asarray(u, dtype=np.float64))
+               - frac(np.asarray(v, dtype=np.float64)))
+    return np.minimum(d, 1.0 - d)
+
+
 def _phase(m, x):
     # 2 pi m x; w.real, a zero signed like m, signs a zero phase as 2j*pi*m*x does
     w = 2j * np.pi * m

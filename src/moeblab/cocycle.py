@@ -354,13 +354,3 @@ def block_estimate_check(h1: FourierCocycle, cf: ContinuedFraction,
             ratio=dev_sup / bound if bound > 0 else math.inf))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Circle distance
-# ---------------------------------------------------------------------------
-
-def circle_dist(u, v):
-    """||u - v|| on the circle R/Z, elementwise in float64."""
-    d = frac(np.asarray(u, dtype=np.float64) - v)
-    return np.minimum(d, 1.0 - d)
-

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import frac, unit
+from ._kernels import circle_dist, frac, unit
 from .cocycle import FourierCocycle
 from .contfrac import ContinuedFraction, ResonanceData, _centered_parts
-from .dynamics import SystemInstance, circle_dist
+from .dynamics import SystemInstance
 from .errors import DomainError, SizingError, admit
 
 EXACT_COVER_MAX_POINTS = 20

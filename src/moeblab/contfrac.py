@@ -40,7 +40,7 @@ MAX_BITS = 4096
 # ---------------------------------------------------------------------------
 
 class ExactAlpha:
-    """Base class: an exactly represented number in (0, 1)."""
+    """Base class: an exactly represented number in [0, 1)."""
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Rational interval [lo, hi] containing the value, width <= 2^-bits
@@ -75,30 +75,15 @@ def _frozen_alpha(cls: type) -> type:
 
 
 @_frozen_alpha
-class ZeroAlpha(ExactAlpha):
-    """alpha = 0: the degenerate (identity) rotation.
-
-    Accepted by system builders; continued-fraction expansion rejects it.
-    """
-
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(0))
-
-    @property
-    def is_rational(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return "0"
-
-
-@_frozen_alpha
 class RationalAlpha(ExactAlpha):
+    """A rational alpha in [0, 1).  Value 0, the identity rotation, is
+    accepted by system builders; continued-fraction expansion rejects it."""
+
     value: Fraction
 
     def __post_init__(self):
-        if not 0 < self.value < 1:
-            raise DomainError(f"alpha={self.value} outside (0, 1)")
+        if not 0 <= self.value < 1:
+            raise DomainError(f"alpha={self.value} outside [0, 1)")
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         return (self.value, self.value)
@@ -197,16 +182,12 @@ def parse_alpha(spec: AlphaLike) -> ExactAlpha:
             "floating-point alpha rejected (exactness required); pass a "
             "rational 'p/q', a quadratic 'quad:a,b,c,d', or an explicit "
             "'quotients:a1,a2,...' list")
-    if isinstance(spec, int):
-        if spec == 0:
-            return ZeroAlpha()
-        raise DomainError(f"integer alpha {spec} outside [0, 1)")
-    if isinstance(spec, Fraction):
-        return ZeroAlpha() if spec == 0 else RationalAlpha(spec)
+    if isinstance(spec, (int, Fraction)):
+        return RationalAlpha(Fraction(spec))
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text == "0":
-            return ZeroAlpha()
+            return RationalAlpha(Fraction(0))
         if text in ("sqrt2-1", "sqrt2m1"):
             return SQRT2_MINUS_1
         if text in ("golden", "(sqrt5-1)/2"):
@@ -308,7 +289,7 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     alpha = parse_alpha(alpha)
-    if isinstance(alpha, ZeroAlpha):
+    if isinstance(alpha, RationalAlpha) and alpha.value == 0:
         raise DomainError("alpha = 0 has no continued-fraction expansion here")
 
     if isinstance(alpha, QuotientAlpha):

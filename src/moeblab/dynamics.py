@@ -5,8 +5,9 @@ the eps-balls of the averaged metric (`dbar_balls`) once, on a bulk
 payload; `SystemInstance` derives the scalar forms, so the dbar oracle
 and the covering code measure with one d.  A kind adds what its
 structure gives: the nearest covering centers of an orbit
-(`nearest_centers`) and the closed-form orbit in trigonometric
-coordinates (`orbit_coords`).
+(`nearest_centers`), trigonometric coordinates (`coords`) and the
+closed-form orbit in bulk states (`orbit`), from which `SystemInstance`
+derives the orbit in coordinates (`orbit_coords`) and the orbit sampler.
 A bulk payload is one ndarray with one row per state: a (P,) array of
 circle positions, (P, 2) rows [g, y] on G x T^1 for a skew product, or
 the (P, w) windows of symbols ahead of each state for a shift.  The skew
@@ -14,8 +15,8 @@ product over a rotation of G = T^1 or G = Z/q is one implementation,
 `TorusSkew`, of which `GroupSkew` supplies only the Z/q base rotation.
 
 Samplers draw Haar measure where it is invariant by fibered structure
-(always, for skews over rotations); "sampler": "orbit" asks for Birkhoff
-samples along a long orbit instead (burn-in 10^4, stride 7).
+(always, for skews over rotations); "sampler": "orbit" takes Birkhoff
+samples from the closed-form orbit instead (burn-in 10^4, stride 7).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Iterator
 import numpy as np
 
 from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
-                       band_matrix, band_stops, band_strips, frac,
+                       band_matrix, band_stops, band_strips, circle_dist, frac,
                        true_diagonal)
-from .cocycle import FourierCocycle, circle_dist, cocycle_from_pairs
+from .cocycle import FourierCocycle, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
 from .errors import DomainError, SizingError, admit
 
@@ -40,6 +41,8 @@ MAX_ALPHABET = 16
 # g0 + n a within int64 for every n < 2^39
 MAX_GROUP_ORDER = 1 << 24
 STEP_CHUNK = 256
+# rows of a closed-form orbit chunk: the orbit sampler's and harness.CHUNK
+ORBIT_CHUNK = 1 << 15
 # entries of each (m, chunk) sum of the generic nearest-center search
 CENTER_SUM_ENTRIES = 1 << 23
 # offsets of shift exponents held at once: with the 149 offsets looked
@@ -49,19 +52,6 @@ SHIFT_BLOCK = 64
 _UNDERFLOW = 150
 _HALVINGS = np.zeros(256, dtype=np.float32)
 _HALVINGS[:_UNDERFLOW] = 2.0 ** -np.arange(_UNDERFLOW)
-
-
-def circle_dist_matrix(xs: np.ndarray, ys: np.ndarray | None = None
-                       ) -> np.ndarray:
-    """Pairwise ||x_i - y_j|| on the circle for vectors of positions, ys = xs
-    by default.
-
-    Positions are reduced mod 1 first: unreduced ones would give negative
-    distances.  The reduction is the identity on [0, 1)."""
-    xs = frac(np.asarray(xs, dtype=np.float64))
-    ys = xs if ys is None else frac(np.asarray(ys, dtype=np.float64))
-    d = np.abs(xs[:, None] - ys[None, :])
-    return np.minimum(d, 1.0 - d)
 
 
 class SystemInstance:
@@ -75,6 +65,8 @@ class SystemInstance:
     held once the next n is asked for.  `step`, `metric` and `sample` are
     derived here.  Bulk states are an ndarray with one row per state, so
     `len(states)`, `states[index]` and `np.array(items)` serve every kind.
+    A kind with a closed-form orbit writes `orbit(x0, n_max, chunk)` and
+    `coords`; `orbit_coords` and the "orbit" sampler are derived from them.
     `nearest_centers(coords, ctraj, n_total)` reads
     coords[k] = T^{k+1} x0 (at least N + L - 1 rows) and the (m, L, d)
     center trajectories, and returns per n = 1..N the index of the center
@@ -120,9 +112,18 @@ class SystemInstance:
                 f"system kind {self.kind!r} has no sampler {sampler!r}")
         x0 = np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64)
         self._check_start(x0)
-        return orbit_states(self, x0, count,
-                            int(desc.get("burn_in", ORBIT_BURN_IN)),
-                            int(desc.get("stride", ORBIT_STRIDE)))
+        # rows n = burn_in + i stride, n = 0 being x0; a negative takes no step
+        burn_in = max(0, int(desc.get("burn_in", ORBIT_BURN_IN)))
+        stride = max(0, int(desc.get("stride", ORBIT_STRIDE)))
+        ns = burn_in + stride * np.arange(count)
+        rows = np.empty((count, len(x0)))
+        rows[ns == 0] = x0
+        lo = 1
+        for chunk in self.orbit(x0, int(ns[-1]) if count else 0, ORBIT_CHUNK):
+            pick = slice(*np.searchsorted(ns, [lo, lo + len(chunk)]))
+            rows[pick] = chunk[ns[pick] - lo]
+            lo += len(chunk)
+        return rows
 
     def _check_start(self, x0) -> None:
         """Refuse an orbit start off the state space, before any step."""
@@ -134,15 +135,22 @@ class SystemInstance:
 
     # -- structure --------------------------------------------------------
     def coords(self, states) -> np.ndarray:
-        """Bulk states as a (P, d) array of circle or torus coordinates."""
+        """Bulk states as a (P, d) array of circle or torus coordinates,
+        read only: it may be the payload itself."""
         raise DomainError(f"system kind {self.kind!r} has no trig coordinates")
 
-    def orbit_coords(self, x0, n_max: int, chunk: int) -> Iterator[np.ndarray]:
-        """Yield the coordinates of T^n x0 for n = 1..n_max in successive
-        (k, d) arrays of `chunk` rows, the last one possibly shorter."""
+    def orbit(self, x0, n_max: int, chunk: int) -> Iterator[np.ndarray]:
+        """Yield the bulk states T^n x0 for n = 1..n_max in successive
+        payloads of `chunk` rows, the last one possibly shorter."""
         raise DomainError(
             f"correlation orbits need trig coordinates; system kind "
             f"{self.kind!r} is not supported")
+
+    def orbit_coords(self, x0, n_max: int, chunk: int) -> Iterator[np.ndarray]:
+        """The `coords` of each chunk of `orbit`; the start is checked
+        before the first chunk is asked for."""
+        self._check_start(x0)
+        return map(self.coords, self.orbit(x0, n_max, chunk))
 
     def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
                         n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +198,7 @@ class Rotation(SystemInstance):
         return frac(xs + self.a)
 
     def pairwise_distance(self, xs) -> np.ndarray:
-        return circle_dist_matrix(xs)
+        return circle_dist(xs[:, None], xs[None, :])
 
     def dbar_balls(self, states, ns, eps):
         """An isometry keeps dbar_n = d for every n: the pairwise distance
@@ -207,10 +215,10 @@ class Rotation(SystemInstance):
     def coords(self, xs) -> np.ndarray:
         return np.asarray(xs, dtype=np.float64)[:, None]
 
-    def orbit_coords(self, x0, n_max, chunk):
+    def orbit(self, x0, n_max, chunk):
         for lo in range(1, n_max + 1, chunk):
             ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.float64)
-            yield frac(float(x0) + ns * self.a)[:, None]
+            yield frac(float(x0) + ns * self.a)
 
     def nearest_centers(self, coords, ctraj, n_total):
         """dbar_L(T^n x0, c) = ||x_n - c||, so only the first center
@@ -225,7 +233,7 @@ class TorusSkew(SystemInstance):
     is this system with that kind); `GroupSkew` is G = Z/q.
 
     The base rotation enters only through `_advance(g, i)` = g + i a,
-    `_h(g)`, the fibre increment, `_point(g)`, g as a circle point, and
+    `_h(g)`, the fibre increment, `coords`, with g as a circle point, and
     `_base_distance(g, h)`, the base distances of g against h.
     """
 
@@ -246,11 +254,8 @@ class TorusSkew(SystemInstance):
     def _h(self, x):
         return self.h.evaluate(x)
 
-    def _point(self, x):
-        return x
-
     def _base_distance(self, x, z) -> np.ndarray:
-        return circle_dist_matrix(x, z)
+        return circle_dist(x[:, None], z[None, :])
 
     def _draw(self, count, rng):
         return rng.random((count, 2))
@@ -262,16 +267,17 @@ class TorusSkew(SystemInstance):
         return out
 
     def pairwise_distance(self, states) -> np.ndarray:
-        g = states[:, 0]
+        g, y = states[:, 0], states[:, 1]
         return np.maximum(self._base_distance(g, g),
-                          circle_dist_matrix(states[:, 1]))
+                          circle_dist(y[:, None], y[None, :]))
 
     def coords(self, states) -> np.ndarray:
-        return np.column_stack([self._point(states[:, 0]), states[:, 1]])
+        """Over T^1 the rows [g, y] are their own coordinates."""
+        return np.asarray(states, dtype=np.float64)
 
-    def orbit_coords(self, x0, n_max, chunk):
-        """Closed form: the base coordinates beside the fibre coordinate y0
-        plus the Birkhoff sum of the increments h(g_{n-1}), carried from
+    def orbit(self, x0, n_max, chunk):
+        """Closed form: the rows [g0 + n a, y0 + H_n], H_n the Birkhoff sum
+        of the increments h(g_0), ..., h(g_{n-1}), carried unreduced from
         chunk to chunk as a float."""
         y = float(x0[1])
         for lo in range(1, n_max + 1, chunk):
@@ -280,7 +286,7 @@ class TorusSkew(SystemInstance):
             g = self._advance(x0[0], ns)
             ys = y + np.cumsum(self._h(g[:-1]))
             y = float(ys[-1])
-            yield np.column_stack([self._point(g[1:]), frac(ys)])
+            yield np.column_stack([g[1:], frac(ys)])
 
     def _band_sums(self, states, ns, reach: float, held: int):
         """Yield (n, order, stops, sums) for the ascending ns: the band sums
@@ -311,7 +317,7 @@ class TorusSkew(SystemInstance):
 
         admit(1)
         g = states[:, 0]
-        x = frac(self._point(g))
+        x = frac(self.coords(states)[:, 0])
         order = np.argsort(x, kind="stable")
         stops = band_stops(x[order], min(reach, 0.5))
         width = int(np.max(stops - np.arange(0, p, TORUS_BLOCK))) - 1
@@ -365,8 +371,7 @@ class GroupSkew(TorusSkew):
     orbit_x0 = (0, 0.2)
 
     def __init__(self, descriptor: dict):
-        group = descriptor["group"]
-        q = int(group["q"]) if isinstance(group, dict) else int(group)
+        q = int(descriptor["group"]["q"])
         if q < 1:
             raise DomainError(f"cyclic group order must be >= 1, got {q}")
         if q > MAX_GROUP_ORDER:
@@ -389,9 +394,6 @@ class GroupSkew(TorusSkew):
     def _h(self, g):
         return self.h_table[np.asarray(g, dtype=np.int64)]
 
-    def _point(self, g):
-        return g / self.q
-
     def _base_distance(self, g, h) -> np.ndarray:
         """Exactly min(k, q - k)/q with k = (g_i - h_j) mod q."""
         k = np.subtract.outer(g, h) % self.q
@@ -402,9 +404,8 @@ class GroupSkew(TorusSkew):
             raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
                               f"element of Z/{self.q}")
 
-    def orbit_coords(self, x0, n_max, chunk):
-        self._check_start(x0)
-        return super().orbit_coords(x0, n_max, chunk)
+    def coords(self, states) -> np.ndarray:
+        return np.column_stack([states[:, 0] / self.q, states[:, 1]])
 
     def _draw(self, count, rng):
         return np.column_stack([rng.integers(0, self.q, count),
@@ -503,21 +504,6 @@ class Shift(SystemInstance):
                     yield j + 1, term
 
 
-def orbit_states(system: SystemInstance, x0, count: int,
-                 burn_in: int = ORBIT_BURN_IN, stride: int = ORBIT_STRIDE):
-    """Bulk payload of `count` states along the orbit of x0, taken every
-    `stride` steps after `burn_in` steps (Birkhoff sampling)."""
-    state = x0
-    for _ in range(burn_in):
-        state = system.step(state)
-    items = []
-    for _ in range(count):
-        items.append(state)
-        for _ in range(stride):
-            state = system.step(state)
-    return np.array(items)
-
-
 def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
     h_spec = descriptor.get("h", [])
     if isinstance(h_spec, FourierCocycle):
@@ -527,7 +513,11 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:
-    circle = descriptor.get("group", "circle") == "circle"
+    group = descriptor.get("group", "circle")
+    circle = group == "circle"
+    if not circle and not (isinstance(group, dict) and "q" in group):
+        raise DomainError(f"group_skew field 'group' must be \"circle\" or "
+                          f"{{\"q\": q}}, got {group!r}")
     name = "alpha" if circle else "a"
     if name not in descriptor:
         raise DomainError(f"group_skew descriptor is missing field {name!r}")
@@ -538,7 +528,6 @@ def _make_group_skew(descriptor: dict) -> SystemInstance:
 _KINDS = {
     "rotation": (Rotation, ("alpha",)),
     "skew2": (TorusSkew, ("alpha",)),
-    "skew": (TorusSkew, ("alpha",)),
     "group_skew": (_make_group_skew, ()),
     "shift": (Shift, ("weights",)),
 }

@@ -25,12 +25,13 @@ import numpy as np
 from . import __version__
 from ._kernels import unit
 from .complexity import greedy_cover, sample_cloud
-from .dynamics import CENTER_SUM_ENTRIES, SystemInstance, make_system
+from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
+                       make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
 from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
                         mertens, mobius_non_pretentious)
 
-CHUNK = 1 << 15
+CHUNK = ORBIT_CHUNK
 
 
 # ---------------------------------------------------------------------------

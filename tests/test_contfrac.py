@@ -42,6 +42,19 @@ def test_alpha_outside_unit_interval():
         cf.expand("9/7", 5)
     with pytest.raises(DomainError):
         cf.parse_alpha("quad:1,1,1,2")   # 1 + sqrt(2) > 1
+    for value in (Fraction(1), Fraction(-1, 2), 1, -1):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\)"):
+            cf.parse_alpha(value)
+
+
+@pytest.mark.parametrize("spec", [0, "0", " 0 ", Fraction(0)], ids=repr)
+def test_zero_alpha_is_the_rational_zero(spec):
+    # the identity rotation builds; it has no expansion
+    alpha = cf.parse_alpha(spec)
+    assert alpha == cf.RationalAlpha(Fraction(0)) and alpha.is_rational
+    assert alpha.enclosure(64) == (0, 0) and str(alpha) == "0"
+    with pytest.raises(DomainError, match="alpha = 0"):
+        cf.expand(spec, 3)
 
 
 def test_quotient_list_alpha():
@@ -89,8 +102,8 @@ def test_growth_lower_bound_all_fixtures():
 
 
 @pytest.mark.parametrize("alpha", [
-    cf.ZeroAlpha(), cf.RationalAlpha(Fraction(2, 7)), cf.SQRT2_MINUS_1,
-    resonant_alpha(11)], ids=str)
+    cf.RationalAlpha(Fraction(0)), cf.RationalAlpha(Fraction(2, 7)),
+    cf.SQRT2_MINUS_1, resonant_alpha(11)], ids=str)
 def test_alpha_hash_is_the_fields_hash(alpha):
     twin = dataclasses.replace(alpha)
     assert twin == alpha and twin is not alpha

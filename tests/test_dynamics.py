@@ -137,7 +137,6 @@ def test_skew_descriptor_tau_is_not_read(tau):
 CONTRACT_DESCRIPTORS = {
     "rotation": {"kind": "rotation", "alpha": "sqrt2-1"},
     "skew2": SKEW_DESC,
-    "skew": dict(SKEW_DESC, kind="skew"),
     "group_skew": {"kind": "group_skew", "group": {"q": 12}, "a": 5,
                    "h": [[1, 0.05, 0.0]]},
     "shift": {"kind": "shift", "weights": [0.2, 0.3, 0.5], "horizon": 16},
@@ -464,14 +463,29 @@ def test_group_skew_circle_alias():
     assert s[0] == pytest.approx((0.25 + a) % 1)
 
 
+def _ref_orbit_states(system, x0, count, burn_in, stride):
+    """Bulk payload of `count` states along the orbit of x0, taken every
+    `stride` steps after `burn_in` steps, one scalar step at a time."""
+    state = x0
+    for _ in range(burn_in):
+        state = system.step(state)
+    items = []
+    for _ in range(count):
+        items.append(state)
+        for _ in range(stride):
+            state = system.step(state)
+    return np.array(items)
+
+
 def test_orbit_sampler_provenance():
     desc = dict(SKEW_DESC, sampler="orbit", x0=[0.1, 0.2],
                 burn_in=100, stride=3)
     sys_ = dy.make_system(desc)
     states = sys_.sample(50, seed=0)
     assert np.asarray(states).shape == (50, 2)
-    expect = dy.orbit_states(sys_, np.array([0.1, 0.2]), 50, 100, 3)
-    assert states.tobytes() == expect.tobytes()
+    expect = _ref_orbit_states(sys_, np.array([0.1, 0.2]), 50, 100, 3)
+    # the closed-form fibre sum against step-wise reduction: rounding only
+    assert np.max(dy.circle_dist(states, expect)) <= 1e-9
 
 
 def test_group_orbit_sampler_follows_the_orbit():
@@ -480,8 +494,9 @@ def test_group_orbit_sampler_follows_the_orbit():
             "burn_in": 10, "stride": 1}
     gs = dy.make_system(desc)
     states = gs.sample(5, seed=0)
-    expect = dy.orbit_states(gs, np.array([3.0, 0.2]), 5, 10, 1)
-    assert states.tobytes() == expect.tobytes()
+    expect = _ref_orbit_states(gs, np.array([3.0, 0.2]), 5, 10, 1)
+    assert states[:, 0].tobytes() == expect[:, 0].tobytes()
+    assert np.max(dy.circle_dist(states[:, 1], expect[:, 1])) <= 1e-9
     assert states[:, 0].tolist() == [5, 10, 3, 8, 1]     # 3 + 5 (10 + k) mod 12
     # without "x0" the orbit starts at the group's zero
     del desc["x0"]
@@ -503,6 +518,65 @@ def test_group_orbit_start_must_lie_on_the_group():
     assert gs.sample(4, seed=0)[:, 0].tolist() == [3, 8, 1, 6]
     coords = np.concatenate(list(gs.orbit_coords([3.0, 0.2], 4, 2)))
     assert (coords[:, 0] * 12).round().tolist() == [8, 1, 6, 11]
+
+
+ORBIT_CASES = {
+    "rotation": ({"kind": "rotation", "alpha": "sqrt2-1"}, 0.37),
+    "skew2": (SKEW_DESC, [0.1, 0.2]),
+    "Z12": (GROUP_DESC, [3, 0.2]),
+    "circle": ({"kind": "group_skew", "group": "circle", "alpha": "golden",
+                "h": [[1, 0.0, -0.15]]}, [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
+def test_orbit_coords_are_the_coords_of_the_orbit(name, chunk):
+    desc, x0 = ORBIT_CASES[name]
+    system = dy.make_system(desc)
+    n_max = 40
+    states = list(system.orbit(x0, n_max, chunk))
+    coords = list(system.orbit_coords(x0, n_max, chunk))
+    assert [len(c) for c in coords] == [len(s) for s in states]
+    assert sum(map(len, states)) == n_max
+    for got, rows in zip(coords, states):
+        assert got.tobytes() == system.coords(rows).tobytes()
+
+
+@pytest.mark.parametrize("name", ["skew2", "Z12", "circle"])
+@pytest.mark.parametrize("burn_in,stride,count", [(0, 1, 5), (0, 3, 4),
+                                                  (9, 0, 3), (5000, 7, 9)])
+def test_orbit_sampler_takes_the_rows_of_the_orbit(name, burn_in, stride,
+                                                    count):
+    desc, x0 = ORBIT_CASES[name]
+    system = dy.make_system(dict(desc, sampler="orbit", x0=x0,
+                                 burn_in=burn_in, stride=stride))
+    states = system.sample(count, seed=0)
+    ns = [burn_in + i * stride for i in range(count)]
+    orbit = np.concatenate([np.array([x0], dtype=np.float64)]
+                           + list(system.orbit(x0, max(ns), dy.ORBIT_CHUNK)))
+    assert states.shape == (count, 2)
+    assert states.tobytes() == orbit[ns].tobytes()
+    if burn_in == 0:
+        assert states[0].tolist() == [float(v) for v in x0]
+
+
+def test_orbit_sampler_takes_no_steps_for_a_negative_burn_in_or_stride():
+    # as the step-wise loop did: range() of a negative count is empty
+    desc = dict(SKEW_DESC, sampler="orbit", x0=[0.1, 0.2])
+    for burn_in, stride in ((-3, 2), (4, -1), (-1, -1)):
+        got = dy.make_system(dict(desc, burn_in=burn_in,
+                                  stride=stride)).sample(4, seed=0)
+        want = dy.make_system(dict(desc, burn_in=max(0, burn_in),
+                                   stride=max(0, stride))).sample(4, seed=0)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group", [12, "12", "torus", [12], {"order": 12}, None])
+def test_group_must_be_the_circle_or_a_cyclic_order(group):
+    with pytest.raises(DomainError, match="'group'"):
+        dy.make_system({"kind": "group_skew", "group": group, "a": 5,
+                        "alpha": "golden", "h": []})
 
 
 @pytest.mark.parametrize("kind", ["rotation", "shift"])
