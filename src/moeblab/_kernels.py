@@ -1,7 +1,7 @@
 """Hot-loop kernels: pairwise averaged-metric accumulation, reduction mod
-1 and trig evaluation.  The torus kernel sweeps a band of pairs in strips
-of TORUS_BLOCK rows, so its scratch is O(TORUS_BLOCK * width) and each
-strip stays in cache."""
+1, the circle distance and trig evaluation.  The torus kernel sweeps a
+band of pairs in strips of TORUS_BLOCK rows, so its scratch is
+O(TORUS_BLOCK * width) and each strip stays in cache."""
 
 from __future__ import annotations
 

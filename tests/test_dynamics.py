@@ -562,7 +562,7 @@ def test_orbit_sampler_takes_the_rows_of_the_orbit(name, burn_in, stride,
 
 
 def test_orbit_sampler_takes_no_steps_for_a_negative_burn_in_or_stride():
-    # as the step-wise loop did: range() of a negative count is empty
+    # a negative count of steps takes none
     desc = dict(SKEW_DESC, sampler="orbit", x0=[0.1, 0.2])
     for burn_in, stride in ((-3, 2), (4, -1), (-1, -1)):
         got = dy.make_system(dict(desc, burn_in=burn_in,
