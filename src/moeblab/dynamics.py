@@ -1,13 +1,15 @@
 """Concrete systems: rotations, skew products over rotations, shifts.
 
-One class per kind writes its step, metric, seeded invariant draw and
-the eps-balls of the averaged metric (`dbar_balls`) once, on a bulk
-payload; `SystemInstance` derives the scalar forms, so the dbar oracle
-and the covering code measure with one d.  A kind adds what its
-structure gives: the nearest covering centers of an orbit
-(`nearest_centers`), trigonometric coordinates (`coords`) and the
-closed-form orbit in bulk states (`orbit`), from which `SystemInstance`
-derives the orbit in coordinates (`orbit_coords`) and the orbit sampler.
+One class per kind writes its step, its distance d (`distance`,
+elementwise on state rows), seeded invariant draw and the eps-balls of
+the averaged metric (`dbar_balls`) once, on a bulk payload;
+`SystemInstance` derives the scalar and pairwise forms of d and the
+nearest covering centers of an orbit, so the dbar oracle, the covering
+code and the block tracer measure with one d.  A kind adds what its
+structure gives: trigonometric coordinates (`coords`), in which
+observables are evaluated, and the closed-form orbit in bulk states
+(`orbit`), from which `SystemInstance` derives the orbit in coordinates
+(`orbit_coords`) and the orbit sampler.
 A bulk payload is one ndarray with one row per state: a (P,) array of
 circle positions, (P, 2) rows [g, y] on G x T^1 for a skew product, or
 the (P, w) windows of symbols ahead of each state for a shift.  The skew
@@ -57,21 +59,22 @@ _HALVINGS[:_UNDERFLOW] = 2.0 ** -np.arange(_UNDERFLOW)
 class SystemInstance:
     """A state space with iteration map, metric, and invariant sampler.
 
-    Subclasses implement `step_bulk`, `pairwise_distance`, `_draw(count,
-    rng)`, the invariant measure's draw, and `dbar_balls(states, ns, eps)`,
+    Subclasses implement `step_bulk`, `distance(s, t)`, d of the state
+    rows s and t elementwise with broadcasting, `_draw(count, rng)`, the
+    invariant measure's draw, and `dbar_balls(states, ns, eps)`,
     which yields (n, balls) for the ascending positive ns: balls[k, i, j]
     is dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
     array in cloud order, True on the diagonal, and no array yielded is
-    held once the next n is asked for.  `step`, `metric` and `sample` are
-    derived here.  Bulk states are an ndarray with one row per state, so
+    held once the next n is asked for.  `step`, `metric`,
+    `pairwise_distance`, `nearest_centers` and `sample` are derived here.  Bulk states are an ndarray with one row per state, so
     `len(states)`, `states[index]` and `np.array(items)` serve every kind.
     A kind with a closed-form orbit writes `orbit(x0, n_max, chunk)` and
     `coords`; `orbit_coords` and the "orbit" sampler are derived from them.
-    `nearest_centers(coords, ctraj, n_total)` reads
-    coords[k] = T^{k+1} x0 (at least N + L - 1 rows) and the (m, L, d)
-    center trajectories, and returns per n = 1..N the index of the center
-    nearest to T^n x0 in dbar_L, the lower index winning a tie, and that
-    distance.
+    `nearest_centers(orbit, ctraj, n_total)` reads the orbit states
+    orbit[k] = T^{k+1} x0 (at least N + L - 1 rows) and the (m, L) center
+    state trajectories ctraj[j, l] = T^l c_j, and returns per n = 1..N the
+    index of the center nearest to T^n x0 in dbar_L, the lower index
+    winning a tie, and that distance.
     """
 
     kind: str
@@ -92,12 +95,16 @@ class SystemInstance:
         return self.step_bulk(np.asarray(state)[None])[0]
 
     def metric(self, s, t) -> float:
-        """d(s, t), the pairwise distance of a two-state payload."""
+        """d(s, t) of two states."""
         s, t = np.asarray(s), np.asarray(t)
         if s.shape != t.shape:
             raise DomainError(f"{self.kind} states of shapes {s.shape} and "
                               f"{t.shape} have no distance")
-        return float(self.pairwise_distance(np.array([s, t]))[0, 1])
+        return float(self.distance(s, t))
+
+    def pairwise_distance(self, states) -> np.ndarray:
+        """The (P, P) matrix d(states[i], states[j]) of a bulk payload."""
+        return self.distance(states[:, None], states[None, :])
 
     def sample(self, count: int, seed: int):
         """`count` states of the invariant draw or, with "sampler":
@@ -152,12 +159,12 @@ class SystemInstance:
         self._check_start(x0)
         return map(self.coords, self.orbit(x0, n_max, chunk))
 
-    def nearest_centers(self, coords: np.ndarray, ctraj: np.ndarray,
+    def nearest_centers(self, orbit: np.ndarray, ctraj: np.ndarray,
                         n_total: int) -> tuple[np.ndarray, np.ndarray]:
-        """Generic form: the L-step average of the sup metric over the
-        coordinates, with T^l (T^n x0) = coords[n + l - 1], chunked over n
-        to bound the (m, chunk) buffer."""
-        m_count, ell, _ = ctraj.shape
+        """Generic form: the L-step average of `distance`, with
+        T^l (T^n x0) = orbit[n + l - 1], chunked over n to bound the
+        (m, chunk) buffer."""
+        m_count, ell = ctraj.shape[:2]
         j_all = np.empty(n_total, dtype=np.int64)
         dmin = np.empty(n_total)
         chunk = max(1, CENTER_SUM_ENTRIES // max(m_count, 1))
@@ -165,13 +172,9 @@ class SystemInstance:
             hi = min(n_total, lo + chunk)
             dsum = np.zeros((m_count, hi - lo))
             for l_off in range(ell):
-                seg = coords[lo + l_off: hi + l_off]
+                seg = orbit[lo + l_off: hi + l_off]
                 for j in range(m_count):
-                    d = circle_dist(seg[:, 0], ctraj[j, l_off, 0])
-                    for axis in range(1, coords.shape[1]):
-                        d = np.maximum(d, circle_dist(seg[:, axis],
-                                                      ctraj[j, l_off, axis]))
-                    dsum[j] += d
+                    dsum[j] += self.distance(seg, ctraj[j, l_off])
             dbar = dsum / ell
             j_all[lo:hi] = np.argmin(dbar, axis=0)
             dmin[lo:hi] = np.min(dbar, axis=0)
@@ -197,8 +200,8 @@ class Rotation(SystemInstance):
     def step_bulk(self, xs):
         return frac(xs + self.a)
 
-    def pairwise_distance(self, xs) -> np.ndarray:
-        return circle_dist(xs[:, None], xs[None, :])
+    def distance(self, s, t):
+        return circle_dist(s, t)
 
     def dbar_balls(self, states, ns, eps):
         """An isometry keeps dbar_n = d for every n: the pairwise distance
@@ -220,10 +223,10 @@ class Rotation(SystemInstance):
             ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.float64)
             yield frac(float(x0) + ns * self.a)
 
-    def nearest_centers(self, coords, ctraj, n_total):
+    def nearest_centers(self, orbit, ctraj, n_total):
         """dbar_L(T^n x0, c) = ||x_n - c||, so only the first center
         positions enter, through the sorted circle search."""
-        return assign_nearest_circle(coords[:, 0], ctraj[:, :1, 0], n_total)
+        return assign_nearest_circle(orbit, ctraj[:, :1], n_total)
 
 
 class TorusSkew(SystemInstance):
@@ -234,7 +237,8 @@ class TorusSkew(SystemInstance):
 
     The base rotation enters only through `_advance(g, i)` = g + i a,
     `_h(g)`, the fibre increment, `coords`, with g as a circle point, and
-    `_base_distance(g, h)`, the base distances of g against h.
+    `_base_distance(g, h)`, the base distance of g and h elementwise with
+    broadcasting.
     """
 
     orbit_x0 = (0.1, 0.2)
@@ -254,8 +258,8 @@ class TorusSkew(SystemInstance):
     def _h(self, x):
         return self.h.evaluate(x)
 
-    def _base_distance(self, x, z) -> np.ndarray:
-        return circle_dist(x[:, None], z[None, :])
+    def _base_distance(self, x, z):
+        return circle_dist(x, z)
 
     def _draw(self, count, rng):
         return rng.random((count, 2))
@@ -266,10 +270,11 @@ class TorusSkew(SystemInstance):
         out[:, 1] = frac(states[:, 1] + self._h(states[:, 0]))
         return out
 
-    def pairwise_distance(self, states) -> np.ndarray:
-        g, y = states[:, 0], states[:, 1]
-        return np.maximum(self._base_distance(g, g),
-                          circle_dist(y[:, None], y[None, :]))
+    def distance(self, s, t):
+        """max(base distance of g, circle distance of y) of rows [g, y]."""
+        s, t = np.asarray(s), np.asarray(t)
+        return np.maximum(self._base_distance(s[..., 0], t[..., 0]),
+                          circle_dist(s[..., 1], t[..., 1]))
 
     def coords(self, states) -> np.ndarray:
         """Over T^1 the rows [g, y] are their own coordinates."""
@@ -325,7 +330,8 @@ class TorusSkew(SystemInstance):
         gs = g[order]
         dx = np.zeros((p, width))
         for rows, cols in band_strips(stops, p):
-            dx[rows, :len(cols)] = self._base_distance(gs[rows], gs[cols])
+            dx[rows, :len(cols)] = self._base_distance(gs[rows, None],
+                                                       gs[None, cols])
         sums = np.zeros((p, width))
         y = frac(states[:, 1])
         ys = np.empty((STEP_CHUNK, p))
@@ -364,8 +370,9 @@ class TorusSkew(SystemInstance):
 
 class GroupSkew(TorusSkew):
     """The skew product over g -> g + a on G = Z/q.  A state is [g, y] with
-    g held as an integral float, exact for q <= MAX_GROUP_ORDER; g enters
-    the metric and the trig coordinates as the circle point g/q."""
+    g held as an integral float, exact for q <= MAX_GROUP_ORDER; the metric
+    reads g through the exact base distance min(k, q - k)/q, and the trig
+    coordinates read it as the circle point g/q."""
 
     kind = "group_skew"
     orbit_x0 = (0, 0.2)
@@ -394,9 +401,9 @@ class GroupSkew(TorusSkew):
     def _h(self, g):
         return self.h_table[np.asarray(g, dtype=np.int64)]
 
-    def _base_distance(self, g, h) -> np.ndarray:
-        """Exactly min(k, q - k)/q with k = (g_i - h_j) mod q."""
-        k = np.subtract.outer(g, h) % self.q
+    def _base_distance(self, g, h):
+        """Exactly min(k, q - k)/q with k = (g - h) mod q."""
+        k = (g - h) % self.q
         return np.minimum(k, self.q - k) / self.q
 
     def _check_start(self, x0) -> None:
@@ -439,14 +446,13 @@ class Shift(SystemInstance):
             raise DomainError(f"shift window of {states.shape[1]} symbols exhausted")
         return states[:, 1:]
 
-    def pairwise_distance(self, window) -> np.ndarray:
-        p, w = window.shape
-        # distance 2^-(first differing offset); right-to-left recurrence
-        val = np.full((p, p), 2.0 ** -w)
-        for j in range(w - 1, -1, -1):
-            diff = window[:, j][:, None] != window[:, j][None, :]
-            val = np.where(diff, 2.0 ** -j, val)
-        return val
+    def distance(self, s, t):
+        """2^-(first offset where the windows differ), 2^-w where the
+        windows of w symbols agree."""
+        diff = np.asarray(s) != np.asarray(t)
+        first = np.where(diff.any(axis=-1), diff.argmax(axis=-1),
+                         diff.shape[-1])
+        return 2.0 ** -first
 
     def dbar_balls(self, states, ns, eps):
         """The float32 means of `_dbar_means` thresholded."""

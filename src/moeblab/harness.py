@@ -7,8 +7,9 @@ accumulation; the block tracer reproduces the two-scale decomposition of
 the running average into L-blocks anchored at covering centers, reporting
 observed-versus-claimed discrepancy ratios (the claims hold only for
 "sufficiently large" horizons, so they are diagnostics, never assertions).
-Orbit points find their centers through the system's `nearest_centers`;
-no system kind is special-cased here.
+Orbit points find their centers through the system's `nearest_centers`,
+on states in the system's own metric; trig coordinates serve only to
+evaluate observables.  No system kind is special-cased here.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         raise DomainError("observable must be bounded by 1 for the traced claims")
 
     # the orbit rows T^1 x0 .. T^{N+L} x0, as chunks and concatenated, the
-    # nearest-center search's scratch and the center trajectories, as rows
-    # and stacked; a system with no closed-form orbit is rejected here.
+    # nearest-center search's scratch and the center trajectories and their
+    # coordinates; a system with no closed-form orbit is rejected here.
     # Measured with the rows: the sorted circle search 156 bytes a point
     # (rotation), the generic one 48 and three (m, chunk) float sums
     dim = next(system.orbit_coords(x0, 1, 1)).shape[1]
@@ -243,19 +244,18 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     budget = epsilon ** 3 * ell ** (delta / 20) / 2.0
     schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
-    # the (m, L, d) trig coordinates of the center orbits
-    states = cloud.states[centers]
-    rows = [system.coords(states)]
-    for _ in range(ell - 1):
-        states = system.step_bulk(states)
-        rows.append(system.coords(states))
-    ctraj = np.stack(rows, axis=1)
+    # the center orbits as states, ctraj[j, l] = T^l c_j
+    ctraj = np.empty((m_count, ell) + cloud.states.shape[1:])
+    ctraj[:, 0] = cloud.states[centers]
+    for l_off in range(1, ell):
+        ctraj[:, l_off] = system.step_bulk(ctraj[:, l_off - 1])
     j_all, dmin = _assign_to_centers(system, x0, ctraj, n_total)
     assigned = dmin < epsilon1
     j_used = np.where(assigned, j_all, 0)     # unassigned fall back to center 0
 
     # f along the L-orbit of each center
-    f_center = f.bulk(ctraj.reshape(m_count * ell, -1)).reshape(m_count, ell)
+    f_center = f.bulk(system.coords(ctraj.reshape(
+        m_count * ell, *ctraj.shape[2:]))).reshape(m_count, ell)
 
     # mu summed over each center's block l steps ahead; float sums of
     # integers below 2^53 are exact, and the j-then-l order of the
@@ -286,11 +286,11 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
 def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
                        n_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest covering center in dbar_L for each orbit point T^n x0,
-    n = 1..N, given the (m, L, d) center trajectories ctraj: the system's
-    `nearest_centers` on the orbit coordinates of T^1 x0 .. T^{N+L} x0."""
-    coords = np.concatenate(
-        list(system.orbit_coords(x0, n_total + ctraj.shape[1], CHUNK)))
-    return system.nearest_centers(coords, ctraj, n_total)
+    n = 1..N, given the (m, L) center state trajectories ctraj: the
+    system's `nearest_centers` on the orbit states T^1 x0 .. T^{N+L} x0."""
+    orbit = np.concatenate(
+        list(system.orbit(x0, n_total + ctraj.shape[1], CHUNK)))
+    return system.nearest_centers(orbit, ctraj, n_total)
 
 
 # ---------------------------------------------------------------------------

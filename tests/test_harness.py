@@ -288,8 +288,8 @@ def test_block_trace_rotation_fixture(table_1m):
 
 
 def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
-    # the center orbits are compared with the orbit in the coordinates
-    # (g/q, y) of the sup metric, not with the integer g
+    # the center orbits are compared with the orbit in the sup metric of
+    # the states: g by the exact min(k, q - k)/q, k = g - g' mod q
     q, a, ell, n_total, p = 12, 5, 8, 3000, 200
     gs = dy.make_system({"kind": "group_skew", "group": {"q": q}, "a": a,
                          "h": [[1, 0.05, 0.0]]})
@@ -321,7 +321,8 @@ def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
     dsum = np.zeros((len(ctraj), n_total))
     for l_off in range(ell):
         seg = path[l_off: l_off + n_total]
-        dg = dy.circle_dist(seg[None, :, 0] / q, ctraj[:, l_off, 0][:, None] / q)
+        k = (seg[None, :, 0] - ctraj[:, l_off, 0][:, None]) % q
+        dg = np.minimum(k, q - k) / q
         dy_ = dy.circle_dist(seg[None, :, 1], ctraj[:, l_off, 1][:, None])
         dsum += np.maximum(dg, dy_)
     dbar = dsum / ell

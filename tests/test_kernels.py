@@ -194,10 +194,10 @@ def test_rotation_assignment_matches_l_step_average(ell):
 
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
     states = rot.states_list(cx.sample_cloud(rot, 60, seed=5).states)
-    ctraj = np.empty((60, ell, 1))
+    ctraj = np.empty((60, ell))
     for j, state in enumerate(states):
         for l_off in range(ell):
-            ctraj[j, l_off, 0] = state
+            ctraj[j, l_off] = state
             state = rot.step(state)
     x0, n_total = 0.37, 3000
     j_all, dmin = hx._assign_to_centers(rot, x0, ctraj, n_total)
@@ -206,7 +206,8 @@ def test_rotation_assignment_matches_l_step_average(ell):
     orbit = np.mod(x0 + np.arange(1, n_total + ell + 1) * a, 1.0)
     dsum = np.zeros((60, n_total))
     for l_off in range(ell):
-        d = np.abs(orbit[l_off: l_off + n_total][None, :] - ctraj[:, l_off])
+        d = np.abs(orbit[l_off: l_off + n_total][None, :]
+                   - ctraj[:, l_off, None])
         dsum += np.minimum(d, 1.0 - d)
     dbar = dsum / ell
     assert np.array_equal(j_all, np.argmin(dbar, axis=0))
@@ -279,23 +280,23 @@ def test_skew_distances_reduce_coordinates_mod_one(desc, states):
 @pytest.mark.parametrize("ell", [1, 16])
 def test_rotation_nearest_centers_match_the_base_loop(ell):
     # the sorted circle search against the generic L-step average of the
-    # base class, on the same orbit coordinates and center trajectories
+    # base class, on the same orbit states and center state trajectories
     rot = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
     states = cx.sample_cloud(rot, 40, seed=6).states
-    rows = [rot.coords(states)]
+    rows = [states]
     for _ in range(ell - 1):
         states = rot.step_bulk(states)
-        rows.append(rot.coords(states))
+        rows.append(states)
     ctraj = np.stack(rows, axis=1)
     n_total = 2500
-    coords, = rot.orbit_coords(0.61, n_total + ell, n_total + ell)
-    j_fast, d_fast = rot.nearest_centers(coords, ctraj, n_total)
-    j_base, d_base = dy.SystemInstance.nearest_centers(rot, coords, ctraj,
+    orbit, = rot.orbit(0.61, n_total + ell, n_total + ell)
+    j_fast, d_fast = rot.nearest_centers(orbit, ctraj, n_total)
+    j_base, d_base = dy.SystemInstance.nearest_centers(rot, orbit, ctraj,
                                                        n_total)
     assert np.max(np.abs(d_fast - d_base)) <= 1e-12
 
     # where the nearest center is clear of the runner-up by 1e-12
-    dist = np.abs(coords[:n_total, 0][None, :] - ctraj[:, 0])
+    dist = np.abs(orbit[None, :n_total] - ctraj[:, :1])
     dist = np.sort(np.minimum(dist, 1.0 - dist), axis=0)
     clear = dist[1] - dist[0] > 1e-12
     assert clear.mean() > 0.9
@@ -341,7 +342,7 @@ def _ref_skew_sums(system, states, ns):
     distance of every pair and the dense strip kernel, step by step."""
     g = states[:, 0]
     y = kn.frac(states[:, 1])
-    dx = system._base_distance(g, g)
+    dx = system._base_distance(g[:, None], g[None, :])
     dsum = np.zeros((len(states), len(states)))
     done = 0
     for n in ns:
@@ -476,7 +477,8 @@ def test_band_sums_equal_dense_sums(name, p, reach):
         assert np.array_equal(got[held], dense[np.ix_(order, order)][held]), n
         g = states[order, 0]
         # from reach 1/2 on, every pair
-        below = (system._base_distance(g, g) < reach) | (reach >= 0.5)
+        dx = system._base_distance(g[:, None], g[None, :])
+        below = (dx < reach) | (reach >= 0.5)
         np.fill_diagonal(below, False)
         assert np.all(held[below]), n
 
@@ -504,7 +506,7 @@ def test_band_balls_at_base_distance_eps_on_the_circle(eps):
     g = np.concatenate([grid, np.nextafter(grid, 1.0),
                         np.nextafter(grid[1:], 0.0)])
     states = np.column_stack([g, np.full(len(g), 0.3)])
-    dx = system._base_distance(g, g)
+    dx = system._base_distance(g[:, None], g[None, :])
     assert all(np.any(dx == d) for d in _QUARTER_ULPS)
     _assert_balls_equal_reference(system, states, [1, 2, 3, 5, 64], [eps])
     _assert_balls_equal_reference(system, states, [1, 7], [0.1, eps])
@@ -523,7 +525,7 @@ def test_band_keeps_pairs_whose_average_rounds_below_eps(desc, g):
     # its strip, can hold it, so the band must reach past eps
     system = dy.make_system(desc)
     states = np.column_stack([g, np.full(len(g), 0.3)])
-    assert system._base_distance(g[63:64], g[64:65])[0, 0] == 0.1
+    assert system._base_distance(g[63], g[64]) == 0.1
     ns = [1, 5, 6, 10, 13]
     dense = dict(_ref_balls(system, states, ns, [0.1]))
     assert not dense[5][0, 63, 64] and dense[10][0, 63, 64]
@@ -538,7 +540,7 @@ def test_band_balls_at_base_distance_eps_over_zq(q, eps):
                              "h": [[1, 0.001, 0.0]]})
     states = system.sample(90, q)
     g = states[:, 0]
-    assert np.any(system._base_distance(g, g) == 0.25)
+    assert np.any(system._base_distance(g[:, None], g[None, :]) == 0.25)
     _assert_balls_equal_reference(system, states, [1, 2, 3, 5, 64], [eps])
 
 
