@@ -283,13 +283,17 @@ class TorusSkew(SystemInstance):
     def orbit(self, x0, n_max, chunk):
         """Closed form: the rows [g0 + n a, y0 + H_n], H_n the Birkhoff sum
         of the increments h(g_0), ..., h(g_{n-1}), carried unreduced from
-        chunk to chunk as a float."""
+        chunk to chunk as a float.  The carry is added to the chunk's first
+        increment, so y_n is the float sum ((y0 + h(g_0)) + ...) + h(g_{n-1})
+        wherever the chunks are cut."""
         y = float(x0[1])
         for lo in range(1, n_max + 1, chunk):
             # steps in the type of a: float over T^1, int (exact) over Z/q
             ns = np.arange(lo - 1, min(lo + chunk, n_max + 1), dtype=type(self.a))
             g = self._advance(x0[0], ns)
-            ys = y + np.cumsum(self._h(g[:-1]))
+            ys = self._h(g[:-1])
+            ys[0] += y
+            ys = np.cumsum(ys, out=ys)
             y = float(ys[-1])
             yield np.column_stack([g[1:], frac(ys)])
 
