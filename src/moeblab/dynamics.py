@@ -24,6 +24,7 @@ samples from the closed-form orbit instead (burn-in 10^4, stride 7).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from typing import Iterator
 
@@ -382,14 +383,14 @@ class GroupSkew(TorusSkew):
     orbit_x0 = (0, 0.2)
 
     def __init__(self, descriptor: dict):
-        q = int(descriptor["group"]["q"])
+        q = _integer(descriptor["group"]["q"], "group.q")
         if q < 1:
             raise DomainError(f"cyclic group order must be >= 1, got {q}")
         if q > MAX_GROUP_ORDER:
             raise SizingError(
                 f"cyclic group order {q} exceeds {MAX_GROUP_ORDER}, the cap "
                 "on the table of h over Z/q")
-        a = int(descriptor["a"]) % q
+        a = _integer(descriptor["a"], "a") % q
         if math.gcd(a, q) != 1:
             warnings.warn(f"a={a} does not generate Z/{q}: rotation not minimal")
         h = _h_from_descriptor(descriptor)
@@ -520,6 +521,16 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
         return h_spec
     pairs = [(int(m), complex(re, im)) for (m, re, im) in h_spec]
     return cocycle_from_pairs(pairs)
+
+
+def _integer(value, name: str) -> int:
+    """The integer a descriptor field holds; a bool or a number with a
+    fractional part is refused, not truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise DomainError(f"group_skew field {name!r} must be an integer, "
+                      f"got {value!r}")
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:

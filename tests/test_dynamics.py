@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeblab import cli
 from moeblab import complexity as cx
@@ -420,6 +422,48 @@ def test_shift_metric_refuses_windows_of_unequal_length(systems):
         shift.metric(s, t[1:])
 
 
+ONE_DISTANCE = {
+    "rotation": {"kind": "rotation", "alpha": "sqrt2-1"},
+    "skew2": SKEW_DESC,
+    "group_skew-circle": {"kind": "group_skew", "group": "circle",
+                          "alpha": "golden", "h": [[1, 0.05, 0.0]]},
+    "group_skew-Z12": {"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                       "h": [[1, 0.05, 0.0]]},
+    "shift": {"kind": "shift", "weights": [0.5, 0.5], "horizon": 6},
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ONE_DISTANCE)), p=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_form_of_the_distance_reads_one_d(name, p, seed):
+    # metric, pairwise_distance, the n = 1 balls and the generic center
+    # search at L = 1 all read the kind's one distance, bit for bit; the
+    # balls are cut at distances of the cloud itself, so ties are hit
+    system = dy.make_system(ONE_DISTANCE[name])
+    states = system.sample(p, seed)
+    scalar = np.array([[system.metric(s, t) for t in states] for s in states])
+    pair = system.pairwise_distance(states)
+    assert pair.dtype == np.float64 and pair.tobytes() == scalar.tobytes()
+    if name == "shift":
+        return
+    eps = np.array([pair.max(), pair[0, -1], 0.1]) + (pair.max() == 0)
+    (_, balls), = system.dbar_balls(states, [1], eps)
+    assert balls.tobytes() == (pair < eps[:, None, None]).tobytes()
+    # the first half of the cloud as the orbit, the rest as the centers
+    orbit, centers = states[: (p + 1) // 2], states[(p + 1) // 2:]
+    if not len(centers):
+        return
+    ctraj = centers[:, None]
+    to_centers = scalar[: len(orbit), len(orbit):].T
+    j, d = dy.SystemInstance.nearest_centers(system, orbit, ctraj, len(orbit))
+    assert j.tolist() == np.argmin(to_centers, axis=0).tolist()
+    assert d.tobytes() == to_centers.min(axis=0).tobytes()
+    assert [a.tobytes() for a in system.nearest_centers(orbit, ctraj,
+                                                        len(orbit))] == [
+        j.tobytes(), d.tobytes()]
+
+
 # ---------------------------------------------------------------------------
 # Sampler invariance
 # ---------------------------------------------------------------------------
@@ -570,6 +614,25 @@ def test_orbit_sampler_takes_no_steps_for_a_negative_burn_in_or_stride():
         want = dy.make_system(dict(desc, burn_in=max(0, burn_in),
                                    stride=max(0, stride))).sample(4, seed=0)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q, a, field", [
+    (12.5, 5.9, "group.q"), (12, 5.9, "a"), (12.5, 5, "group.q"),
+    (True, 1, "group.q"), (12, True, "a"), ("12", 5, "group.q"),
+    (12, None, "a")])
+def test_group_fields_must_be_integers(q, a, field):
+    # int() truncated them: q 12.5 and a 5.9 built the rotation by 5 on Z/12
+    with pytest.raises(DomainError, match=f"'{field}' must be an integer"):
+        dy.make_system({"kind": "group_skew", "group": {"q": q}, "a": a,
+                        "h": []})
+
+
+@pytest.mark.parametrize("q, a", [(12.0, 5), (12, 5.0), (np.int64(12), 5),
+                                  (12, np.float64(-7.0))])
+def test_integral_group_fields_of_any_number_type_build(q, a):
+    gs = dy.make_system({"kind": "group_skew", "group": {"q": q}, "a": a,
+                         "h": []})
+    assert (gs.q, gs.a) == (12, 5) and type(gs.q) is type(gs.a) is int
 
 
 @pytest.mark.parametrize("group", [12, "12", "torus", [12], {"order": 12}, None])
