@@ -165,29 +165,16 @@ def exact_cover(ball: np.ndarray, weights: np.ndarray,
     if p > EXACT_COVER_MAX_POINTS:
         raise SizingError(
             f"exact cover limited to {EXACT_COVER_MAX_POINTS} points, got {p}")
-    masks = []
-    for i in range(p):
-        m = 0
-        for j in range(p):
-            if ball[i, j]:
-                m |= 1 << j
-        masks.append(m)
+    masks = [sum(1 << j for j in range(p) if row[j]) for row in ball]
     wts = [float(w) for w in weights]
     target = 1.0 - epsilon
-
-    def mass(mask: int) -> float:
-        total = 0.0
-        for j in range(p):
-            if mask >> j & 1:
-                total += wts[j]
-        return total
-
     for k in range(1, p + 1):
         for combo in itertools.combinations(range(p), k):
             u = 0
             for i in combo:
                 u |= masks[i]
-            m = mass(u)
+            # the covered weights summed in atom order, from 0.0
+            m = sum((wts[j] for j in range(p) if u >> j & 1), 0.0)
             if m > target or u == (1 << p) - 1:   # all of the cloud covers it
                 return CoverResult(count=k, centers=tuple(combo),
                                    covered_mass=m, method="exact")

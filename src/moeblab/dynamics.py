@@ -1,13 +1,12 @@
 """Concrete systems: rotations, skew products over rotations, shifts.
 
-One class per kind writes its step, its distance d (`distance`,
-elementwise on state rows), seeded invariant draw and the eps-balls of
-the averaged metric (`dbar_balls`) once, on a bulk payload;
-`SystemInstance` derives the scalar and pairwise forms of d and the
-nearest covering centers of an orbit, so the dbar oracle, the covering
-code and the block tracer measure with one d.  A kind adds what its
-structure gives: trigonometric coordinates (`coords`), in which
-observables are evaluated, and the closed-form orbit in bulk states
+One class per kind writes its step, its distance d on state rows, its
+seeded invariant draw and the eps-balls of the averaged metric
+(`dbar_balls`) once; `SystemInstance` derives the scalar and pairwise
+forms of d and the nearest covering centers of an orbit, so the dbar
+oracle, the covering code and the block tracer measure with one d.  A
+kind adds what its structure gives: trig coordinates (`coords`), which
+only observables read, and the closed-form orbit in bulk states
 (`orbit`), from which `SystemInstance` derives the orbit in coordinates
 (`orbit_coords`) and the orbit sampler.
 A bulk payload is one ndarray with one row per state: a (P,) array of
@@ -62,13 +61,14 @@ class SystemInstance:
 
     Subclasses implement `step_bulk`, `distance(s, t)`, d of the state
     rows s and t elementwise with broadcasting, `_draw(count, rng)`, the
-    invariant measure's draw, and `dbar_balls(states, ns, eps)`,
-    which yields (n, balls) for the ascending positive ns: balls[k, i, j]
-    is dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool
-    array in cloud order, True on the diagonal, and no array yielded is
-    held once the next n is asked for.  `step`, `metric`,
-    `pairwise_distance`, `nearest_centers` and `sample` are derived here.  Bulk states are an ndarray with one row per state, so
-    `len(states)`, `states[index]` and `np.array(items)` serve every kind.
+    invariant measure's draw, and `dbar_balls(states, ns, eps)`, which
+    yields (n, balls) for the ascending positive ns: balls[k, i, j] is
+    dbar_n(x_i, x_j) < eps[k], a C-contiguous (len(eps), p, p) bool array
+    in cloud order, True on the diagonal, and no array yielded is held
+    once the next n is asked for.  `step`, `metric`, `pairwise_distance`,
+    `nearest_centers` and `sample` are derived here.  Bulk states are an
+    ndarray with one row per state, so `len(states)`, `states[index]` and
+    `np.array(items)` serve every kind.
     A kind with a closed-form orbit writes `orbit(x0, n_max, chunk)` and
     `coords`; `orbit_coords` and the "orbit" sampler are derived from them.
     `nearest_centers(orbit, ctraj, n_total)` reads the orbit states
@@ -201,8 +201,7 @@ class Rotation(SystemInstance):
     def step_bulk(self, xs):
         return frac(xs + self.a)
 
-    def distance(self, s, t):
-        return circle_dist(s, t)
+    distance = staticmethod(circle_dist)
 
     def dbar_balls(self, states, ns, eps):
         """An isometry keeps dbar_n = d for every n: the pairwise distance
@@ -238,8 +237,7 @@ class TorusSkew(SystemInstance):
 
     The base rotation enters only through `_advance(g, i)` = g + i a,
     `_h(g)`, the fibre increment, `coords`, with g as a circle point, and
-    `_base_distance(g, h)`, the base distance of g and h elementwise with
-    broadcasting.
+    `_base_distance(g, h)`, elementwise with broadcasting.
     """
 
     orbit_x0 = (0.1, 0.2)
@@ -259,8 +257,7 @@ class TorusSkew(SystemInstance):
     def _h(self, x):
         return self.h.evaluate(x)
 
-    def _base_distance(self, x, z):
-        return circle_dist(x, z)
+    _base_distance = staticmethod(circle_dist)
 
     def _draw(self, count, rng):
         return rng.random((count, 2))
@@ -273,7 +270,6 @@ class TorusSkew(SystemInstance):
 
     def distance(self, s, t):
         """max(base distance of g, circle distance of y) of rows [g, y]."""
-        s, t = np.asarray(s), np.asarray(t)
         return np.maximum(self._base_distance(s[..., 0], t[..., 0]),
                           circle_dist(s[..., 1], t[..., 1]))
 
@@ -284,9 +280,8 @@ class TorusSkew(SystemInstance):
     def orbit(self, x0, n_max, chunk):
         """Closed form: the rows [g0 + n a, y0 + H_n], H_n the Birkhoff sum
         of the increments h(g_0), ..., h(g_{n-1}), carried unreduced from
-        chunk to chunk as a float.  The carry is added to the chunk's first
-        increment, so y_n is the float sum ((y0 + h(g_0)) + ...) + h(g_{n-1})
-        wherever the chunks are cut."""
+        chunk to chunk as a float into each chunk's first increment: y_n is
+        ((y0 + h(g_0)) + ...) + h(g_{n-1}) wherever the chunks are cut."""
         y = float(x0[1])
         for lo in range(1, n_max + 1, chunk):
             # steps in the type of a: float over T^1, int (exact) over Z/q
@@ -294,8 +289,7 @@ class TorusSkew(SystemInstance):
             g = self._advance(x0[0], ns)
             ys = self._h(g[:-1])
             ys[0] += y
-            ys = np.cumsum(ys, out=ys)
-            y = float(ys[-1])
+            y = float(np.cumsum(ys, out=ys)[-1])
             yield np.column_stack([g[1:], frac(ys)])
 
     def _band_sums(self, states, ns, reach: float, held: int):
@@ -374,10 +368,9 @@ class TorusSkew(SystemInstance):
 
 
 class GroupSkew(TorusSkew):
-    """The skew product over g -> g + a on G = Z/q.  A state is [g, y] with
-    g held as an integral float, exact for q <= MAX_GROUP_ORDER; the metric
-    reads g through the exact base distance min(k, q - k)/q, and the trig
-    coordinates read it as the circle point g/q."""
+    """The skew product over g -> g + a on G = Z/q.  A state is [g, y], g an
+    integral float, exact for q <= MAX_GROUP_ORDER; the metric reads g by
+    min(k, q - k)/q exactly, the trig coordinates as the circle point g/q."""
 
     kind = "group_skew"
     orbit_x0 = (0, 0.2)
@@ -524,13 +517,11 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
 
 
 def _integer(value, name: str) -> int:
-    """The integer a descriptor field holds; a bool or a number with a
-    fractional part is refused, not truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or (
-            isinstance(value, float) and value.is_integer()):
+    """A descriptor field's integer; a bool or a fraction is refused."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise DomainError(f"group_skew field {name!r} must be an integer, "
-                      f"got {value!r}")
+    raise DomainError(f"group_skew field {name!r} must be an integer, got {value!r}")
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:
