@@ -446,6 +446,11 @@ def test_every_form_of_the_distance_reads_one_d(name, p, seed):
     pair = system.pairwise_distance(states)
     assert pair.dtype == np.float64 and pair.tobytes() == scalar.tobytes()
     if name == "shift":
+        # 2^-(first differing offset), found one symbol at a time
+        w = states.shape[1]
+        ref = [[2.0 ** -next((k for k in range(w) if s[k] != t[k]), w)
+                for t in states] for s in states]
+        assert pair.tobytes() == np.array(ref).tobytes()
         return
     eps = np.array([pair.max(), pair[0, -1], 0.1]) + (pair.max() == 0)
     (_, balls), = system.dbar_balls(states, [1], eps)
