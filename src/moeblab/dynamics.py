@@ -407,7 +407,7 @@ class GroupSkew(TorusSkew):
         return np.minimum(k, self.q - k) / self.q
 
     def _check_start(self, x0) -> None:
-        if not float(x0[0]).is_integer():
+        if not (float(x0[0]).is_integer() and 0 <= x0[0] < self.q):
             raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
                               f"element of Z/{self.q}")
 

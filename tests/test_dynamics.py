@@ -557,7 +557,10 @@ def test_group_orbit_start_must_lie_on_the_group():
     desc = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
             "h": [[1, 0.05, 0.0]], "sampler": "orbit", "burn_in": 0,
             "stride": 1}
-    for x0 in ([3.5, 0.2], np.array([3.5, 0.2]), [float("nan"), 0.2]):
+    # off the group: a fraction, nan, or an integer outside 0..q-1, whose
+    # step read past the table of h (IndexError at 15) or wrapped (at -1)
+    for x0 in ([3.5, 0.2], np.array([3.5, 0.2]), [float("nan"), 0.2],
+               [12, 0.2], [15, 0.2], [-1, 0.2]):
         gs = dy.make_system(dict(desc, x0=x0))
         with pytest.raises(DomainError, match="Z/12"):
             gs.sample(4, seed=0)
