@@ -448,8 +448,7 @@ class Shift(SystemInstance):
 
     def distance(self, s, t):
         """2^-j for the first offset j where the windows differ, else 2^-w."""
-        diff = s != t
-        return 2.0 ** -np.where(diff.any(-1), diff.argmax(-1), diff.shape[-1])
+        return 2.0 ** -np.logical_and.accumulate(s == t, axis=-1).sum(axis=-1)
 
     def dbar_balls(self, states, ns, eps):
         """The float32 means of `_dbar_means` thresholded."""

@@ -418,6 +418,7 @@ def test_shift_metric_refuses_windows_of_unequal_length(systems):
     s, t = shift.sample(2, seed=3)
     assert shift.metric(s[1:], t[1:]) == shift.pairwise_distance(
         np.array([s[1:], t[1:]]))[0, 1]
+    assert shift.metric(s[:0], t[:0]) == 1.0     # no symbols: 2^-0
     with pytest.raises(DomainError, match="shapes"):
         shift.metric(s, t[1:])
 
