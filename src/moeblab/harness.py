@@ -4,9 +4,9 @@ Observables are finite trigonometric polynomials on the circle or torus;
 general continuous test functions enter through their truncated Fourier
 data.  Correlation sums stream over the orbit in one pass with compensated
 accumulation; the block tracer reproduces the two-scale decomposition of
-the running average into L-blocks anchored at covering centers, reporting
-observed-versus-claimed discrepancy ratios (the claims hold only for
-"sufficiently large" horizons, so they are diagnostics, never assertions).
+the running average into L-blocks anchored at covering centers, and
+reports what it measures: the cover, the share of orbit points assigned
+to a center, and how far the block average lies from the orbit average.
 Orbit points find their centers through the system's `nearest_centers`,
 on states in the system's own metric; trig coordinates serve only to
 evaluate observables.  No system kind is special-cased here.
@@ -30,7 +30,7 @@ from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
                        make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
 from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
-                        mertens, mobius_non_pretentious)
+                        mertens)
 
 CHUNK = ORBIT_CHUNK
 
@@ -164,48 +164,40 @@ def _kahan(total: complex, comp: complex, term: complex) -> tuple[complex, compl
 @dataclass(frozen=True)
 class BlockTrace:
     ell: int
-    delta: float
-    w_param: float             # W = L^delta
     epsilon: float
     epsilon1: float
     cover_count: int           # m = S_L(d, rho, eps1) greedy estimate
-    cover_budget: float        # eps^3 L^{delta/20} / 2 (with D = 1)
-    schedule: dict[str, bool]
     assigned_fraction: float
     assignment_valid: bool
     orbit_average: complex           # (1/N) sum mu(n) f(T^n x0)
     block_average: complex           # the two-scale right side
     anchor_diff: float
-    anchor_tolerance: float           # 5 eps
     block_avg_magnitude: float
-    block_avg_tolerance: float           # 3 eps
 
 
 def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
                               f: TrigObservable | Sequence, x0,
-                              ell: int, delta: float, epsilon: float,
+                              ell: int, epsilon: float,
                               n_total: int, cloud_size: int = 512,
                               seed: int = 0) -> BlockTrace:
     """Trace the block decomposition at scale L over the first N orbit points.
 
     The covering radius eps1 is chosen below eps^2 and small enough that
     the observable moves by less than eps across sqrt(eps1) in the metric.
-    Schedule inequalities relating W = L^delta to L and N are reported,
-    not enforced: their regime is unreachable at desk scale and the
-    thresholds carry no effective constants.
+    The trace reports measured values only; it asserts no bound on them.
     """
     f = parse_observable(f)
-    if not 0 < delta < 1 / 500:
-        raise ParameterError(f"delta must lie in (0, 1/500), got {delta}")
     if ell < 2:
         raise ParameterError(f"L must be >= 2, got {ell}")
+    if n_total < 1:
+        raise ParameterError(f"N must be >= 1, got {n_total}")
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
     if n_total + ell > table.limit + 1:
         raise SizingError(
             f"need mu up to N+L-1 = {n_total + ell - 1}, limit {table.limit}")
     if f.sup_bound() > 1 + 1e-9:
-        raise DomainError("observable must be bounded by 1 for the traced claims")
+        raise DomainError("observable must be bounded by 1")
 
     # the orbit rows T^1 x0 .. T^{N+L} x0, as chunks and concatenated, the
     # nearest-center search's scratch and the center trajectories and their
@@ -220,19 +212,6 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
 
     orbit_avg = correlation_sum(table, system, f, x0, [n_total]).values[0]
 
-    w_param = ell ** delta
-    log_l = math.log(ell)
-    schedule = {
-        "W >= 10": w_param >= 10,
-        "W >= log^20(L)": w_param >= log_l ** 20,
-        "W <= L^(1/500)": w_param <= ell ** (1 / 500),
-        "W <= (log N)^(1/125)": w_param <= math.log(n_total) ** (1 / 125),
-    }
-    q_cap = max(1, math.floor(w_param))
-    m_mu = mobius_non_pretentious(table, n_total, q_cap,
-                                  default_t_grid(n_total, 41))
-    schedule["W <= exp(M(mu;N,W)/3)"] = w_param <= math.exp(m_mu / 3)
-
     lip = max(f.lipschitz_bound(), 1e-9)
     epsilon1 = min(epsilon ** 2, (epsilon / lip) ** 2) / 2
 
@@ -241,8 +220,6 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     cover = greedy_cover(balls[0], cloud.weights, epsilon1)
     centers = list(cover.centers)
     m_count = len(centers)
-    budget = epsilon ** 3 * ell ** (delta / 20) / 2.0
-    schedule["m < eps^3 L^(delta/20) / (2 D), D=1"] = m_count < budget
 
     # the center orbits as states, ctraj[j, l] = T^l c_j
     ctraj = np.empty((m_count, ell) + cloud.states.shape[1:])
@@ -273,14 +250,11 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     anchor = float(abs(orbit_avg - block_avg))
     block_mag = float(abs(block_avg))
     return BlockTrace(
-        ell=ell, delta=delta, w_param=w_param, epsilon=epsilon,
-        epsilon1=epsilon1, cover_count=m_count, cover_budget=budget,
-        schedule=schedule,
+        ell=ell, epsilon=epsilon, epsilon1=epsilon1, cover_count=m_count,
         assigned_fraction=float(np.mean(assigned)),
         assignment_valid=bool(np.all(dmin[assigned] < epsilon1)),
         orbit_average=orbit_avg, block_average=block_avg,
-        anchor_diff=anchor, anchor_tolerance=5 * epsilon,
-        block_avg_magnitude=block_mag, block_avg_tolerance=3 * epsilon)
+        anchor_diff=anchor, block_avg_magnitude=block_mag)
 
 
 def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
@@ -492,33 +466,25 @@ def _exp_mrt_bilinear(params: dict, seed: int):
 
 
 def _exp_block_trace(params: dict, seed: int):
-    _require(params, "system", "f", "x0", "L", "delta", "epsilon", "N")
+    _require(params, "system", "f", "x0", "L", "epsilon", "N")
     system = make_system(params["system"])
     n_total = int(params["N"])
     table = build_mobius_table(n_total + int(params["L"]))
     trace = block_decomposition_trace(
         table, system, params["f"], params["x0"], int(params["L"]),
-        float(params["delta"]), float(params["epsilon"]), n_total,
+        float(params["epsilon"]), n_total,
         cloud_size=int(params.get("cloud", 512)), seed=seed)
     rows = [
-        {"quantity": "anchor_diff", "observed": trace.anchor_diff,
-         "claimed": trace.anchor_tolerance,
-         "ratio": trace.anchor_diff / trace.anchor_tolerance},
-        {"quantity": "block_avg_magnitude", "observed": trace.block_avg_magnitude,
-         "claimed": trace.block_avg_tolerance,
-         "ratio": trace.block_avg_magnitude / trace.block_avg_tolerance},
+        {"quantity": "anchor_diff", "observed": trace.anchor_diff},
+        {"quantity": "block_avg_magnitude", "observed": trace.block_avg_magnitude},
     ]
     summary = {
-        "L": trace.ell, "delta": trace.delta, "W": trace.w_param,
-        "epsilon": trace.epsilon, "epsilon1": trace.epsilon1,
-        "cover_count": trace.cover_count, "cover_budget": trace.cover_budget,
-        "schedule": trace.schedule,
+        "L": trace.ell, "epsilon": trace.epsilon, "epsilon1": trace.epsilon1,
+        "cover_count": trace.cover_count,
         "assigned_fraction": trace.assigned_fraction,
         "assignment_valid": trace.assignment_valid,
-        "anchor_diff": {"observed": trace.anchor_diff, "claimed": trace.anchor_tolerance},
-        "block_avg": {"observed": trace.block_avg_magnitude, "claimed": trace.block_avg_tolerance},
-        "note": "claims hold for sufficiently large horizons; rows are "
-                "observed/claimed diagnostics, not assertions",
+        "anchor_diff": {"observed": trace.anchor_diff},
+        "block_avg": {"observed": trace.block_avg_magnitude},
     }
     return rows, summary, []
 

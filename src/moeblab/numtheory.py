@@ -292,18 +292,3 @@ def pretentious_scan(
     return [PretentiousRow(chi.modulus, chi.index, t, float(d))
             for chi, row in zip(chars, dist) for t, d in zip(t_values, row)]
 
-
-def mobius_non_pretentious(
-    table: MobiusTable,
-    n_max: int,
-    big_q: int,
-    t_grid: Iterable[float],
-) -> float:
-    """Grid-restricted M(mu; N, Q): min over q <= Q, chi mod q, t in the grid.
-
-    An upper bound for the true infimum over continuous t; it grows with N,
-    witnessing that mu pretends to be no twisted character.
-    """
-    rows = pretentious_scan(table, n_max, big_q, t_grid)
-    return min(r.distance_sq for r in rows)
-

@@ -49,8 +49,7 @@ def _correlation(system, f, x0):
 def _block_trace(system, f, x0, epsilon):
     return {"experiment": "block-trace", "seed": 2,
             "params": {"system": system, "f": f, "x0": x0, "L": 16,
-                       "delta": 0.001, "epsilon": epsilon, "N": 4000,
-                       "cloud": 100}}
+                       "epsilon": epsilon, "N": 4000, "cloud": 100}}
 
 
 CONFIGS = {

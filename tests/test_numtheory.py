@@ -463,22 +463,28 @@ def test_pretentious_scan_equals_per_character_reference(
         == [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in ref]
 
 
+def _min_distance(table, n_max, big_q, grid):
+    """Grid-restricted M(mu; N, Q): the least distance of the scan."""
+    return min(r.distance_sq for r in nt.pretentious_scan(table, n_max, big_q,
+                                                          grid))
+
+
 def test_non_pretentious_reduces_to_plain_distance(table_100k):
-    value = nt.mobius_non_pretentious(table_100k, 10, 1, [0.0])
+    value = _min_distance(table_100k, 10, 1, [0.0])
     assert abs(value - 2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
 
 
 def test_non_pretentious_is_a_min(table_100k):
     grid = nt.default_t_grid(1000, 21)
-    value = nt.mobius_non_pretentious(table_100k, 1000, 2, grid)
-    principal_at_zero = nt.mobius_non_pretentious(table_100k, 1000, 1, [0.0])
+    value = _min_distance(table_100k, 1000, 2, grid)
+    principal_at_zero = _min_distance(table_100k, 1000, 1, [0.0])
     assert value <= principal_at_zero + 1e-15
 
 
 def test_non_pretentious_grows_with_n(table_1m):
     # fixed grid and Q: the grid minimum is nondecreasing in N
     grid = list(nt.default_t_grid(100, 51))
-    values = [nt.mobius_non_pretentious(table_1m, n, 2, grid)
+    values = [_min_distance(table_1m, n, 2, grid)
               for n in (10 ** 2, 10 ** 4, 10 ** 6)]
     assert values[0] <= values[1] <= values[2]
     assert values[2] > values[0] + 0.5   # visible growth, Eq.-style divergence
@@ -486,7 +492,7 @@ def test_non_pretentious_grows_with_n(table_1m):
 
 def test_non_pretentious_empty_grid(table_100k):
     with pytest.raises(DomainError):
-        nt.mobius_non_pretentious(table_100k, 100, 1, [])
+        _min_distance(table_100k, 100, 1, [])
 
 
 def test_default_t_grid_contains_zero():
