@@ -58,6 +58,8 @@ class OrbitCloud:
 
 
 def sample_cloud(system: SystemInstance, count: int, seed: int) -> OrbitCloud:
+    if count < 1:
+        raise DomainError(f"a cloud needs at least one sample, got {count}")
     states = system.sample(count, seed)
     return OrbitCloud(system=system, states=states,
                       weights=np.full(count, 1.0 / count),

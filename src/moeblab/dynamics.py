@@ -121,8 +121,8 @@ class SystemInstance:
         x0 = np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64)
         self._check_start(x0)
         # rows n = burn_in + i stride, n = 0 being x0; a negative takes no step
-        burn_in = max(0, int(desc.get("burn_in", ORBIT_BURN_IN)))
-        stride = max(0, int(desc.get("stride", ORBIT_STRIDE)))
+        burn_in = max(0, _integer(desc.get("burn_in", ORBIT_BURN_IN), "burn_in"))
+        stride = max(0, _integer(desc.get("stride", ORBIT_STRIDE), "stride"))
         ns = burn_in + stride * np.arange(count)
         rows = np.empty((count, len(x0)))
         rows[ns == 0] = x0
@@ -198,6 +198,11 @@ class Rotation(SystemInstance):
     def _draw(self, count, rng):
         return rng.random(count)
 
+    def _check_start(self, x0) -> None:
+        if np.ndim(x0) != 0:
+            raise DomainError(f"a rotation orbit starts at one circle point, "
+                              f"got x0 = {x0!r}")
+
     def step_bulk(self, xs):
         return frac(xs + self.a)
 
@@ -261,6 +266,11 @@ class TorusSkew(SystemInstance):
 
     def _draw(self, count, rng):
         return rng.random((count, 2))
+
+    def _check_start(self, x0) -> None:
+        if np.shape(x0) != (2,):
+            raise DomainError(f"a {self.kind} orbit starts at one row [g, y], "
+                              f"got x0 = {x0!r}")
 
     def step_bulk(self, states):
         out = np.empty(states.shape)     # float rows, also for integral g
@@ -407,6 +417,7 @@ class GroupSkew(TorusSkew):
         return np.minimum(k, self.q - k) / self.q
 
     def _check_start(self, x0) -> None:
+        super()._check_start(x0)
         if not (float(x0[0]).is_integer() and 0 <= x0[0] < self.q):
             raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
                               f"element of Z/{self.q}")
@@ -435,7 +446,9 @@ class Shift(SystemInstance):
             raise DomainError("Bernoulli weights must be nonnegative and sum to 1")
         super().__init__(descriptor)
         self.weights = weights
-        self.horizon = int(descriptor.get("horizon", 64))
+        self.horizon = _integer(descriptor.get("horizon", 64), "horizon")
+        if self.horizon < 1:
+            raise DomainError(f"shift horizon must be >= 1, got {self.horizon}")
 
     def _draw(self, count, rng):
         return rng.choice(len(self.weights), size=(count, self.horizon),
@@ -519,7 +532,7 @@ def _integer(value, name: str) -> int:
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise DomainError(f"group_skew field {name!r} must be an integer, got {value!r}")
+    raise DomainError(f"descriptor field {name!r} must be an integer, got {value!r}")
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:

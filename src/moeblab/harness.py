@@ -49,6 +49,11 @@ class TrigObservable:
 
     coefficients: dict[tuple[int, ...], complex]
 
+    @property
+    def dim(self) -> int:
+        """Entries of each frequency: 1 on the circle, 2 on the torus."""
+        return len(next(iter(self.coefficients)))
+
     def sup_bound(self) -> float:
         return float(sum(abs(c) for c in self.coefficients.values()))
 
@@ -124,6 +129,11 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
     if n_max > table.limit:
         raise SizingError(
             f"checkpoint {n_max} exceeds sieve limit {table.limit}")
+    chunks = system.orbit_coords(x0, n_max, CHUNK)     # checks x0, no step yet
+    dim = system.coords(np.asarray(x0, dtype=np.float64)[None]).shape[1]
+    if f.dim != dim:
+        raise DomainError(f"observable frequencies of {f.dim} entries on "
+                          f"{system.kind!r}, which has {dim} coordinates")
 
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j          # Kahan compensation
@@ -131,7 +141,7 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
     next_cp = 0
     mu = table.values
     lo = 1
-    for coords in system.orbit_coords(x0, n_max, CHUNK):
+    for coords in chunks:
         hi = lo + len(coords)
         nz = np.flatnonzero(mu[lo:hi] != 0)      # twice as fast on a bool mask
         terms = np.zeros(hi - lo, dtype=np.complex128)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from moeblab.cli import main
 
 
@@ -90,3 +92,83 @@ def test_run_unknown_experiment(tmp_path, capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+ROTATION = {"kind": "rotation", "alpha": "sqrt2-1"}
+SKEW2 = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
+ORBIT_SAMPLED = dict(SKEW2, sampler="orbit", burn_in=10, stride=3)
+SHIFT = {"kind": "shift", "weights": [0.5, 0.5]}
+
+
+def _correlation(system, f, x0):
+    return {"experiment": "correlation",
+            "params": {"system": system, "f": f, "x0": x0,
+                       "checkpoints": [100]}}
+
+
+def _block_trace(**params):
+    return {"experiment": "block-trace",
+            "params": dict({"system": ROTATION, "f": [[1, 1.0, 0.0]],
+                            "x0": 0.1, "L": 16, "epsilon": 0.3, "N": 1000,
+                            "cloud": 50}, **params)}
+
+
+def _covering(system, samples=20):
+    return {"experiment": "covering-profile",
+            "params": {"system": system, "samples": samples, "eps": [0.2],
+                       "ns": [1, 2]}}
+
+
+# each died with a traceback (ZeroDivisionError, IndexError, TypeError or
+# a numpy ValueError), ran on a truncated value, or ran on part of x0
+REFUSED = {
+    "covering-no-samples": (_covering(ROTATION, samples=0), "one sample"),
+    "trace-no-cloud": (_block_trace(cloud=0), "one sample"),
+    "trace-no-orbit": (_block_trace(N=0), "N must be >= 1"),
+    "torus-f-on-rotation": (_correlation(ROTATION, [[1, 1, 1.0, 0.0]], 0.1),
+                            "2 entries"),
+    "row-x0-on-rotation": (_correlation(ROTATION, [[1, 1.0, 0.0]],
+                                        [0.1, 0.2]), "one circle point"),
+    "scalar-x0-on-skew": (_correlation(SKEW2, [[0, 1, 1.0, 0.0]], 0.1),
+                          "one row"),
+    "long-x0-on-skew": (_correlation(SKEW2, [[0, 1, 1.0, 0.0]],
+                                     [0.1, 0.2, 0.3]), "one row"),
+    "trace-torus-f-on-rotation": (_block_trace(f=[[1, 1, 1.0, 0.0]]),
+                                  "2 entries"),
+    "trace-row-x0-on-rotation": (_block_trace(x0=[0.1, 0.2]),
+                                 "one circle point"),
+    "fractional-horizon": (_covering(dict(SHIFT, horizon=12.5)),
+                           "'horizon' must be an integer"),
+    "bool-horizon": (_covering(dict(SHIFT, horizon=True)),
+                     "'horizon' must be an integer"),
+    "zero-horizon": (_covering(dict(SHIFT, horizon=0)), "horizon must be >= 1"),
+    "negative-horizon": (_covering(dict(SHIFT, horizon=-2)),
+                         "horizon must be >= 1"),
+    "fractional-stride": (_covering(dict(ORBIT_SAMPLED, stride=2.7)),
+                          "'stride' must be an integer"),
+    "bool-stride": (_covering(dict(ORBIT_SAMPLED, stride=True)),
+                    "'stride' must be an integer"),
+    "fractional-burn-in": (_covering(dict(ORBIT_SAMPLED, burn_in=0.5)),
+                           "'burn_in' must be an integer"),
+    "long-x0-sampled": (_covering(dict(ORBIT_SAMPLED, x0=[0.1, 0.2, 0.3])),
+                        "one row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_exits_2(tmp_path, capsys, case):
+    config, message = REFUSED[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_complexity_refuses_no_samples(tmp_path, capsys):
+    desc = tmp_path / "system.json"
+    desc.write_text(json.dumps(ROTATION))
+    assert main(["complexity", "--system", str(desc), "--samples", "0",
+                 "--eps", "0.2", "--ns", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "one sample" in err, err
