@@ -29,8 +29,7 @@ from .complexity import greedy_cover, sample_cloud
 from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
                        make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
-from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
-                        mertens)
+from .numtheory import MobiusTable, build_mobius_table, default_t_grid, mertens
 
 CHUNK = ORBIT_CHUNK
 
@@ -48,11 +47,6 @@ class TrigObservable:
     """
 
     coefficients: dict[tuple[int, ...], complex]
-
-    @property
-    def dim(self) -> int:
-        """Entries of each frequency: 1 on the circle, 2 on the torus."""
-        return len(next(iter(self.coefficients)))
 
     def sup_bound(self) -> float:
         return float(sum(abs(c) for c in self.coefficients.values()))
@@ -131,8 +125,9 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
             f"checkpoint {n_max} exceeds sieve limit {table.limit}")
     chunks = system.orbit_coords(x0, n_max, CHUNK)     # checks x0, no step yet
     dim = system.coords(np.asarray(x0, dtype=np.float64)[None]).shape[1]
-    if f.dim != dim:
-        raise DomainError(f"observable frequencies of {f.dim} entries on "
+    f_dim = len(next(iter(f.coefficients)))
+    if f_dim != dim:
+        raise DomainError(f"observable frequencies of {f_dim} entries on "
                           f"{system.kind!r}, which has {dim} coordinates")
 
     total = 0.0 + 0.0j
