@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import MoebLabError
+from .errors import MoebLabError, ParameterError
 
 
 def main(argv=None) -> int:
@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mobius(args) -> None:
-    from .numtheory import (build_mobius_table, default_t_grid, mertens,
-                            pretentious_scan)
+    from .harness import _csv_text, experiment_rows
+    from .numtheory import build_mobius_table, mertens
     table = build_mobius_table(args.limit)
     if args.values:
         print("n,mu")
@@ -113,18 +113,16 @@ def _cmd_mobius(args) -> None:
     if args.mertens is not None:
         print(f"mertens({args.mertens}) = {mertens(table, args.mertens)}")
     if args.pretentious:
-        grid = default_t_grid(args.limit, args.tgrid)
-        rows = pretentious_scan(table, args.limit, args.bigq, grid)
-        print("q,chi_index,t,distance_sq")
-        for r in rows:
-            print(f"{r.q},{r.chi_index},{r.t!r},{r.distance_sq!r}")
+        rows, _, _ = experiment_rows("pretentious", {
+            "limit": args.limit, "bigq": args.bigq, "tgrid": args.tgrid})
+        print(_csv_text(rows), end="")
 
 
 def _cmd_mrt(args) -> None:
-    from .harness import _csv_text, _exp_mrt_bilinear
+    from .harness import _csv_text, experiment_rows
     params = {"p1": args.p1, "q1": args.q1, "n0": args.n0, "bign": args.bign,
               "ell": args.ell, "csv_rows": max(args.members, 0)}
-    rows, summary, _ = _exp_mrt_bilinear(params, seed=0)
+    rows, summary, _ = experiment_rows("mrt-bilinear", params)
     if args.members > 0:
         print(_csv_text(rows), end="")
     print(json.dumps(summary, sort_keys=True))
@@ -178,13 +176,22 @@ def _cmd_cocycle(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
-    from .harness import _csv_text, _exp_covering_profile
+    from .harness import _csv_text, experiment_rows
     params = {"system": json.loads(Path(args.system).read_text()),
-              "samples": args.samples, "eps": args.eps.split(","),
-              "ns": args.ns.split(","), "tau": args.tau}
-    rows, summary, _ = _exp_covering_profile(params, args.seed)
+              "samples": args.samples, "eps": _numbers(args.eps, "--eps"),
+              "ns": _numbers(args.ns, "--ns"), "tau": args.tau}
+    rows, summary, _ = experiment_rows("covering-profile", params, args.seed)
     print(_csv_text(rows), end="")
     print(json.dumps(summary, sort_keys=True))
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    """A flag's numbers, checked by the field reader: 2.5 for an int is refused."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_run(args) -> None:

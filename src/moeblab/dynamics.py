@@ -118,8 +118,9 @@ class SystemInstance:
         if sampler != "orbit" or self.orbit_x0 is None:
             raise DomainError(
                 f"system kind {self.kind!r} has no sampler {sampler!r}")
-        x0 = np.asarray(desc.get("x0", self.orbit_x0), dtype=np.float64)
+        x0 = desc.get("x0", self.orbit_x0)
         self._check_start(x0)
+        x0 = np.asarray(x0, dtype=np.float64)
         # rows n = burn_in + i stride, n = 0 being x0; a negative takes no step
         burn_in = max(0, _integer(desc.get("burn_in", ORBIT_BURN_IN), "burn_in"))
         stride = max(0, _integer(desc.get("stride", ORBIT_STRIDE), "stride"))
@@ -134,7 +135,10 @@ class SystemInstance:
         return rows
 
     def _check_start(self, x0) -> None:
-        """Refuse an orbit start off the state space, before any step."""
+        """Refuse an orbit start off the state space, before any step: here
+        one that is not finite numbers, in each kind one of the wrong shape."""
+        for value in np.ravel(x0).tolist():
+            _real(value, "x0")
 
     def _admit(self, nbytes: int, p: int, n_max: int) -> None:
         """Refuse dbar balls of p states up to n_max whose working set of
@@ -199,6 +203,7 @@ class Rotation(SystemInstance):
         return rng.random(count)
 
     def _check_start(self, x0) -> None:
+        super()._check_start(x0)
         if np.ndim(x0) != 0:
             raise DomainError(f"a rotation orbit starts at one circle point, "
                               f"got x0 = {x0!r}")
@@ -241,8 +246,8 @@ class TorusSkew(SystemInstance):
     is this system with that kind); `GroupSkew` is G = Z/q.
 
     The base rotation enters only through `_advance(g, i)` = g + i a,
-    `_h(g)`, the fibre increment, `coords`, with g as a circle point, and
-    `_base_distance(g, h)`, elementwise with broadcasting.
+    `_h(g)`, the fibre increment, `coords`, with g as a circle point,
+    `_base_distance(g, h)`, elementwise with broadcasting, and `_check_g`.
     """
 
     orbit_x0 = (0.1, 0.2)
@@ -271,6 +276,11 @@ class TorusSkew(SystemInstance):
         if np.shape(x0) != (2,):
             raise DomainError(f"a {self.kind} orbit starts at one row [g, y], "
                               f"got x0 = {x0!r}")
+        self._check_g(x0[0])
+        super()._check_start(x0)
+
+    def _check_g(self, g) -> None:
+        """Refuse a group coordinate off G: over T^1, none is."""
 
     def step_bulk(self, states):
         out = np.empty(states.shape)     # float rows, also for integral g
@@ -416,10 +426,10 @@ class GroupSkew(TorusSkew):
         k = k - self.q * np.floor(k / self.q)
         return np.minimum(k, self.q - k) / self.q
 
-    def _check_start(self, x0) -> None:
-        super()._check_start(x0)
-        if not (float(x0[0]).is_integer() and 0 <= x0[0] < self.q):
-            raise DomainError(f"group coordinate {x0[0]} of x0 is not an "
+    def _check_g(self, g) -> None:
+        if not (isinstance(g, numbers.Real) and float(g).is_integer()
+                and 0 <= g < self.q):
+            raise DomainError(f"group coordinate {g} of x0 is not an "
                               f"element of Z/{self.q}")
 
     def coords(self, states) -> np.ndarray:
@@ -523,16 +533,24 @@ def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
     h_spec = descriptor.get("h", [])
     if isinstance(h_spec, FourierCocycle):
         return h_spec
-    pairs = [(int(m), complex(re, im)) for (m, re, im) in h_spec]
+    pairs = [(_integer(m, "h"), complex(re, im)) for (m, re, im) in h_spec]
     return cocycle_from_pairs(pairs)
 
 
 def _integer(value, name: str) -> int:
-    """A descriptor field's integer; a bool or a fraction is refused."""
+    """A field's integer; a bool or a fraction is refused."""
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise DomainError(f"descriptor field {name!r} must be an integer, got {value!r}")
+    raise DomainError(f"field {name!r} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A field's real number; a bool, a string or a non-finite one is refused."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise DomainError(f"field {name!r} must be a finite number, got {value!r}")
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:
@@ -560,6 +578,8 @@ def make_system(descriptor: dict) -> SystemInstance:
     """Build a system from a descriptor such as
     {"kind": "skew2", "alpha": "sqrt2-1", "h": [[m, re, im], ...]}.
     """
+    if not isinstance(descriptor, dict):
+        raise DomainError(f"a system descriptor is an object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind not in _KINDS:
         raise DomainError(

@@ -14,20 +14,21 @@ evaluate observables.  No system kind is special-cased here.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_origin
 
 import numpy as np
 
 from . import __version__
 from ._kernels import unit
-from .complexity import greedy_cover, sample_cloud
+from .complexity import complexity_profile, greedy_cover, sample_cloud
 from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
-                       make_system)
+                       _integer, _real, make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
 from .numtheory import MobiusTable, build_mobius_table, default_t_grid, mertens
 
@@ -77,13 +78,10 @@ def parse_observable(spec) -> TrigObservable:
         return spec
     coeffs: dict[tuple[int, ...], complex] = {}
     for row in spec:
-        if len(row) == 3:
-            key, c = (int(row[0]),), complex(row[1], row[2])
-        elif len(row) == 4:
-            key, c = (int(row[0]), int(row[1])), complex(row[2], row[3])
-        else:
+        if len(row) not in (3, 4):
             raise DomainError(f"observable row {row!r} must have 3 or 4 entries")
-        coeffs[key] = coeffs.get(key, 0) + c
+        key = tuple(_integer(m, "f") for m in row[:-2])
+        coeffs[key] = coeffs.get(key, 0) + complex(row[-2], row[-1])
     if not coeffs:
         raise DomainError("observable needs at least one coefficient")
     if len({len(k) for k in coeffs}) != 1:
@@ -97,9 +95,6 @@ def parse_observable(spec) -> TrigObservable:
 
 @dataclass(frozen=True)
 class CorrelationSeries:
-    descriptor: dict
-    observable: TrigObservable
-    x0: object
     checkpoints: tuple[int, ...]
     values: tuple[complex, ...]    # (1/N_i) sum_{n<=N_i} mu(n) f(T^n x0)
     sup_f: float
@@ -149,9 +144,7 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
         total, comp = _kahan(total, comp, complex(np.sum(terms)))
         lo = hi
     assert len(values) == len(cps)
-    return CorrelationSeries(descriptor=dict(system.descriptor),
-                             observable=f, x0=x0,
-                             checkpoints=tuple(cps), values=tuple(values),
+    return CorrelationSeries(checkpoints=tuple(cps), values=tuple(values),
                              sup_f=f.sup_bound())
 
 
@@ -174,8 +167,6 @@ class BlockTrace:
     cover_count: int           # m = S_L(d, rho, eps1) greedy estimate
     assigned_fraction: float
     assignment_valid: bool
-    orbit_average: complex           # (1/N) sum mu(n) f(T^n x0)
-    block_average: complex           # the two-scale right side
     anchor_diff: float
     block_avg_magnitude: float
 
@@ -252,14 +243,12 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
             block_total += float(mu_sums[l_off, j]) * f_center[j, l_off]
     block_avg = complex(block_total / (n_total * ell))
 
-    anchor = float(abs(orbit_avg - block_avg))
-    block_mag = float(abs(block_avg))
     return BlockTrace(
         ell=ell, epsilon=epsilon, epsilon1=epsilon1, cover_count=m_count,
         assigned_fraction=float(np.mean(assigned)),
         assignment_valid=bool(np.all(dmin[assigned] < epsilon1)),
-        orbit_average=orbit_avg, block_average=block_avg,
-        anchor_diff=anchor, block_avg_magnitude=block_mag)
+        anchor_diff=float(abs(orbit_avg - block_avg)),
+        block_avg_magnitude=float(abs(block_avg)))
 
 
 def _assign_to_centers(system: SystemInstance, x0, ctraj: np.ndarray,
@@ -292,16 +281,9 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     the timestamped directory name varies between runs.  Runs stamped in
     the same second get the suffixes -1, -2, ... in the order they start.
     """
-    if "experiment" not in config:
-        raise ParameterError(
-            "config must name an 'experiment'; known: " + ", ".join(sorted(_EXPERIMENTS)))
-    name = config["experiment"]
-    if name not in _EXPERIMENTS:
-        raise ParameterError(
-            f"unknown experiment {name!r}; known: " + ", ".join(sorted(_EXPERIMENTS)))
-    params = dict(config.get("params", {}))
-    seed = int(config.get("seed", 0))
-    rows, summary, series = _EXPERIMENTS[name](params, seed)
+    name, params = config.get("experiment"), config.get("params", {})
+    seed = config.get("seed", 0)
+    rows, summary, series = experiment_rows(name, params, seed)
 
     out_dir = _new_bundle_dir(Path(out_root),
                               f"{name}-{time.strftime('%Y%m%dT%H%M%S')}")
@@ -376,15 +358,45 @@ def _csv_text(rows: list[dict]) -> str:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _require(params: dict, *names: str) -> None:
-    for nm in names:
-        if nm not in params:
-            raise ParameterError(f"config params missing required field {nm!r}")
+def experiment_rows(name: str, params: dict, seed=0) -> tuple[list, dict, list]:
+    """Run experiment `name` with `seed`, an integer >= 0, on its fields:
+    its parameters after `seed`, each read from `params` by `_read` and
+    required where it has no default.  Other keys of `params` are ignored."""
+    if name not in _EXPERIMENTS:
+        raise ParameterError(
+            f"unknown experiment {name!r}; known: " + ", ".join(sorted(_EXPERIMENTS)))
+    if not isinstance(params, dict):
+        raise ParameterError(f"config 'params' must be an object, got {params!r}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    run, fields = _EXPERIMENTS[name], {}
+    for field in list(inspect.signature(run, eval_str=True).parameters.values())[1:]:
+        if field.name in params:
+            fields[field.name] = _read(params[field.name], field.annotation, field.name)
+        elif field.default is field.empty:
+            raise ParameterError(f"config params missing required field {field.name!r}")
+    return run(seed, **fields)
 
 
-def _exp_sieve_check(params: dict, seed: int):
-    _require(params, "limit")
-    limit = int(params["limit"])
+def _read(value, kind, name: str):
+    """A field by its annotation (`int`, `float`, a non-empty `list` of one,
+    `SystemInstance`); any other goes as given to the code that checks it."""
+    if kind is int:
+        return _integer(value, name)
+    if kind is float:
+        return _real(value, name)
+    if kind is SystemInstance:
+        return make_system(value)
+    if get_origin(kind) is list:
+        if not isinstance(value, list) or not value:
+            raise DomainError(
+                f"field {name!r} must be a non-empty list, got {value!r}")
+        return [_read(v, get_args(kind)[0], name) for v in value]
+    return value
+
+
+def _exp_sieve_check(seed, *, limit: int):
     table = build_mobius_table(limit)
     decades = [10 ** k for k in range(1, 20) if 10 ** k <= limit]
     rows = [{"n": n, "mertens": mertens(table, n)} for n in decades]
@@ -393,18 +405,15 @@ def _exp_sieve_check(params: dict, seed: int):
     return rows, summary, series
 
 
-def _exp_lemma54(params: dict, seed: int):
+def _exp_lemma54(seed, *, alpha, depth: int, tau=1, freq_bound: int = 4096,
+                 decay_constant: float = 1.0, grid: int = 512):
     from .cocycle import block_estimate_check, envelope_cocycle, split_cocycle
     from .contfrac import expand, resonance_sets
-    _require(params, "alpha", "depth")
-    tau = params.get("tau", 1)
-    freq_bound = int(params.get("freq_bound", 4096))
-    cf = expand(params["alpha"], int(params["depth"]))
+    cf = expand(alpha, depth)
     res = resonance_sets(cf, tau, freq_bound)
-    h = envelope_cocycle(freq_bound, float(params.get("decay_constant", 1.0)), tau)
+    h = envelope_cocycle(freq_bound, decay_constant, tau)
     split = split_cocycle(h, res)
-    rows_raw = block_estimate_check(split.h1, cf, res,
-                                    int(params.get("grid", 512)))
+    rows_raw = block_estimate_check(split.h1, cf, res, grid)
     rows = [{"t": r.t, "q_t": r.q_t, "deviation": r.deviation_sup,
              "bound_power": r.bound_power, "ratio": r.ratio} for r in rows_raw]
     summary = {"E": list(res.E), "constant": max((r["ratio"] for r in rows), default=None),
@@ -413,14 +422,10 @@ def _exp_lemma54(params: dict, seed: int):
     return rows, summary, series
 
 
-def _exp_covering_profile(params: dict, seed: int):
-    from .complexity import complexity_profile
-    _require(params, "system", "samples", "eps", "ns")
-    system = make_system(params["system"])
-    cloud = sample_cloud(system, int(params["samples"]), seed)
-    profiles = complexity_profile(cloud, [float(e) for e in params["eps"]],
-                                  [int(n) for n in params["ns"]],
-                                  float(params.get("tau", 1.0)))
+def _exp_covering_profile(seed, *, system: SystemInstance, samples: int,
+                          eps: list[float], ns: list[int], tau: float = 1.0):
+    cloud = sample_cloud(system, samples, seed)
+    profiles = complexity_profile(cloud, eps, ns, tau)
     rows = [{"epsilon": p.epsilon, "n": r.n, "Sn": r.s_n, "method": r.method,
              "covered_mass": r.covered_mass}
             for p in profiles for r in p.rows]
@@ -436,12 +441,10 @@ def _exp_covering_profile(params: dict, seed: int):
     return rows, summary, series
 
 
-def _exp_correlation(params: dict, seed: int):
-    _require(params, "system", "f", "x0", "checkpoints")
-    system = make_system(params["system"])
-    table = build_mobius_table(max(int(n) for n in params["checkpoints"]))
-    series_data = correlation_sum(table, system, params["f"], params["x0"],
-                                  [int(n) for n in params["checkpoints"]])
+def _exp_correlation(seed, *, system: SystemInstance, f, x0,
+                     checkpoints: list[int]):
+    table = build_mobius_table(max(checkpoints))
+    series_data = correlation_sum(table, system, f, x0, checkpoints)
     rows = [{"N": n, "re": v.real, "im": v.imag, "abs": abs(v)}
             for n, v in zip(series_data.checkpoints, series_data.values)]
     summary = {"abs": {str(r["N"]): r["abs"] for r in rows},
@@ -450,39 +453,32 @@ def _exp_correlation(params: dict, seed: int):
     return rows, summary, series
 
 
-def _exp_mrt_bilinear(params: dict, seed: int):
+def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
+                      ell: int, csv_rows: int = 10000):
     from .mrt import (bilinear_mobius_average, build_ladder,
                       complement_density, typical_set_mask)
-    _require(params, "p1", "q1", "n0", "bign", "ell")
-    n = int(params["bign"])
-    ladder = build_ladder(float(params["p1"]), float(params["q1"]),
-                          int(params["n0"]), n)
-    ell = int(params["ell"])
-    table = build_mobius_table(n + ell)
+    ladder = build_ladder(p1, q1, n0, bign)
+    table = build_mobius_table(bign + ell)
     stats = complement_density(ladder, table)
-    avg = bilinear_mobius_average(table, ladder, n, ell)
-    mask = typical_set_mask(ladder, min(n, int(params.get("csv_rows", 10000))))
+    avg = bilinear_mobius_average(table, ladder, bign, ell)
+    mask = typical_set_mask(ladder, min(bign, csv_rows))
     rows = [{"n": i, "in_set": int(mask[i])} for i in range(1, len(mask))]
-    summary = {"N": n, "L": ell, "bilinear_avg": avg,
+    summary = {"N": bign, "L": ell, "bilinear_avg": avg,
                "complement_ratio": stats.complement_ratio,
                "complement_count": stats.complement_count,
                "density_bound_c1": stats.density_bound}
     return rows, summary, []
 
 
-def _exp_block_trace(params: dict, seed: int):
-    _require(params, "system", "f", "x0", "L", "epsilon", "N")
-    system = make_system(params["system"])
-    n_total = int(params["N"])
-    table = build_mobius_table(n_total + int(params["L"]))
-    trace = block_decomposition_trace(
-        table, system, params["f"], params["x0"], int(params["L"]),
-        float(params["epsilon"]), n_total,
-        cloud_size=int(params.get("cloud", 512)), seed=seed)
-    rows = [
-        {"quantity": "anchor_diff", "observed": trace.anchor_diff},
-        {"quantity": "block_avg_magnitude", "observed": trace.block_avg_magnitude},
-    ]
+def _exp_block_trace(seed, *, system: SystemInstance, f, x0, L: int,
+                     epsilon: float, N: int, cloud: int = 512):
+    if N < 1:                       # before the sieve up to N + L
+        raise ParameterError(f"N must be >= 1, got {N}")
+    table = build_mobius_table(N + L)
+    trace = block_decomposition_trace(table, system, f, x0, L, epsilon, N,
+                                      cloud_size=cloud, seed=seed)
+    rows = [{"quantity": "anchor_diff", "observed": trace.anchor_diff},
+            {"quantity": "block_avg_magnitude", "observed": trace.block_avg_magnitude}]
     summary = {
         "L": trace.ell, "epsilon": trace.epsilon, "epsilon1": trace.epsilon1,
         "cover_count": trace.cover_count,
@@ -494,13 +490,10 @@ def _exp_block_trace(params: dict, seed: int):
     return rows, summary, []
 
 
-def _exp_pretentious(params: dict, seed: int):
+def _exp_pretentious(seed, *, limit: int, bigq: int, tgrid: int = 201):
     from .numtheory import pretentious_scan
-    _require(params, "limit", "bigq")
-    limit = int(params["limit"])
     table = build_mobius_table(limit)
-    grid = default_t_grid(limit, int(params.get("tgrid", 201)))
-    scan = pretentious_scan(table, limit, int(params["bigq"]), grid)
+    scan = pretentious_scan(table, limit, bigq, default_t_grid(limit, tgrid))
     rows = [{"q": r.q, "chi_index": r.chi_index, "t": r.t,
              "distance_sq": r.distance_sq} for r in scan]
     best = min(scan, key=lambda r: r.distance_sq)

@@ -119,6 +119,15 @@ def _covering(system, samples=20):
                        "ns": [1, 2]}}
 
 
+def _with(config, **params):
+    return dict(config, params=dict(config["params"], **params))
+
+
+CORRELATION = _correlation(ROTATION, [[1, 1.0, 0.0]], 0.1)
+MRT = {"experiment": "mrt-bilinear",
+       "params": {"p1": 11, "q1": 17, "n0": 10 ** 4, "bign": 10 ** 4, "ell": 1}}
+
+
 # each died with a traceback (ZeroDivisionError, IndexError, TypeError or
 # a numpy ValueError), ran on a truncated value, or ran on part of x0
 REFUSED = {
@@ -152,6 +161,45 @@ REFUSED = {
                            "'burn_in' must be an integer"),
     "long-x0-sampled": (_covering(dict(ORBIT_SAMPLED, x0=[0.1, 0.2, 0.3])),
                         "one row"),
+    # each field of an experiment is read by its declared type
+    "fractional-seed": (dict(_covering(ROTATION), seed=1.7),
+                        "'seed' must be an integer"),
+    "negative-seed": (dict(_covering(ROTATION), seed=-1), "seed must be >= 0"),
+    "fractional-samples": (_covering(ROTATION, samples=50.9),
+                           "'samples' must be an integer"),
+    "fractional-ns": (_with(_covering(ROTATION), ns=[1, 2.5, 4]),
+                      "'ns' must be an integer"),
+    "fractional-checkpoint": (_with(CORRELATION, checkpoints=[100.7, 1000]),
+                              "'checkpoints' must be an integer"),
+    "no-checkpoints": (_with(CORRELATION, checkpoints=[]),
+                       "'checkpoints' must be a non-empty list"),
+    "fractional-L": (_block_trace(L=16.9), "'L' must be an integer"),
+    "fractional-N": (_block_trace(N=1000.5), "'N' must be an integer"),
+    "fractional-cloud": (_block_trace(cloud=64.2), "'cloud' must be an integer"),
+    "bool-limit": ({"experiment": "sieve-check", "params": {"limit": True}},
+                   "'limit' must be an integer"),
+    "fractional-bigq": ({"experiment": "pretentious",
+                         "params": {"limit": 1000, "bigq": 3.9}},
+                        "'bigq' must be an integer"),
+    "fractional-bign": (_with(MRT, bign=10000.9), "'bign' must be an integer"),
+    "fractional-ell": (_with(MRT, ell=1.5), "'ell' must be an integer"),
+    "fractional-depth": ({"experiment": "lemma54",
+                          "params": {"alpha": "golden", "depth": 8.7}},
+                         "'depth' must be an integer"),
+    "scalar-eps": (_with(_covering(ROTATION), eps=0.2),
+                   "'eps' must be a non-empty list"),
+    "string-eps": (_with(_covering(ROTATION), eps=["abc"]),
+                   "'eps' must be a finite number"),
+    "list-params": ({"experiment": "sieve-check", "params": [1]},
+                    "'params' must be an object"),
+    "string-x0": (_with(CORRELATION, x0="abc"), "'x0' must be a finite number"),
+    "nan-x0": (_with(CORRELATION, x0=float("nan")),
+               "'x0' must be a finite number"),
+    "negative-trace-N": (_block_trace(N=-100), "N must be >= 1"),
+    "fractional-f-frequency": (_with(CORRELATION, f=[[1.5, 1.0, 0.0]]),
+                               "'f' must be an integer"),
+    "fractional-h-frequency": (_covering(dict(SKEW2, h=[[1.7, 0.0, -0.1]])),
+                               "'h' must be an integer"),
 }
 
 
@@ -172,3 +220,36 @@ def test_complexity_refuses_no_samples(tmp_path, capsys):
                  "--eps", "0.2", "--ns", "1,2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "one sample" in err, err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "0.1,abc", "--ns", "1,2"], "--eps must be comma-separated numbers"),
+    (["--eps", "0.2", "--ns", "1,2.5"], "'ns' must be an integer")],
+    ids=["string-eps", "fractional-ns"])
+def test_complexity_refuses_a_flag_that_is_not_its_numbers(tmp_path, capsys,
+                                                          flags, message):
+    desc = tmp_path / "system.json"
+    desc.write_text(json.dumps(ROTATION))
+    assert main(["complexity", "--system", str(desc), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (_covering(ROTATION, samples=50), "samples", 50.0),
+    (_block_trace(), "L", 16.0)])
+def test_integral_float_field_runs_as_its_integer(tmp_path, config, field,
+                                                  value):
+    from moeblab.harness import run_experiment
+    as_int = run_experiment(config, tmp_path / "int")
+    as_float = run_experiment(_with(config, **{field: value}), tmp_path / "float")
+    assert as_float.csv_path.read_bytes() == as_int.csv_path.read_bytes()
+
+
+def test_mobius_pretentious_prints_the_experiment_rows(tmp_path, capsys):
+    from moeblab.harness import run_experiment
+    assert main(["mobius", "--limit", "1000", "--pretentious", "--bigq", "3",
+                 "--tgrid", "11"]) == 0
+    bundle = run_experiment({"experiment": "pretentious", "params": {
+        "limit": 1000, "bigq": 3, "tgrid": 11}}, tmp_path)
+    assert capsys.readouterr().out == bundle.csv_path.read_text()
