@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_mobius(args) -> None:
     from .harness import _csv_text, experiment_rows
     from .numtheory import build_mobius_table, mertens
-    table = build_mobius_table(args.limit)
+    if args.values or args.mertens is not None:    # the scan sieves its own
+        table = build_mobius_table(args.limit)
     if args.values:
         print("n,mu")
         for n in range(1, min(args.values, table.limit) + 1):

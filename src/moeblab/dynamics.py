@@ -280,7 +280,7 @@ class TorusSkew(SystemInstance):
         super()._check_start(x0)
 
     def _check_g(self, g) -> None:
-        """Refuse a group coordinate off G: over T^1, none is."""
+        """Refuse a group coordinate g that is not on G; on T^1 every number is."""
 
     def step_bulk(self, states):
         out = np.empty(states.shape)     # float rows, also for integral g

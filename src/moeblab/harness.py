@@ -390,8 +390,7 @@ def _read(value, kind, name: str):
         return make_system(value)
     if get_origin(kind) is list:
         if not isinstance(value, list) or not value:
-            raise DomainError(
-                f"field {name!r} must be a non-empty list, got {value!r}")
+            raise DomainError(f"field {name!r} must be a non-empty list, got {value!r}")
         return [_read(v, get_args(kind)[0], name) for v in value]
     return value
 
