@@ -216,11 +216,8 @@ class ProfileRow:
 class Classification:
     kind: str                    # bounded | polynomial | exponential | inconclusive | withheld
     poly_exponent: float | None
-    poly_residual: float | None
     exp_rate: float | None       # slope of log S_n on n, with intercept
-    exp_residual: float | None
     entropy_rate: float | None   # zero-intercept fit: the (1/n) log S_n readout
-    residual_ratio: float | None
     liminf_witness: float        # min over n_list of S_n / n^tau
     tau: float
 
@@ -237,13 +234,12 @@ def _classify(rows: Sequence[ProfileRow], tau: float) -> Classification:
     ns = np.array([r.n for r in rows], dtype=np.float64)
     witness = float(np.min(s / ns ** tau))
     if len(rows) < 3:
-        return Classification("withheld", None, None, None, None, None, None,
-                              witness, tau)
+        return Classification("withheld", None, None, None, witness, tau)
     logs = np.log(s)
     entropy_rate = float(np.sum(ns * logs) / np.sum(ns * ns))
     if rows[-1].s_n == rows[-2].s_n == rows[-3].s_n:
-        return Classification("bounded", None, None, None, None, entropy_rate,
-                              None, witness, tau)
+        return Classification("bounded", None, None, entropy_rate, witness,
+                              tau)
     a_poly = np.vstack([np.log(ns), np.ones_like(ns)]).T
     a_exp = np.vstack([ns, np.ones_like(ns)]).T
     sol_p, *_ = np.linalg.lstsq(a_poly, logs, rcond=None)
@@ -258,8 +254,8 @@ def _classify(rows: Sequence[ProfileRow], tau: float) -> Classification:
         kind = "polynomial"
     else:
         kind = "exponential"
-    return Classification(kind, float(sol_p[0]), r_poly, float(sol_e[0]),
-                          r_exp, entropy_rate, ratio, witness, tau)
+    return Classification(kind, float(sol_p[0]), float(sol_e[0]),
+                          entropy_rate, witness, tau)
 
 
 def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],

@@ -56,25 +56,7 @@ class ExactAlpha:
         return False
 
 
-def _frozen_alpha(cls: type) -> type:
-    """A frozen dataclass whose hash is computed once per instance: the
-    certified reductions look up `_enclosure_ints` by alpha at every m, and
-    the fields of a resonant alpha are big integers."""
-    cls = dataclass(frozen=True)(cls)
-    fields_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", fields_hash(self))
-            return self._hash
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_frozen_alpha
+@dataclass(frozen=True)
 class RationalAlpha(ExactAlpha):
     """A rational alpha in [0, 1).  Value 0, the identity rotation, is
     accepted by system builders; continued-fraction expansion rejects it."""
@@ -96,7 +78,7 @@ class RationalAlpha(ExactAlpha):
         return str(self.value)
 
 
-@_frozen_alpha
+@dataclass(frozen=True)
 class QuadraticAlpha(ExactAlpha):
     """(a + b*sqrt(d)) / c with integer a, b, c and d a positive nonsquare."""
 
@@ -128,7 +110,7 @@ class QuadraticAlpha(ExactAlpha):
         return f"({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
 
 
-@_frozen_alpha
+@dataclass(frozen=True)
 class QuotientAlpha(ExactAlpha):
     """A number known only through a finite prefix of partial quotients.
 
@@ -220,34 +202,14 @@ def _convergents(quotients: Sequence[int]) -> tuple[list[int], list[int]]:
     return ps, qs
 
 
-def _shared_quotients(lo: Fraction, hi: Fraction, known: Sequence[int] = (),
-                      limit: int | float = math.inf) -> tuple[list[int], bool]:
+def _shared_quotients(lo: Fraction, hi: Fraction) -> tuple[list[int], bool]:
     """The partial quotients that every x in [lo, hi] within (0, 1) shares,
     by Euclid on both ends at once: a continued-fraction cylinder is an
     interval, so a quotient both ends agree on is one of x's.  Finite when
-    both remainders reach 0 together, which means lo = hi.  Stops at
-    `limit` quotients.
-
-    Euclid resumes after `known`, the quotients a wider enclosure of the
-    same number shared: each end's (den, num) is mapped through the
-    inverse of their convergent matrix to (A, B).  When both ends keep
-    0 < B < A, Euclid from the start takes the same quotients to that same
-    state, so it goes on from there; otherwise it restarts."""
+    both remainders reach 0 together, which means lo = hi."""
+    quotients = []
     a, b, c, d = lo.denominator, lo.numerator, hi.denominator, hi.numerator
-    quotients = list(known)
-    if quotients:
-        # x = (P_k + y P_{k-1}) / (Q_k + y Q_{k-1}) with determinant (-1)^k
-        p0, q0, p1, q1 = 1, 0, 0, 1
-        for quot in quotients:
-            p0, q0, p1, q1 = p1, q1, quot * p1 + p0, quot * q1 + q0
-        s = -1 if len(quotients) % 2 else 1
-        ends = (s * (p0 * a - q0 * b), s * (q1 * b - p1 * a),
-                s * (p0 * c - q0 * d), s * (q1 * d - p1 * c))
-        if 0 < ends[1] < ends[0] and 0 < ends[3] < ends[2]:
-            a, b, c, d = ends
-        else:
-            quotients = []
-    while len(quotients) < limit and b and d and a // b == c // d:
+    while b and d and a // b == c // d:
         q = a // b
         quotients.append(q)
         a, b, c, d = b, a - q * b, d, c - q * d
@@ -295,8 +257,7 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
     if isinstance(alpha, QuotientAlpha):
         quotients, finite = list(alpha.quotients[:depth]), False
     else:
-        # rational or quadratic: from enclosures of doubling precision,
-        # each resuming Euclid after the quotients the last one shared
+        # rational or quadratic: from enclosures of doubling precision
         bits, quotients, finite, last = DEFAULT_BITS // 2, [], False, None
         while not finite and len(quotients) < depth:
             bits *= 2
@@ -306,7 +267,9 @@ def expand(alpha: AlphaLike, depth: int) -> ContinuedFraction:
                     f"the enclosure of {alpha} did not narrow from {bits // 2} "
                     f"to {bits} bits, after {len(quotients)} quotients")
             last = enclosure
-            quotients, finite = _shared_quotients(*enclosure, quotients, depth)
+            quotients, finite = _shared_quotients(*enclosure)
+        finite = finite and len(quotients) <= depth
+        quotients = quotients[:depth]
     ps, qs = _convergents(quotients)
 
     cf = ContinuedFraction(alpha=alpha, quotients=tuple(quotients),
@@ -335,7 +298,6 @@ def _check_determinants(cf: ContinuedFraction) -> None:
 @lru_cache(maxsize=256)
 def _enclosure_ints(alpha: ExactAlpha, bits: int) -> tuple[int, ...]:
     """(a, b, c, d, ad + cb, 2bd) for the enclosure [a/b, c/d] in lowest terms."""
-    # the alphas are frozen dataclasses, hashed once each (`_frozen_alpha`)
     lo, hi = alpha.enclosure(bits)
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     return a, b, c, d, a * d + c * b, 2 * b * d
@@ -535,14 +497,10 @@ class ResonanceData:
     E: tuple[int, ...]
     M: frozenset[int]
     truncation_bound: int
-    depth: int
     m_finite_within_depth: bool
     alpha: ExactAlpha
     quotients: tuple[int, ...]
     qs: tuple[int, ...]
-
-    def q(self, k: int) -> int:
-        return self.qs[k - 1]
 
     def a(self, k: int) -> int:
         return self.quotients[k - 1]
@@ -584,6 +542,6 @@ def resonance_sets(cf: ContinuedFraction, tau: float | Fraction,
     half = cf.depth // 2
     finite_flag = all(k <= half for k in members)
     return ResonanceData(tau=tau, E=tuple(members), M=frozenset(m_set),
-                         truncation_bound=freq_bound, depth=cf.depth,
+                         truncation_bound=freq_bound,
                          m_finite_within_depth=finite_flag,
                          alpha=cf.alpha, quotients=cf.quotients, qs=cf.qs)

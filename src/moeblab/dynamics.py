@@ -530,10 +530,8 @@ class Shift(SystemInstance):
 
 
 def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
-    h_spec = descriptor.get("h", [])
-    if isinstance(h_spec, FourierCocycle):
-        return h_spec
-    pairs = [(_integer(m, "h"), complex(re, im)) for (m, re, im) in h_spec]
+    pairs = [(_integer(m, "h"), complex(re, im))
+             for (m, re, im) in descriptor.get("h", [])]
     return cocycle_from_pairs(pairs)
 
 

@@ -110,22 +110,6 @@ def test_alpha_hash_is_the_fields_hash(alpha):
     assert hash(alpha) == hash(twin) == hash(dataclasses.astuple(alpha))
 
 
-def test_alpha_fields_are_hashed_once():
-    # the certified reductions look up `_enclosure_ints` by alpha per m
-    calls = []
-
-    class Counted(int):
-        def __hash__(self):
-            calls.append(self)
-            return int.__hash__(self)
-
-    alpha = cf.QuotientAlpha((Counted(2), Counted(17)))
-    for bits in (256, 512, 256):
-        cf._enclosure_ints(alpha, bits)
-    assert hash(alpha) == hash(((2, 17),))
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("depth", [2, 3, 300])
 def test_determinant_guard_refuses_corrupted_convergents(depth):
     c = cf.expand("sqrt2-1", depth)
