@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -131,9 +130,8 @@ def _cmd_mrt(args) -> None:
 
 def _cmd_contfrac(args) -> None:
     from .contfrac import best_approx_check, expand, resonance_sets
-    spec = args.alpha if args.alpha else [int(a) for a in args.quotients.split(",")]
-    cf = expand(spec, args.depth)
-    res = resonance_sets(cf, Fraction(args.tau), args.freq_bound)
+    cf = expand(args.alpha or "quotients:" + args.quotients, args.depth)
+    res = resonance_sets(cf, args.tau, args.freq_bound)
     rows = best_approx_check(cf)
     out = {
         "alpha": str(cf.alpha),
@@ -155,17 +153,14 @@ def _cmd_contfrac(args) -> None:
 def _cmd_cocycle(args) -> None:
     from .cocycle import block_estimate_check, cocycle_from_pairs, split_cocycle
     from .contfrac import expand, resonance_sets
-    pairs = []
-    for line in Path(args.coeffs).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("m,"):
-            continue
-        m, re_, im_ = line.split(",")
-        pairs.append((int(m), complex(float(re_), float(im_))))
-    tau = Fraction(args.tau)
-    h = cocycle_from_pairs(pairs, tau=tau)
+    from .dynamics import _fourier_rows
+    lines = [line.strip() for line in _read(args.coeffs, "--coeffs").splitlines()]
+    coeffs = _fourier_rows([_numbers(line, "--coeffs") for line in lines
+                            if line and not line.startswith("m,")],
+                           "--coeffs", (3,))
     cf = expand(args.alpha, args.depth)
-    res = resonance_sets(cf, tau, args.freq_bound)
+    res = resonance_sets(cf, args.tau, args.freq_bound)
+    h = cocycle_from_pairs(((m, c) for (m,), c in coeffs), tau=res.tau)
     split = split_cocycle(h, res)
     print(f"# support(h1) = {list(split.h1.support)}")
     print(f"# tail frequencies = {len(split.tail.support)}")
@@ -178,7 +173,7 @@ def _cmd_cocycle(args) -> None:
 
 def _cmd_complexity(args) -> None:
     from .harness import _csv_text, experiment_rows
-    params = {"system": json.loads(Path(args.system).read_text()),
+    params = {"system": _read(args.system, "--system", json.loads),
               "samples": args.samples, "eps": _numbers(args.eps, "--eps"),
               "ns": _numbers(args.ns, "--ns"), "tau": args.tau}
     rows, summary, _ = experiment_rows("covering-profile", params, args.seed)
@@ -195,9 +190,17 @@ def _numbers(text: str, flag: str) -> list[float]:
             f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
+def _read(path: str, flag: str, parse=str):
+    """The file a flag names, read as text and handed to `parse`."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:   # a decode or JSON error is a ValueError
+        raise ParameterError(f"cannot read the {flag} file: {exc}") from None
+
+
 def _cmd_run(args) -> None:
     from .harness import run_experiment
-    config = json.loads(Path(args.config).read_text())
+    config = _read(args.config, "config", json.loads)
     bundle = run_experiment(config, out_root=args.out)
     print(f"wrote {bundle.out_dir}")
 

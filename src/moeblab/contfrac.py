@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _integer, admit
 
 DEFAULT_BITS = 256
 MAX_BITS = 4096
@@ -174,17 +174,21 @@ def parse_alpha(spec: AlphaLike) -> ExactAlpha:
             return SQRT2_MINUS_1
         if text in ("golden", "(sqrt5-1)/2"):
             return GOLDEN
-        if text.startswith("quad:"):
-            a, b, c, d = (int(x) for x in text[5:].split(","))
-            return QuadraticAlpha(a, b, c, d)
-        if text.startswith("quotients:"):
-            return QuotientAlpha(tuple(int(x) for x in text[10:].split(",")))
-        if "/" in text:
-            num, den = text.split("/")
-            return RationalAlpha(Fraction(int(num), int(den)))
+        try:
+            if text.startswith("quad:"):
+                a, b, c, d = (int(x) for x in text[5:].split(","))
+                return QuadraticAlpha(a, b, c, d)
+            if text.startswith("quotients:"):
+                return QuotientAlpha(tuple(int(x) for x in text[10:].split(",")))
+            if "/" in text:
+                num, den = text.split("/")
+                return RationalAlpha(Fraction(int(num), int(den)))
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"field 'alpha' {spec!r} is not a well-formed p/q, "
+                              "quad:a,b,c,d or quotients:a1,... spec") from None
         raise DomainError(f"unrecognised alpha spec {spec!r}")
     if isinstance(spec, Iterable):
-        return QuotientAlpha(tuple(int(a) for a in spec))
+        return QuotientAlpha(tuple(_integer(a, "alpha") for a in spec))
     raise DomainError(f"unrecognised alpha spec {spec!r}")
 
 
@@ -517,13 +521,18 @@ def resonance_sets(cf: ContinuedFraction, tau: float | Fraction,
     The finiteness flag is a depth-limited heuristic: no resonance occurs
     in the upper half of the computed range.
     """
-    tau = Fraction(tau)
+    try:    # by str, so a float reads by its repr (0.1 is 1/10) and a bool fails
+        tau = Fraction(str(tau))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"field 'tau' must be a rational, got {tau!r}") from None
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
     if freq_bound < 1:
         raise DomainError(f"freq_bound must be >= 1, got {freq_bound}")
     exponent = 1 / tau + 3
     u, v = exponent.numerator, exponent.denominator
+    admit((v * cf.qs[-1].bit_length() + u * cf.qs[-2].bit_length()) // 8,
+          f"the resonance test q_(k+1)^{v} > q_k^{u} for tau = {tau}")
 
     members = []
     for k in range(2, cf.depth + 1):

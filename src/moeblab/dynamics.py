@@ -34,7 +34,7 @@ from ._kernels import (TORUS_BLOCK, accumulate_torus, assign_nearest_circle,
                        true_diagonal)
 from .cocycle import FourierCocycle, cocycle_from_pairs
 from .contfrac import ExactAlpha, parse_alpha
-from .errors import DomainError, SizingError, admit
+from .errors import DomainError, SizingError, _integer, _real, admit
 
 ORBIT_BURN_IN = 10 ** 4
 ORBIT_STRIDE = 7
@@ -137,7 +137,7 @@ class SystemInstance:
     def _check_start(self, x0) -> None:
         """Refuse an orbit start off the state space, before any step: here
         one that is not finite numbers, in each kind one of the wrong shape."""
-        for value in np.ravel(x0).tolist():
+        for value in x0 if isinstance(x0, list) else np.ravel(x0).tolist():
             _real(value, "x0")
 
     def _admit(self, nbytes: int, p: int, n_max: int) -> None:
@@ -273,7 +273,7 @@ class TorusSkew(SystemInstance):
         return rng.random((count, 2))
 
     def _check_start(self, x0) -> None:
-        if np.shape(x0) != (2,):
+        if np.shape(np.array(x0, dtype=object)) != (2,):
             raise DomainError(f"a {self.kind} orbit starts at one row [g, y], "
                               f"got x0 = {x0!r}")
         self._check_g(x0[0])
@@ -449,7 +449,10 @@ class Shift(SystemInstance):
     kind = "shift"
 
     def __init__(self, descriptor: dict):
-        weights = np.asarray(descriptor["weights"], dtype=np.float64)
+        weights = descriptor["weights"]
+        if not isinstance(weights, list):
+            raise DomainError(f"field 'weights' must be a list, got {weights!r}")
+        weights = np.array([_real(w, "weights") for w in weights])
         if len(weights) > MAX_ALPHABET:
             raise DomainError(f"alphabet size {len(weights)} exceeds {MAX_ALPHABET}")
         if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
@@ -530,25 +533,19 @@ class Shift(SystemInstance):
 
 
 def _h_from_descriptor(descriptor: dict) -> FourierCocycle:
-    pairs = [(_integer(m, "h"), complex(re, im))
-             for (m, re, im) in descriptor.get("h", [])]
-    return cocycle_from_pairs(pairs)
+    rows = _fourier_rows(descriptor.get("h", []), "h", (3,))
+    return cocycle_from_pairs((m, c) for (m,), c in rows)
 
 
-def _integer(value, name: str) -> int:
-    """A field's integer; a bool or a fraction is refused."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise DomainError(f"field {name!r} must be an integer, got {value!r}")
-
-
-def _real(value, name: str) -> float:
-    """A field's real number; a bool, a string or a non-finite one is refused."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
-        return float(value)
-    raise DomainError(f"field {name!r} must be a finite number, got {value!r}")
+def _fourier_rows(spec, name: str, sizes: tuple) -> Iterator[tuple]:
+    """Field `name`'s rows [m, ..., re, im] of one of `sizes` entries as
+    (integer frequencies, coefficient); a non-list is refused as a row."""
+    for row in spec if isinstance(spec, list) else [spec]:
+        if not isinstance(row, (list, tuple)) or len(row) not in sizes:
+            raise DomainError(f"field {name!r} row {row!r} must be [m, ..., re, "
+                              f"im] of {' or '.join(map(str, sizes))} entries")
+        yield (tuple(_integer(m, name) for m in row[:-2]),
+               complex(_real(row[-2], name), _real(row[-1], name)))
 
 
 def _make_group_skew(descriptor: dict) -> SystemInstance:

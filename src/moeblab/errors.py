@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a field's number readers."""
+
+import math
+import numbers
 
 
 class MoebLabError(Exception):
@@ -38,3 +41,19 @@ class PrecisionError(MoebLabError):
 
 class ResonanceError(MoebLabError):
     """A denominator e(m*alpha) - 1 vanishes exactly (rational alpha)."""
+
+
+def _integer(value, name: str) -> int:
+    """A field's integer; a bool or a fraction is refused."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise DomainError(f"field {name!r} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A field's real number; a bool, a string or a non-finite one is refused."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise DomainError(f"field {name!r} must be a finite number, got {value!r}")

@@ -28,7 +28,7 @@ from . import __version__
 from ._kernels import unit
 from .complexity import complexity_profile, greedy_cover, sample_cloud
 from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
-                       _integer, _real, make_system)
+                       _fourier_rows, _integer, _real, make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
 from .numtheory import MobiusTable, build_mobius_table, default_t_grid, mertens
 
@@ -77,11 +77,8 @@ def parse_observable(spec) -> TrigObservable:
     if isinstance(spec, TrigObservable):
         return spec
     coeffs: dict[tuple[int, ...], complex] = {}
-    for row in spec:
-        if len(row) not in (3, 4):
-            raise DomainError(f"observable row {row!r} must have 3 or 4 entries")
-        key = tuple(_integer(m, "f") for m in row[:-2])
-        coeffs[key] = coeffs.get(key, 0) + complex(row[-2], row[-1])
+    for key, c in _fourier_rows(spec, "f", (3, 4)):
+        coeffs[key] = coeffs.get(key, 0) + c
     if not coeffs:
         raise DomainError("observable needs at least one coefficient")
     if len({len(k) for k in coeffs}) != 1:
@@ -410,7 +407,7 @@ def _exp_lemma54(seed, *, alpha, depth: int, tau=1, freq_bound: int = 4096,
     from .contfrac import expand, resonance_sets
     cf = expand(alpha, depth)
     res = resonance_sets(cf, tau, freq_bound)
-    h = envelope_cocycle(freq_bound, decay_constant, tau)
+    h = envelope_cocycle(freq_bound, decay_constant, res.tau)
     split = split_cocycle(h, res)
     rows_raw = block_estimate_check(split.h1, cf, res, grid)
     rows = [{"t": r.t, "q_t": r.q_t, "deviation": r.deviation_sup,

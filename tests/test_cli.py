@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,9 @@ def _with(config, **params):
 
 
 CORRELATION = _correlation(ROTATION, [[1, 1.0, 0.0]], 0.1)
+LEMMA54 = {"experiment": "lemma54",
+           "params": {"alpha": "golden", "depth": 9, "freq_bound": 16,
+                      "grid": 256}}
 MRT = {"experiment": "mrt-bilinear",
        "params": {"p1": 11, "q1": 17, "n0": 10 ** 4, "bign": 10 ** 4, "ell": 1}}
 
@@ -200,6 +204,36 @@ REFUSED = {
                                "'f' must be an integer"),
     "fractional-h-frequency": (_covering(dict(SKEW2, h=[[1.7, 0.0, -0.1]])),
                                "'h' must be an integer"),
+    # numbers inside descriptors, observables and lemma54's tau
+    "string-f-coefficient": (_with(CORRELATION, f=[[1, "a", 0]]),
+                             "'f' must be a finite number"),
+    "nan-f-coefficient": (_with(CORRELATION, f=[[1, float("nan"), 0]]),
+                          "'f' must be a finite number"),
+    "string-h-coefficient": (_covering(dict(SKEW2, h=[[1, "a", 0]])),
+                             "'h' must be a finite number"),
+    "short-h-row": (_covering(dict(SKEW2, h=[[1, 0.1]])), "'h' row"),
+    "string-h": (_covering({"kind": "group_skew", "group": {"q": 12}, "a": 5,
+                            "h": "xyz"}), "'h' row"),
+    "string-weights": (_covering(dict(SHIFT, weights=["a"])),
+                       "'weights' must be a finite number"),
+    "scalar-weights": (_covering(dict(SHIFT, weights=0.5)),
+                       "'weights' must be a list"),
+    "ragged-x0-on-skew": (_correlation(SKEW2, [[0, 1, 1.0, 0.0]], [[0.1], 0.2]),
+                          "'x0' must be a finite number"),
+    "ragged-x0-sampled": (_covering(dict(ORBIT_SAMPLED, x0=[[0.1], 0.2])),
+                          "'x0' must be a finite number"),
+    "short-quad-alpha": (_covering(dict(ROTATION, alpha="quad:1,2")),
+                         "'alpha' 'quad:1,2'"),
+    "string-quotient-alpha": (_covering(dict(ROTATION, alpha="quotients:1,a")),
+                              "'alpha' 'quotients:1,a'"),
+    "zero-denominator-alpha": (_covering(dict(ROTATION, alpha="1/0")),
+                               "'alpha' '1/0'"),
+    "string-quotient-in-list": (_covering(dict(SKEW2, alpha=[2, "a"])),
+                                "'alpha' must be an integer"),
+    "string-tau": (_with(LEMMA54, tau="abc"), "'tau' must be a rational"),
+    "bool-tau": (_with(LEMMA54, tau=True), "'tau' must be a rational"),
+    "binary-tau": (_with(LEMMA54, tau=str(Fraction(0.1))),
+                   "the resonance test"),
 }
 
 
@@ -253,3 +287,38 @@ def test_mobius_pretentious_prints_the_experiment_rows(tmp_path, capsys):
     bundle = run_experiment({"experiment": "pretentious", "params": {
         "limit": 1000, "bigq": 3, "tgrid": 11}}, tmp_path)
     assert capsys.readouterr().out == bundle.csv_path.read_text()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "{missing}"], "config file"),
+    (["run", "{text}"], "config file"),
+    (["complexity", "--system", "{missing}"], "--system file"),
+    (["complexity", "--system", "{text}"], "--system file"),
+    (["cocycle", "--coeffs", "{missing}", "--alpha", "golden"], "--coeffs file"),
+    (["cocycle", "--coeffs", "{text}", "--alpha", "golden"], "--coeffs"),
+    (["cocycle", "--coeffs", "{short}", "--alpha", "golden"], "'--coeffs' row"),
+    (["cocycle", "--coeffs", "{coeffs}", "--alpha", "golden", "--tau", "abc"],
+     "'tau'"),
+    (["contfrac", "--quotients", "1,a"], "'alpha' 'quotients:1,a'"),
+    (["contfrac", "--alpha", "golden", "--tau", "abc"], "'tau'")],
+    ids=["run-missing", "run-not-json", "system-missing", "system-not-json",
+         "coeffs-missing", "coeffs-not-numbers", "coeffs-short-row",
+         "cocycle-string-tau", "string-quotient", "contfrac-string-tau"])
+def test_unreadable_cli_input_exits_2(tmp_path, capsys, args, message):
+    files = {"missing": tmp_path / "missing.json", "text": tmp_path / "a.txt",
+             "short": tmp_path / "short.csv", "coeffs": tmp_path / "coeffs.csv"}
+    files["text"].write_text("m,re,im\nnot, json\n")
+    files["short"].write_text("m,re,im\n1,0.1\n")
+    files["coeffs"].write_text("m,re,im\n1,0.1,0.0\n")
+    args = [arg.format(**files) for arg in args]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_lemma54_reads_a_float_tau_by_its_repr(tmp_path):
+    from moeblab.harness import run_experiment
+    as_float = run_experiment(_with(LEMMA54, tau=0.1), tmp_path / "float")
+    as_text = run_experiment(_with(LEMMA54, tau="1/10"), tmp_path / "text")
+    assert as_float.csv_path.read_bytes() == as_text.csv_path.read_bytes()
+    assert as_float.summary["summary"] == as_text.summary["summary"]

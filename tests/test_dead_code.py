@@ -1,5 +1,7 @@
 """Every top-level function and class of the package has a reader in the
-package or in perfbench, or an entry below saying why it stays.
+package or in perfbench, or an entry below saying why it stays.  Every
+method, property and annotated field of a class has a reader in the
+package, in perfbench or in the tests, with no list of exceptions.
 
 A definition is read where its name is loaded, as a name or as an
 attribute, anywhere but inside the definition itself.  Probes that
@@ -8,6 +10,7 @@ that nothing calls.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +68,59 @@ def test_every_definition_has_a_reader():
 def test_every_listed_definition_is_still_unread():
     # a listed name that gained a reader, or is gone, leaves the list
     assert sorted(UNREAD.keys() - _unread()) == []
+
+
+# ---------------------------------------------------------------------------
+# Members
+# ---------------------------------------------------------------------------
+
+MEMBER_READERS = READERS + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _members(tree):
+    """(class, member, node) of each method, property and annotated field
+    of a class; dunder methods are read by Python itself."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name, node
+
+
+def _member_loads(node):
+    """Names `node` loads as an attribute, passes as a keyword or spells
+    as a string."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            yield sub.arg
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _unread_members() -> set[tuple[str, str, str]]:
+    """(module, class, member) of each member in src/ whose name is loaded
+    nowhere in src/, perfbench/ or tests/ but inside its own body."""
+    loads: Counter = Counter()
+    members = []
+    for path in MEMBER_READERS:
+        tree = ast.parse(path.read_text(), str(path))
+        loads.update(_member_loads(tree))
+        if path in SOURCES:
+            members += [(path.stem, cls, name, node)
+                        for cls, name, node in _members(tree)]
+    return {(module, cls, name) for module, cls, name, node in members
+            if loads[name] == Counter(_member_loads(node))[name]}
+
+
+def test_every_member_has_a_reader():
+    assert sorted(_unread_members()) == []
