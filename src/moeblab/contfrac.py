@@ -510,7 +510,7 @@ class ResonanceData:
         return self.quotients[k - 1]
 
 
-def resonance_sets(cf: ContinuedFraction, tau: float | Fraction,
+def resonance_sets(cf: ContinuedFraction, tau: float | Fraction | str,
                    freq_bound: int = 10 ** 6) -> ResonanceData:
     """E = {k > 1 : q_{k+1} > q_k^{1/tau+3}} over the computed depth, and
     M = union over k in E of {+-j*q_k : 1 <= j <= a_k}, truncated to

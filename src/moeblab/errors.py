@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a field's number readers."""
+"""Exception types of the package, and the readers of a field's numbers."""
 
 import math
 import numbers

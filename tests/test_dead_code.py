@@ -84,7 +84,7 @@ def _members(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 name = node.name
             elif (isinstance(node, ast.AnnAssign)
                   and isinstance(node.target, ast.Name)):
