@@ -30,7 +30,8 @@ from .complexity import complexity_profile, greedy_cover, sample_cloud
 from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
                        _fourier_rows, _integer, _real, make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
-from .numtheory import MobiusTable, build_mobius_table, default_t_grid, mertens
+from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
+                        mertens, pretentious_scan)
 
 CHUNK = ORBIT_CHUNK
 
@@ -455,7 +456,7 @@ def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
                       complement_density, typical_set_mask)
     ladder = build_ladder(p1, q1, n0, bign)
     table = build_mobius_table(bign + ell)
-    stats = complement_density(ladder, table)
+    stats = complement_density(ladder)
     avg = bilinear_mobius_average(table, ladder, bign, ell)
     mask = typical_set_mask(ladder, min(bign, csv_rows))
     rows = [{"n": i, "in_set": int(mask[i])} for i in range(1, len(mask))]
@@ -487,9 +488,7 @@ def _exp_block_trace(seed, *, system: SystemInstance, f, x0, L: int,
 
 
 def _exp_pretentious(seed, *, limit: int, bigq: int, tgrid: int = 201):
-    from .numtheory import pretentious_scan
-    table = build_mobius_table(limit)
-    scan = pretentious_scan(table, limit, bigq, default_t_grid(limit, tgrid))
+    scan = pretentious_scan(limit, bigq, default_t_grid(limit, tgrid))
     rows = [{"q": r.q, "chi_index": r.chi_index, "t": r.t,
              "distance_sq": r.distance_sq} for r in scan]
     best = min(scan, key=lambda r: r.distance_sq)

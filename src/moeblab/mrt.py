@@ -135,11 +135,8 @@ class TypicalSetStats:
         return self.complement_count / self.n
 
 
-def complement_density(ladder: MrtLadder, table: MobiusTable) -> TypicalSetStats:
+def complement_density(ladder: MrtLadder) -> TypicalSetStats:
     """Scan 1..N exactly and count members/non-members of the typical set."""
-    if ladder.n > table.limit:
-        raise SizingError(
-            f"ladder N={ladder.n} exceeds sieve limit {table.limit}")
     mask = typical_set_mask(ladder, ladder.n)
     members = int(np.count_nonzero(mask[1:]))
     return TypicalSetStats(

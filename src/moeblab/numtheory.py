@@ -34,7 +34,7 @@ DEFAULT_CHARACTER_CAP = 100
 
 @dataclass(frozen=True)
 class MobiusTable:
-    """Exact mu(n) for 1 <= n <= limit plus the ascending prime list.
+    """Exact mu(n) for 1 <= n <= limit.
 
     values is indexed directly by n (entry 0 is unused and set to 0).
     Immutable after construction; safe to share across threads.
@@ -42,7 +42,6 @@ class MobiusTable:
 
     limit: int
     values: np.ndarray   # int8, length limit + 1
-    primes: np.ndarray   # int64, ascending
 
     def mu(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -51,20 +50,22 @@ class MobiusTable:
 
 
 def _simple_prime_sieve(n: int) -> np.ndarray:
-    """Primes <= n by plain Eratosthenes (used for the base primes)."""
+    """Primes <= n, ascending int64, by plain Eratosthenes: every prime list
+    in the package.  Its bool flags and int64 primes (pi(n) < 1.25506 n /
+    ln n) are refused past the memory cap before either is allocated."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    admit(n + 1 + 8 * math.ceil(1.25506 * n / math.log(n)), f"primes <= {n}")
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if is_prime[p]:
             is_prime[p * p:: p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
+    return np.nonzero(is_prime)[0].astype(np.int64, copy=False)
 
 
 def build_mobius_table(n_max: int) -> MobiusTable:
-    """Sieve mu(n) and the primes <= n_max in one pass, segmented at
-    SIEVE_BLOCK entries.
+    """Sieve mu(n) for n <= n_max, segmented at SIEVE_BLOCK entries.
 
     Each segment keeps one signed product (-1)^k p_1 ... p_k over the k
     base primes p <= isqrt(n_max) that divide each entry: one strided
@@ -72,22 +73,17 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     sign of the product is written into the values; then the product is
     taken in absolute value.  A squarefree n has a prime factor above
     isqrt(n_max), and then exactly one, when its product is below n (one
-    more flip, an int8 multiply by 1 - 2 [product < n]).  The entries with
-    product 1 are 1, every other entry up to isqrt(n_max) having a base
-    prime factor, and the primes beyond the base primes.  A
-    product divides its entry, so the products and the entries are int32,
+    more flip, an int8 multiply by 1 - 2 [product < n]).  A product
+    divides its entry, so the products and the entries are int32,
     exactly: the values alone refuse every n_max >= 2^31 at the memory cap.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # int8 values, int64 primes (pi(x) < 1.25506 x / ln x), int32 scratch
-    primes_bound = math.ceil(1.25506 * n_max / math.log(max(n_max, 2)))
-    nbytes = n_max + 1 + 8 * primes_bound + 8 * min(n_max, SIEVE_BLOCK)
-    admit(nbytes, f"n_max={n_max}")
+    # int8 values, int32 scratch (a block's products and entries)
+    admit(n_max + 1 + 8 * min(n_max, SIEVE_BLOCK), f"n_max={n_max}")
 
     base_primes = _simple_prime_sieve(math.isqrt(n_max))
     values = np.zeros(n_max + 1, dtype=np.int8)
-    primes_chunks = [base_primes]
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, n_max + 1)
         prod = np.ones(hi - lo, dtype=np.int32)
@@ -98,18 +94,13 @@ def build_mobius_table(n_max: int) -> MobiusTable:
         sign = values[lo:hi]
         np.sign(prod, out=sign, casting="unsafe")
         np.abs(prod, out=prod)
-        seg = np.arange(lo, hi, dtype=np.int32)
-        flip = np.less(prod, seg).view(np.int8)
+        flip = np.less(prod, np.arange(lo, hi, dtype=np.int32)).view(np.int8)
         flip *= -2
         flip += 1
         sign *= flip
-        seg = seg[np.equal(prod, 1, out=flip.view(bool))]
         del flip    # freed before the next segment allocates its own
-        primes_chunks.append(seg[1:] if lo == 1 else seg)    # n = 1 dropped
-    primes = np.concatenate(primes_chunks)
     values.flags.writeable = False
-    primes.flags.writeable = False
-    return MobiusTable(limit=n_max, values=values, primes=primes)
+    return MobiusTable(limit=n_max, values=values)
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
@@ -256,17 +247,16 @@ class PretentiousRow:
 
 
 def pretentious_scan(
-    table: MobiusTable,
     n_max: int,
     big_q: int,
     t_grid: Iterable[float],
 ) -> list[PretentiousRow]:
     """Distance of mu to every twisted character chi(n) n^{it} on the grid.
 
-    Vectorised over primes: with f = mu, f(p) = -1, so the summand is
-    (1 + Re(chi(p) p^{it})) / p.  The twist p^{it} is computed once per t
-    and shared by every character, whose prime values chi(p) are held for
-    the whole scan.  Rows come out in (q, chi, t) order.
+    Vectorised over the primes <= n_max: with f = mu, f(p) = -1, so the
+    summand is (1 + Re(chi(p) p^{it})) / p.  The twist p^{it} is computed
+    once per t and shared by every character, whose prime values chi(p)
+    are held for the whole scan.  Rows come out in (q, chi, t) order.
     """
     t_values = [float(t) for t in t_grid]
     if not t_values:
@@ -274,9 +264,9 @@ def pretentious_scan(
     if big_q > DEFAULT_CHARACTER_CAP:
         raise SizingError(
             f"Q={big_q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
-    ps = table.primes[table.primes <= n_max]
+    ps = _simple_prime_sieve(n_max)
     if len(ps) == 0:
-        raise DomainError(f"no primes <= {n_max} in table (limit {table.limit})")
+        raise DomainError(f"no primes <= {n_max}")
     pf = ps.astype(np.float64)
     logp = np.log(pf)
     inv_p = 1.0 / pf

@@ -206,7 +206,7 @@ def test_criterion_10_mrt_oracles(table_1m):
         for n in range(1, 10 ** 4 + 1):
             brute = all(any(n % p == 0 for p in lvl) for lvl in level_primes)
             assert bool(mask[n]) == brute, n
-        stats = mrt.complement_density(ladder, table_1m)
+        stats = mrt.complement_density(ladder)
         assert stats.complement_count == int(np.count_nonzero(~mask[1:]))
 
         avg_l1 = mrt.bilinear_mobius_average(table_1m, ladder, 10 ** 4, 1)

@@ -342,8 +342,7 @@ def test_block_trace_parameter_errors(table_100k):
 def _broadcast_table(limit):
     """A zero-copy MobiusTable up to `limit`, mu = 1 throughout."""
     return nt.MobiusTable(limit=limit,
-                          values=np.broadcast_to(np.int8(1), (limit + 1,)),
-                          primes=np.empty(0, dtype=np.int64))
+                          values=np.broadcast_to(np.int8(1), (limit + 1,)))
 
 
 @pytest.mark.parametrize("system, f, x0", [

@@ -104,8 +104,8 @@ def test_one_is_never_a_member(ladder_11_17):
 # Complement density
 # ---------------------------------------------------------------------------
 
-def test_complement_counts(ladder_11_17, table_100k):
-    stats = mrt.complement_density(ladder_11_17, table_100k)
+def test_complement_counts(ladder_11_17):
+    stats = mrt.complement_density(ladder_11_17)
     brute = sum(1 for n in range(1, 10 ** 4 + 1)
                 if not any(n % p == 0 for p in (11, 13, 17)))
     assert stats.complement_count == brute
@@ -120,11 +120,11 @@ def test_complement_frozen_example_100(ladder_11_17):
     assert 100 - int(mask[1:].sum()) == 79
 
 
-def test_complement_ratio_nonincreasing_in_q1(table_100k):
+def test_complement_ratio_nonincreasing_in_q1():
     ratios = []
     for q1 in (13, 15, 17):
         ladder = mrt.build_ladder(11, q1, 10 ** 4, 10 ** 4)
-        ratios.append(mrt.complement_density(ladder, table_100k).complement_ratio)
+        ratios.append(mrt.complement_density(ladder).complement_ratio)
     assert ratios[0] >= ratios[1] >= ratios[2]
 
 
@@ -264,10 +264,10 @@ def test_bilinear_full_set_reduction(table_100k):
     assert avg == count / n
 
 
-def test_degenerate_ladder_complement_is_one(table_100k):
+def test_degenerate_ladder_complement_is_one():
     # a single level holding every prime <= N: only n = 1 lacks a factor
     n = 2000
     ladder = mrt.MrtLadder(p1=2, q1=float(n), n0=n, n=n,
                            log_levels=((math.log(2), math.log(n)),))
-    stats = mrt.complement_density(ladder, table_100k)
+    stats = mrt.complement_density(ladder)
     assert stats.complement_count == 1

@@ -40,33 +40,31 @@ MU_ORACLE = [0] + [nt.mu_by_factorization(n) for n in range(1, 3001)]
 @given(n_max=st.integers(min_value=1, max_value=3000),
        block=st.integers(min_value=1, max_value=300))
 def test_sieve_independent_of_segment_size(n_max, block):
-    # wherever the segment boundaries fall, values and primes are those of
-    # trial division and an unsegmented sieve
+    # wherever the segment boundaries fall, the values are those of trial
+    # division
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nt, "SIEVE_BLOCK", block)
         table = nt.build_mobius_table(n_max)
     assert table.values.tolist() == MU_ORACLE[: n_max + 1]
-    assert table.primes.dtype == np.int64
-    assert table.primes.tolist() == nt._simple_prime_sieve(n_max).tolist()
 
 
 def test_sieve_scratch_is_narrow():
     # below 2^31 each block's products and entries are int32: beside the
-    # values and the primes (chunks and concatenated), under 8 bytes an
-    # entry of a block, where int64 scratch took about 15
+    # values, 9 bytes an entry of a block (products, entries and the int8
+    # flip), where int64 scratch took about 15
     n_max = 4 * nt.SIEVE_BLOCK
     tracemalloc.start()
     try:
-        table = nt.build_mobius_table(n_max)
+        nt.build_mobius_table(n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n_max + 16 * len(table.primes) + 8 * nt.SIEVE_BLOCK, peak
+    assert peak < n_max + 10 * nt.SIEVE_BLOCK, peak
 
 
 def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
     """The former two-pass sieve: an int64 residual divided by each base
-    prime, a separate p^2 mask, and a second composite sieve for primes."""
+    prime and a separate p^2 mask."""
     base_primes = nt._simple_prime_sieve(math.isqrt(n_max))
     values = np.zeros(n_max + 1, dtype=np.int8)
     for lo in range(1, n_max + 1, nt.SIEVE_BLOCK):
@@ -87,20 +85,7 @@ def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
         sign[zero] = 0
         values[lo:hi] = sign
     values[0] = 0
-    primes_chunks = []
-    for lo in range(2, n_max + 1, nt.SIEVE_BLOCK):
-        hi = min(lo + nt.SIEVE_BLOCK, n_max + 1)
-        composite = np.zeros(hi - lo, dtype=bool)
-        for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                composite[start - lo::p] = True
-        seg = np.nonzero(~composite)[0] + lo
-        primes_chunks.append(seg[seg >= 2])
-    primes = (np.concatenate(primes_chunks).astype(np.int64)
-              if primes_chunks else np.empty(0, dtype=np.int64))
-    return nt.MobiusTable(limit=n_max, values=values, primes=primes)
+    return nt.MobiusTable(limit=n_max, values=values)
 
 
 @pytest.mark.parametrize("n_max", [
@@ -111,18 +96,14 @@ def test_sieve_equals_two_pass_reference(n_max):
     ref = _ref_build_mobius_table(n_max)
     assert table.values.dtype == ref.values.dtype
     assert np.array_equal(table.values, ref.values)
-    assert table.primes.dtype == ref.primes.dtype
-    assert np.array_equal(table.primes, ref.primes)
 
 
 def _ref_running_product_table(n_max: int) -> nt.MobiusTable:
     """The former segment loop: an unsigned int32 product of the base
     primes, a separate int8 sign flipped per prime and zeroed per p^2, and
     a masked flip where the product is below the entry."""
-    root = math.isqrt(n_max)
-    base_primes = nt._simple_prime_sieve(root)
+    base_primes = nt._simple_prime_sieve(math.isqrt(n_max))
     values = np.zeros(n_max + 1, dtype=np.int8)
-    primes_chunks = [base_primes]
     for lo in range(1, n_max + 1, nt.SIEVE_BLOCK):
         hi = min(lo + nt.SIEVE_BLOCK, n_max + 1)
         prod = np.ones(hi - lo, dtype=np.int32)
@@ -136,17 +117,12 @@ def _ref_running_product_table(n_max: int) -> nt.MobiusTable:
                 sign[(-lo) % (p * p):: p * p] = 0
         seg = np.arange(lo, hi, dtype=np.int32)
         np.negative(sign, out=sign, where=prod < seg)
-        seg = seg[prod == 1]
-        primes_chunks.append(seg[seg > root])
-    primes = np.concatenate(primes_chunks)
-    return nt.MobiusTable(limit=n_max, values=values, primes=primes)
+    return nt.MobiusTable(limit=n_max, values=values)
 
 
 def _assert_tables_equal(table, ref):
     assert table.values.dtype == ref.values.dtype
     assert np.array_equal(table.values, ref.values)
-    assert table.primes.dtype == ref.primes.dtype
-    assert np.array_equal(table.primes, ref.primes)
 
 
 @pytest.mark.parametrize("n_max", [
@@ -198,11 +174,11 @@ def test_mertens_range_error(table_100k):
 def test_build_rejects_bad_sizes():
     with pytest.raises(SizingError):
         nt.build_mobius_table(0)
-    # the values of 2^31 - 2^27 fit the cap, but not with their int64
-    # primes; refused before anything is allocated
+    # the values of 2^31 - 2^22 fit the cap, but not with one segment's
+    # int32 scratch; refused before anything is allocated
     tracemalloc.start()
     try:
-        for n_max in (2 ** 31 - 2 ** 27, 2 ** 31, 2 ** 40):
+        for n_max in (2 ** 31 - 2 ** 22, 2 ** 31, 2 ** 40):
             with pytest.raises(SizingError, match="over the cap"):
                 nt.build_mobius_table(n_max)
         peak = tracemalloc.get_traced_memory()[1]
@@ -211,8 +187,8 @@ def test_build_rejects_bad_sizes():
     assert peak < 1 << 20, peak
 
 
-def test_prime_list(table_100k):
-    primes = table_100k.primes
+def test_prime_list():
+    primes = nt._simple_prime_sieve(10 ** 5)
     assert primes[0] == 2 and primes[1] == 3
     assert int(primes[-1]) == 99991
     assert len(primes) == 9592            # pi(10^5)
@@ -220,17 +196,14 @@ def test_prime_list(table_100k):
 
 
 def test_mu_is_minus_one_on_primes(table_100k):
-    assert np.all(table_100k.values[table_100k.primes] == -1)
+    assert np.all(table_100k.values[nt._simple_prime_sieve(10 ** 5)] == -1)
 
 
 def test_table_is_read_only():
     t = nt.build_mobius_table(100)
     with pytest.raises(ValueError):
         t.values[1] = 0
-    with pytest.raises(ValueError):
-        t.primes[0] = 4
     assert t.mu(1) == 1
-    assert int(t.primes[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +407,9 @@ def test_character_cap():
 # Non-pretentiousness scan
 # ---------------------------------------------------------------------------
 
-def _ref_pretentious_scan(table, n_max, big_q, t_grid):
+def _ref_pretentious_scan(n_max, big_q, t_grid):
     """The former scan, with the twist recomputed for every (chi, t)."""
-    ps = table.primes[table.primes <= n_max]
+    ps = nt._simple_prime_sieve(n_max)
     pf = ps.astype(np.float64)
     logp = np.log(pf)
     inv_p = 1.0 / pf
@@ -455,44 +428,42 @@ def _ref_pretentious_scan(table, n_max, big_q, t_grid):
 @pytest.mark.parametrize("n_max,grid", [
     (10 ** 5, nt.default_t_grid(10 ** 5, 9)),
     (3000, [0.0, -1.5, 2.25, 1e-3])], ids=["default-grid", "hand-grid"])
-def test_pretentious_scan_equals_per_character_reference(
-        table_100k, big_q, n_max, grid):
-    rows = nt.pretentious_scan(table_100k, n_max, big_q, grid)
-    ref = _ref_pretentious_scan(table_100k, n_max, big_q, grid)
+def test_pretentious_scan_equals_per_character_reference(big_q, n_max, grid):
+    rows = nt.pretentious_scan(n_max, big_q, grid)
+    ref = _ref_pretentious_scan(n_max, big_q, grid)
     assert [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in rows] \
         == [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in ref]
 
 
-def _min_distance(table, n_max, big_q, grid):
+def _min_distance(n_max, big_q, grid):
     """Grid-restricted M(mu; N, Q): the least distance of the scan."""
-    return min(r.distance_sq for r in nt.pretentious_scan(table, n_max, big_q,
-                                                          grid))
+    return min(r.distance_sq for r in nt.pretentious_scan(n_max, big_q, grid))
 
 
-def test_non_pretentious_reduces_to_plain_distance(table_100k):
-    value = _min_distance(table_100k, 10, 1, [0.0])
+def test_non_pretentious_reduces_to_plain_distance():
+    value = _min_distance(10, 1, [0.0])
     assert abs(value - 2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
 
 
-def test_non_pretentious_is_a_min(table_100k):
+def test_non_pretentious_is_a_min():
     grid = nt.default_t_grid(1000, 21)
-    value = _min_distance(table_100k, 1000, 2, grid)
-    principal_at_zero = _min_distance(table_100k, 1000, 1, [0.0])
+    value = _min_distance(1000, 2, grid)
+    principal_at_zero = _min_distance(1000, 1, [0.0])
     assert value <= principal_at_zero + 1e-15
 
 
-def test_non_pretentious_grows_with_n(table_1m):
+def test_non_pretentious_grows_with_n():
     # fixed grid and Q: the grid minimum is nondecreasing in N
     grid = list(nt.default_t_grid(100, 51))
-    values = [_min_distance(table_1m, n, 2, grid)
+    values = [_min_distance(n, 2, grid)
               for n in (10 ** 2, 10 ** 4, 10 ** 6)]
     assert values[0] <= values[1] <= values[2]
     assert values[2] > values[0] + 0.5   # visible growth, Eq.-style divergence
 
 
-def test_non_pretentious_empty_grid(table_100k):
+def test_non_pretentious_empty_grid():
     with pytest.raises(DomainError):
-        _min_distance(table_100k, 100, 1, [])
+        _min_distance(100, 1, [])
 
 
 def test_default_t_grid_contains_zero():
