@@ -32,13 +32,13 @@ import numpy as np
 from ._kernels import frac, twice_re
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
                        MAX_BITS, _centered_parts, _norm_parts, _split_parts)
-from .errors import DomainError, ParameterError, ResonanceError
+from .errors import DomainError, ParameterError, ResonanceError, _rational
 
 ENVELOPE_SLACK = 1 + 1e-9
 
 
 def tau1_exponent(tau: Fraction | float) -> Fraction:
-    return 2 / Fraction(tau) + 6
+    return 2 / _rational(tau, "tau") + 6
 
 
 def e_minus_one_exact(alpha: ExactAlpha, m: int) -> complex:
@@ -139,7 +139,7 @@ def cocycle_from_pairs(pairs: Iterable[tuple[int, complex]],
     Missing negative frequencies are filled in by conjugation.  When no
     envelope constant is supplied, the smallest valid one is computed.
     """
-    tau = Fraction(tau)
+    tau = _rational(tau, "tau")
     coeffs: dict[int, complex] = {}
     for m, c in pairs:
         coeffs[int(m)] = complex(c)
@@ -158,7 +158,7 @@ def envelope_cocycle(freq_bound: int, decay_constant: float = 1.0,
                      tau: Fraction | float = 1) -> FourierCocycle:
     """The extremal real even cocycle hhat(m) = C |m|^{-tau1} on |m| <= bound,
     with mean 0."""
-    tau = Fraction(tau)
+    tau = _rational(tau, "tau")
     t1 = float(tau1_exponent(tau))
     coeffs = {0: 0j}
     for m in range(1, freq_bound + 1):

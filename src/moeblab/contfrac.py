@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError, PrecisionError, _integer, admit
+from .errors import DomainError, PrecisionError, _integer, _rational, admit
 
 DEFAULT_BITS = 256
 MAX_BITS = 4096
@@ -521,12 +521,7 @@ def resonance_sets(cf: ContinuedFraction, tau: float | Fraction | str,
     The finiteness flag is a depth-limited heuristic: no resonance occurs
     in the upper half of the computed range.
     """
-    try:    # by str, so a float reads by its repr (0.1 is 1/10) and a bool fails
-        tau = Fraction(str(tau))
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"field 'tau' must be a rational, got {tau!r}") from None
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    tau = _rational(tau, "tau")
     if freq_bound < 1:
         raise DomainError(f"freq_bound must be >= 1, got {freq_bound}")
     exponent = 1 / tau + 3

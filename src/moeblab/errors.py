@@ -2,6 +2,7 @@
 
 import math
 import numbers
+from fractions import Fraction
 
 
 class MoebLabError(Exception):
@@ -57,3 +58,15 @@ def _real(value, name: str) -> float:
             and math.isfinite(value)):
         return float(value)
     raise DomainError(f"field {name!r} must be a finite number, got {value!r}")
+
+
+def _rational(value, name: str) -> Fraction:
+    """A field's positive rational, read by its str so a float reads by its
+    repr (0.1 is 1/10); a bool or an unparsable string is refused."""
+    try:
+        out = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"field {name!r} must be a rational, got {value!r}") from None
+    if out <= 0:
+        raise DomainError(f"field {name!r} must be positive, got {out}")
+    return out

@@ -104,8 +104,8 @@ def build_ladder(p1: float, q1: float, n0: int, n: int) -> MrtLadder:
 
 def typical_set_mask(ladder: MrtLadder, n: int) -> np.ndarray:
     """Boolean membership of 1..n in the typical set (index 0 unused)."""
-    if n > ladder.n:
-        raise DomainError(f"n={n} exceeds ladder range {ladder.n}")
+    if not 0 <= n <= ladder.n:
+        raise DomainError(f"n={n} outside the ladder range [0, {ladder.n}]")
     mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
     for level in ladder.level_primes():

@@ -233,6 +233,8 @@ def dirichlet_characters(q: int) -> CharacterTable:
 
 def default_t_grid(n_max: int, count: int = 201) -> np.ndarray:
     """count equispaced points in [-log n_max, log n_max], with 0 included."""
+    if count < 0:
+        raise DomainError(f"t grid count must be >= 0, got {count}")
     span = math.log(max(n_max, 2))
     grid = np.linspace(-span, span, count)
     return np.union1d(grid, [0.0])
@@ -261,6 +263,8 @@ def pretentious_scan(
     t_values = [float(t) for t in t_grid]
     if not t_values:
         raise DomainError("t_grid must be nonempty")
+    if big_q < 1:
+        raise DomainError(f"Q must be >= 1, got {big_q}")
     if big_q > DEFAULT_CHARACTER_CAP:
         raise SizingError(
             f"Q={big_q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")

@@ -128,6 +128,8 @@ CORRELATION = _correlation(ROTATION, [[1, 1.0, 0.0]], 0.1)
 LEMMA54 = {"experiment": "lemma54",
            "params": {"alpha": "golden", "depth": 9, "freq_bound": 16,
                       "grid": 256}}
+PRETENTIOUS = {"experiment": "pretentious",
+               "params": {"limit": 1000, "bigq": 2, "tgrid": 5}}
 MRT = {"experiment": "mrt-bilinear",
        "params": {"p1": 11, "q1": 17, "n0": 10 ** 4, "bign": 10 ** 4, "ell": 1}}
 
@@ -230,6 +232,11 @@ REFUSED = {
                                "'alpha' '1/0'"),
     "string-quotient-in-list": (_covering(dict(SKEW2, alpha=[2, "a"])),
                                 "'alpha' must be an integer"),
+    # pretentious and mrt-bilinear values that died with a ValueError
+    "zero-bigq": (_with(PRETENTIOUS, bigq=0), "Q must be >= 1"),
+    "negative-bigq": (_with(PRETENTIOUS, bigq=-2), "Q must be >= 1"),
+    "negative-tgrid": (_with(PRETENTIOUS, tgrid=-1), "count must be >= 0"),
+    "negative-csv-rows": (_with(MRT, csv_rows=-5), "n=-5 outside"),
     "string-tau": (_with(LEMMA54, tau="abc"), "'tau' must be a rational"),
     "bool-tau": (_with(LEMMA54, tau=True), "'tau' must be a rational"),
     "binary-tau": (_with(LEMMA54, tau=str(Fraction(0.1))),
@@ -287,6 +294,17 @@ def test_mobius_pretentious_prints_the_experiment_rows(tmp_path, capsys):
     bundle = run_experiment({"experiment": "pretentious", "params": {
         "limit": 1000, "bigq": 3, "tgrid": 11}}, tmp_path)
     assert capsys.readouterr().out == bundle.csv_path.read_text()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pretentious", "--bigq", "0"], "Q must be >= 1"),
+    (["--pretentious", "--tgrid", "-2"], "count must be >= 0"),
+    (["--limit", str(2 ** 40), "--pretentious"], "over the cap")],
+    ids=["zero-bigq", "negative-tgrid", "primes-over-the-cap"])
+def test_mobius_refuses_a_scan_it_cannot_run(capsys, flags, message):
+    assert main(["mobius", "--limit", "1000", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 @pytest.mark.parametrize("args, message", [

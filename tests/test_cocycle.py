@@ -53,6 +53,21 @@ def test_evaluate_real_trig():
         assert h.lipschitz_bound() == pytest.approx(2 * 2 * math.pi * 0.15)
 
 
+def test_fixture_reads_one_tau_in_resonance_data_and_cocycle():
+    # a float tau is read by its repr on both sides, not by its binary value
+    _, res, h = fx.resonant_fixture(depth=9, freq_bound=16, tau=0.1)
+    assert res.tau == h.tau == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("tau", [True, "abc", 0, -1], ids=str)
+def test_cocycle_builders_refuse_a_tau_that_is_not_a_positive_rational(tau):
+    for build in (lambda: cc.cocycle_from_pairs([(1, 0.1)], tau=tau),
+                  lambda: cc.envelope_cocycle(4, tau=tau),
+                  lambda: cc.tau1_exponent(tau)):
+        with pytest.raises(DomainError, match="'tau' must be"):
+            build()
+
+
 def test_envelope_cocycle_shape():
     h = cc.envelope_cocycle(16, decay_constant=2.0, tau=1)
     assert h.coefficients[4] == pytest.approx(2.0 * 4 ** -8)

@@ -473,6 +473,15 @@ def test_run_sieve_check(tmp_path):
     assert summary["summary"]["mertens"]["1000"] == 2
 
 
+def test_run_pretentious_sieves_no_mobius_table(tmp_path, monkeypatch):
+    def sieve(*args):
+        raise AssertionError("the pretentious scan reads only primes")
+    monkeypatch.setattr(hx, "build_mobius_table", sieve)
+    bundle = hx.run_experiment({"experiment": "pretentious", "params": {
+        "limit": 1000, "bigq": 2, "tgrid": 5}}, out_root=tmp_path)
+    assert bundle.summary["summary"]["min_distance_sq"] > 0
+
+
 def test_run_lemma54(tmp_path):
     config = {"experiment": "lemma54",
               "params": {"alpha": "quotients:" + ",".join(

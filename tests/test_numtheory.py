@@ -187,6 +187,17 @@ def test_build_rejects_bad_sizes():
     assert peak < 1 << 20, peak
 
 
+def test_prime_sieve_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            nt._simple_prime_sieve(2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_prime_list():
     primes = nt._simple_prime_sieve(10 ** 5)
     assert primes[0] == 2 and primes[1] == 3
@@ -435,6 +446,14 @@ def test_pretentious_scan_equals_per_character_reference(big_q, n_max, grid):
         == [(r.q, r.chi_index, r.t.hex(), r.distance_sq.hex()) for r in ref]
 
 
+def test_pretentious_scan_reads_every_prime_up_to_n():
+    # a scan once read the primes of a table sieved to 10^4 and gave
+    # 4.96611989446712 here
+    rows = nt.pretentious_scan(10 ** 6, 1, [0.0])
+    assert rows == _ref_pretentious_scan(10 ** 6, 1, [0.0])
+    assert rows[0].distance_sq == 5.774656199135345
+
+
 def _min_distance(n_max, big_q, grid):
     """Grid-restricted M(mu; N, Q): the least distance of the scan."""
     return min(r.distance_sq for r in nt.pretentious_scan(n_max, big_q, grid))
@@ -464,6 +483,17 @@ def test_non_pretentious_grows_with_n():
 def test_non_pretentious_empty_grid():
     with pytest.raises(DomainError):
         _min_distance(100, 1, [])
+
+
+@pytest.mark.parametrize("big_q", [0, -2])
+def test_pretentious_scan_refuses_q_below_one(big_q):
+    with pytest.raises(DomainError, match="Q must be >= 1"):
+        nt.pretentious_scan(100, big_q, [0.0])
+
+
+def test_default_t_grid_refuses_a_negative_count():
+    with pytest.raises(DomainError, match="count must be >= 0"):
+        nt.default_t_grid(100, -1)
 
 
 def test_default_t_grid_contains_zero():
