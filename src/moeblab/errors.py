@@ -62,7 +62,7 @@ def _real(value, name: str) -> float:
 
 def _rational(value, name: str) -> Fraction:
     """A field's positive rational, read by its str so a float reads by its
-    repr (0.1 is 1/10); a bool or an unparsable string is refused."""
+    repr (0.1 is 1/10); a bool, an unparsable string or a value <= 0 is refused."""
     try:
         out = Fraction(str(value))
     except (ValueError, ZeroDivisionError):

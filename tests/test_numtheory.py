@@ -485,17 +485,6 @@ def test_non_pretentious_empty_grid():
         _min_distance(100, 1, [])
 
 
-@pytest.mark.parametrize("big_q", [0, -2])
-def test_pretentious_scan_refuses_q_below_one(big_q):
-    with pytest.raises(DomainError, match="Q must be >= 1"):
-        nt.pretentious_scan(100, big_q, [0.0])
-
-
-def test_default_t_grid_refuses_a_negative_count():
-    with pytest.raises(DomainError, match="count must be >= 0"):
-        nt.default_t_grid(100, -1)
-
-
 def test_default_t_grid_contains_zero():
     grid = nt.default_t_grid(10 ** 4)
     assert 0.0 in grid
