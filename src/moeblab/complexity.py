@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .errors import DomainError, SizingError, admit
 EXACT_COVER_MAX_POINTS = 20
 # grid_cover_check averages over every i < n_t up to this n_t, else 256 draws
 I_SAMPLE_CAP = 4096
+# (i, point) entries a block of grid_cover_check's i-average holds, in cache
+GRID_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,20 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
     exact for n_t <= I_SAMPLE_CAP, Monte Carlo over i otherwise).  Both
     read n_t as a float, so an n_t of 1024 bits or more is refused with
     `SizingError` before any conversion.
+
+    The spot check streams the i-average in blocks of about GRID_BLOCK
+    (i, point) entries, and adds each i's distances to one running
+    per-point total in ascending i.  That is the order in which np.mean
+    sums a matrix's columns for two or more points, so those reports are
+    bit-for-bit those of the full matrix.  For a single point np.mean
+    would sum pairwise, and `sampled_max_dbar` can differ from it in the
+    last bits.  The working set, from sample_points, the block and the
+    support of h1, is refused past the memory cap before any point is
+    drawn; fewer than one sample point is refused with `DomainError`.
     """
+    if sample_points < 1:
+        raise DomainError(
+            f"grid cover needs at least one sample point, got {sample_points}")
     tau = res.tau
     e_int = int(Fraction(1) / tau)          # [1/tau]
     exponent = float(1 / tau + 2)
@@ -332,6 +347,13 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
             f"grid cover at t={t}: n_t = q_t^{e_int + 2} has "
             f"{n_t.bit_length()} bits, beyond a float "
             f"({sys.float_info.max_exp - 1} bits at most)")
+    rows = max(1, GRID_BLOCK // sample_points)
+    frequencies = sum(1 for m in h1.support if m > 0)
+    # complex: two e(m x) tables and one row's terms; float: ten block
+    # matrices and ten per-point vectors
+    admit(16 * 3 * frequencies * sample_points
+          + 80 * (rows + 1) * sample_points,
+          f"a grid cover of {sample_points} points")
     l_const = max(math.ceil(3.0 / epsilon), math.ceil(h1.lipschitz_bound()))
     k_tilde = math.floor(3.0 / epsilon) + 1
     grid_count = l_const * l_const * q_t * k_tilde
@@ -349,7 +371,6 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
 
     rng = np.random.default_rng(seed)
     pts = rng.random((sample_points, 2))
-    alpha = cf.alpha
     nx = l_const * q_t * k_tilde
     x_star = frac(np.rint(pts[:, 0] * nx) / nx)
     y_star = frac(np.rint(pts[:, 1] * l_const) / l_const)
@@ -359,12 +380,14 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
         i_vals = sorted(int(r * n_t) for r in rng.random(256))
     else:
         i_vals = list(range(int(n_t)))
-    h_pts = _birkhoff_block(h1, alpha, i_vals, pts[:, 0])
-    h_star = _birkhoff_block(h1, alpha, i_vals, x_star)
     dxs = circle_dist(pts[:, 0], x_star)
-    dys = circle_dist((pts[:, 1][None, :] + h_pts),
-                      (y_star[None, :] + h_star))
-    dbar_est = np.mean(np.maximum(dxs[None, :], dys), axis=0)
+    total = np.zeros(sample_points)
+    for h_pts, h_star in _birkhoff_blocks(h1, cf.alpha, i_vals,
+                                          (pts[:, 0], x_star), rows):
+        dys = circle_dist(pts[:, 1] + h_pts, y_star + h_star)
+        for dist in np.maximum(dxs, dys):
+            total += dist
+    dbar_est = total / len(i_vals)
     worst = float(np.max(dbar_est))
     sampled_ok = worst < epsilon
     return GridCoverReport(t=t, q_t=q_t, n_t=n_t, lipschitz_l=l_const,
@@ -375,29 +398,37 @@ def grid_cover_check(cf: ContinuedFraction, res: ResonanceData,
                            i_subsampled=subsampled)
 
 
-def _birkhoff_block(h1: FourierCocycle, alpha, i_vals: Sequence[int],
-                    xs: np.ndarray) -> np.ndarray:
-    """H_i(x) for every (i in i_vals, x in xs), shape (len(i_vals), len(xs)).
+def _birkhoff_blocks(h1: FourierCocycle, alpha, i_vals: Sequence[int],
+                     point_sets: Sequence[np.ndarray], rows: int
+                     ) -> Iterator[list[np.ndarray]]:
+    """H_i(x) for i in i_vals and x in each of point_sets, in blocks of
+    `rows` consecutive i_vals: per block, one (len(block), len(xs)) array
+    for each set, in the order of point_sets.
 
-    Each i incurs one exact reduction of i*alpha mod 1; the geometric
-    closed form then runs in floats on the reduced phase, which is ample
-    for the spot-check tolerances here.  The phase is `u / den` of the
-    unreduced pair from `_centered_parts`, correctly rounded, hence equal
-    to float(centered_fractional(alpha, i)).
+    The per-frequency setup (ms, cs, the exact dens and e(m x)) is built
+    once.  Each i incurs one exact reduction of i*alpha mod 1, shared by
+    every point set; the geometric closed form then runs in floats on the
+    reduced phase, which is ample for the spot-check tolerances here.  The
+    phase is `u / den` of the unreduced pair from `_centered_parts`,
+    correctly rounded, hence equal to float(centered_fractional(alpha, i)).
     """
     ms = np.array([m for m in h1.support if m > 0], dtype=np.int64)
     cs = np.array([h1.coefficients[m] for m in ms], dtype=np.complex128)
     dens = np.array([unit(1, truediv(*_centered_parts(alpha, int(m)))) - 1.0
                      for m in ms], dtype=np.complex128)
-    e_mx = unit(ms[:, None], xs[None, :])
-    out = np.empty((len(i_vals), len(xs)), dtype=np.float64)
+    e_mxs = [unit(ms[:, None], xs[None, :]) for xs in point_sets]
     mean = h1.mean
-    for row, i in enumerate(i_vals):
-        if i == 0:
-            out[row] = 0.0
-            continue
-        t_i = truediv(*_centered_parts(alpha, i))
-        num = unit(ms, t_i) - 1.0
-        coeff = cs * num / dens
-        out[row] = i * mean + 2.0 * (coeff[:, None] * e_mx).real.sum(axis=0)
-    return out
+    for r0 in range(0, len(i_vals), rows):
+        block = i_vals[r0:r0 + rows]
+        outs = [np.empty((len(block), e_mx.shape[1])) for e_mx in e_mxs]
+        for row, i in enumerate(block):
+            if i == 0:
+                for out in outs:
+                    out[row] = 0.0
+                continue
+            t_i = truediv(*_centered_parts(alpha, i))
+            coeff = cs * (unit(ms, t_i) - 1.0) / dens
+            for out, e_mx in zip(outs, e_mxs):
+                out[row] = (i * mean
+                            + 2.0 * (coeff[:, None] * e_mx).real.sum(axis=0))
+        yield outs

@@ -382,7 +382,7 @@ def centered_fractional(alpha: ExactAlpha, m: int,
     out tiny instead of as 1 - tiny.  The fit is decided in integers by
     `_fits_centered`, so it equals the Fraction arithmetic on the same
     enclosure.  `cocycle.e_minus_one_exact`, `cocycle.split_cocycle` and
-    `complexity._birkhoff_block` read the unreduced pair (u, den) instead
+    `complexity._birkhoff_blocks` read the unreduced pair (u, den) instead
     and skip the gcd on the large denominator 2bd: int `u / den` is
     correctly rounded, as is `float(Fraction(u, den))`, so the floats they
     compute are equal.

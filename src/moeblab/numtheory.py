@@ -49,13 +49,18 @@ class MobiusTable:
         return int(self.values[n])
 
 
+def _prime_count_bound(n: int) -> int:
+    """An upper bound on pi(n) for n >= 2: pi(n) < 1.25506 n / ln n."""
+    return math.ceil(1.25506 * n / math.log(n))
+
+
 def _simple_prime_sieve(n: int) -> np.ndarray:
     """Primes <= n, ascending int64, by plain Eratosthenes: every prime list
     in the package.  Its bool flags and int64 primes (pi(n) < 1.25506 n /
     ln n) are refused past the memory cap before either is allocated."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    admit(n + 1 + 8 * math.ceil(1.25506 * n / math.log(n)), f"primes <= {n}")
+    admit(n + 1 + 8 * _prime_count_bound(n), f"primes <= {n}")
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -79,8 +84,8 @@ def build_mobius_table(n_max: int) -> MobiusTable:
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # int8 values, int32 scratch (a block's products and entries)
-    admit(n_max + 1 + 8 * min(n_max, SIEVE_BLOCK), f"n_max={n_max}")
+    # int8 values; a block's scratch: int32 products and entries, int8 flip
+    admit(n_max + 1 + 9 * min(n_max, SIEVE_BLOCK), f"n_max={n_max}")
 
     base_primes = _simple_prime_sieve(math.isqrt(n_max))
     values = np.zeros(n_max + 1, dtype=np.int8)
@@ -259,6 +264,9 @@ def pretentious_scan(
     summand is (1 + Re(chi(p) p^{it})) / p.  The twist p^{it} is computed
     once per t and shared by every character, whose prime values chi(p)
     are held for the whole scan.  Rows come out in (q, chi, t) order.
+    Those held values, 16 pi(N) sum_{q <= Q} phi(q) bytes, and one t's
+    temporaries are refused past the memory cap before the primes are
+    sieved, with pi(N) bounded as in `_simple_prime_sieve`.
     """
     t_values = [float(t) for t in t_grid]
     if not t_values:
@@ -268,6 +276,14 @@ def pretentious_scan(
     if big_q > DEFAULT_CHARACTER_CAP:
         raise SizingError(
             f"Q={big_q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
+    if n_max >= 2:
+        characters = sum(math.gcd(a, q) == 1 for q in range(1, big_q + 1)
+                         for a in range(q))
+        # complex128: chi(p) per character, the twist and one product;
+        # 8 bytes: the primes as ints and floats, their logs and inverses,
+        # and two summand temporaries
+        admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48),
+              f"a scan of {characters} characters over the primes <= {n_max}")
     ps = _simple_prime_sieve(n_max)
     if len(ps) == 0:
         raise DomainError(f"no primes <= {n_max}")

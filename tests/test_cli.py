@@ -299,8 +299,10 @@ def test_mobius_pretentious_prints_the_experiment_rows(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--pretentious", "--bigq", "0"], "Q must be >= 1"),
     (["--pretentious", "--tgrid", "-2"], "count must be >= 0"),
-    (["--limit", str(2 ** 40), "--pretentious"], "over the cap")],
-    ids=["zero-bigq", "negative-tgrid", "primes-over-the-cap"])
+    (["--limit", str(2 ** 40), "--pretentious"], "over the cap"),
+    (["--limit", str(10 ** 8), "--pretentious", "--bigq", "100"], "over the cap")],
+    ids=["zero-bigq", "negative-tgrid", "primes-over-the-cap",
+         "characters-over-the-cap"])
 def test_mobius_refuses_a_scan_it_cannot_run(capsys, flags, message):
     assert main(["mobius", "--limit", "1000", *flags]) == 2
     err = capsys.readouterr().err

@@ -384,9 +384,14 @@ def test_birkhoff_block_equals_fraction_formula(resonant, rng):
     c, res, _, split = resonant
     n_t = c.q(8) ** 3
     i_vals = list(range(300)) + sorted(int(r * n_t) for r in rng.random(64))
-    xs = rng.random(50)
-    got = cx._birkhoff_block(split.h1, c.alpha, i_vals, xs)
-    assert got.tobytes() == _ref_birkhoff_block(split.h1, c.alpha, i_vals, xs).tobytes()
+    point_sets = (rng.random(50), rng.random(3))
+    refs = [_ref_birkhoff_block(split.h1, c.alpha, i_vals, xs).tobytes()
+            for xs in point_sets]
+    # whatever the block height, the blocks of each set stack to the reference
+    for rows in (1, 37, len(i_vals)):
+        blocks = cx._birkhoff_blocks(split.h1, c.alpha, i_vals, point_sets, rows)
+        got = [np.concatenate(parts).tobytes() for parts in zip(*blocks)]
+        assert got == refs, rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from moeblab import cocycle as cc
 from moeblab import complexity as cx
 from moeblab import contfrac as cf
 from moeblab import dynamics as dy
+from moeblab import _kernels as kn
 from moeblab import fixtures as fx
 from moeblab.errors import DomainError, SizingError
 
@@ -500,6 +503,121 @@ def test_grid_cover_smallest_t(resonant):
     assert rep.grid_count == rep.lipschitz_l ** 2 * 2 * 16
     assert rep.certificate_ok and rep.sampled_ok
     assert not rep.i_subsampled
+
+
+def _ref_grid_cover_check(cf, res, h1, epsilon, c_cert, t, sample_points,
+                          seed):
+    """The former grid cover: the whole (len(i_vals), sample_points)
+    i-average in memory, reduced by np.mean."""
+    tau = res.tau
+    e_int = int(Fraction(1) / tau)
+    exponent = float(1 / tau + 2)
+    q_t = cf.q(t)
+    n_t = q_t ** (e_int + 2)
+    l_const = max(math.ceil(3.0 / epsilon), math.ceil(h1.lipschitz_bound()))
+    k_tilde = math.floor(3.0 / epsilon) + 1
+    grid_count = l_const * l_const * q_t * k_tilde
+    dx = 1.0 / (l_const * q_t * k_tilde)
+    dy = 1.0 / l_const
+    mean_a = (float(q_t) ** (e_int + 1) - 1.0) / 2.0
+    mean_b = (q_t - 1) / 2.0
+    block_dev = 2.0 * c_cert * math.exp(-exponent * math.log(q_t))
+    certificate = (dx + dy + mean_a * block_dev
+                   + (mean_b + 1.0) * l_const * dx)
+    rng = np.random.default_rng(seed)
+    pts = rng.random((sample_points, 2))
+    nx = l_const * q_t * k_tilde
+    x_star = kn.frac(np.rint(pts[:, 0] * nx) / nx)
+    y_star = kn.frac(np.rint(pts[:, 1] * l_const) / l_const)
+    subsampled = n_t > cx.I_SAMPLE_CAP
+    if subsampled:
+        i_vals = sorted(int(r * n_t) for r in rng.random(256))
+    else:
+        i_vals = list(range(int(n_t)))
+    # one block of every i is the former full H_i matrix of each point set
+    h_pts, h_star = next(cx._birkhoff_blocks(h1, cf.alpha, i_vals,
+                                             (pts[:, 0], x_star), len(i_vals)))
+    dxs = kn.circle_dist(pts[:, 0], x_star)
+    dys = kn.circle_dist((pts[:, 1][None, :] + h_pts),
+                         (y_star[None, :] + h_star))
+    dbar_est = np.mean(np.maximum(dxs[None, :], dys), axis=0)
+    worst = float(np.max(dbar_est))
+    return cx.GridCoverReport(
+        t=t, q_t=q_t, n_t=n_t, lipschitz_l=l_const, k_tilde=k_tilde,
+        grid_count=grid_count, certificate_bound=certificate,
+        certificate_ok=certificate < epsilon, sampled_max_dbar=worst,
+        sampled_ok=worst < epsilon, i_subsampled=subsampled)
+
+
+def _report_fields(rep):
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(rep)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       sample_points=st.integers(2, 300))
+def test_grid_cover_streams_the_full_matrix_average(resonant, data, seed,
+                                                    sample_points):
+    # from one i row a block to a single block past every i, the running
+    # per-point total in ascending i is np.mean's sum, bit for bit
+    c, res, _, split = resonant
+    t = data.draw(st.sampled_from(res.E), label="t")
+    n_i = min(c.q(t) ** 3, 256)
+    rows = data.draw(st.integers(1, n_i + 1), label="rows")
+    block = rows * sample_points + data.draw(st.integers(0, sample_points - 1),
+                                             label="spare")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx, "GRID_BLOCK", block)
+        got = cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, t,
+                                  sample_points, seed)
+    ref = _ref_grid_cover_check(c, res, split.h1, 0.2, 1.0, t,
+                                sample_points, seed)
+    assert _report_fields(got) == _report_fields(ref)
+
+
+def test_grid_cover_single_point_sums_in_ascending_i(resonant):
+    # np.mean sums one column pairwise; the stream sums it in ascending i
+    c, res, _, split = resonant
+    rep = cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 1, 1)
+    ref = _ref_grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 1, 1)
+    assert rep.sampled_max_dbar == 0.017130371954696487
+    assert ref.sampled_max_dbar == 0.01713037195469648
+
+
+def test_grid_cover_working_set_is_streamed(resonant, monkeypatch):
+    # the full matrices peaked at 28.2 MiB here; the blocks, the two e(m x)
+    # tables and the per-point vectors stay within what is admitted
+    c, res, _, split = resonant
+    admitted = []
+    monkeypatch.setattr(cx, "admit", lambda nbytes, what: admitted.append(nbytes))
+    tracemalloc.start()
+    try:
+        cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 2000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
+    assert admitted == [admitted[0]] and admitted[0] >= peak, (admitted, peak)
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_grid_cover_refuses_no_sample_points(resonant, points):
+    c, res, _, split = resonant
+    with pytest.raises(DomainError, match="at least one sample point"):
+        cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, points)
+
+
+def test_grid_cover_refused_before_allocation(resonant):
+    c, res, _, split = resonant
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="over the cap"):
+            cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_grid_cover_refuses_an_n_t_beyond_a_float():

@@ -62,6 +62,27 @@ def test_sieve_scratch_is_narrow():
     assert peak < n_max + 10 * nt.SIEVE_BLOCK, peak
 
 
+def _admitted_and_peak(monkeypatch, fn, *args):
+    """The bytes that fn(*args) admits, summed over its admit calls, and
+    the tracemalloc peak of the call."""
+    admitted = []
+    monkeypatch.setattr(nt, "admit", lambda nbytes, what: admitted.append(nbytes))
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(admitted), peak
+
+
+def test_sieve_admits_its_measured_scratch(monkeypatch):
+    # the values, 9 bytes a block entry and the base primes' own admission
+    admitted, peak = _admitted_and_peak(monkeypatch, nt.build_mobius_table,
+                                        4 * nt.SIEVE_BLOCK)
+    assert admitted >= peak, (admitted, peak)
+
+
 def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
     """The former two-pass sieve: an int64 residual divided by each base
     prime and a separate p^2 mask."""
@@ -452,6 +473,25 @@ def test_pretentious_scan_reads_every_prime_up_to_n():
     rows = nt.pretentious_scan(10 ** 6, 1, [0.0])
     assert rows == _ref_pretentious_scan(10 ** 6, 1, [0.0])
     assert rows[0].distance_sq == 5.774656199135345
+
+
+def test_pretentious_scan_admits_its_characters(monkeypatch):
+    # 128 characters of 9592 prime values each, and the sieve's primes
+    admitted, peak = _admitted_and_peak(monkeypatch, nt.pretentious_scan,
+                                        10 ** 5, 20, [0.0, 1.0])
+    assert admitted >= peak, (admitted, peak)
+
+
+def test_pretentious_scan_refused_before_sieving():
+    # 3044 characters of pi(10^8) prime values would take about 280 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="3044 characters.*over the cap"):
+            nt.pretentious_scan(10 ** 8, 100, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def _min_distance(n_max, big_q, grid):
