@@ -50,14 +50,14 @@ class MobiusTable:
 
 
 def _prime_count_bound(n: int) -> int:
-    """An upper bound on pi(n) for n >= 2: pi(n) < 1.25506 n / ln n."""
-    return math.ceil(1.25506 * n / math.log(n))
+    """An upper bound on pi(n): pi(n) < 1.25506 n / ln n for n >= 2."""
+    return math.ceil(1.25506 * n / math.log(n)) if n >= 2 else 0
 
 
 def _simple_prime_sieve(n: int) -> np.ndarray:
     """Primes <= n, ascending int64, by plain Eratosthenes: every prime list
-    in the package.  Its bool flags and int64 primes (pi(n) < 1.25506 n /
-    ln n) are refused past the memory cap before either is allocated."""
+    in the package.  Its bool flags and int64 primes (`_prime_count_bound`)
+    are refused past the memory cap before either is allocated."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     admit(n + 1 + 8 * _prime_count_bound(n), f"primes <= {n}")
@@ -266,7 +266,7 @@ def pretentious_scan(
     are held for the whole scan.  Rows come out in (q, chi, t) order.
     Those held values, 16 pi(N) sum_{q <= Q} phi(q) bytes, and one t's
     temporaries are refused past the memory cap before the primes are
-    sieved, with pi(N) bounded as in `_simple_prime_sieve`.
+    sieved, with pi(N) bounded by `_prime_count_bound`.
     """
     t_values = [float(t) for t in t_grid]
     if not t_values:
@@ -276,14 +276,12 @@ def pretentious_scan(
     if big_q > DEFAULT_CHARACTER_CAP:
         raise SizingError(
             f"Q={big_q} exceeds character modulus cap {DEFAULT_CHARACTER_CAP}")
-    if n_max >= 2:
-        characters = sum(math.gcd(a, q) == 1 for q in range(1, big_q + 1)
-                         for a in range(q))
-        # complex128: chi(p) per character, the twist and one product;
-        # 8 bytes: the primes as ints and floats, their logs and inverses,
-        # and two summand temporaries
-        admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48),
-              f"a scan of {characters} characters over the primes <= {n_max}")
+    characters = sum(math.gcd(a, q) == 1 for q in range(1, big_q + 1)
+                     for a in range(q))
+    # complex128: chi(p) per character, the twist and one product; 8 bytes:
+    # the primes as ints and floats, their logs and inverses, two summands
+    admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48),
+          f"a scan of {characters} characters over the primes <= {n_max}")
     ps = _simple_prime_sieve(n_max)
     if len(ps) == 0:
         raise DomainError(f"no primes <= {n_max}")
