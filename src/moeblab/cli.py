@@ -103,15 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mobius(args) -> None:
     from .harness import _csv_text, experiment_rows
-    from .numtheory import build_mobius_table, mertens
-    if args.values or args.mertens is not None:    # the scan sieves its own
-        table = build_mobius_table(args.limit)
+    from .numtheory import build_mobius_table, mertens_values, mobius_segments
     if args.values:
+        table = build_mobius_table(args.limit)
         print("n,mu")
         for n in range(1, min(args.values, table.limit) + 1):
             print(f"{n},{table.mu(n)}")
-    if args.mertens is not None:
-        print(f"mertens({args.mertens}) = {mertens(table, args.mertens)}")
+    if args.mertens is not None:       # the sieve's segments, up to N only
+        value, = mertens_values(mobius_segments(args.limit), [args.mertens])
+        print(f"mertens({args.mertens}) = {value}")
     if args.pretentious:
         rows, _, _ = experiment_rows("pretentious", {
             "limit": args.limit, "bigq": args.bigq, "tgrid": args.tgrid})

@@ -214,14 +214,21 @@ class Rotation(SystemInstance):
     distance = staticmethod(circle_dist)
 
     def dbar_balls(self, states, ns, eps):
-        """An isometry keeps dbar_n = d for every n: the pairwise distance
-        is thresholded once and the same read-only balls are yielded for
-        each n.  Working set: the distance and its scratch, 24 p^2 bytes,
-        or the distance and the balls."""
+        """An isometry keeps dbar_n = d for every n: the distance is
+        thresholded once, on strips of TORUS_BLOCK rows written straight
+        into the balls, and the same read-only balls are yielded for each
+        n.  The working set is the balls and one strip's distance and its
+        scratch, 24 TORUS_BLOCK p bytes; the admission is that of the
+        whole distance matrix, 24 p^2 bytes or the matrix and the balls,
+        which bounds it."""
         eps = np.asarray(eps, dtype=np.float64)[:, None, None]
         p = len(states)
         self._admit(max(24, 8 + len(eps)) * p * p, p, max(ns))
-        balls = self.pairwise_distance(states) < eps
+        balls = np.empty((len(eps), p, p), dtype=bool)
+        for r0 in range(0, p, TORUS_BLOCK):
+            rows = slice(r0, r0 + TORUS_BLOCK)
+            np.less(self.distance(states[rows, None], states[None, :]), eps,
+                    out=balls[:, rows])
         balls.flags.writeable = False
         yield from ((n, balls) for n in ns)
 

@@ -20,7 +20,8 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, get_args, get_origin
+from typing import (Callable, Iterable, NewType, Sequence, get_args,
+                    get_origin)
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
                        _fourier_rows, _integer, _real, make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
 from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
-                        mertens, pretentious_scan)
+                        mertens_values, mobius_segments, pretentious_scan)
 
 CHUNK = ORBIT_CHUNK
 
@@ -98,24 +99,24 @@ class CorrelationSeries:
     sup_f: float
 
 
-def correlation_sum(table: MobiusTable, system: SystemInstance,
+def correlation_sum(mu_blocks: Iterable[np.ndarray], system: SystemInstance,
                     f: TrigObservable | Sequence, x0,
                     checkpoints: Sequence[int]) -> CorrelationSeries:
     """Streaming (1/N) sum mu(n) f(T^n x0) at ascending checkpoints.
 
-    One pass over the orbit; each chunk is pairwise-summed and folded into
-    a Kahan-compensated running total, so accumulation error stays near
-    rounding even at N = 10^6.  f is evaluated only where mu(n) != 0; the
-    zero terms stay in the chunk, so the summation order is unchanged.
+    mu(1), mu(2), ... come in consecutive blocks: the sieve's segments
+    (`mobius_segments`) or a table's values as one block; they are re-cut
+    to the orbit's chunks.  One pass over the orbit; each chunk is
+    pairwise-summed and folded into a Kahan-compensated running total, so
+    accumulation error stays near rounding even at N = 10^6.  f is
+    evaluated only where mu(n) != 0; the zero terms stay in the chunk, so
+    the summation order is unchanged.
     """
     f = parse_observable(f)
     cps = sorted(int(n) for n in checkpoints)
     if not cps or cps[0] < 1:
         raise DomainError("checkpoints must be positive")
     n_max = cps[-1]
-    if n_max > table.limit:
-        raise SizingError(
-            f"checkpoint {n_max} exceeds sieve limit {table.limit}")
     chunks = system.orbit_coords(x0, n_max, CHUNK)     # checks x0, no step yet
     dim = system.coords(np.asarray(x0, dtype=np.float64)[None]).shape[1]
     f_dim = len(next(iter(f.coefficients)))
@@ -127,13 +128,21 @@ def correlation_sum(table: MobiusTable, system: SystemInstance,
     comp = 0.0 + 0.0j          # Kahan compensation
     values = []
     next_cp = 0
-    mu = table.values
+    blocks = iter(mu_blocks)
+    ahead = np.empty(0, dtype=np.int8)      # mu from n = lo on, not yet summed
     lo = 1
     for coords in chunks:
         hi = lo + len(coords)
-        nz = np.flatnonzero(mu[lo:hi] != 0)      # twice as fast on a bool mask
+        while len(ahead) < hi - lo:
+            block = next(blocks, None)
+            if block is None:
+                raise SizingError(f"checkpoint {n_max} is past mu, known "
+                                  f"up to {lo + len(ahead) - 1}")
+            ahead = np.concatenate([ahead, block]) if len(ahead) else block
+        mu, ahead = ahead[: hi - lo], ahead[hi - lo:]
+        nz = np.flatnonzero(mu != 0)      # twice as fast on a bool mask
         terms = np.zeros(hi - lo, dtype=np.complex128)
-        terms[nz] = mu[lo:hi][nz] * f.bulk(coords.take(nz, axis=0))
+        terms[nz] = mu[nz] * f.bulk(coords.take(nz, axis=0))
         while next_cp < len(cps) and cps[next_cp] < hi:
             cp = cps[next_cp]
             part = complex(np.sum(terms[: cp - lo + 1]))
@@ -204,7 +213,8 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         nbytes += 24 * min(cloud_size * n_total, CENTER_SUM_ENTRIES)
     admit(nbytes, f"block trace of N={n_total}, L={ell}")
 
-    orbit_avg = correlation_sum(table, system, f, x0, [n_total]).values[0]
+    orbit_avg = correlation_sum([table.values[1:]], system, f, x0,
+                                [n_total]).values[0]
 
     lip = max(f.lipschitz_bound(), 1e-9)
     epsilon1 = min(epsilon ** 2, (epsilon / lip) ** 2) / 2
@@ -356,6 +366,10 @@ def _csv_text(rows: list[dict]) -> str:
 # Experiments
 # ---------------------------------------------------------------------------
 
+# an experiment field refused below 1 by `_read`, with the field's name
+PositiveInt = NewType("PositiveInt", int)
+
+
 def experiment_rows(name: str, params: dict, seed=0) -> tuple[list, dict, list]:
     """Run experiment `name` with `seed`, an integer >= 0, on its fields:
     its parameters after `seed`, each read from `params` by `_read` and
@@ -378,10 +392,17 @@ def experiment_rows(name: str, params: dict, seed=0) -> tuple[list, dict, list]:
 
 
 def _read(value, kind, name: str):
-    """A field by its annotation (`int`, `float`, a non-empty `list` of one,
-    `SystemInstance`); any other goes as given to the code that checks it."""
+    """A field by its annotation (`int`, `PositiveInt`, `float`, a non-empty
+    `list` of one, `SystemInstance`); any other goes as given to the code
+    that checks it."""
     if kind is int:
         return _integer(value, name)
+    if kind is PositiveInt:
+        value = _integer(value, name)
+        if value < 1:
+            raise DomainError(f"field {name!r} must be a positive integer, "
+                              f"got {value}")
+        return value
     if kind is float:
         return _real(value, name)
     if kind is SystemInstance:
@@ -393,10 +414,10 @@ def _read(value, kind, name: str):
     return value
 
 
-def _exp_sieve_check(seed, *, limit: int):
-    table = build_mobius_table(limit)
+def _exp_sieve_check(seed, *, limit: PositiveInt):
     decades = [10 ** k for k in range(1, 20) if 10 ** k <= limit]
-    rows = [{"n": n, "mertens": mertens(table, n)} for n in decades]
+    values = mertens_values(mobius_segments(limit), decades)
+    rows = [{"n": n, "mertens": m} for n, m in zip(decades, values)]
     summary = {"limit": limit, "mertens": {str(r["n"]): r["mertens"] for r in rows}}
     series = [("mertens", [(float(r["n"]), float(abs(r["mertens"]) + 1)) for r in rows])]
     return rows, summary, series
@@ -420,7 +441,8 @@ def _exp_lemma54(seed, *, alpha, depth: int, tau=1, freq_bound: int = 4096,
 
 
 def _exp_covering_profile(seed, *, system: SystemInstance, samples: int,
-                          eps: list[float], ns: list[int], tau: float = 1.0):
+                          eps: list[float], ns: list[PositiveInt],
+                          tau: float = 1.0):
     cloud = sample_cloud(system, samples, seed)
     profiles = complexity_profile(cloud, eps, ns, tau)
     rows = [{"epsilon": p.epsilon, "n": r.n, "Sn": r.s_n, "method": r.method,
@@ -439,9 +461,9 @@ def _exp_covering_profile(seed, *, system: SystemInstance, samples: int,
 
 
 def _exp_correlation(seed, *, system: SystemInstance, f, x0,
-                     checkpoints: list[int]):
-    table = build_mobius_table(max(checkpoints))
-    series_data = correlation_sum(table, system, f, x0, checkpoints)
+                     checkpoints: list[PositiveInt]):
+    series_data = correlation_sum(mobius_segments(max(checkpoints)), system,
+                                  f, x0, checkpoints)
     rows = [{"N": n, "re": v.real, "im": v.imag, "abs": abs(v)}
             for n, v in zip(series_data.checkpoints, series_data.values)]
     summary = {"abs": {str(r["N"]): r["abs"] for r in rows},

@@ -4,8 +4,10 @@ The Mobius function is mu(1) = 1, mu(n) = (-1)^k when n is a product of k
 distinct primes, and mu(n) = 0 when a square divides n.  The sieve reads
 mu off one signed int32 product per entry, (-1)^k times the k base primes
 that divide it, zeroed at a square; an entry whose product is below it
-has one more prime factor (`build_mobius_table`).  The pretentious
-distance between 1-bounded multiplicative functions f, g is the prime sum
+has one more prime factor.  The sieve yields mu in consecutive segments
+(`mobius_segments`), which ordered readers such as `mertens_values` take
+one at a time; `build_mobius_table` keeps them as one table.  The
+pretentious distance between 1-bounded multiplicative functions f, g is the prime sum
 
     sum_{p <= N} (1 - Re(f(p) conj(g(p)))) / p,
 
@@ -18,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SizingError, admit
 
 SIEVE_BLOCK = 1 << 20           # segment length; bounds transient memory
+FINISH_CHUNK = 1 << 16          # entries of a segment finished at once, in cache
 DEFAULT_CHARACTER_CAP = 100
 
 
@@ -69,41 +72,72 @@ def _simple_prime_sieve(n: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64, copy=False)
 
 
-def build_mobius_table(n_max: int) -> MobiusTable:
-    """Sieve mu(n) for n <= n_max, segmented at SIEVE_BLOCK entries.
+def mobius_segments(n_max: int, held: int = 0) -> Iterator[np.ndarray]:
+    """mu(n) for n = 1..n_max as consecutive int8 segments of SIEVE_BLOCK
+    entries, the last one possibly shorter; each segment is a new array.
 
     Each segment keeps one signed product (-1)^k p_1 ... p_k over the k
     base primes p <= isqrt(n_max) that divide each entry: one strided
     multiply by -p per base prime, and multiples of p^2 are zeroed.  The
-    sign of the product is written into the values; then the product is
-    taken in absolute value.  A squarefree n has a prime factor above
-    isqrt(n_max), and then exactly one, when its product is below n (one
-    more flip, an int8 multiply by 1 - 2 [product < n]).  A product
-    divides its entry, so the products and the entries are int32,
-    exactly: the values alone refuse every n_max >= 2^31 at the memory cap.
+    segment is then finished FINISH_CHUNK entries at a time: the sign of
+    the product is written into it, and the product is taken in absolute
+    value.  A squarefree n has a prime factor above isqrt(n_max), and then
+    exactly one, when its product is below n (one more flip, an int8
+    multiply by 1 - 2 [product < n]).  A product divides its entry, so the
+    products and the entries are int32, exactly, and n_max >= 2^31 is
+    refused.  A segment's scratch, with `held` bytes of the caller's, is
+    refused past the memory cap; both checks run here, before the first
+    segment is asked for and anything is allocated.
     """
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
-    # int8 values; a block's scratch: int32 products and entries, int8 flip
-    admit(n_max + 1 + 9 * min(n_max, SIEVE_BLOCK), f"n_max={n_max}")
+    # int32 products, the segment and the one a reader holds; per entry
+    # finished at once, an int32 entry and the int8 flip
+    block = min(n_max, SIEVE_BLOCK)
+    admit(held + 6 * block + 5 * min(block, FINISH_CHUNK), f"n_max={n_max}")
+    if n_max >= 1 << 31:
+        raise SizingError(f"n_max={n_max} reaches 2^31, past the sieve's "
+                          "int32 products and entries")
+    return _sieve_segments(n_max)
 
-    base_primes = _simple_prime_sieve(math.isqrt(n_max))
-    values = np.zeros(n_max + 1, dtype=np.int8)
+
+def _sieve_segments(n_max: int) -> Iterator[np.ndarray]:
+    base_primes = _simple_prime_sieve(math.isqrt(n_max)).tolist()
     for lo in range(1, n_max + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, n_max + 1)
-        prod = np.ones(hi - lo, dtype=np.int32)
-        for p in base_primes.tolist():
-            prod[(-lo) % p:: p] *= -p
-            if p * p < hi:
-                prod[(-lo) % (p * p):: p * p] = 0
-        sign = values[lo:hi]
-        np.sign(prod, out=sign, casting="unsafe")
-        np.abs(prod, out=prod)
-        flip = np.less(prod, np.arange(lo, hi, dtype=np.int32)).view(np.int8)
+        yield _sieve_segment(lo, min(lo + SIEVE_BLOCK, n_max + 1), base_primes)
+
+
+def _sieve_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
+    """mu(n) for lo <= n < hi as a new int8 array (`mobius_segments`)."""
+    prod = np.ones(hi - lo, dtype=np.int32)
+    for p in base_primes:
+        prod[(-lo) % p:: p] *= -p
+        if p * p < hi:
+            prod[(-lo) % (p * p):: p * p] = 0
+    mu = np.empty(hi - lo, dtype=np.int8)
+    for start in range(0, hi - lo, FINISH_CHUNK):
+        part = prod[start: start + FINISH_CHUNK]
+        sign = mu[start: start + FINISH_CHUNK]
+        np.sign(part, out=sign, casting="unsafe")
+        np.abs(part, out=part)
+        entries = np.arange(lo + start, lo + start + len(part), dtype=np.int32)
+        flip = np.less(part, entries).view(np.int8)
         flip *= -2
         flip += 1
         sign *= flip
-        del flip    # freed before the next segment allocates its own
+    return mu
+
+
+def build_mobius_table(n_max: int) -> MobiusTable:
+    """mu(n) for n <= n_max, filled from `mobius_segments`; its int8
+    values are admitted with the sieve's scratch."""
+    segments = mobius_segments(n_max, held=n_max + 1)
+    values = np.zeros(n_max + 1, dtype=np.int8)
+    hi = 1
+    for mu in segments:
+        lo, hi = hi, hi + len(mu)
+        values[lo:hi] = mu
+        del mu      # dropped before the next segment is sieved
     values.flags.writeable = False
     return MobiusTable(limit=n_max, values=values)
 
@@ -132,13 +166,31 @@ def mu_by_factorization(n: int) -> int:
     return math.prod(-1 if e == 1 else 0 for _, e in _factor(n))
 
 
+def mertens_values(blocks: Iterable[np.ndarray], ns: Sequence[int]) -> list[int]:
+    """Mertens values M(n) = sum_{m <= n} mu(m) at the ascending ns, from
+    mu(1), mu(2), ... in consecutive blocks (`mobius_segments`, or a
+    table's values as one block), read up to the last n only."""
+    ns = list(ns)
+    if ns != sorted(ns) or ns and ns[0] < 1:
+        raise DomainError(f"Mertens points must be ascending and >= 1, got {ns}")
+    out, total, lo = [], 0, 1          # total = M(lo - 1)
+    blocks = iter(blocks)
+    while len(out) < len(ns):
+        block = next(blocks, None)
+        if block is None:
+            raise SizingError(f"n={ns[len(out)]} is past mu, known up to {lo - 1}")
+        hi = lo + len(block)
+        while len(out) < len(ns) and ns[len(out)] < hi:
+            n = ns[len(out)]
+            out.append(total + int(np.sum(block[: n - lo + 1], dtype=np.int64)))
+        total += int(np.sum(block, dtype=np.int64))
+        lo = hi
+    return out
+
+
 def mertens(table: MobiusTable, n: int) -> int:
-    """Mertens function M(n) = sum_{m <= n} mu(m)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > table.limit:
-        raise SizingError(f"n={n} exceeds table limit {table.limit}")
-    return int(np.sum(table.values[1: n + 1], dtype=np.int64))
+    """Mertens function M(n), read from the table's values as one block."""
+    return mertens_values([table.values[1:]], [n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +308,7 @@ class PretentiousRow:
 def pretentious_scan(
     n_max: int,
     big_q: int,
-    t_grid: Iterable[float],
+    t_grid: Sequence[float],
 ) -> list[PretentiousRow]:
     """Distance of mu to every twisted character chi(n) n^{it} on the grid.
 
@@ -264,12 +316,13 @@ def pretentious_scan(
     summand is (1 + Re(chi(p) p^{it})) / p.  The twist p^{it} is computed
     once per t and shared by every character, whose prime values chi(p)
     are held for the whole scan.  Rows come out in (q, chi, t) order.
-    Those held values, 16 pi(N) sum_{q <= Q} phi(q) bytes, and one t's
-    temporaries are refused past the memory cap before the primes are
-    sieved, with pi(N) bounded by `_prime_count_bound`.
+    Those held values, 16 pi(N) sum_{q <= Q} phi(q) bytes, one t's
+    temporaries and the output, a float64 distance and a row object per
+    (character, t), are refused past the memory cap from len(t_grid),
+    before the grid is copied and the primes are sieved, with pi(N)
+    bounded by `_prime_count_bound`.
     """
-    t_values = [float(t) for t in t_grid]
-    if not t_values:
+    if len(t_grid) == 0:
         raise DomainError("t_grid must be nonempty")
     if big_q < 1:
         raise DomainError(f"Q must be >= 1, got {big_q}")
@@ -279,9 +332,14 @@ def pretentious_scan(
     characters = sum(math.gcd(a, q) == 1 for q in range(1, big_q + 1)
                      for a in range(q))
     # complex128: chi(p) per character, the twist and one product; 8 bytes:
-    # the primes as ints and floats, their logs and inverses, two summands
-    admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48),
-          f"a scan of {characters} characters over the primes <= {n_max}")
+    # the primes as ints and floats, their logs and inverses, two summands;
+    # per (character, t) the distance and a row (136 bytes measured), per t
+    # its float in the copied grid
+    admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48)
+          + len(t_grid) * (144 * characters + 32),
+          f"a scan of {characters} characters and {len(t_grid)} t values "
+          f"over the primes <= {n_max}")
+    t_values = [float(t) for t in t_grid]
     ps = _simple_prime_sieve(n_max)
     if len(ps) == 0:
         raise DomainError(f"no primes <= {n_max}")
@@ -299,4 +357,3 @@ def pretentious_scan(
             dist[i, k] = np.sum((1.0 + g.real) * inv_p)
     return [PretentiousRow(chi.modulus, chi.index, t, float(d))
             for chi, row in zip(chars, dist) for t, d in zip(t_values, row)]
-

@@ -170,8 +170,8 @@ def test_criterion_7_grid_cover(resonant, resonant_block_rows):
 def test_criterion_8_correlation_decay(table_1m):
     with Budget(8, 30, "skew correlation decay under frozen envelopes, < 0.05"):
         system = dy.make_system(FIXTURE["system"])
-        series = hx.correlation_sum(table_1m, system, FIXTURE["f"],
-                                    np.asarray(FIXTURE["x0"]),
+        series = hx.correlation_sum([table_1m.values[1:]], system,
+                                    FIXTURE["f"], np.asarray(FIXTURE["x0"]),
                                     FIXTURE["checkpoints"])
         values = [abs(v) for v in series.values]
         thresholds = FIXTURE["thresholds"]

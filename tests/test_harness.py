@@ -45,29 +45,34 @@ def test_observable_eval_and_bounds():
 # Correlation sums
 # ---------------------------------------------------------------------------
 
+def _one_block(table):
+    """A table's values as the one block of mu that correlation_sum reads."""
+    return [table.values[1:]]
+
+
 def test_constant_observable_reduces_to_mertens(table_100k):
-    series = hx.correlation_sum(table_100k, ROT, [[0, 1.0, 0.0]], 0.1,
-                                [10, 100, 10 ** 4])
+    series = hx.correlation_sum(_one_block(table_100k), ROT, [[0, 1.0, 0.0]],
+                                0.1, [10, 100, 10 ** 4])
     for n, v in zip(series.checkpoints, series.values):
         assert v == pytest.approx(nt.mertens(table_100k, n) / n, abs=1e-12)
 
 
 def test_values_bounded_by_sup(table_100k):
-    series = hx.correlation_sum(table_100k, ROT, [[1, 0.7, 0.2]], 0.3,
-                                [500, 5000])
+    series = hx.correlation_sum(_one_block(table_100k), ROT, [[1, 0.7, 0.2]],
+                                0.3, [500, 5000])
     for v in series.values:
         assert abs(v) <= series.sup_f + 1e-12
 
 
 def test_checkpoint_beyond_sieve(table_100k):
     with pytest.raises(SizingError):
-        hx.correlation_sum(table_100k, ROT, [[1, 1.0, 0.0]], 0.1,
+        hx.correlation_sum(_one_block(table_100k), ROT, [[1, 1.0, 0.0]], 0.1,
                            [table_100k.limit + 1])
 
 
 def test_prefix_consistency(table_100k):
-    series = hx.correlation_sum(table_100k, ROT, [[1, 1.0, 0.0]], 0.1,
-                                [1000, 2000])
+    series = hx.correlation_sum(_one_block(table_100k), ROT, [[1, 1.0, 0.0]],
+                                0.1, [1000, 2000])
     total_1000 = series.values[0] * 1000
     total_2000 = series.values[1] * 2000
     _, coords = ROT.orbit_coords(0.1, 2000, 1000)
@@ -77,14 +82,14 @@ def test_prefix_consistency(table_100k):
 
 
 def test_rotation_davenport_decay(table_1m):
-    series = hx.correlation_sum(table_1m, ROT, [[1, 1.0, 0.0]], 0.1,
-                                [10 ** 4, 10 ** 5, 10 ** 6])
+    series = hx.correlation_sum(_one_block(table_1m), ROT, [[1, 1.0, 0.0]],
+                                0.1, [10 ** 4, 10 ** 5, 10 ** 6])
     assert abs(series.values[-1]) < 0.02
 
 
 def test_skew_decay_matches_frozen_oracle(table_1m):
     system = dy.make_system(FIXTURE["system"])
-    series = hx.correlation_sum(table_1m, system, FIXTURE["f"],
+    series = hx.correlation_sum(_one_block(table_1m), system, FIXTURE["f"],
                                 np.asarray(FIXTURE["x0"]),
                                 FIXTURE["checkpoints"])
     for value, observed in zip(series.values, FIXTURE["observed_abs"]):
@@ -170,8 +175,8 @@ def test_correlation_stream_equals_the_old_stream_bit_for_bit(table_1m, desc, x0
             # c * np.exp(...) as np.exp(...) * c, and the operand order sets
             # the last bit of the imaginary part; smaller chunks keep c first
             mp.setattr(hx, "CHUNK", 1 << 13)
-        got = hx.correlation_sum(table_1m, dy.make_system(desc), rows, x0,
-                                 STREAM_CHECKPOINTS).values
+        got = hx.correlation_sum(_one_block(table_1m), dy.make_system(desc),
+                                 rows, x0, STREAM_CHECKPOINTS).values
         _old_arithmetic(mp)
         ref = _ref_correlation_sum(table_1m, dy.make_system(desc), rows, x0,
                                    STREAM_CHECKPOINTS)
@@ -199,7 +204,8 @@ def test_observable_evaluated_only_where_mu_is_nonzero(table_100k, monkeypatch):
                         lambda self, coords: seen.append(len(coords))
                         or bulk(self, coords))
     n = 70000       # three chunks, the last one partial
-    hx.correlation_sum(table_100k, SKEW2, [[0, 1, 1.0, 0.0]], (0.3, 0.7), [n])
+    hx.correlation_sum(_one_block(table_100k), SKEW2, [[0, 1, 1.0, 0.0]],
+                       (0.3, 0.7), [n])
     assert sum(seen) == np.count_nonzero(table_100k.values[1:n + 1])
     assert len(seen) == -(-n // hx.CHUNK)
 
@@ -207,7 +213,7 @@ def test_observable_evaluated_only_where_mu_is_nonzero(table_100k, monkeypatch):
 def _correlation_at(chunk, table, system, f, x0, cps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hx, "CHUNK", chunk)
-        return hx.correlation_sum(table, system, f, x0, cps).values
+        return hx.correlation_sum(_one_block(table), system, f, x0, cps).values
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,15 +257,16 @@ def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):
 def test_group_skew_correlation_runs(table_100k):
     gs = dy.make_system({"kind": "group_skew", "group": {"q": 12}, "a": 5,
                          "h": [[1, 0.05, 0.0]]})
-    series = hx.correlation_sum(table_100k, gs, [[0, 1, 1.0, 0.0]], (0, 0.2),
-                                [2000])
+    series = hx.correlation_sum(_one_block(table_100k), gs, [[0, 1, 1.0, 0.0]],
+                                (0, 0.2), [2000])
     assert abs(series.values[0]) <= 1.0
 
 
 def test_shift_rejected_for_correlation(table_100k):
     shift = dy.make_system({"kind": "shift", "weights": [0.5, 0.5]})
     with pytest.raises(DomainError, match="trig"):
-        hx.correlation_sum(table_100k, shift, [[1, 1.0, 0.0]], 0.0, [10])
+        hx.correlation_sum(_one_block(table_100k), shift, [[1, 1.0, 0.0]],
+                           0.0, [10])
 
 
 # ---------------------------------------------------------------------------
