@@ -217,13 +217,14 @@ class Rotation(SystemInstance):
         """An isometry keeps dbar_n = d for every n: the distance is
         thresholded once, on strips of TORUS_BLOCK rows written straight
         into the balls, and the same read-only balls are yielded for each
-        n.  The working set is the balls and one strip's distance and its
-        scratch, 24 TORUS_BLOCK p bytes; the admission is that of the
-        whole distance matrix, 24 p^2 bytes or the matrix and the balls,
-        which bounds it."""
+        n.  Working set: the balls and one strip's distance and its
+        scratch, 24 bytes a strip entry.  Admitted: that, or 24 p^2 bytes
+        if more, the whole distance matrix and its scratch, so a cloud
+        refused before the strips is refused still."""
         eps = np.asarray(eps, dtype=np.float64)[:, None, None]
         p = len(states)
-        self._admit(max(24, 8 + len(eps)) * p * p, p, max(ns))
+        strip = min(p, TORUS_BLOCK)
+        self._admit(max(24 * p, len(eps) * p + 24 * strip) * p, p, max(ns))
         balls = np.empty((len(eps), p, p), dtype=bool)
         for r0 in range(0, p, TORUS_BLOCK):
             rows = slice(r0, r0 + TORUS_BLOCK)

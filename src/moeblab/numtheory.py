@@ -92,9 +92,11 @@ def mobius_segments(n_max: int, held: int = 0) -> Iterator[np.ndarray]:
     if n_max < 1:
         raise SizingError(f"n_max must be >= 1, got {n_max}")
     # int32 products, the segment and the one a reader holds; per entry
-    # finished at once, an int32 entry and the int8 flip
+    # finished at once, an int32 entry, the int8 flip beside the last one
+    # and numpy's casting buffer; the base primes as Python ints
     block = min(n_max, SIEVE_BLOCK)
-    admit(held + 6 * block + 5 * min(block, FINISH_CHUNK), f"n_max={n_max}")
+    admit(held + 6 * block + 7 * min(block, FINISH_CHUNK)
+          + 40 * _prime_count_bound(math.isqrt(n_max)), f"n_max={n_max}")
     if n_max >= 1 << 31:
         raise SizingError(f"n_max={n_max} reaches 2^31, past the sieve's "
                           "int32 products and entries")
@@ -120,8 +122,8 @@ def _sieve_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
         sign = mu[start: start + FINISH_CHUNK]
         np.sign(part, out=sign, casting="unsafe")
         np.abs(part, out=part)
-        entries = np.arange(lo + start, lo + start + len(part), dtype=np.int32)
-        flip = np.less(part, entries).view(np.int8)
+        flip = np.less(part, np.arange(lo + start, lo + start + len(part),
+                                       dtype=np.int32)).view(np.int8)
         flip *= -2
         flip += 1
         sign *= flip
@@ -333,10 +335,10 @@ def pretentious_scan(
                      for a in range(q))
     # complex128: chi(p) per character, the twist and one product; 8 bytes:
     # the primes as ints and floats, their logs and inverses, two summands;
-    # per (character, t) the distance and a row (136 bytes measured), per t
-    # its float in the copied grid
+    # per (character, t) the float64 distance and a row with its list entry
+    # (about 140 bytes measured), per t its float in the copied grid
     admit(_prime_count_bound(n_max) * (16 * (characters + 2) + 48)
-          + len(t_grid) * (144 * characters + 32),
+          + len(t_grid) * (152 * characters + 32),
           f"a scan of {characters} characters and {len(t_grid)} t values "
           f"over the primes <= {n_max}")
     t_values = [float(t) for t in t_grid]

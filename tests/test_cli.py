@@ -241,6 +241,18 @@ REFUSED = {
     "bool-tau": (_with(LEMMA54, tau=True), "'tau' must be a rational"),
     "binary-tau": (_with(LEMMA54, tau=str(Fraction(0.1))),
                    "the resonance test"),
+    # range refusals name the field, not the library argument
+    "negative-checkpoint": (_with(CORRELATION, checkpoints=[-5]),
+                            "'checkpoints' must be a positive integer"),
+    "negative-limit": ({"experiment": "sieve-check", "params": {"limit": -3}},
+                       "'limit' must be a positive integer"),
+    "negative-ns": (_with(_covering(ROTATION), ns=[-1]),
+                    "'ns' must be a positive integer"),
+    # the sieve's int32 entries end at 2^31, whatever reads its segments
+    "int32-limit": ({"experiment": "sieve-check", "params": {"limit": 2 ** 31}},
+                    "reaches 2^31"),
+    "int32-checkpoint": (_with(CORRELATION, checkpoints=[2 ** 31]),
+                         "reaches 2^31"),
 }
 
 
@@ -300,9 +312,10 @@ def test_mobius_pretentious_prints_the_experiment_rows(tmp_path, capsys):
     (["--pretentious", "--bigq", "0"], "Q must be >= 1"),
     (["--pretentious", "--tgrid", "-2"], "count must be >= 0"),
     (["--limit", str(2 ** 40), "--pretentious"], "over the cap"),
-    (["--limit", str(10 ** 8), "--pretentious", "--bigq", "100"], "over the cap")],
+    (["--limit", str(10 ** 8), "--pretentious", "--bigq", "100"], "over the cap"),
+    (["--pretentious", "--bigq", "100", "--tgrid", "1000000"], "over the cap")],
     ids=["zero-bigq", "negative-tgrid", "primes-over-the-cap",
-         "characters-over-the-cap"])
+         "characters-over-the-cap", "rows-over-the-cap"])
 def test_mobius_refuses_a_scan_it_cannot_run(capsys, flags, message):
     assert main(["mobius", "--limit", "1000", *flags]) == 2
     err = capsys.readouterr().err

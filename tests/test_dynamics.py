@@ -291,6 +291,30 @@ def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
     assert asked == sorted(asked) and peak <= asked[-1] + 64 * p, (asked, peak)
 
 
+@pytest.mark.parametrize("p", [1, 63, 64, 65, 1000])
+def test_rotation_balls_in_strips_equal_the_thresholded_distance(p, monkeypatch):
+    # strips of TORUS_BLOCK rows on either side of a strip boundary: the
+    # balls of the whole distance matrix, within the admitted bytes but
+    # for the (p,) vectors and the arrays' headers, and at p = 1000 under
+    # 4 MiB where the matrix and its scratch took 23
+    system, _ = _dbar_cases()["rotation"]
+    states = system.sample(p, 5)
+    eps = [0.05, 0.45]
+    asked = []
+    _spy_admit(monkeypatch, asked, system.kind, stop=False)
+    tracemalloc.start()
+    try:
+        (_, balls), = system.dbar_balls(states, [1], eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = system.pairwise_distance(states) < np.array(eps)[:, None, None]
+    assert balls.dtype == bool and balls.shape == dense.shape
+    assert np.array_equal(balls, dense)
+    assert peak <= asked[-1] + 64 * p + (8 << 10), (peak, asked)
+    assert p < 1000 or peak < 4 << 20, peak
+
+
 def test_cli_default_cloud_is_admitted(monkeypatch):
     # the complexity command's default samples and ns, on a shift whose
     # horizon reaches the last n

@@ -230,6 +230,68 @@ def test_correlation_independent_of_chunk(table_100k, chunk, on_group, y0, cps):
         assert abs(a - b) <= 1e-12 * abs(b), (a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(1, 5000), chunk=st.integers(1, 5000),
+       n_max=st.integers(1, 2 * 10 ** 4), data=st.data())
+def test_streamed_mu_equals_the_one_block_table(table_100k, block, chunk,
+                                                n_max, data):
+    # the sieve's segments re-cut to the orbit chunks wherever either
+    # boundary falls: the same floats as the table's values as one block,
+    # and the same Mertens values as the table's sums
+    cps = data.draw(st.lists(st.integers(1, n_max), min_size=1, max_size=6))
+    f = [[1, 1, 0.5, 0.2], [0, 1, 0.3, 0.0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "SIEVE_BLOCK", block)
+        mp.setattr(hx, "CHUNK", chunk)
+        got = hx.correlation_sum(nt.mobius_segments(n_max), SKEW2, f,
+                                 (0.3, 0.6), cps).values
+        ref = hx.correlation_sum(_one_block(table_100k), SKEW2, f,
+                                 (0.3, 0.6), cps).values
+        rows, _, _ = hx.experiment_rows("sieve-check", {"limit": n_max})
+        streamed = nt.mertens_values(nt.mobius_segments(n_max), sorted(cps))
+    hexes = [(v.real.hex(), v.imag.hex()) for v in got]
+    assert hexes == [(v.real.hex(), v.imag.hex()) for v in ref]
+    sums = np.cumsum(table_100k.values[1:n_max + 1], dtype=np.int64)
+    assert [r["mertens"] for r in rows] == [int(sums[r["n"] - 1]) for r in rows]
+    assert streamed == [int(sums[n - 1]) for n in sorted(cps)]
+
+
+def _correlation_peak(n_max):
+    """The tracemalloc peak of the correlation experiment up to n_max."""
+    params = {"system": {"kind": "rotation", "alpha": "sqrt2-1"},
+              "f": [[1, 1.0, 0.0]], "x0": 0.1, "checkpoints": [n_max]}
+    tracemalloc.start()
+    try:
+        hx.experiment_rows("correlation", params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlation_holds_one_sieve_segment():
+    # no table of mu up to N: four times the orbit, the same peak
+    short = _correlation_peak(2 * nt.SIEVE_BLOCK)
+    long = _correlation_peak(8 * nt.SIEVE_BLOCK)
+    assert abs(long - short) < 1 << 20, (short, long)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sieve-check", {"limit": 2 ** 31}),
+    ("correlation", {"system": {"kind": "rotation", "alpha": "sqrt2-1"},
+                     "f": [[1, 1.0, 0.0]], "x0": 0.1,
+                     "checkpoints": [10, 2 ** 31]})],
+    ids=["sieve-check", "correlation"])
+def test_stream_past_int32_refused_before_allocation(name, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="reaches 2"):
+            hx.experiment_rows(name, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 @settings(max_examples=15, deadline=None)
 @given(chunk=st.integers(1, 500))
 def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):

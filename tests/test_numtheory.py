@@ -83,6 +83,59 @@ def test_sieve_admits_its_measured_scratch(monkeypatch):
     assert admitted >= peak, (admitted, peak)
 
 
+def _read_stream(n_max):
+    """Sum mu over the sieve's segments, each held while the next is made."""
+    total = 0
+    for mu in nt.mobius_segments(n_max):
+        total += int(np.sum(mu, dtype=np.int64))
+    return total
+
+
+def test_stream_admits_its_measured_scratch(monkeypatch):
+    # a segment's int32 products, the segment and the reader's previous
+    # one, a finishing part's entries and flip, and the base primes
+    admitted, peak = _admitted_and_peak(monkeypatch, _read_stream,
+                                        4 * nt.SIEVE_BLOCK)
+    assert admitted >= peak, (admitted, peak)
+
+
+def test_stream_equals_the_table():
+    n_max = 2 * nt.SIEVE_BLOCK + 3
+    segments = list(nt.mobius_segments(n_max))
+    assert [len(mu) for mu in segments] == [nt.SIEVE_BLOCK, nt.SIEVE_BLOCK, 3]
+    assert all(mu.dtype == np.int8 for mu in segments)
+    assert np.array_equal(np.concatenate(segments),
+                          nt.build_mobius_table(n_max).values[1:])
+
+
+@pytest.mark.parametrize("n_max", [2 ** 31, 2 ** 40])
+def test_stream_refused_before_allocation(n_max):
+    # one segment's scratch fits the cap, but int32 entries end at 2^31
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="reaches 2"):
+            nt.mobius_segments(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_mertens_values_read_the_blocks_up_to_the_last_n():
+    first, second = ([1, -1, -1], [0, -1])          # mu(1..3), mu(4..5)
+    blocks = iter([np.array(first, dtype=np.int8),
+                   np.array(second, dtype=np.int8)])
+    assert nt.mertens_values(blocks, [1, 3]) == [1, -1]
+    assert next(blocks).tolist() == second          # left unread
+    assert nt.mertens_values([np.array(first + second, dtype=np.int8)],
+                             [2, 4, 5]) == [0, -1, -2]
+    with pytest.raises(SizingError, match="known up to 5"):
+        nt.mertens_values(nt.mobius_segments(5), [6])
+    with pytest.raises(DomainError):
+        nt.mertens_values(nt.mobius_segments(5), [3, 2])
+    assert nt.mertens_values(nt.mobius_segments(5), []) == []
+
+
 def _ref_build_mobius_table(n_max: int) -> nt.MobiusTable:
     """The former two-pass sieve: an int64 residual divided by each base
     prime and a separate p^2 mask."""
@@ -488,6 +541,26 @@ def test_pretentious_scan_refused_before_sieving():
     try:
         with pytest.raises(SizingError, match="3044 characters.*over the cap"):
             nt.pretentious_scan(10 ** 8, 100, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_pretentious_scan_admits_its_rows(monkeypatch):
+    # 128 characters and 2000 t values: 256,000 rows and their distances
+    admitted, peak = _admitted_and_peak(monkeypatch, nt.pretentious_scan,
+                                        1000, 20, np.linspace(-1, 1, 2000))
+    assert admitted >= peak, (admitted, peak)
+
+
+def test_pretentious_scan_refuses_its_rows_before_copying_the_grid():
+    # 3044 characters by 10^6 t values would take hundreds of GB of rows
+    grid = np.linspace(-1.0, 1.0, 10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="1000000 t values.*over the cap"):
+            nt.pretentious_scan(1000, 100, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
