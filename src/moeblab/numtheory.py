@@ -7,7 +7,8 @@ that divide it, zeroed at a square; an entry whose product is below it
 has one more prime factor.  The sieve yields mu in consecutive segments
 (`mobius_segments`), which ordered readers such as `mertens_values` take
 one at a time; `build_mobius_table` keeps them as one table.  The
-pretentious distance between 1-bounded multiplicative functions f, g is the prime sum
+pretentious distance between 1-bounded multiplicative functions f, g is
+the prime sum
 
     sum_{p <= N} (1 - Re(f(p) conj(g(p)))) / p,
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DomainError, SizingError, admit
 
 SIEVE_BLOCK = 1 << 20           # segment length; bounds transient memory
-FINISH_CHUNK = 1 << 16          # entries of a segment finished at once, in cache
+FINISH_CHUNK = 1 << 16          # segment entries finished at once, in cache
 DEFAULT_CHARACTER_CAP = 100
 
 
@@ -168,23 +169,25 @@ def mu_by_factorization(n: int) -> int:
     return math.prod(-1 if e == 1 else 0 for _, e in _factor(n))
 
 
-def mertens_values(blocks: Iterable[np.ndarray], ns: Sequence[int]) -> list[int]:
+def mertens_values(blocks: Iterable[np.ndarray],
+                   ns: Sequence[int]) -> list[int]:
     """Mertens values M(n) = sum_{m <= n} mu(m) at the ascending ns, from
     mu(1), mu(2), ... in consecutive blocks (`mobius_segments`, or a
     table's values as one block), read up to the last n only."""
     ns = list(ns)
     if ns != sorted(ns) or ns and ns[0] < 1:
-        raise DomainError(f"Mertens points must be ascending and >= 1, got {ns}")
+        raise DomainError(f"Mertens points must ascend from 1 on, got {ns}")
     out, total, lo = [], 0, 1          # total = M(lo - 1)
     blocks = iter(blocks)
     while len(out) < len(ns):
         block = next(blocks, None)
         if block is None:
-            raise SizingError(f"n={ns[len(out)]} is past mu, known up to {lo - 1}")
+            raise SizingError(
+                f"n={ns[len(out)]} is past mu, known up to {lo - 1}")
         hi = lo + len(block)
         while len(out) < len(ns) and ns[len(out)] < hi:
-            n = ns[len(out)]
-            out.append(total + int(np.sum(block[: n - lo + 1], dtype=np.int64)))
+            part = block[: ns[len(out)] - lo + 1]
+            out.append(total + int(np.sum(part, dtype=np.int64)))
         total += int(np.sum(block, dtype=np.int64))
         lo = hi
     return out
