@@ -101,13 +101,9 @@ def mobius_segments(n_max: int, held: int = 0) -> Iterator[np.ndarray]:
     if n_max >= 1 << 31:
         raise SizingError(f"n_max={n_max} reaches 2^31, past the sieve's "
                           "int32 products and entries")
-    return _sieve_segments(n_max)
-
-
-def _sieve_segments(n_max: int) -> Iterator[np.ndarray]:
     base_primes = _simple_prime_sieve(math.isqrt(n_max)).tolist()
-    for lo in range(1, n_max + 1, SIEVE_BLOCK):
-        yield _sieve_segment(lo, min(lo + SIEVE_BLOCK, n_max + 1), base_primes)
+    return (_sieve_segment(lo, min(lo + SIEVE_BLOCK, n_max + 1), base_primes)
+            for lo in range(1, n_max + 1, SIEVE_BLOCK))
 
 
 def _sieve_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
