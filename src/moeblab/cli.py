@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parameter/usage errors, 3 assertion failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -102,29 +103,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mobius(args) -> None:
-    from .harness import _csv_text, experiment_rows
-    from .numtheory import build_mobius_table, mertens_values, mobius_segments
-    if args.values:
-        table = build_mobius_table(args.limit)
+    from .harness import _csv_lines, experiment_rows
+    from .numtheory import mertens_values, mobius_segments
+    if args.values:                    # the sieve's segments, up to K only
+        mu = mobius_segments(min(args.values, args.limit))
         print("n,mu")
-        for n in range(1, min(args.values, table.limit) + 1):
-            print(f"{n},{table.mu(n)}")
+        for n, value in enumerate(itertools.chain.from_iterable(mu), 1):
+            print(f"{n},{value}")
     if args.mertens is not None:       # the sieve's segments, up to N only
         value, = mertens_values(mobius_segments(args.limit), [args.mertens])
         print(f"mertens({args.mertens}) = {value}")
     if args.pretentious:
         rows, _, _ = experiment_rows("pretentious", {
             "limit": args.limit, "bigq": args.bigq, "tgrid": args.tgrid})
-        print(_csv_text(rows), end="")
+        sys.stdout.writelines(_csv_lines(rows))
 
 
 def _cmd_mrt(args) -> None:
-    from .harness import _csv_text, experiment_rows
+    from .harness import _csv_lines, experiment_rows
     params = {"p1": args.p1, "q1": args.q1, "n0": args.n0, "bign": args.bign,
               "ell": args.ell, "csv_rows": max(args.members, 0)}
     rows, summary, _ = experiment_rows("mrt-bilinear", params)
     if args.members > 0:
-        print(_csv_text(rows), end="")
+        sys.stdout.writelines(_csv_lines(rows))
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -172,12 +173,12 @@ def _cmd_cocycle(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
-    from .harness import _csv_text, experiment_rows
+    from .harness import _csv_lines, experiment_rows
     params = {"system": _read(args.system, "--system", json.loads),
               "samples": args.samples, "eps": _numbers(args.eps, "--eps"),
               "ns": _numbers(args.ns, "--ns"), "tau": args.tau}
     rows, summary, _ = experiment_rows("covering-profile", params, args.seed)
-    print(_csv_text(rows), end="")
+    sys.stdout.writelines(_csv_lines(rows))
     print(json.dumps(summary, sort_keys=True))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from ._kernels import frac, twice_re
 from .contfrac import (ContinuedFraction, ExactAlpha, ResonanceData,
                        MAX_BITS, _centered_parts, _norm_parts, _split_parts)
-from .errors import DomainError, ParameterError, ResonanceError, _rational
+from .errors import DomainError, ParameterError, ResonanceError, _rational, admit
 
 ENVELOPE_SLACK = 1 + 1e-9
 
@@ -157,8 +157,10 @@ def cocycle_from_pairs(pairs: Iterable[tuple[int, complex]],
 def envelope_cocycle(freq_bound: int, decay_constant: float = 1.0,
                      tau: Fraction | float = 1) -> FourierCocycle:
     """The extremal real even cocycle hhat(m) = C |m|^{-tau1} on |m| <= bound,
-    with mean 0."""
+    with mean 0.  Its coefficients and a split's copy of them (590 bytes a
+    unit of the bound measured) are refused past the memory cap first."""
     tau = _rational(tau, "tau")
+    admit(600 * freq_bound, f"an envelope cocycle of bound {freq_bound}")
     t1 = float(tau1_exponent(tau))
     coeffs = {0: 0j}
     for m in range(1, freq_bound + 1):

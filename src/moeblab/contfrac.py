@@ -519,14 +519,15 @@ def resonance_sets(cf: ContinuedFraction, tau: float | Fraction | str,
     The comparison q_{k+1} > q_k^e is done with exact integer powers of the
     rational exponent e = 1/tau + 3, so boundary cases are decided exactly.
     The finiteness flag is a depth-limited heuristic: no resonance occurs
-    in the upper half of the computed range.
+    in the upper half of the computed range.  The powers (with scratch, 4.7
+    times their bytes measured) are refused past the memory cap first.
     """
     tau = _rational(tau, "tau")
     if freq_bound < 1:
         raise DomainError(f"freq_bound must be >= 1, got {freq_bound}")
     exponent = 1 / tau + 3
     u, v = exponent.numerator, exponent.denominator
-    admit((v * cf.qs[-1].bit_length() + u * cf.qs[-2].bit_length()) // 8,
+    admit(5 * (v * cf.qs[-1].bit_length() + u * cf.qs[-2].bit_length()) // 8,
           f"the resonance test q_(k+1)^{v} > q_k^{u} for tau = {tau}")
 
     members = []

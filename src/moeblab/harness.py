@@ -20,8 +20,8 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Iterable, NewType, Sequence, get_args,
-                    get_origin)
+from typing import (Callable, Iterable, Iterator, NewType, Sequence,
+                    get_args, get_origin)
 
 import numpy as np
 
@@ -296,7 +296,8 @@ def run_experiment(config: dict, out_root: str | Path = "runs") -> ReportBundle:
     out_dir = _new_bundle_dir(Path(out_root),
                               f"{name}-{time.strftime('%Y%m%dT%H%M%S')}")
     csv_path = out_dir / "series.csv"
-    csv_path.write_text(_csv_text(rows))
+    with open(csv_path, "w") as out:
+        out.writelines(_csv_lines(rows))
     summary_full = {
         "experiment": name, "seed": seed, "params": params,
         "version": __version__, "summary": summary,
@@ -351,15 +352,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(rows: list[dict]) -> str:
-    """Rows sharing one set of keys as CSV with a header line ("" if none)."""
-    if not rows:
-        return ""
-    cols = list(rows[0])
-    lines = [",".join(cols)]
+def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """Rows sharing one set of keys as CSV lines after a header line (none
+    if no rows), each row read as its line is made."""
+    cols = None
     for r in rows:
-        lines.append(",".join(_csv_cell(r[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+        if cols is None:
+            cols = list(r)
+            yield ",".join(cols) + "\n"
+        yield ",".join(_csv_cell(r[c]) for c in cols) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +371,7 @@ def _csv_text(rows: list[dict]) -> str:
 PositiveInt = NewType("PositiveInt", int)
 
 
-def experiment_rows(name: str, params: dict, seed=0) -> tuple[list, dict, list]:
+def experiment_rows(name: str, params: dict, seed=0) -> tuple[Iterable, dict, list]:
     """Run experiment `name` with `seed`, an integer >= 0, on its fields:
     its parameters after `seed`, each read from `params` by `_read` and
     required where it has no default.  Other keys of `params` are ignored."""
@@ -477,11 +478,12 @@ def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
     from .mrt import (bilinear_mobius_average, build_ladder,
                       complement_density, typical_set_mask)
     ladder = build_ladder(p1, q1, n0, bign)
-    table = build_mobius_table(bign + ell)
-    stats = complement_density(ladder)
-    avg = bilinear_mobius_average(table, ladder, bign, ell)
-    mask = typical_set_mask(ladder, min(bign, csv_rows))
-    rows = [{"n": i, "in_set": int(mask[i])} for i in range(1, len(mask))]
+    if csv_rows < 0:
+        raise DomainError(f"n={csv_rows} outside the ladder range [0, {bign}]")
+    mask = typical_set_mask(ladder, bign)     # one mask for all three readers
+    stats = complement_density(ladder, mask)
+    avg = bilinear_mobius_average(build_mobius_table(bign + ell), mask, bign, ell)
+    rows = [{"n": i, "in_set": int(m)} for i, m in enumerate(mask[1: csv_rows + 1], 1)]
     summary = {"N": bign, "L": ell, "bilinear_avg": avg,
                "complement_ratio": stats.complement_ratio,
                "complement_count": stats.complement_count,
@@ -511,8 +513,8 @@ def _exp_block_trace(seed, *, system: SystemInstance, f, x0, L: int,
 
 def _exp_pretentious(seed, *, limit: int, bigq: int, tgrid: int = 201):
     scan = pretentious_scan(limit, bigq, default_t_grid(limit, tgrid))
-    rows = [{"q": r.q, "chi_index": r.chi_index, "t": r.t,
-             "distance_sq": r.distance_sq} for r in scan]
+    rows = ({"q": r.q, "chi_index": r.chi_index, "t": r.t,
+             "distance_sq": r.distance_sq} for r in scan)   # made as written
     best = min(scan, key=lambda r: r.distance_sq)
     summary = {"min_distance_sq": best.distance_sq,
                "argmin": {"q": best.q, "chi_index": best.chi_index, "t": best.t}}

@@ -103,9 +103,11 @@ def build_ladder(p1: float, q1: float, n0: int, n: int) -> MrtLadder:
 
 
 def typical_set_mask(ladder: MrtLadder, n: int) -> np.ndarray:
-    """Boolean membership of 1..n in the typical set (index 0 unused)."""
+    """Boolean membership of 1..n in the typical set (index 0 unused); it
+    and one level's hits are refused past the memory cap first."""
     if not 0 <= n <= ladder.n:
         raise DomainError(f"n={n} outside the ladder range [0, {ladder.n}]")
+    admit(2 * (n + 1), f"the typical-set mask of 1..{n}")
     mask = np.ones(n + 1, dtype=bool)
     mask[0] = False
     for level in ladder.level_primes():
@@ -135,9 +137,8 @@ class TypicalSetStats:
         return self.complement_count / self.n
 
 
-def complement_density(ladder: MrtLadder) -> TypicalSetStats:
-    """Scan 1..N exactly and count members/non-members of the typical set."""
-    mask = typical_set_mask(ladder, ladder.n)
+def complement_density(ladder: MrtLadder, mask: np.ndarray) -> TypicalSetStats:
+    """Exact member/non-member counts from the typical set's mask of 1..N."""
     members = int(np.count_nonzero(mask[1:]))
     return TypicalSetStats(
         n=ladder.n,
@@ -147,7 +148,7 @@ def complement_density(ladder: MrtLadder) -> TypicalSetStats:
     )
 
 
-def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
+def bilinear_mobius_average(table: MobiusTable, mask: np.ndarray | None,
                             n: int, ell: int) -> float:
     """(1/(N L^2)) sum_{l1,l2 < L} |sum_{m in [1,N] cap S} mu(m+l1) mu(m+l2)|.
 
@@ -158,22 +159,21 @@ def bilinear_mobius_average(table: MobiusTable, ladder: MrtLadder | None,
     made contiguous, and their Gram rows @ rows.T, which numpy hands to
     BLAS as a symmetric rank-k update, adds into a float64 total.  Every
     partial sum is an integer, at most BILINEAR_CHUNK < 2^24 in a chunk and
-    N < 2^53 in total, so the result is exact.  Passing ladder=None
-    disables the membership restriction (S = [1, N]).  Working set: the
-    float64 Gram, a chunk's float32 Gram, the float32 (L, chunk) rows
-    (4 L chunk bytes), and the mask with its per-level scratch; it is
-    refused past the memory cap before anything is allocated.
+    N < 2^53 in total, so the result is exact.  `mask` is the membership
+    of 0..N or further (`typical_set_mask`); None means S = [1, N].
+    Working set: the float64 Gram, a chunk's float32 Gram, mu segment and
+    (L, chunk) rows; it is refused past the memory cap before anything is
+    allocated.
     """
     if ell < 1:
         raise DomainError(f"L must be >= 1, got {ell}")
-    if ladder is not None and n > ladder.n:
-        raise DomainError(f"N={n} exceeds the ladder range {ladder.n}")
+    if mask is not None and n >= len(mask):
+        raise DomainError(f"N={n} exceeds the mask's range {len(mask) - 1}")
     if n + ell > table.limit + 1:
         raise SizingError(
             f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
-    nbytes = 12 * ell * ell + 4 * ell * min(n, BILINEAR_CHUNK) + 2 * (n + 1)
-    admit(nbytes, f"bilinear Gram of L={ell}, N={n}")
-    mask = None if ladder is None else typical_set_mask(ladder, n)
+    admit(12 * ell * ell + 4 * (ell + 1) * min(n, BILINEAR_CHUNK) + 4 * ell,
+          f"bilinear Gram of L={ell}, N={n}")
     gram = np.zeros((ell, ell))
     for lo in range(1, n + 1, BILINEAR_CHUNK):
         hi = min(lo + BILINEAR_CHUNK, n + 1)

@@ -189,11 +189,6 @@ def mertens_values(blocks: Iterable[np.ndarray],
     return out
 
 
-def mertens(table: MobiusTable, n: int) -> int:
-    """Mertens function M(n), read from the table's values as one block."""
-    return mertens_values([table.values[1:]], [n])[0]
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
@@ -290,9 +285,11 @@ def dirichlet_characters(q: int) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 def default_t_grid(n_max: int, count: int = 201) -> np.ndarray:
-    """count equispaced points in [-log n_max, log n_max], with 0 included."""
+    """count equispaced points in [-log n_max, log n_max], with 0 included;
+    its copies (33 bytes a point measured) are refused past the cap first."""
     if count < 0:
         raise DomainError(f"t grid count must be >= 0, got {count}")
+    admit(40 * count, f"a t grid of {count} points")
     span = math.log(max(n_max, 2))
     grid = np.linspace(-span, span, count)
     return np.union1d(grid, [0.0])

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from moeblab.cli import main
+from moeblab.numtheory import mu_by_factorization
+
+from test_admissions import MIB, traced_peak
 
 
 def test_mobius_values_and_mertens(capsys):
@@ -12,6 +15,15 @@ def test_mobius_values_and_mertens(capsys):
     out = capsys.readouterr().out
     assert "1,1" in out and "4,0" in out
     assert "mertens(10) = -1" in out
+
+
+def test_mobius_values_read_the_stream_up_to_k(capsys):
+    # not the table up to the limit, 2 GB here: the stream up to K = 30
+    peak = traced_peak(lambda: main(["mobius", "--limit", "2000000000",
+                                     "--values", "30"]))
+    assert capsys.readouterr().out.splitlines() == ["n,mu"] + [
+        f"{n},{mu_by_factorization(n)}" for n in range(1, 31)]
+    assert peak < 4 * MIB, peak
 
 
 def test_mobius_pretentious(capsys):

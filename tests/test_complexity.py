@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from moeblab import fixtures as fx
 from moeblab.errors import DomainError, SizingError
 
 from band_reference import band_dbar
+from test_admissions import MIB, refused_peak
 
 ROT = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
 SKEW = dy.make_system({"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.15, 0.0]]})  # 0.3 cos(2 pi x)
@@ -370,14 +370,7 @@ def test_greedy_cover_cast_refused_past_the_cap(p, monkeypatch):
         with pytest.raises(_CastReached):
             cx.greedy_cover(ball, weights, 0.1)
         return
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            cx.greedy_cover(ball, weights, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert refused_peak(lambda: cx.greedy_cover(ball, weights, 0.1)) < MIB
 
 
 def test_doubling_radius_dominates_arbitrary_centers():
@@ -585,39 +578,11 @@ def test_grid_cover_single_point_sums_in_ascending_i(resonant):
     assert ref.sampled_max_dbar == 0.01713037195469648
 
 
-def test_grid_cover_working_set_is_streamed(resonant, monkeypatch):
-    # the full matrices peaked at 28.2 MiB here; the blocks, the two e(m x)
-    # tables and the per-point vectors stay within what is admitted
-    c, res, _, split = resonant
-    admitted = []
-    monkeypatch.setattr(cx, "admit", lambda nbytes, what: admitted.append(nbytes))
-    tracemalloc.start()
-    try:
-        cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 2000, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 << 20, peak
-    assert admitted == [admitted[0]] and admitted[0] >= peak, (admitted, peak)
-
-
 @pytest.mark.parametrize("points", [0, -3])
 def test_grid_cover_refuses_no_sample_points(resonant, points):
     c, res, _, split = resonant
     with pytest.raises(DomainError, match="at least one sample point"):
         cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, points)
-
-
-def test_grid_cover_refused_before_allocation(resonant):
-    c, res, _, split = resonant
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            cx.grid_cover_check(c, res, split.h1, 0.2, 1.0, 6, 2 ** 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
 
 
 def test_grid_cover_refuses_an_n_t_beyond_a_float():

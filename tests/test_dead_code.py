@@ -4,9 +4,9 @@ method, property and annotated field of a class has a reader in the
 package, in perfbench or in the tests, with no list of exceptions.
 
 A definition is read where its name is loaded, as a name or as an
-attribute, anywhere but inside the definition itself.  Probes that
-perfbench names as strings do not count: the tracer can wrap a function
-that nothing calls.
+attribute of a name bound to a moeblab module, anywhere but inside the
+definition itself.  Probes that perfbench names as strings do not count:
+the tracer can wrap a function that nothing calls.
 """
 
 import ast
@@ -35,11 +35,21 @@ UNREAD = {
 }
 
 
-def _loads(node):
+def _module_names(tree) -> set[str]:
+    """Names an import in `tree` binds to a moeblab module."""
+    stems = {path.stem for path in SOURCES}
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "moeblab" or node.level and not node.module)
+            for alias in node.names if alias.name in stems}
+
+
+def _loads(node, modules):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             yield sub.id
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+              and isinstance(sub.value, ast.Name) and sub.value.id in modules):
             yield sub.attr
 
 
@@ -49,13 +59,15 @@ def _unread() -> set[tuple[str, str]]:
     defined = set()
     readers: dict[str, set] = {}     # name -> definitions (or None) reading it
     for path in READERS:
-        for node in ast.parse(path.read_text(), str(path)).body:
+        tree = ast.parse(path.read_text(), str(path))
+        modules = _module_names(tree)
+        for node in tree.body:
             own = None
             if path in SOURCES and isinstance(node, (ast.FunctionDef,
                                                      ast.ClassDef)):
                 own = (path.stem, node.name)
                 defined.add(own)
-            for name in _loads(node):
+            for name in _loads(node, modules):
                 readers.setdefault(name, set()).add(own)
     return {key for key in defined
             if not readers.get(key[1], set()) - {key}}

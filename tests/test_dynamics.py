@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from collections import deque
 
@@ -14,6 +13,7 @@ from moeblab import dynamics as dy
 from moeblab.errors import DEFAULT_MEMORY_CAP, DomainError, SizingError
 
 from birkhoff_reference import _ref_birkhoff_sum
+from test_admissions import MIB, _Stop, admissions, refused_peak, traced_peak
 
 SKEW_DESC = {"kind": "skew2", "alpha": "sqrt2-1", "h": [[1, 0.0, -0.15]]}
 
@@ -182,16 +182,10 @@ def test_orbit_chunks_concatenate_to_one_chunk(systems, name, x0, n_max):
 
 def test_group_order_above_cap_refused_before_allocating():
     # h on Z/q for q = 2^40 would be an 8 TiB table
-    tracemalloc.start()
-    try:
-        for q in (dy.MAX_GROUP_ORDER + 1, 2 ** 40):
-            with pytest.raises(SizingError, match="exceeds"):
-                dy.make_system({"kind": "group_skew", "group": {"q": q},
-                                "a": 1, "h": [[1, 0.05, 0.0]]})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    for q in (dy.MAX_GROUP_ORDER + 1, 2 ** 40):
+        assert refused_peak(lambda: dy.make_system({
+            "kind": "group_skew", "group": {"q": q}, "a": 1,
+            "h": [[1, 0.05, 0.0]]}), "exceeds") < MIB
 
 
 GROUP_DESC = {"kind": "group_skew", "group": {"q": 12}, "a": 5,
@@ -215,46 +209,21 @@ def _dbar_cases(horizon=64):
 @pytest.mark.parametrize("p", [9500, 10 ** 6])
 def test_dbar_snapshots_refused_from_the_estimate_alone(label, p):
     # zero-copy states: only the estimate can refuse without allocating;
-    # p = 9500 is just past the rotation's cap of 24 p^2 bytes, and past a
-    # skew product's of 16 p^2 for its band of every pair (the states are
-    # one point) and 2 p^2 for each of four balls.  A skew product sorts
-    # its base points (56 bytes a state) once its four balls are admitted.
+    # p = 9500 is just past the rotation's cap of (24 p + 24 * 64) p bytes
+    # for 24 radii, and past a skew product's of 16 p^2 for its band of
+    # every pair (the states are one point) and 2 p^2 for each ball
     system, state = _dbar_cases()[label]
     states = np.broadcast_to(state, (p,) + state.shape)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            next(system.dbar_balls(states, [1, 64], [0.1, 0.2, 0.3, 0.4]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, (label, peak)
+    eps = [0.01 * k for k in range(1, 25)]
+    assert refused_peak(lambda: next(system.dbar_balls(states, [1, 64], eps))) < MIB
 
 
-class _Admitted(Exception):
-    pass
-
-
-_ADMIT = dy.admit
 # a skew product admits its band at width 1 before it sorts the base
 # points, then at the band's width; every other kind admits once
 _ADMISSIONS = {"skew2": 2, "group_skew": 2}
 
 
-def _spy_admit(monkeypatch, asked, kind, stop=True):
-    """Pass each admission of a system of this kind through the real one
-    and append its figure to `asked`; with `stop`, raise _Admitted at the
-    kind's last admission, so nothing of the working set is computed."""
-    def spy(nbytes, what):
-        asked.append(nbytes)
-        _ADMIT(nbytes, what)
-        if stop and len(asked) == _ADMISSIONS.get(kind, 1):
-            raise _Admitted
-
-    monkeypatch.setattr(dy, "admit", spy)
-
-
-def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
+def _admissions(cases, p, ns, eps=(0.1,), sample=False):
     """The estimate each case's balls state for p states (one repeated
     state, or a sample), these ns and eps, each passed through the real
     admission and then stopped: nothing is computed."""
@@ -262,37 +231,32 @@ def _admissions(monkeypatch, cases, p, ns, eps=(0.1,), sample=False):
     for label, (system, state) in cases.items():
         states = (system.sample(p, 0) if sample
                   else np.broadcast_to(state, (p,) + state.shape))
-        asked[label] = []
-        _spy_admit(monkeypatch, asked[label], system.kind)
-        with pytest.raises(_Admitted):
+        with (admissions(stop_at=_ADMISSIONS.get(system.kind, 1)) as log,
+              pytest.raises(_Stop)):
             next(system.dbar_balls(states, ns, eps))
-    return {label: figures[-1] for label, figures in asked.items()}
+        asked[label] = log[-1][1]
+    return asked
 
 
 @pytest.mark.parametrize("eps", [[0.1], [0.1, 0.2, 0.3], [0.6]],
                          ids=["one", "three", "wide"])
 @pytest.mark.parametrize("label", ["rotation", "skew2", "group_skew",
                                    "shift"])
-def test_stated_working_set_covers_the_traced_peak(label, eps, monkeypatch):
+def test_stated_working_set_covers_the_traced_peak(label, eps):
     # what each kind admits is at least what its balls allocate, but for
     # the (p,) vectors beside them
     system, _ = _dbar_cases()[label]
     p = 600
     states = system.sample(p, 1)
-    asked = []
-    _spy_admit(monkeypatch, asked, system.kind, stop=False)
-    tracemalloc.start()
-    try:
-        deque(system.dbar_balls(states, [1, 2, 8, 64], eps), 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with admissions() as log:
+        peak = traced_peak(lambda: deque(system.dbar_balls(states, [1, 2, 8, 64], eps), 0))
+    asked = [nbytes for _, nbytes, _ in log]
     assert len(asked) == _ADMISSIONS.get(system.kind, 1), asked
     assert asked == sorted(asked) and peak <= asked[-1] + 64 * p, (asked, peak)
 
 
 @pytest.mark.parametrize("p", [1, 63, 64, 65, 1000])
-def test_rotation_balls_in_strips_equal_the_thresholded_distance(p, monkeypatch):
+def test_rotation_balls_in_strips_equal_the_thresholded_distance(p):
     # strips of TORUS_BLOCK rows on either side of a strip boundary: the
     # balls of the whole distance matrix, within the admitted bytes but
     # for the (p,) vectors and the arrays' headers, and at p = 1000 under
@@ -300,14 +264,11 @@ def test_rotation_balls_in_strips_equal_the_thresholded_distance(p, monkeypatch)
     system, _ = _dbar_cases()["rotation"]
     states = system.sample(p, 5)
     eps = [0.05, 0.45]
-    asked = []
-    _spy_admit(monkeypatch, asked, system.kind, stop=False)
-    tracemalloc.start()
-    try:
-        (_, balls), = system.dbar_balls(states, [1], eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got = []
+    with admissions() as log:
+        peak = traced_peak(lambda: got.extend(system.dbar_balls(states, [1], eps)))
+    (_, balls), = got
+    asked = [nbytes for _, nbytes, _ in log]
     dense = system.pairwise_distance(states) < np.array(eps)[:, None, None]
     assert balls.dtype == bool and balls.shape == dense.shape
     assert np.array_equal(balls, dense)
@@ -315,72 +276,65 @@ def test_rotation_balls_in_strips_equal_the_thresholded_distance(p, monkeypatch)
     assert p < 1000 or peak < 4 << 20, peak
 
 
-def test_cli_default_cloud_is_admitted(monkeypatch):
+def test_cli_default_cloud_is_admitted():
     # the complexity command's default samples and ns, on a shift whose
     # horizon reaches the last n
     args = cli._build_parser().parse_args(["complexity", "--system", "s.json"])
     ns = [int(n) for n in args.ns.split(",")]
-    asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
-                        args.samples, ns)
+    asked = _admissions(_dbar_cases(horizon=max(ns)), args.samples, ns)
     assert len(asked) == 4 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
 
 
-def test_isometric_snapshots_admitted_just_under_the_cap(monkeypatch):
-    # 24 p^2 bytes at p = 9400 is 1.97 GiB: the rotation's distance matrix
-    # and its scratch, which up to 16 eps outweigh the matrix and the balls
+def test_isometric_snapshots_admitted_just_under_the_cap():
+    # 24 balls and a strip's distance and scratch, (24 p + 24 * 64) p bytes,
+    # are 1.99 GiB at p = 9400
     rotation = {"rotation": _dbar_cases()["rotation"]}
-    asked = _admissions(monkeypatch, rotation, 9400, [1, 64],
-                        [0.05 * k for k in range(1, 17)])
-    assert asked == {"rotation": 24 * 9400 ** 2}
+    asked = _admissions(rotation, 9400, [1, 64], [0.01 * k for k in range(1, 25)])
+    assert asked == {"rotation": (24 * 9400 + 24 * 64) * 9400}
 
 
-def test_cli_default_cloud_balls_are_admitted(monkeypatch):
+def test_cli_default_cloud_balls_are_admitted():
     # the balls the complexity command's profile asks for, on every kind
     args = cli._build_parser().parse_args(["complexity", "--system", "s.json"])
     ns = [int(n) for n in args.ns.split(",")]
     eps = [float(e) for e in args.eps.split(",")]
-    asked = _admissions(monkeypatch, _dbar_cases(horizon=max(ns)),
-                        args.samples, ns, eps, sample=True)
+    asked = _admissions(_dbar_cases(horizon=max(ns)), args.samples, ns, eps,
+                        sample=True)
     assert len(asked) == 4 and max(asked.values()) <= DEFAULT_MEMORY_CAP, asked
 
 
-def _band_estimate(monkeypatch, p, eps):
+def _band_estimate(p, eps):
     """The working set the balls of a sampled skew2 cloud of p states state,
-    and the tracemalloc peak of reaching that estimate."""
+    whether it is refused, and the tracemalloc peak of reaching it."""
     system = dy.make_system(SKEW_DESC)
-    states = system.sample(p, 0)
-    asked = []
-    _spy_admit(monkeypatch, asked, system.kind)
-    tracemalloc.start()
-    try:
-        with pytest.raises((_Admitted, SizingError)) as caught:
-            next(system.dbar_balls(states, [1, 64], eps))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return asked[-1], caught.type is SizingError, peak
+    balls = system.dbar_balls(system.sample(p, 0), [1, 64], eps)
+    raised = []
+    with admissions(stop_at=2) as log:
+        peak = traced_peak(lambda: raised.append(
+            pytest.raises((_Stop, SizingError), next, balls)))
+    return log[-1][1], raised[0].type is SizingError, peak
 
 
-def test_band_admits_a_skew_cloud_the_dense_snapshots_refused(monkeypatch):
+def test_band_admits_a_skew_cloud_the_dense_snapshots_refused():
     # the dense path stated 32 p^2 bytes and the fibre rows: 3071 MiB here
     p = 10 ** 4
     assert 32 * p * p + 8 * dy.STEP_CHUNK * p > DEFAULT_MEMORY_CAP
-    nbytes, refused, peak = _band_estimate(monkeypatch, p, [0.1, 0.2])
+    nbytes, refused, peak = _band_estimate(p, [0.1, 0.2])
     assert not refused and nbytes < DEFAULT_MEMORY_CAP // 2, nbytes
     assert peak < 1 << 20, peak      # the sort; nothing of the working set
 
 
-def test_band_past_the_cap_is_refused(monkeypatch):
+def test_band_past_the_cap_is_refused():
     # the band sums alone, 8 p (0.45 p + 64) bytes, pass the cap
     p = 3 * 10 ** 4
-    nbytes, refused, peak = _band_estimate(monkeypatch, p, [0.45])
+    nbytes, refused, peak = _band_estimate(p, [0.45])
     assert refused and nbytes - 2 * p * p > DEFAULT_MEMORY_CAP, nbytes
     assert peak < 4 << 20, peak
 
 
-def test_shift_estimate_does_not_grow_with_n_max(monkeypatch):
+def test_shift_estimate_does_not_grow_with_n_max():
     shift = {"shift": _dbar_cases(horizon=4096)["shift"]}
-    asked = [_admissions(monkeypatch, shift, 2000, ns)["shift"]
+    asked = [_admissions(shift, 2000, ns)["shift"]
              for ns in ([1, 64], [4096], range(1, 4097))]
     # the exponent block, two float32 matrices and the eps balls, and ten
     # bytes a pair of a row chunk: two bytes and the index np.take makes

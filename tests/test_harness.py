@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,8 @@ from moeblab import harness as hx
 from moeblab import numtheory as nt
 from moeblab.errors import (DEFAULT_MEMORY_CAP, DomainError, ParameterError,
                             SizingError)
+
+from test_admissions import MIB, _broadcast_table, refused_peak, traced_peak
 
 ROT = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
 FIXTURE = json.loads((Path(__file__).parent / "fixtures"
@@ -54,7 +55,8 @@ def test_constant_observable_reduces_to_mertens(table_100k):
     series = hx.correlation_sum(_one_block(table_100k), ROT, [[0, 1.0, 0.0]],
                                 0.1, [10, 100, 10 ** 4])
     for n, v in zip(series.checkpoints, series.values):
-        assert v == pytest.approx(nt.mertens(table_100k, n) / n, abs=1e-12)
+        m, = nt.mertens_values(_one_block(table_100k), [n])
+        assert v == pytest.approx(m / n, abs=1e-12)
 
 
 def test_values_bounded_by_sup(table_100k):
@@ -256,40 +258,12 @@ def test_streamed_mu_equals_the_one_block_table(table_100k, block, chunk,
     assert streamed == [int(sums[n - 1]) for n in sorted(cps)]
 
 
-def _correlation_peak(n_max):
-    """The tracemalloc peak of the correlation experiment up to n_max."""
-    params = {"system": {"kind": "rotation", "alpha": "sqrt2-1"},
-              "f": [[1, 1.0, 0.0]], "x0": 0.1, "checkpoints": [n_max]}
-    tracemalloc.start()
-    try:
-        hx.experiment_rows("correlation", params)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_correlation_holds_one_sieve_segment():
     # no table of mu up to N: four times the orbit, the same peak
-    short = _correlation_peak(2 * nt.SIEVE_BLOCK)
-    long = _correlation_peak(8 * nt.SIEVE_BLOCK)
-    assert abs(long - short) < 1 << 20, (short, long)
-
-
-@pytest.mark.parametrize("name, params", [
-    ("sieve-check", {"limit": 2 ** 31}),
-    ("correlation", {"system": {"kind": "rotation", "alpha": "sqrt2-1"},
-                     "f": [[1, 1.0, 0.0]], "x0": 0.1,
-                     "checkpoints": [10, 2 ** 31]})],
-    ids=["sieve-check", "correlation"])
-def test_stream_past_int32_refused_before_allocation(name, params):
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="reaches 2"):
-            hx.experiment_rows(name, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    short, long = (traced_peak(lambda: hx.experiment_rows("correlation", {
+        "system": {"kind": "rotation", "alpha": "sqrt2-1"}, "f": [[1, 1.0, 0.0]],
+        "x0": 0.1, "checkpoints": [k * nt.SIEVE_BLOCK]})) for k in (2, 8))
+    assert abs(long - short) < MIB, (short, long)
 
 
 @settings(max_examples=15, deadline=None)
@@ -408,12 +382,6 @@ def test_block_trace_parameter_errors(table_100k):
                                      n_total=1000)
 
 
-def _broadcast_table(limit):
-    """A zero-copy MobiusTable up to `limit`, mu = 1 throughout."""
-    return nt.MobiusTable(limit=limit,
-                          values=np.broadcast_to(np.int8(1), (limit + 1,)))
-
-
 @pytest.mark.parametrize("system, f, x0", [
     (ROT, [[1, 0.5, 0.0]], 0.1),
     (SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6)),
@@ -428,16 +396,9 @@ def test_block_trace_refused_from_the_estimate_alone(system, f, x0,
     monkeypatch.setattr(hx, "correlation_sum", reached)
     n_total, ell = 10 ** 9, 16
     table = _broadcast_table(n_total + ell)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            hx.block_decomposition_trace(table, system, f, x0, ell=ell,
-                                         epsilon=0.3,
-                                         n_total=n_total, cloud_size=64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert refused_peak(lambda: hx.block_decomposition_trace(
+        table, system, f, x0, ell=ell, epsilon=0.3, n_total=n_total,
+        cloud_size=64)) < MIB
 
 
 class _Reached(Exception):

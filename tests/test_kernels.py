@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -11,6 +10,7 @@ from moeblab import complexity as cx
 from moeblab import dynamics as dy
 
 from band_reference import band_dbar, band_dense
+from test_admissions import MIB, traced_peak
 
 
 @pytest.fixture()
@@ -629,15 +629,6 @@ def test_streamed_shift_snapshots_on_both_sides_of_the_row_chunk(p):
     _assert_shift_equal_reference(system, states, [1, 40, 45])
 
 
-def _traced_peak_mib(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 def test_torus_kernel_scratch_is_a_strip():
     # the full-matrix kernel's two (p, p) scratch buffers were 16 MiB here;
     # the band of every pair is the widest
@@ -648,9 +639,8 @@ def test_torus_kernel_scratch_is_a_strip():
     stops = _full_band(p)
     dx_band = _band_layout(dx, stops)
     sums = np.zeros((p, p - 1))
-    peak = _traced_peak_mib(
-        lambda: kn.accumulate_torus(ys, stops, dx_band, sums))
-    assert peak < 4.0, peak
+    peak = traced_peak(lambda: kn.accumulate_torus(ys, stops, dx_band, sums))
+    assert peak < 4 * MIB, peak
 
 
 def test_shift_profiles_peak_below_cube_peak():
@@ -659,8 +649,8 @@ def test_shift_profiles_peak_below_cube_peak():
     states = system.sample(800, 4)
     ns = list(range(1, 15))
     # balls are dropped as they come, as a covering profile drops them
-    new = _traced_peak_mib(lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
-    old = _traced_peak_mib(lambda: deque(_ref_shift_snapshots(states, ns), 0))
+    new = traced_peak(lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
+    old = traced_peak(lambda: deque(_ref_shift_snapshots(states, ns), 0))
     assert new < old, (new, old)
 
 
@@ -668,21 +658,18 @@ def test_shift_peak_does_not_grow_with_the_snapshots_asked_for():
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 64})
     states = system.sample(800, 4)
-    one = _traced_peak_mib(
-        lambda: deque(system.dbar_balls(states, [14], [0.1]), 0))
-    every = _traced_peak_mib(
-        lambda: deque(system.dbar_balls(states, range(1, 15), [0.1]), 0))
-    assert abs(every - one) < 1.0, (one, every)
+    one, every = (traced_peak(lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
+                  for ns in ([14], range(1, 15)))
+    assert abs(every - one) < MIB, (one, every)
 
 
 def test_shift_peak_does_not_grow_with_n_max():
     system = dy.make_system({"kind": "shift", "weights": [0.5, 0.5],
                              "horizon": 600})
     states = system.sample(400, 4)
-    peaks = [_traced_peak_mib(
-        lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
+    peaks = [traced_peak(lambda: deque(system.dbar_balls(states, ns, [0.1]), 0))
              for ns in ([dy.SHIFT_BLOCK], [600], range(1, 601))]
-    assert max(peaks) - min(peaks) < 1.0, peaks
+    assert max(peaks) - min(peaks) < MIB, peaks
 
 
 # ---------------------------------------------------------------------------

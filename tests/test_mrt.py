@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,8 @@ import pytest
 from moeblab import mrt
 from moeblab import numtheory as nt
 from moeblab.errors import DomainError, ParameterError, SizingError
+
+from test_admissions import traced_peak
 
 PRIMES_SMALL = nt._simple_prime_sieve(200)
 
@@ -105,7 +106,8 @@ def test_one_is_never_a_member(ladder_11_17):
 # ---------------------------------------------------------------------------
 
 def test_complement_counts(ladder_11_17):
-    stats = mrt.complement_density(ladder_11_17)
+    stats = mrt.complement_density(ladder_11_17,
+                                   mrt.typical_set_mask(ladder_11_17, 10 ** 4))
     brute = sum(1 for n in range(1, 10 ** 4 + 1)
                 if not any(n % p == 0 for p in (11, 13, 17)))
     assert stats.complement_count == brute
@@ -124,7 +126,8 @@ def test_complement_ratio_nonincreasing_in_q1():
     ratios = []
     for q1 in (13, 15, 17):
         ladder = mrt.build_ladder(11, q1, 10 ** 4, 10 ** 4)
-        ratios.append(mrt.complement_density(ladder).complement_ratio)
+        mask = mrt.typical_set_mask(ladder, 10 ** 4)
+        ratios.append(mrt.complement_density(ladder, mask).complement_ratio)
     assert ratios[0] >= ratios[1] >= ratios[2]
 
 
@@ -133,8 +136,8 @@ def test_complement_ratio_nonincreasing_in_q1():
 # ---------------------------------------------------------------------------
 
 def test_bilinear_l1_is_squarefree_density(ladder_11_17, table_100k):
-    avg = mrt.bilinear_mobius_average(table_100k, ladder_11_17, 10 ** 4, 1)
     mask = mrt.typical_set_mask(ladder_11_17, 10 ** 4)
+    avg = mrt.bilinear_mobius_average(table_100k, mask, 10 ** 4, 1)
     count = sum(1 for n in range(1, 10 ** 4 + 1)
                 if mask[n] and table_100k.mu(n) != 0)
     assert avg == pytest.approx(count / 10 ** 4, abs=1e-14)
@@ -151,7 +154,7 @@ def test_bilinear_matches_bruteforce_small(table_100k):
                         for m in range(1, n + 1) if mask[m])
             total += abs(inner)
     expected = total / (n * ell * ell)
-    got = mrt.bilinear_mobius_average(table_100k, ladder, n, ell)
+    got = mrt.bilinear_mobius_average(table_100k, mask, n, ell)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -174,50 +177,21 @@ def test_bilinear_empty_set_gives_zero(table_100k):
     # [14, 16] contains no prime, so the typical set is empty
     ladder = mrt.MrtLadder(p1=14, q1=16, n0=10 ** 3, n=10 ** 3,
                            log_levels=((math.log(14), math.log(16)),))
-    assert mrt.bilinear_mobius_average(table_100k, ladder, 10 ** 3, 2) == 0.0
+    mask = mrt.typical_set_mask(ladder, 10 ** 3)
+    assert mrt.bilinear_mobius_average(table_100k, mask, 10 ** 3, 2) == 0.0
 
 
 def test_bilinear_range_check(table_100k, ladder_11_17):
     with pytest.raises(SizingError):
-        mrt.bilinear_mobius_average(table_100k, ladder_11_17, 10 ** 4,
-                                    table_100k.limit)
+        mrt.bilinear_mobius_average(table_100k, None, 10 ** 4, table_100k.limit)
+    with pytest.raises(DomainError, match="N=101 exceeds the mask's range 100"):
+        mrt.bilinear_mobius_average(table_100k,
+                                    mrt.typical_set_mask(ladder_11_17, 100), 101, 2)
 
 
-def test_oversize_bilinear_gram_refused_before_allocation(table_100k):
-    # the Gram alone would take 12 L^2 bytes, about 10 GB
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            mrt.bilinear_mobius_average(table_100k, None, 100, 30000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
-
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_bilinear_stated_working_set_covers_the_traced_peak(table_100k, masked):
-    # two chunks, so the float64 total and a chunk's rows coexist, and the
-    # second half as wide, so rows kept from the first chunk would show;
-    # the stated figure is 12 L^2 + 4 L chunk + 2 (N + 1) bytes
-    n, ell = mrt.BILINEAR_CHUNK + mrt.BILINEAR_CHUNK // 2, 300
-    ladder = mrt.build_ladder(11, 17, n, n) if masked else None
-    tracemalloc.start()
-    try:
-        mrt.bilinear_mobius_average(table_100k, ladder, n, ell)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    stated = 12 * ell * ell + 4 * ell * mrt.BILINEAR_CHUNK + 2 * (n + 1)
-    assert peak <= stated + 64 * ell + 4 * mrt.BILINEAR_CHUNK, (peak, stated)
-
-
-def _ref_bilinear_mobius_average(table, ladder, n, ell):
+def _ref_bilinear_mobius_average(table, mask, n, ell):
     """The former one-shot Gram of the (L, N) float64 shifted slices."""
-    if ladder is None:
-        mask = np.ones(n, dtype=np.float64)
-    else:
-        mask = mrt.typical_set_mask(ladder, n)[1: n + 1].astype(np.float64)
+    mask = np.ones(n) if mask is None else mask[1: n + 1].astype(np.float64)
     shifts = np.empty((ell, n), dtype=np.float64)
     for l in range(ell):
         shifts[l] = table.values[1 + l: n + 1 + l]
@@ -226,9 +200,9 @@ def _ref_bilinear_mobius_average(table, ladder, n, ell):
 
 
 @pytest.fixture(scope="module")
-def bench_ladder():
-    # the ladder of the benchmark's mrt-bilinear experiment
-    return mrt.build_ladder(11, 17, 10 ** 4, 10 ** 6)
+def bench_mask():
+    # the typical set of the benchmark's mrt-bilinear experiment
+    return mrt.typical_set_mask(mrt.build_ladder(11, 17, 10 ** 4, 10 ** 6), 10 ** 6)
 
 
 CHUNK = mrt.BILINEAR_CHUNK
@@ -237,23 +211,18 @@ CHUNK = mrt.BILINEAR_CHUNK
 @pytest.mark.parametrize("with_ladder", [False, True], ids=["all", "typical"])
 @pytest.mark.parametrize("ell", [1, 2, 20])
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-def test_bilinear_chunked_gram_equals_reference(table_1m, bench_ladder,
+def test_bilinear_chunked_gram_equals_reference(table_1m, bench_mask,
                                                 n, ell, with_ladder):
-    ladder = bench_ladder if with_ladder else None
-    got = mrt.bilinear_mobius_average(table_1m, ladder, n, ell)
-    assert got.hex() == _ref_bilinear_mobius_average(table_1m, ladder, n,
-                                                     ell).hex()
+    mask = bench_mask if with_ladder else None
+    got = mrt.bilinear_mobius_average(table_1m, mask, n, ell)
+    assert got.hex() == _ref_bilinear_mobius_average(table_1m, mask, n, ell).hex()
 
 
-def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_ladder):
+def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_mask):
     # the (L, N) float64 shifts and their masked copy peaked at 313 MiB
-    tracemalloc.start()
-    try:
-        mrt.bilinear_mobius_average(table_1m, bench_ladder, 10 ** 6, 20)
-        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    assert peak < 24.0, peak
+    peak = traced_peak(lambda: mrt.bilinear_mobius_average(table_1m, bench_mask,
+                                                           10 ** 6, 20))
+    assert peak < 24 << 20, peak
 
 
 def test_bilinear_full_set_reduction(table_100k):
@@ -269,5 +238,5 @@ def test_degenerate_ladder_complement_is_one():
     n = 2000
     ladder = mrt.MrtLadder(p1=2, q1=float(n), n0=n, n=n,
                            log_levels=((math.log(2), math.log(n)),))
-    stats = mrt.complement_density(ladder)
+    stats = mrt.complement_density(ladder, mrt.typical_set_mask(ladder, n))
     assert stats.complement_count == 1

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,8 @@ from hypothesis import strategies as st
 
 from moeblab import numtheory as nt
 from moeblab.errors import DomainError, SizingError
+
+from test_admissions import MIB, refused_peak, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -53,50 +54,8 @@ def test_sieve_scratch_is_narrow():
     # values, 9 bytes an entry of a block (products, entries and the int8
     # flip), where int64 scratch took about 15
     n_max = 4 * nt.SIEVE_BLOCK
-    tracemalloc.start()
-    try:
-        nt.build_mobius_table(n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: nt.build_mobius_table(n_max))
     assert peak < n_max + 10 * nt.SIEVE_BLOCK, peak
-
-
-def _admitted_and_peak(monkeypatch, fn, *args):
-    """The bytes that fn(*args) admits, summed over its admit calls, and
-    the tracemalloc peak of the call."""
-    admitted = []
-    monkeypatch.setattr(nt, "admit", lambda nbytes, what: admitted.append(nbytes))
-    tracemalloc.start()
-    try:
-        fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return sum(admitted), peak
-
-
-def test_sieve_admits_its_measured_scratch(monkeypatch):
-    # the values, 9 bytes a block entry and the base primes' own admission
-    admitted, peak = _admitted_and_peak(monkeypatch, nt.build_mobius_table,
-                                        4 * nt.SIEVE_BLOCK)
-    assert admitted >= peak, (admitted, peak)
-
-
-def _read_stream(n_max):
-    """Sum mu over the sieve's segments, each held while the next is made."""
-    total = 0
-    for mu in nt.mobius_segments(n_max):
-        total += int(np.sum(mu, dtype=np.int64))
-    return total
-
-
-def test_stream_admits_its_measured_scratch(monkeypatch):
-    # a segment's int32 products, the segment and the reader's previous
-    # one, a finishing part's entries and flip, and the base primes
-    admitted, peak = _admitted_and_peak(monkeypatch, _read_stream,
-                                        4 * nt.SIEVE_BLOCK)
-    assert admitted >= peak, (admitted, peak)
 
 
 def test_stream_equals_the_table():
@@ -111,14 +70,7 @@ def test_stream_equals_the_table():
 @pytest.mark.parametrize("n_max", [2 ** 31, 2 ** 40])
 def test_stream_refused_before_allocation(n_max):
     # one segment's scratch fits the cap, but int32 entries end at 2^31
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="reaches 2"):
-            nt.mobius_segments(n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert refused_peak(lambda: nt.mobius_segments(n_max), "reaches 2") < MIB
 
 
 def test_mertens_values_read_the_blocks_up_to_the_last_n():
@@ -231,18 +183,16 @@ def test_multiplicativity_on_random_coprime_pairs(table_100k, rng):
 
 
 def test_mertens_small_values(table_100k):
-    assert nt.mertens(table_100k, 1) == 1
-    assert nt.mertens(table_100k, 2) == 0
-    assert nt.mertens(table_100k, 10) == -1   # direct sum of the first ten mu
+    assert nt.mertens_values([table_100k.values[1:]], [1, 2, 10]) == [1, 0, -1]
 
 
 def test_mertens_million(table_1m):
-    assert nt.mertens(table_1m, 10 ** 6) == 212
+    assert nt.mertens_values([table_1m.values[1:]], [10 ** 6]) == [212]
 
 
 def test_mertens_range_error(table_100k):
     with pytest.raises(SizingError):
-        nt.mertens(table_100k, table_100k.limit + 1)
+        nt.mertens_values([table_100k.values[1:]], [table_100k.limit + 1])
 
 
 def test_build_rejects_bad_sizes():
@@ -250,26 +200,8 @@ def test_build_rejects_bad_sizes():
         nt.build_mobius_table(0)
     # the values of 2^31 - 2^22 fit the cap, but not with one segment's
     # int32 scratch; refused before anything is allocated
-    tracemalloc.start()
-    try:
-        for n_max in (2 ** 31 - 2 ** 22, 2 ** 31, 2 ** 40):
-            with pytest.raises(SizingError, match="over the cap"):
-                nt.build_mobius_table(n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
-
-
-def test_prime_sieve_refused_before_allocation():
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="over the cap"):
-            nt._simple_prime_sieve(2 ** 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    for n_max in (2 ** 31 - 2 ** 22, 2 ** 31, 2 ** 40):
+        assert refused_peak(lambda: nt.build_mobius_table(n_max)) < MIB
 
 
 def test_prime_list():
@@ -526,45 +458,6 @@ def test_pretentious_scan_reads_every_prime_up_to_n():
     rows = nt.pretentious_scan(10 ** 6, 1, [0.0])
     assert rows == _ref_pretentious_scan(10 ** 6, 1, [0.0])
     assert rows[0].distance_sq == 5.774656199135345
-
-
-def test_pretentious_scan_admits_its_characters(monkeypatch):
-    # 128 characters of 9592 prime values each, and the sieve's primes
-    admitted, peak = _admitted_and_peak(monkeypatch, nt.pretentious_scan,
-                                        10 ** 5, 20, [0.0, 1.0])
-    assert admitted >= peak, (admitted, peak)
-
-
-def test_pretentious_scan_refused_before_sieving():
-    # 3044 characters of pi(10^8) prime values would take about 280 GB
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="3044 characters.*over the cap"):
-            nt.pretentious_scan(10 ** 8, 100, [0.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
-
-
-def test_pretentious_scan_admits_its_rows(monkeypatch):
-    # 128 characters and 2000 t values: 256,000 rows and their distances
-    admitted, peak = _admitted_and_peak(monkeypatch, nt.pretentious_scan,
-                                        1000, 20, np.linspace(-1, 1, 2000))
-    assert admitted >= peak, (admitted, peak)
-
-
-def test_pretentious_scan_refuses_its_rows_before_copying_the_grid():
-    # 3044 characters by 10^6 t values would take hundreds of GB of rows
-    grid = np.linspace(-1.0, 1.0, 10 ** 6)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizingError, match="1000000 t values.*over the cap"):
-            nt.pretentious_scan(1000, 100, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
 
 
 def _min_distance(n_max, big_q, grid):
