@@ -31,8 +31,8 @@ from .complexity import complexity_profile, greedy_cover, sample_cloud
 from .dynamics import (CENTER_SUM_ENTRIES, ORBIT_CHUNK, SystemInstance,
                        _fourier_rows, _integer, _real, make_system)
 from .errors import DomainError, ParameterError, SizingError, admit
-from .numtheory import (MobiusTable, build_mobius_table, default_t_grid,
-                        mertens_values, mobius_segments, pretentious_scan)
+from .numtheory import (default_t_grid, mertens_values, mobius_segments,
+                        pretentious_scan, windows)
 
 CHUNK = ORBIT_CHUNK
 
@@ -105,8 +105,8 @@ def correlation_sum(mu_blocks: Iterable[np.ndarray], system: SystemInstance,
     """Streaming (1/N) sum mu(n) f(T^n x0) at ascending checkpoints.
 
     mu(1), mu(2), ... come in consecutive blocks: the sieve's segments
-    (`mobius_segments`) or a table's values as one block; they are re-cut
-    to the orbit's chunks.  One pass over the orbit; each chunk is
+    (`mobius_segments`) or a table's values as one block; `windows` re-cuts
+    them to the orbit's chunks.  One pass over the orbit; each chunk is
     pairwise-summed and folded into a Kahan-compensated running total, so
     accumulation error stays near rounding even at N = 10^6.  f is
     evaluated only where mu(n) != 0; the zero terms stay in the chunk, so
@@ -128,18 +128,14 @@ def correlation_sum(mu_blocks: Iterable[np.ndarray], system: SystemInstance,
     comp = 0.0 + 0.0j          # Kahan compensation
     values = []
     next_cp = 0
-    blocks = iter(mu_blocks)
-    ahead = np.empty(0, dtype=np.int8)      # mu from n = lo on, not yet summed
+    mu_chunks = windows(mu_blocks, CHUNK)
     lo = 1
     for coords in chunks:
         hi = lo + len(coords)
-        while len(ahead) < hi - lo:
-            block = next(blocks, None)
-            if block is None:
-                raise SizingError(f"checkpoint {n_max} is past mu, known "
-                                  f"up to {lo + len(ahead) - 1}")
-            ahead = np.concatenate([ahead, block]) if len(ahead) else block
-        mu, ahead = ahead[: hi - lo], ahead[hi - lo:]
+        mu = next(mu_chunks, np.empty(0, dtype=np.int8))[: hi - lo]
+        if len(mu) < hi - lo:
+            raise SizingError(f"checkpoint {n_max} is past mu, known "
+                              f"up to {lo + len(mu) - 1}")
         nz = np.flatnonzero(mu != 0)      # twice as fast on a bool mask
         terms = np.zeros(hi - lo, dtype=np.complex128)
         terms[nz] = mu[nz] * f.bulk(coords.take(nz, axis=0))
@@ -178,7 +174,7 @@ class BlockTrace:
     block_avg_magnitude: float
 
 
-def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
+def block_decomposition_trace(system: SystemInstance,
                               f: TrigObservable | Sequence, x0,
                               ell: int, epsilon: float,
                               n_total: int, cloud_size: int = 512,
@@ -196,25 +192,23 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
         raise ParameterError(f"N must be >= 1, got {n_total}")
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must lie in (0,1), got {epsilon}")
-    if n_total + ell > table.limit + 1:
-        raise SizingError(
-            f"need mu up to N+L-1 = {n_total + ell - 1}, limit {table.limit}")
     if f.sup_bound() > 1 + 1e-9:
         raise DomainError("observable must be bounded by 1")
 
     # the orbit rows T^1 x0 .. T^{N+L} x0, as chunks and concatenated, the
-    # nearest-center search's scratch and the center trajectories and their
-    # coordinates; a system with no closed-form orbit is rejected here.
-    # Measured with the rows: the sorted circle search 156 bytes a point
-    # (rotation), the generic one 48 and three (m, chunk) float sums
+    # nearest-center search's scratch, mu's window and its segments (2 bytes
+    # a point) and the center trajectories and their coordinates; a system
+    # with no closed-form orbit is rejected here.  Measured with the rows:
+    # the sorted circle search 156 bytes a point (rotation), the generic
+    # one 48 and three (m, chunk) float sums
     dim = next(system.orbit_coords(x0, 1, 1)).shape[1]
-    nbytes = (16 * dim + 144) * (n_total + ell) + 16 * dim * cloud_size * ell
+    nbytes = (16 * dim + 146) * (n_total + ell) + 16 * dim * cloud_size * ell
     if type(system).nearest_centers is SystemInstance.nearest_centers:
         nbytes += 24 * min(cloud_size * n_total, CENTER_SUM_ENTRIES)
     admit(nbytes, f"block trace of N={n_total}, L={ell}")
 
-    orbit_avg = correlation_sum([table.values[1:]], system, f, x0,
-                                [n_total]).values[0]
+    mu, = windows(mobius_segments(n_total + ell - 1), n_total + ell - 1)
+    orbit_avg = correlation_sum([mu], system, f, x0, [n_total]).values[0]
 
     lip = max(f.lipschitz_bound(), 1e-9)
     epsilon1 = min(epsilon ** 2, (epsilon / lip) ** 2) / 2
@@ -241,9 +235,8 @@ def block_decomposition_trace(table: MobiusTable, system: SystemInstance,
     # mu summed over each center's block l steps ahead; float sums of
     # integers below 2^53 are exact, and the j-then-l order of the
     # complex accumulation is kept
-    mu = table.values
     mu_sums = np.array([np.bincount(j_used, minlength=m_count,
-                                    weights=mu[1 + l_off: n_total + 1 + l_off])
+                                    weights=mu[l_off: n_total + l_off])
                         for l_off in range(ell)])
     block_total = 0.0 + 0.0j
     for j in np.flatnonzero(np.bincount(j_used, minlength=m_count)):
@@ -482,7 +475,7 @@ def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
         raise DomainError(f"n={csv_rows} outside the ladder range [0, {bign}]")
     mask = typical_set_mask(ladder, bign)     # one mask for all three readers
     stats = complement_density(ladder, mask)
-    avg = bilinear_mobius_average(build_mobius_table(bign + ell), mask, bign, ell)
+    avg = bilinear_mobius_average(mask, bign, ell)
     rows = [{"n": i, "in_set": int(m)} for i, m in enumerate(mask[1: csv_rows + 1], 1)]
     summary = {"N": bign, "L": ell, "bilinear_avg": avg,
                "complement_ratio": stats.complement_ratio,
@@ -493,10 +486,7 @@ def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
 
 def _exp_block_trace(seed, *, system: SystemInstance, f, x0, L: int,
                      epsilon: float, N: int, cloud: int = 512):
-    if N < 1:                       # before the sieve up to N + L
-        raise ParameterError(f"N must be >= 1, got {N}")
-    table = build_mobius_table(N + L)
-    trace = block_decomposition_trace(table, system, f, x0, L, epsilon, N,
+    trace = block_decomposition_trace(system, f, x0, L, epsilon, N,
                                       cloud_size=cloud, seed=seed)
     rows = [{"quantity": "anchor_diff", "observed": trace.anchor_diff},
             {"quantity": "block_avg_magnitude", "observed": trace.block_avg_magnitude}]

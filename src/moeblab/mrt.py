@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, ParameterError, SizingError, admit
-from .numtheory import MobiusTable, _simple_prime_sieve
+from .errors import DomainError, ParameterError, admit
+from .numtheory import _simple_prime_sieve, mobius_segments, windows
 
 LEVEL_CAP = 64   # Q_J grows doubly fast; desk N never admits J > 3
 BILINEAR_CHUNK = 1 << 16   # float32 sums of at most 2^16 terms of +-1 are exact
@@ -148,37 +148,34 @@ def complement_density(ladder: MrtLadder, mask: np.ndarray) -> TypicalSetStats:
     )
 
 
-def bilinear_mobius_average(table: MobiusTable, mask: np.ndarray | None,
-                            n: int, ell: int) -> float:
+def bilinear_mobius_average(mask: np.ndarray | None, n: int, ell: int) -> float:
     """(1/(N L^2)) sum_{l1,l2 < L} |sum_{m in [1,N] cap S} mu(m+l1) mu(m+l2)|.
 
     The inner sums over all (l1, l2) pairs form one L x L Gram matrix of
     shifted mu slices, each multiplied by the typical-set mask
     (mask^2 = mask).  It is built from m-chunks of BILINEAR_CHUNK: a chunk's
-    L shifted slices are the float32 windows of one mu segment, masked or
-    made contiguous, and their Gram rows @ rows.T, which numpy hands to
-    BLAS as a symmetric rank-k update, adds into a float64 total.  Every
-    partial sum is an integer, at most BILINEAR_CHUNK < 2^24 in a chunk and
-    N < 2^53 in total, so the result is exact.  `mask` is the membership
-    of 0..N or further (`typical_set_mask`); None means S = [1, N].
-    Working set: the float64 Gram, a chunk's float32 Gram, mu segment and
-    (L, chunk) rows; it is refused past the memory cap before anything is
-    allocated.
+    L shifted slices are the float32 views of one window of the sieve's
+    stream, overlapping the next by L - 1, masked or made contiguous, and
+    their Gram rows @ rows.T, which numpy hands to BLAS as a symmetric
+    rank-k update, adds into a float64 total.  Every partial sum is an
+    integer, at most BILINEAR_CHUNK < 2^24 in a chunk and N < 2^53 in
+    total, so the result is exact.  `mask` is the membership of 0..N or
+    further (`typical_set_mask`); None means S = [1, N].
+    Working set: the float64 Gram, a chunk's float32 Gram, (L, chunk) rows
+    and int8 and float32 mu window; it is refused past the cap before mu is
+    sieved (`mobius_segments`, which admits its own scratch).
     """
     if ell < 1:
         raise DomainError(f"L must be >= 1, got {ell}")
     if mask is not None and n >= len(mask):
         raise DomainError(f"N={n} exceeds the mask's range {len(mask) - 1}")
-    if n + ell > table.limit + 1:
-        raise SizingError(
-            f"need mu up to N+L-1 = {n + ell - 1}, sieve limit {table.limit}")
-    admit(12 * ell * ell + 4 * (ell + 1) * min(n, BILINEAR_CHUNK) + 4 * ell,
+    admit(12 * ell * ell + (4 * ell + 5) * min(n, BILINEAR_CHUNK) + 5 * ell,
           f"bilinear Gram of L={ell}, N={n}")
     gram = np.zeros((ell, ell))
-    for lo in range(1, n + 1, BILINEAR_CHUNK):
+    mu = windows(mobius_segments(n + ell - 1), BILINEAR_CHUNK + ell - 1, ell - 1)
+    for lo, window in zip(range(1, n + 1, BILINEAR_CHUNK), mu):
         hi = min(lo + BILINEAR_CHUNK, n + 1)
-        seg = table.values[lo: hi + ell - 1].astype(np.float32)
-        shifts = sliding_window_view(seg, hi - lo)
+        shifts = sliding_window_view(window.astype(np.float32), hi - lo)
         rows = (np.ascontiguousarray(shifts) if mask is None
                 else shifts * mask[lo:hi])
         gram += rows @ rows.T

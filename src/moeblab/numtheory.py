@@ -5,9 +5,9 @@ distinct primes, and mu(n) = 0 when a square divides n.  The sieve reads
 mu off one signed int32 product per entry, (-1)^k times the k base primes
 that divide it, zeroed at a square; an entry whose product is below it
 has one more prime factor.  The sieve yields mu in consecutive segments
-(`mobius_segments`), which ordered readers such as `mertens_values` take
-one at a time; `build_mobius_table` keeps them as one table.  The
-pretentious distance between 1-bounded multiplicative functions f, g is
+(`mobius_segments`), which every reader takes in order, re-cut to its
+own width by `windows`; `build_mobius_table` joins them for the tests.
+The pretentious distance between 1-bounded multiplicative functions f, g is
 the prime sum
 
     sum_{p <= N} (1 - Re(f(p) conj(g(p)))) / p,
@@ -38,19 +38,10 @@ DEFAULT_CHARACTER_CAP = 100
 
 @dataclass(frozen=True)
 class MobiusTable:
-    """Exact mu(n) for 1 <= n <= limit.
-
-    values is indexed directly by n (entry 0 is unused and set to 0).
-    Immutable after construction; safe to share across threads.
-    """
+    """Exact mu(n) for 1 <= n <= limit, indexed by n (entry 0 is 0)."""
 
     limit: int
     values: np.ndarray   # int8, length limit + 1
-
-    def mu(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside sieve range [1, {self.limit}]")
-        return int(self.values[n])
 
 
 def _prime_count_bound(n: int) -> int:
@@ -127,9 +118,30 @@ def _sieve_segment(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
     return mu
 
 
+def windows(blocks: Iterable[np.ndarray], width: int,
+            overlap: int = 0) -> Iterator[np.ndarray]:
+    """Consecutive windows of `width` entries of the joined blocks, each
+    `width - overlap` on from the last; the last holds what is left, unless
+    that is only the overlap.  One inside a block is a view of it."""
+    if not 0 <= overlap < width:
+        raise DomainError(f"need 0 <= overlap < width, got {overlap}, {width}")
+    held, start, done, end = [], 0, 0, 0    # (offset, block) read, not passed
+    for block in itertools.chain(blocks, [None]):
+        if block is not None:
+            held.append((end, block))
+            end += len(block)
+        while end >= start + width or block is None and end > done:
+            done = min(start + width, end)
+            parts = [b[max(start - at, 0): done - at] for at, b in held
+                     if at < done and at + len(b) > start]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+            start += width - overlap
+            held = [(at, b) for at, b in held if at + len(b) > start]
+
+
 def build_mobius_table(n_max: int) -> MobiusTable:
-    """mu(n) for n <= n_max, filled from `mobius_segments`; its int8
-    values are admitted with the sieve's scratch."""
+    """mu(n) for n <= n_max from `mobius_segments`, the tests' reference;
+    its int8 values are admitted with the sieve's scratch."""
     segments = mobius_segments(n_max, held=n_max + 1)
     values = np.zeros(n_max + 1, dtype=np.int8)
     hi = 1

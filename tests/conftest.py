@@ -19,6 +19,18 @@ def table_1m():
     return nt.build_mobius_table(MILLION + 64)
 
 
+@pytest.fixture()
+def sieve_block(monkeypatch, table_1m):
+    """Sets nt.SIEVE_BLOCK, with each segment read from the reference
+    table: the streams are cut where the sieve cuts them at that block, at
+    no sieve's cost (the sieve at any block is checked in test_numtheory)."""
+    def cut_at(block):
+        monkeypatch.setattr(nt, "SIEVE_BLOCK", block)
+        monkeypatch.setattr(nt, "_sieve_segment",
+                            lambda lo, hi, _: table_1m.values[lo:hi].copy())
+    return cut_at
+
+
 @pytest.fixture(scope="session")
 def resonant():
     """Expansion, resonance data, envelope cocycle, and split of the

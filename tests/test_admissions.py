@@ -125,13 +125,8 @@ def _dbar(site, desc):
     return _library(system.dbar_balls, (states, *ns_eps), (many, *ns_eps), site)
 
 
-def _broadcast_table(limit):
-    """A zero-copy MobiusTable up to `limit`, mu = 1 throughout."""
-    return nt.MobiusTable(limit, np.broadcast_to(np.int8(1), (limit + 1,)))
-
-
-def _trace(n_total, table):
-    harness.block_decomposition_trace(table, dynamics.make_system(ROTATION),
+def _trace(n_total):
+    harness.block_decomposition_trace(dynamics.make_system(ROTATION),
                                       [[1, 0.5, 0.0]], 0.1, ell=16, epsilon=0.3,
                                       n_total=n_total, cloud_size=256)
 
@@ -171,9 +166,11 @@ ROWS = {
     "mrt-bilinear": _experiment("mrt-bilinear", {
         "p1": 11, "q1": 17, "n0": 10 ** 4, "bign": 10 ** 7, "ell": 1},
         {"n0": 2 ** 31, "bign": 2 ** 31}),
+    # past the cap, the trace's 3.2 GB figure refuses N = 2 10^7 before mu
+    # up to N + L is sieved
     "block-trace": _experiment("block-trace", {
         "system": ROTATION, "f": [[1, 0.5, 0.0]], "x0": 0.1, "L": 16,
-        "epsilon": 0.3, "N": 10 ** 5, "cloud": 256}, {"N": 2 ** 31}),
+        "epsilon": 0.3, "N": 10 ** 5, "cloud": 256}, {"N": 2 * 10 ** 7}),
     "pretentious": _experiment("pretentious", {"limit": 1000, "bigq": 20, "tgrid": 100},
                                {"tgrid": 10 ** 9}),
     # -- the admitting library calls
@@ -191,8 +188,7 @@ ROWS = {
                      (mrt.build_ladder(11, 17, 10 ** 4, 10 ** 6), 10 ** 6),
                      (mrt.build_ladder(11, 17, 2 ** 31, 2 ** 31), 2 ** 31)),
     "bilinear": _library(mrt.bilinear_mobius_average,
-                         (nt.build_mobius_table(2 * CHUNK), None, CHUNK + CHUNK // 2, 300),
-                         (_broadcast_table(10 ** 5), None, 100, 30000)),
+                         (None, CHUNK + CHUNK // 2, 300), (None, 100, 30000)),
     "greedy": _library(complexity.greedy_cover,
                        (np.broadcast_to(True, (1000, 1000)), np.full(1000, 1e-3), 0.1),
                        (np.broadcast_to(True, (16385, 16385)),
@@ -209,8 +205,7 @@ ROWS = {
     "dbar-skew2": _dbar("dynamics._band_sums", SKEW2),
     "dbar-group-skew": _dbar("dynamics._band_sums", GROUP),
     "dbar-shift": _dbar("dynamics._dbar_means", SHIFT),
-    "block-trace-call": Row(lambda: _trace(10 ** 5, nt.build_mobius_table(10 ** 5 + 16)),
-                            lambda: _trace(10 ** 9, _broadcast_table(10 ** 9 + 16)),
+    "block-trace-call": Row(lambda: _trace(10 ** 5), lambda: _trace(10 ** 9),
                             site="harness.block_decomposition_trace"),
     # moeblab mobius --limit 1000 --pretentious --tgrid K
     "mobius-pretentious": Row(lambda: _mobius("200"), lambda: _mobius("1000000000")),

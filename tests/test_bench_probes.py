@@ -14,8 +14,8 @@ from moeblab import harness
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -24,6 +24,11 @@ def tracing():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_tracing()
 
 
 def test_every_probe_resolves_to_a_callable(tracing):

@@ -13,6 +13,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from test_bench_probes import load_tracing
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "moeblab").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
@@ -32,7 +34,11 @@ UNREAD = {
         "the exact interval the rung ladders are tested against",
     ("_kernels", "accumulate_circle"):
         "perfbench/tracing.py probes it; it goes with that probe",
+    ("numtheory", "build_mobius_table"):
+        "the tests' reference table; perfbench/tracing.py probes it; "
+        "it goes with that probe",
 }
+PROBED = "perfbench/tracing.py probes it"
 
 
 def _module_names(tree) -> set[str]:
@@ -80,6 +86,13 @@ def test_every_definition_has_a_reader():
 def test_every_listed_definition_is_still_unread():
     # a listed name that gained a reader, or is gone, leaves the list
     assert sorted(UNREAD.keys() - _unread()) == []
+
+
+def test_every_definition_kept_for_a_probe_is_still_probed():
+    # once the tracer drops the probe, the definition has no reason to stay
+    probed = {(probe.module, probe.attr) for probe in load_tracing().PROBES}
+    assert sorted(key for key, why in UNREAD.items()
+                  if PROBED in why and key not in probed) == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from moeblab import numtheory as nt
 from moeblab.errors import (DEFAULT_MEMORY_CAP, DomainError, ParameterError,
                             SizingError)
 
-from test_admissions import MIB, _broadcast_table, refused_peak, traced_peak
+from test_admissions import MIB, refused_peak, traced_peak
 
 ROT = dy.make_system({"kind": "rotation", "alpha": "sqrt2-1"})
 FIXTURE = json.loads((Path(__file__).parent / "fixtures"
@@ -268,7 +268,7 @@ def test_correlation_holds_one_sieve_segment():
 
 @settings(max_examples=15, deadline=None)
 @given(chunk=st.integers(1, 500))
-def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):
+def test_block_trace_assignment_independent_of_chunk(chunk):
     seen = []
 
     def trace(chunk_size):
@@ -278,7 +278,7 @@ def test_block_trace_assignment_independent_of_chunk(table_100k, chunk):
             mp.setattr(hx, "_assign_to_centers",
                        lambda *a: seen.append(assign(*a)) or seen[-1])
             hx.block_decomposition_trace(
-                table_100k, SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6), ell=4,
+                SKEW2, [[1, 1, 0.5, 0.0]], (0.3, 0.6), ell=4,
                 epsilon=0.4, n_total=1500, cloud_size=64, seed=2)
 
     trace(chunk)
@@ -309,15 +309,15 @@ def test_shift_rejected_for_correlation(table_100k):
 # Block tracer
 # ---------------------------------------------------------------------------
 
-def test_block_trace_zero_observable(table_100k):
-    tr = hx.block_decomposition_trace(table_100k, ROT, [[1, 0.0, 0.0]], 0.1,
+def test_block_trace_zero_observable():
+    tr = hx.block_decomposition_trace(ROT, [[1, 0.0, 0.0]], 0.1,
                                       ell=16, epsilon=0.3,
                                       n_total=5000, cloud_size=100, seed=1)
     assert tr.anchor_diff == 0.0 and tr.block_avg_magnitude == 0.0
 
 
-def test_block_trace_rotation_fixture(table_1m):
-    tr = hx.block_decomposition_trace(table_1m, ROT, [[1, 1.0, 0.0]], 0.1,
+def test_block_trace_rotation_fixture():
+    tr = hx.block_decomposition_trace(ROT, [[1, 1.0, 0.0]], 0.1,
                                       ell=64, epsilon=0.3,
                                       n_total=10 ** 5, cloud_size=2000, seed=7)
     assert tr.anchor_diff < 1.5                  # below 5 eps
@@ -326,7 +326,7 @@ def test_block_trace_rotation_fixture(table_1m):
     assert tr.assigned_fraction > 0.5
 
 
-def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
+def test_block_trace_group_skew_centers_on_the_group(monkeypatch):
     # the center orbits are compared with the orbit in the sup metric of
     # the states: g by the exact min(k, q - k)/q, k = g - g' mod q
     q, a, ell, n_total, p = 12, 5, 8, 3000, 200
@@ -343,7 +343,7 @@ def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
     spy("greedy_cover", hx.greedy_cover)
     spy("_assign_to_centers", hx._assign_to_centers)
     x0 = (3, 0.2)
-    tr = hx.block_decomposition_trace(table_100k, gs, [[1, 1, 0.05, 0.0]], x0,
+    tr = hx.block_decomposition_trace(gs, [[1, 1, 0.05, 0.0]], x0,
                                       ell=ell, epsilon=0.4,
                                       n_total=n_total, cloud_size=p, seed=0)
     j_all, dmin = seen["_assign_to_centers"]
@@ -372,12 +372,32 @@ def test_block_trace_group_skew_centers_on_the_group(table_100k, monkeypatch):
     assert tr.assigned_fraction == np.mean(dmin < tr.epsilon1) > 0.5
 
 
-def test_block_trace_parameter_errors(table_100k):
+@pytest.mark.parametrize("block", [7, 65537])
+@pytest.mark.parametrize("ell", [2, 20])
+@pytest.mark.parametrize("n_total", [1, 2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+def test_block_trace_independent_of_the_sieve_block(table_1m, sieve_block,
+                                                    n_total, ell, block):
+    # the one window joined from the sieve's segments, wherever they are
+    # cut, gives the trace of the reference table's values as one block
+    def trace():
+        return hx.block_decomposition_trace(ROT, [[1, 0.5, 0.0]], 0.1, ell=ell,
+                                            epsilon=0.3, n_total=n_total,
+                                            cloud_size=64, seed=3)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hx, "mobius_segments",
+                   lambda n_max: iter([table_1m.values[1: n_max + 1]]))
+        ref = trace()
+    sieve_block(block)
+    assert trace() == ref
+
+
+def test_block_trace_parameter_errors():
     with pytest.raises(ParameterError, match="N must be >= 1, got 0"):
-        hx.block_decomposition_trace(table_100k, ROT, [[1, 1.0, 0.0]], 0.1,
+        hx.block_decomposition_trace(ROT, [[1, 1.0, 0.0]], 0.1,
                                      ell=16, epsilon=0.3, n_total=0)
     with pytest.raises(DomainError, match="bounded"):
-        hx.block_decomposition_trace(table_100k, ROT, [[1, 2.0, 0.0]], 0.1,
+        hx.block_decomposition_trace(ROT, [[1, 2.0, 0.0]], 0.1,
                                      ell=16, epsilon=0.3,
                                      n_total=1000)
 
@@ -388,16 +408,15 @@ def test_block_trace_parameter_errors(table_100k):
 ], ids=["rotation", "skew2"])
 def test_block_trace_refused_from_the_estimate_alone(system, f, x0,
                                                      monkeypatch):
-    # 10^9 orbit points over a zero-copy table: refused before the
-    # correlation sum (here stopped, were it reached) or any orbit row
+    # 10^9 orbit points: refused before the sieve (here stopped, were it
+    # reached), the correlation sum or any orbit row
     def reached(*args):
-        raise AssertionError("the correlation sum was reached")
+        raise AssertionError("the sieve was reached")
 
-    monkeypatch.setattr(hx, "correlation_sum", reached)
+    monkeypatch.setattr(hx, "mobius_segments", reached)
     n_total, ell = 10 ** 9, 16
-    table = _broadcast_table(n_total + ell)
     assert refused_peak(lambda: hx.block_decomposition_trace(
-        table, system, f, x0, ell=ell, epsilon=0.3, n_total=n_total,
+        system, f, x0, ell=ell, epsilon=0.3, n_total=n_total,
         cloud_size=64)) < MIB
 
 
@@ -411,18 +430,18 @@ class _Reached(Exception):
 ], ids=["rotation", "skew2"])
 def test_block_trace_counts_the_generic_search_sums(system, f, x0, admitted,
                                                     monkeypatch):
-    # at N = 1.15 10^7 the orbit rows and the per-point scratch fit the cap
-    # for either kind (1.84 and 2.02 GB); the skew product's generic
-    # nearest-center search adds three (m, chunk) sums of 2^23 floats
+    # at N = 1.15 10^7 the orbit rows, mu and the per-point scratch fit the
+    # cap for either kind (1.86 and 2.05 GB); the skew product's generic
+    # nearest-center search adds three (m, chunk) sums of 2^23 floats.  The
+    # sieve, reached once admitted, is stopped
     def reached(*args):
         raise _Reached
 
-    monkeypatch.setattr(hx, "correlation_sum", reached)
+    monkeypatch.setattr(hx, "mobius_segments", reached)
     n_total, ell = 115 * 10 ** 5, 16
-    assert 176 * (n_total + ell) + 32 * 64 * ell < DEFAULT_MEMORY_CAP
+    assert 178 * (n_total + ell) + 32 * 64 * ell < DEFAULT_MEMORY_CAP
     with pytest.raises(_Reached if admitted else SizingError):
-        hx.block_decomposition_trace(_broadcast_table(n_total + ell), system,
-                                     f, x0, ell=ell, epsilon=0.3,
+        hx.block_decomposition_trace(system, f, x0, ell=ell, epsilon=0.3,
                                      n_total=n_total, cloud_size=64)
 
 
@@ -504,9 +523,10 @@ def test_run_sieve_check(tmp_path):
 
 
 def test_run_pretentious_sieves_no_mobius_table(tmp_path, monkeypatch):
+    # every read of mu, a table or a stream, sieves its segments here
     def sieve(*args):
         raise AssertionError("the pretentious scan reads only primes")
-    monkeypatch.setattr(hx, "build_mobius_table", sieve)
+    monkeypatch.setattr(nt, "_sieve_segment", sieve)
     bundle = hx.run_experiment({"experiment": "pretentious", "params": {
         "limit": 1000, "bigq": 2, "tgrid": 5}}, out_root=tmp_path)
     assert bundle.summary["summary"]["min_distance_sq"] > 0

@@ -137,9 +137,9 @@ def test_complement_ratio_nonincreasing_in_q1():
 
 def test_bilinear_l1_is_squarefree_density(ladder_11_17, table_100k):
     mask = mrt.typical_set_mask(ladder_11_17, 10 ** 4)
-    avg = mrt.bilinear_mobius_average(table_100k, mask, 10 ** 4, 1)
+    avg = mrt.bilinear_mobius_average(mask, 10 ** 4, 1)
     count = sum(1 for n in range(1, 10 ** 4 + 1)
-                if mask[n] and table_100k.mu(n) != 0)
+                if mask[n] and int(table_100k.values[n]) != 0)
     assert avg == pytest.approx(count / 10 ** 4, abs=1e-14)
 
 
@@ -147,14 +147,15 @@ def test_bilinear_matches_bruteforce_small(table_100k):
     ladder = mrt.build_ladder(11, 17, 4000, 4000)
     n, ell = 4000, 3
     mask = mrt.typical_set_mask(ladder, n)
+    mu = table_100k.values
     total = 0.0
     for l1 in range(ell):
         for l2 in range(ell):
-            inner = sum(table_100k.mu(m + l1) * table_100k.mu(m + l2)
+            inner = sum(int(mu[m + l1]) * int(mu[m + l2])
                         for m in range(1, n + 1) if mask[m])
             total += abs(inner)
     expected = total / (n * ell * ell)
-    got = mrt.bilinear_mobius_average(table_100k, mask, n, ell)
+    got = mrt.bilinear_mobius_average(mask, n, ell)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -173,20 +174,20 @@ def test_bilinear_swap_symmetry(table_100k):
     assert full == pytest.approx(tri, abs=1e-12)
 
 
-def test_bilinear_empty_set_gives_zero(table_100k):
+def test_bilinear_empty_set_gives_zero():
     # [14, 16] contains no prime, so the typical set is empty
     ladder = mrt.MrtLadder(p1=14, q1=16, n0=10 ** 3, n=10 ** 3,
                            log_levels=((math.log(14), math.log(16)),))
     mask = mrt.typical_set_mask(ladder, 10 ** 3)
-    assert mrt.bilinear_mobius_average(table_100k, mask, 10 ** 3, 2) == 0.0
+    assert mrt.bilinear_mobius_average(mask, 10 ** 3, 2) == 0.0
 
 
-def test_bilinear_range_check(table_100k, ladder_11_17):
-    with pytest.raises(SizingError):
-        mrt.bilinear_mobius_average(table_100k, None, 10 ** 4, table_100k.limit)
+def test_bilinear_range_check(ladder_11_17):
+    # L = 10^5: its 12 L^2 bytes of Grams are refused before mu is sieved
+    with pytest.raises(SizingError, match="over the cap"):
+        mrt.bilinear_mobius_average(None, 10 ** 4, 10 ** 5)
     with pytest.raises(DomainError, match="N=101 exceeds the mask's range 100"):
-        mrt.bilinear_mobius_average(table_100k,
-                                    mrt.typical_set_mask(ladder_11_17, 100), 101, 2)
+        mrt.bilinear_mobius_average(mrt.typical_set_mask(ladder_11_17, 100), 101, 2)
 
 
 def _ref_bilinear_mobius_average(table, mask, n, ell):
@@ -214,13 +215,26 @@ CHUNK = mrt.BILINEAR_CHUNK
 def test_bilinear_chunked_gram_equals_reference(table_1m, bench_mask,
                                                 n, ell, with_ladder):
     mask = bench_mask if with_ladder else None
-    got = mrt.bilinear_mobius_average(table_1m, mask, n, ell)
+    got = mrt.bilinear_mobius_average(mask, n, ell)
     assert got.hex() == _ref_bilinear_mobius_average(table_1m, mask, n, ell).hex()
 
 
-def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_mask):
+@pytest.mark.parametrize("block", [7, CHUNK + 1])
+@pytest.mark.parametrize("with_ladder", [False, True], ids=["all", "typical"])
+@pytest.mark.parametrize("ell", [1, 2, 20])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5])
+def test_bilinear_gram_independent_of_the_sieve_block(table_1m, bench_mask, sieve_block,
+                                                      n, ell, with_ladder, block):
+    # the overlapping windows re-cut the sieve's segments wherever they fall
+    mask = bench_mask if with_ladder else None
+    sieve_block(block)
+    got = mrt.bilinear_mobius_average(mask, n, ell)
+    assert got.hex() == _ref_bilinear_mobius_average(table_1m, mask, n, ell).hex()
+
+
+def test_bilinear_peak_memory_is_chunk_sized(bench_mask):
     # the (L, N) float64 shifts and their masked copy peaked at 313 MiB
-    peak = traced_peak(lambda: mrt.bilinear_mobius_average(table_1m, bench_mask,
+    peak = traced_peak(lambda: mrt.bilinear_mobius_average(bench_mask,
                                                            10 ** 6, 20))
     assert peak < 24 << 20, peak
 
@@ -228,8 +242,8 @@ def test_bilinear_peak_memory_is_chunk_sized(table_1m, bench_mask):
 def test_bilinear_full_set_reduction(table_100k):
     # ladder check disabled: L=1 average is exactly squarefree count / N
     n = 10 ** 4
-    avg = mrt.bilinear_mobius_average(table_100k, None, n, 1)
-    count = sum(1 for m in range(1, n + 1) if table_100k.mu(m) != 0)
+    avg = mrt.bilinear_mobius_average(None, n, 1)
+    count = sum(1 for m in range(1, n + 1) if int(table_100k.values[m]) != 0)
     assert avg == count / n
 
 

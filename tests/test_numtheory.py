@@ -16,14 +16,14 @@ from test_admissions import MIB, refused_peak, traced_peak
 # ---------------------------------------------------------------------------
 
 def test_mu_definition_examples(table_100k):
-    assert table_100k.mu(1) == 1
-    assert table_100k.mu(12) == 0       # 12 = 2^2 * 3
-    assert table_100k.mu(30) == -1      # three distinct primes
+    assert int(table_100k.values[1]) == 1
+    assert int(table_100k.values[12]) == 0       # 12 = 2^2 * 3
+    assert int(table_100k.values[30]) == -1      # three distinct primes
 
 
 def test_sieve_matches_trial_division_sample(table_100k):
     for n in range(1, 20001):
-        assert table_100k.mu(n) == nt.mu_by_factorization(n), n
+        assert int(table_100k.values[n]) == nt.mu_by_factorization(n), n
 
 
 def test_segment_boundaries():
@@ -31,7 +31,7 @@ def test_segment_boundaries():
     block = nt.SIEVE_BLOCK
     table = nt.build_mobius_table(block + 64)
     for n in range(block - 3, block + 4):
-        assert table.mu(n) == nt.mu_by_factorization(n), n
+        assert int(table.values[n]) == nt.mu_by_factorization(n), n
 
 
 MU_ORACLE = [0] + [nt.mu_by_factorization(n) for n in range(1, 3001)]
@@ -65,6 +65,33 @@ def test_stream_equals_the_table():
     assert all(mu.dtype == np.int8 for mu in segments)
     assert np.array_equal(np.concatenate(segments),
                           nt.build_mobius_table(n_max).values[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cuts=st.lists(st.integers(0, 40), max_size=12),
+       width=st.integers(1, 60), data=st.data())
+def test_windows_are_slices_of_the_joined_stream(cuts, width, data):
+    # wherever the blocks are cut, each window is the slice of the joined
+    # stream at its start, and a view of the one block that holds it
+    overlap = data.draw(st.integers(0, width - 1))
+    joined = np.arange(sum(cuts))
+    offsets = np.cumsum([0] + cuts)
+    blocks = [joined[a:b] for a, b in zip(offsets, offsets[1:])]
+    got = list(nt.windows(blocks, width, overlap))
+    n = len(joined)
+    starts = range(0, max(n - overlap, 1), width - overlap) if n else ()
+    assert [w.tolist() for w in got] == [joined[s: s + width].tolist()
+                                         for s in starts]
+    for w, s in zip(got, starts):
+        inside = any(a <= s and s + len(w) <= b
+                     for a, b in zip(offsets, offsets[1:]))
+        assert np.shares_memory(w, joined) == inside, (s, len(w))
+
+
+@pytest.mark.parametrize("width, overlap", [(3, 3), (3, -1), (0, 0)])
+def test_windows_need_an_overlap_below_the_width(width, overlap):
+    with pytest.raises(DomainError, match="overlap < width"):
+        next(nt.windows([np.zeros(10)], width, overlap))
 
 
 @pytest.mark.parametrize("n_max", [2 ** 31, 2 ** 40])
@@ -178,7 +205,8 @@ def test_multiplicativity_on_random_coprime_pairs(table_100k, rng):
         n = int(rng.integers(1, limit // max(m, 1)))
         if math.gcd(m, n) != 1:
             continue
-        assert table_100k.mu(m * n) == table_100k.mu(m) * table_100k.mu(n)
+        mu = table_100k.values
+        assert int(mu[m * n]) == int(mu[m]) * int(mu[n])
         checked += 1
 
 
@@ -220,7 +248,7 @@ def test_table_is_read_only():
     t = nt.build_mobius_table(100)
     with pytest.raises(ValueError):
         t.values[1] = 0
-    assert t.mu(1) == 1
+    assert int(t.values[1]) == 1
 
 
 # ---------------------------------------------------------------------------
