@@ -307,70 +307,56 @@ def _enclosure_ints(alpha: ExactAlpha, bits: int) -> tuple[int, ...]:
     return a, b, c, d, a * d + c * b, 2 * b * d
 
 
-def _reductions(alpha: ExactAlpha, m: int,
-                bits: int) -> Iterator[tuple[int, ...]]:
-    """m*[a/b, c/d] less r = floor(mid + 1/2), its midpoint's nearest integer,
-    at `bits` and each doubling up to MAX_BITS, as integers
-    (t_lo, den_lo, t_hi, den_hi, u, den): the ends are t_lo/den_lo <=
-    t_hi/den_hi (swapped for m < 0) and mid - r = u/den, with den = 2bd."""
-    b_now = bits
+def _rungs(alpha: ExactAlpha, m: int, bits: int = DEFAULT_BITS
+           ) -> Iterator[tuple[tuple[int, int] | None,
+                               tuple[tuple[int, int], tuple[int, int]] | None]]:
+    """The precision ladder of m*alpha mod 1: at `bits` and each doubling up
+    to MAX_BITS, m*[a/b, c/d] less r = floor(mid + 1/2), its midpoint's
+    nearest integer, read as (centered, norm) in integers that equal the
+    Fraction arithmetic on the same enclosure.  The ends are t_lo/den_lo <=
+    t_hi/den_hi (swapped for m < 0), and mid - r = u/den with den = 2bd.
+
+    `centered` is (u, den) when the ends fit [-1/2, 1/2), or straddle +-1/2
+    narrower than 1/4; either way the midpoint representative, in
+    [-1/2, 1/2) by the choice of r, stands for them.  `norm` is the ends of
+    {|t| : t in [t_lo/den_lo, t_hi/den_hi]}, near end first, when they fit
+    [-1/2, 1/2].  Their signs pick the near end; its pair can differ from a
+    cross-multiplication's only when the two ends are equal, and then its
+    value cannot.  Each reading is None at a rung it does not fit."""
     while True:
-        a, b, c, d, s, den = _enclosure_ints(alpha, b_now)
+        a, b, c, d, s, den = _enclosure_ints(alpha, bits)
         n = m * s
         r = (2 * n + den) // (2 * den)
-        t_a, t_c = m * a - r * b, m * c - r * d
-        if m > 0:
-            yield t_a, b, t_c, d, n - r * den, den
-        else:
-            yield t_c, d, t_a, b, n - r * den, den
-        if b_now >= MAX_BITS:
+        lo, hi = (m * a - r * b, b), (m * c - r * d, d)
+        (t_lo, den_lo), (t_hi, den_hi) = (lo, hi) if m > 0 else (hi, lo)
+        low_in = -den_lo <= 2 * t_lo
+        centered = norm = None
+        if ((low_in and 2 * t_hi < den_hi)
+                or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi):
+            centered = n - r * den, den
+        if low_in and 2 * t_hi <= den_hi:
+            if t_lo > 0:
+                norm = (t_lo, den_lo), (t_hi, den_hi)
+            elif t_hi < 0:
+                norm = (-t_hi, den_hi), (-t_lo, den_lo)
+            elif -t_lo * den_hi > t_hi * den_lo:
+                norm = (0, 1), (-t_lo, den_lo)
+            else:
+                norm = (0, 1), (t_hi, den_hi)
+        yield centered, norm
+        if bits >= MAX_BITS:
             return
-        b_now *= 2
-
-
-def _fits_centered(t_lo: int, den_lo: int, t_hi: int, den_hi: int) -> bool:
-    """A rung fits `centered_fractional` when its ends fit [-1/2, 1/2), or
-    straddle +-1/2 narrower than 1/4; either way the midpoint
-    representative, in [-1/2, 1/2) by the choice of r, stands for it."""
-    return ((-den_lo <= 2 * t_lo and 2 * t_hi < den_hi)
-            or 4 * (t_hi * den_lo - t_lo * den_hi) < den_lo * den_hi)
-
-
-def _fits_norm(t_lo: int, den_lo: int, t_hi: int, den_hi: int) -> bool:
-    """A rung fits `circle_norm_interval` when its ends fit [-1/2, 1/2]."""
-    return -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi
-
-
-def _near_far(t_lo: int, den_lo: int, t_hi: int,
-              den_hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The ends of {|t| : t in [t_lo/den_lo, t_hi/den_hi]}, the one nearer
-    to 0 first.  The ends are ordered, so their signs decide; only the far
-    end of an interval that straddles 0 takes a comparison."""
-    if t_lo > 0:
-        return (t_lo, den_lo), (t_hi, den_hi)
-    if t_hi < 0:
-        return (-t_hi, den_hi), (-t_lo, den_lo)
-    if -t_lo * den_hi > t_hi * den_lo:
-        return (0, 1), (-t_lo, den_lo)
-    return (0, 1), (t_hi, den_hi)
-
-
-def _unreduced(m: int) -> PrecisionError:
-    return PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
-
-
-def _uncertified(m: int) -> PrecisionError:
-    return PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
+        bits *= 2
 
 
 def _centered_parts(alpha: ExactAlpha, m: int,
                     bits: int = DEFAULT_BITS) -> tuple[int, int]:
     """`centered_fractional` as the unreduced pair (u, den), den = 2bd, at
-    the first rung of the `_reductions` ladder that fits."""
-    for t_lo, den_lo, t_hi, den_hi, u, den in _reductions(alpha, m, bits):
-        if _fits_centered(t_lo, den_lo, t_hi, den_hi):
-            return u, den
-    raise _unreduced(m)
+    the first rung of `_rungs` that fits."""
+    for centered, _norm in _rungs(alpha, m, bits):
+        if centered:
+            return centered
+    raise PrecisionError(f"cannot reduce {m}*alpha mod 1 at {MAX_BITS} bits")
 
 
 def centered_fractional(alpha: ExactAlpha, m: int,
@@ -380,8 +366,8 @@ def centered_fractional(alpha: ExactAlpha, m: int,
     The result inherits the enclosure width (~2^-bits) around the true
     value; the reduction is centered so that values near an integer come
     out tiny instead of as 1 - tiny.  The fit is decided in integers by
-    `_fits_centered`, so it equals the Fraction arithmetic on the same
-    enclosure.  `cocycle.e_minus_one_exact`, `cocycle.split_cocycle` and
+    `_rungs`, so it equals the Fraction arithmetic on the same enclosure.
+    `cocycle.e_minus_one_exact`, `cocycle.split_cocycle` and
     `complexity._birkhoff_blocks` read the unreduced pair (u, den) instead
     and skip the gcd on the large denominator 2bd: int `u / den` is
     correctly rounded, as is `float(Fraction(u, den))`, so the floats they
@@ -393,37 +379,31 @@ def centered_fractional(alpha: ExactAlpha, m: int,
 def _norm_parts(alpha: ExactAlpha, m: int, bits: int = DEFAULT_BITS
                 ) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """The ends of `circle_norm_interval` as unreduced (num, den) pairs,
-    near end first, at each rung of the `_reductions` ladder, from `bits`
-    up to MAX_BITS, that `_fits_norm`.  `_near_far` picks the near end by
-    signs; its pair can differ from a cross-multiplication's only when the
-    two ends are equal, and then its value cannot.  Raises PrecisionError
-    when no rung fits."""
+    near end first, at each rung of `_rungs` that fits.  Raises
+    PrecisionError when no rung fits."""
     fitted = False
-    for t_lo, den_lo, t_hi, den_hi, _u, _den in _reductions(alpha, m, bits):
-        if _fits_norm(t_lo, den_lo, t_hi, den_hi):
+    for _centered, norm in _rungs(alpha, m, bits):
+        if norm:
             fitted = True
-            yield _near_far(t_lo, den_lo, t_hi, den_hi)
+            yield norm
     if not fitted:
-        raise _uncertified(m)
+        raise PrecisionError(f"cannot certify ||{m}*alpha|| at {MAX_BITS} bits")
 
 
 def _split_parts(alpha: ExactAlpha, m: int) -> tuple[tuple[int, int],
                                                      tuple[int, int]]:
     """`_centered_parts(alpha, m)` and the near end of the first yield of
-    `_norm_parts(alpha, m)`, from one walk of the ladder: it goes on until
-    both fit tests have passed, which is most often at the first rung.
-    Raises the PrecisionError of `_centered_parts` before that of
-    `_norm_parts`."""
+    `_norm_parts(alpha, m)`, from one walk of `_rungs`: it goes on until
+    both readings are in, which is most often at the first rung.  Raises
+    the PrecisionError of `_centered_parts` before that of `_norm_parts`."""
     centered = near = None
-    rungs = _reductions(alpha, m, DEFAULT_BITS)
-    for t_lo, den_lo, t_hi, den_hi, u, den in rungs:
-        if centered is None and _fits_centered(t_lo, den_lo, t_hi, den_hi):
-            centered = u, den
-        if near is None and _fits_norm(t_lo, den_lo, t_hi, den_hi):
-            near = _near_far(t_lo, den_lo, t_hi, den_hi)[0]
-        if centered is not None and near is not None:
+    for fit, norm in _rungs(alpha, m):
+        centered = centered or fit
+        near = near or (norm and norm[0])
+        if centered and near:
             return centered, near
-    raise _unreduced(m) if centered is None else _uncertified(m)
+    # a reading no rung gave: its own reader walks again and raises
+    return _centered_parts(alpha, m), next(_norm_parts(alpha, m))[0]
 
 
 def circle_norm_interval(alpha: ExactAlpha, m: int,
@@ -432,7 +412,7 @@ def circle_norm_interval(alpha: ExactAlpha, m: int,
     equal to the Fraction arithmetic on the same enclosure: the first
     interval `_norm_parts` yields, at the lowest precision from `bits`
     that fits.  `cocycle.split_cocycle` reads the unreduced near end of
-    that yield from its own walk of the ladder (`_split_parts`)."""
+    that yield from its own walk of `_rungs` (`_split_parts`)."""
     lo, hi = next(_norm_parts(alpha, m, bits))
     return Fraction(*lo), Fraction(*hi)
 

@@ -2,7 +2,6 @@ import bisect
 import cmath
 import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +17,8 @@ from moeblab.errors import (DomainError, ParameterError, PrecisionError,
                             ResonanceError)
 
 from birkhoff_reference import _ref_birkhoff_sum
+from phase_reference import (_LooseBelowTop, _ref_centered_fractional,
+                             _ref_circle_norm_interval, _ref_rung)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +351,6 @@ def test_classify_tail_equals_fraction_comparison(resonant):
         assert (row.norm_lower_bound, row.certified) == (lower, certified), row.m
 
 
-@dataclass(frozen=True)
-class _LooseBelowTop(cf.ExactAlpha):
-    """The depth-9 resonant alpha with its enclosures widened by 2^-20 below
-    4096 bits: too loose for the default-bits case-1 check at some m, exact
-    enough at the 4096-bit retry."""
-
-    base: cf.ExactAlpha = fx.resonant_alpha(9)
-
-    def enclosure(self, bits):
-        lo, hi = self.base.enclosure(bits)
-        pad = Fraction(0) if bits >= cf.MAX_BITS else Fraction(1, 2 ** 20)
-        return lo - pad, hi + pad
-
-
 def test_classify_tail_takes_the_4096_bit_retry(resonant):
     _, res, _, split = resonant
     loose, e_set = _LooseBelowTop(), set(res.E)
@@ -399,15 +386,10 @@ def test_birkhoff_block_equals_fraction_formula(resonant, rng):
 # ---------------------------------------------------------------------------
 
 def _ref_first_norm(alpha, m, bits=cf.DEFAULT_BITS):
-    """The first yield of `_norm_parts` as it was, its near end picked by
-    cross-multiplication."""
-    for t_lo, den_lo, t_hi, den_hi, _u, _den in cf._reductions(alpha, m, bits):
-        if -den_lo <= 2 * t_lo and 2 * t_hi <= den_hi:
-            near, far = (abs(t_lo), den_lo), (abs(t_hi), den_hi)
-            if near[0] * far[1] > far[0] * near[1]:
-                near, far = far, near
-            return ((0, 1) if t_lo <= 0 <= t_hi else near), far
-    raise PrecisionError(f"cannot certify ||{m}*alpha|| at {cf.MAX_BITS} bits")
+    """The first interval of ||m alpha|| in Fraction arithmetic on the
+    enclosures from `bits`, near end first, as (num, den) pairs."""
+    return tuple((end.numerator, end.denominator)
+                 for end in _ref_circle_norm_interval(alpha, m, bits))
 
 
 def _ref_tail_row(alpha, res, e_set, m):
@@ -494,10 +476,10 @@ def test_split_equals_two_walks_on_a_loose_enclosure(resonant):
     _, res, h, _ = resonant
     loose = _LooseBelowTop()
     split = _assert_same_split(h, dataclasses.replace(res, alpha=loose))
-    first = {row.m: next(cf._reductions(loose, row.m, cf.DEFAULT_BITS))
+    first = {row.m: _ref_rung(loose, row.m, cf.DEFAULT_BITS)
              for row in split.case_rows}
-    walked_on = [m for m, rung in first.items()
-                 if cf._fits_centered(*rung[:4]) and not cf._fits_norm(*rung[:4])]
+    walked_on = [m for m, (centered, norm) in first.items()
+                 if centered is not None and norm is None]
 
     def uncertified_at_256(m):
         num, den = _ref_first_norm(loose, m)[0]
@@ -508,7 +490,8 @@ def test_split_equals_two_walks_on_a_loose_enclosure(resonant):
     assert walked_on and retried
     for m in walked_on:
         centered, near = cf._split_parts(loose, m)
-        assert centered == cf._centered_parts(loose, m)
+        assert Fraction(*centered) == \
+            _ref_centered_fractional(loose, m, cf.DEFAULT_BITS)
         assert Fraction(*near) == Fraction(*_ref_first_norm(loose, m)[0])
 
 

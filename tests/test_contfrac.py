@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from moeblab import contfrac as cf
 from moeblab.errors import DomainError, PrecisionError
 from moeblab.fixtures import resonant_alpha
+from phase_reference import (_LooseBelowTop, _ref_centered_fractional,
+                             _ref_circle_norm_interval, _ref_ends, _ref_rung)
 
 
 def test_rational_expansion_terminates():
@@ -290,7 +291,7 @@ def test_best_approx_rational_below_terminal():
 
 def _ref_best_approx_check(c, bits=cf.DEFAULT_BITS):
     # the body the one-walk ladder replaced: a second doubling loop around
-    # circle_norm_interval, kept as the reference
+    # circle_norm_interval, in Fraction arithmetic
     rows = []
     top = c.depth - 1 if (c.finite or isinstance(c.alpha, cf.QuotientAlpha)) \
         else c.depth
@@ -300,7 +301,7 @@ def _ref_best_approx_check(c, bits=cf.DEFAULT_BITS):
         upper = Fraction(1, qk1)
         b = bits
         while True:
-            n_lo, n_hi = cf.circle_norm_interval(c.alpha, qk, b)
+            n_lo, n_hi = _ref_circle_norm_interval(c.alpha, qk, b)
             if n_lo > lower and n_hi < upper:
                 certified = True
                 break
@@ -347,13 +348,13 @@ def test_best_approx_equals_the_doubling_loop(spec, depth):
 
 def test_best_approx_walks_the_ladder_once_per_row(monkeypatch):
     walks = []
-    reductions = cf._reductions
+    rungs = cf._rungs
 
     def counted(alpha, m, bits):
         walks.append(m)
-        return reductions(alpha, m, bits)
+        return rungs(alpha, m, bits)
 
-    monkeypatch.setattr(cf, "_reductions", counted)
+    monkeypatch.setattr(cf, "_rungs", counted)
     for spec in ("sqrt2-1", "golden"):
         walks.clear()
         rows = cf.best_approx_check(cf.expand(spec, 300))
@@ -454,61 +455,6 @@ def test_circle_norm_interval_certifies():
     assert Fraction(1, c.q(11) + c.q(10)) < lo and hi < Fraction(1, c.q(11))
 
 
-# the Fraction bodies the integer reduction replaced, kept as the reference
-@functools.lru_cache(maxsize=None)
-def _ref_enclosure(alpha, bits):
-    return alpha.enclosure(bits)
-
-
-def _ref_centered_fractional(alpha, m, bits):
-    if m == 0:
-        return Fraction(0)
-    b = bits
-    while True:
-        lo, hi = _ref_enclosure(alpha, b)
-        x_lo, x_hi = m * lo, m * hi
-        if x_lo > x_hi:
-            x_lo, x_hi = x_hi, x_lo
-        mid = (x_lo + x_hi) / 2
-        r = (mid + Fraction(1, 2)).__floor__()
-        t_lo, t_hi = x_lo - r, x_hi - r
-        if Fraction(-1, 2) <= t_lo and t_hi < Fraction(1, 2):
-            return (t_lo + t_hi) / 2
-        if t_hi - t_lo < Fraction(1, 4):
-            t = (t_lo + t_hi) / 2
-            while t >= Fraction(1, 2):
-                t -= 1
-            while t < Fraction(-1, 2):
-                t += 1
-            return t
-        if b >= cf.MAX_BITS:
-            raise PrecisionError(
-                f"cannot reduce {m}*alpha mod 1 at {cf.MAX_BITS} bits")
-        b *= 2
-
-
-def _ref_circle_norm_interval(alpha, m, bits):
-    if m == 0:
-        return (Fraction(0), Fraction(0))
-    b = bits
-    while True:
-        lo, hi = _ref_enclosure(alpha, b)
-        x_lo, x_hi = m * lo, m * hi
-        if x_lo > x_hi:
-            x_lo, x_hi = x_hi, x_lo
-        r = ((x_lo + x_hi) / 2 + Fraction(1, 2)).__floor__()
-        t_lo, t_hi = x_lo - r, x_hi - r
-        if Fraction(-1, 2) <= t_lo and t_hi <= Fraction(1, 2):
-            if t_lo <= 0 <= t_hi:
-                return (Fraction(0), max(-t_lo, t_hi))
-            mags = sorted((abs(t_lo), abs(t_hi)))
-            return (mags[0], mags[1])
-        if b >= cf.MAX_BITS:
-            raise PrecisionError(
-                f"cannot certify ||{m}*alpha|| at {cf.MAX_BITS} bits")
-        b *= 2
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -606,10 +552,26 @@ def test_sign_decided_norm_equals_the_fraction_reference(ends, m, bits):
     # wide fixed enclosures put m*[lo, hi] less r across 0 or wholly below
     # it, where the signs alone pick the near end
     alpha = _FixedEnclosure(min(ends), max(ends))
-    rung = next(cf._reductions(alpha, m, bits))
-    assume(rung[0] <= 0)            # straddling 0, or on its negative side
+    assume(_ref_ends(alpha, m, bits)[0] <= 0)   # straddling 0, or below it
     assert _outcome(_first_norm_values, alpha, m, bits) == \
         _outcome(_ref_circle_norm_interval, alpha, m, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.just(_LooseBelowTop()),
+                       st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS).map(
+                           lambda ends: _FixedEnclosure(min(ends), max(ends)))),
+       m=st.one_of(st.integers(1, 64), st.integers(1, 2 ** 20)).flatmap(
+           lambda m: st.sampled_from((m, -m))),
+       bits=st.sampled_from((64, 256)))
+def test_every_rung_reads_as_the_fraction_reference(alpha, m, bits):
+    # at each rung from bits to MAX_BITS, both fit decisions and the values
+    # read where they fit are those of Fraction arithmetic
+    got = [(centered and Fraction(*centered),
+            norm and (Fraction(*norm[0]), Fraction(*norm[1])))
+           for centered, norm in cf._rungs(alpha, m, bits)]
+    rungs = (cf.MAX_BITS // bits).bit_length()
+    assert got == [_ref_rung(alpha, m, bits << k) for k in range(rungs)]
 
 
 def test_expand_refuses_an_enclosure_that_stops_narrowing():

@@ -29,9 +29,9 @@ UNREAD = {
         "the step-wise dbar_n the balls of every kind are tested against",
     ("numtheory", "mu_by_factorization"): "the sieve's test reference",
     ("contfrac", "centered_fractional"):
-        "the exact value the rung ladders are tested against",
+        "the exact value of the centered reading of `_rungs`, for the tests",
     ("contfrac", "circle_norm_interval"):
-        "the exact interval the rung ladders are tested against",
+        "the exact interval of the norm reading of `_rungs`, for the tests",
     ("_kernels", "accumulate_circle"):
         "perfbench/tracing.py probes it; it goes with that probe",
     ("numtheory", "build_mobius_table"):
