@@ -267,6 +267,8 @@ def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],
 
     The balls of every epsilon come from one ascending pass over n_list
     (`dbar_balls`); each n's are dropped before the next n's are built.
+    An n's bool balls and `greedy_cover`'s float64 cast of one of them are
+    live together, (len(eps) + 8) p^2 bytes, refused past the cap first.
     """
     eps = [float(e) for e in epsilon_list]
     if any(not 0 < e < 1 for e in eps):
@@ -274,6 +276,9 @@ def complexity_profile(cloud: OrbitCloud, epsilon_list: Sequence[float],
     ns = _ns(n_list)
     if sorted(n_list) != list(n_list):
         raise DomainError("n_list must be ascending")
+    p = cloud.size
+    admit((len(eps) + 8) * p * p,
+          f"the balls and greedy cast of a covering profile of {p} states")
     rows_per_eps: dict[float, list[ProfileRow]] = {e: [] for e in eps}
     for n, balls in cloud.system.dbar_balls(cloud.states, ns, eps):
         for k, e in enumerate(eps):

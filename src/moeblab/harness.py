@@ -468,11 +468,12 @@ def _exp_correlation(seed, *, system: SystemInstance, f, x0,
 
 def _exp_mrt_bilinear(seed, *, p1: float, q1: float, n0: int, bign: int,
                       ell: int, csv_rows: int = 10000):
-    from .mrt import (bilinear_mobius_average, build_ladder,
+    from .mrt import (_admit_gram, bilinear_mobius_average, build_ladder,
                       complement_density, typical_set_mask)
     ladder = build_ladder(p1, q1, n0, bign)
     if csv_rows < 0:
         raise DomainError(f"n={csv_rows} outside the ladder range [0, {bign}]")
+    _admit_gram(bign, ell)
     mask = typical_set_mask(ladder, bign)     # one mask for all three readers
     stats = complement_density(ladder, mask)
     avg = bilinear_mobius_average(mask, bign, ell)

@@ -148,6 +148,19 @@ def complement_density(ladder: MrtLadder, mask: np.ndarray) -> TypicalSetStats:
     )
 
 
+def _admit_gram(n: int, ell: int) -> None:
+    """Refuse N < 1, L < 1, and past the cap the working set of
+    `bilinear_mobius_average`: the float64 Gram, a chunk's float32 Gram,
+    (L, chunk) rows and int8 and float32 mu window.  The `mrt-bilinear`
+    experiment calls it before it builds its mask."""
+    if n < 1:
+        raise DomainError(f"N must be >= 1, got {n}")
+    if ell < 1:
+        raise DomainError(f"L must be >= 1, got {ell}")
+    admit(12 * ell * ell + (4 * ell + 5) * min(n, BILINEAR_CHUNK) + 5 * ell,
+          f"bilinear Gram of L={ell}, N={n}")
+
+
 def bilinear_mobius_average(mask: np.ndarray | None, n: int, ell: int) -> float:
     """(1/(N L^2)) sum_{l1,l2 < L} |sum_{m in [1,N] cap S} mu(m+l1) mu(m+l2)|.
 
@@ -161,16 +174,12 @@ def bilinear_mobius_average(mask: np.ndarray | None, n: int, ell: int) -> float:
     integer, at most BILINEAR_CHUNK < 2^24 in a chunk and N < 2^53 in
     total, so the result is exact.  `mask` is the membership of 0..N or
     further (`typical_set_mask`); None means S = [1, N].
-    Working set: the float64 Gram, a chunk's float32 Gram, (L, chunk) rows
-    and int8 and float32 mu window; it is refused past the cap before mu is
-    sieved (`mobius_segments`, which admits its own scratch).
+    Working set: see `_admit_gram`; mu is sieved after it is admitted
+    (`mobius_segments`, which admits its own scratch).
     """
-    if ell < 1:
-        raise DomainError(f"L must be >= 1, got {ell}")
+    _admit_gram(n, ell)
     if mask is not None and n >= len(mask):
         raise DomainError(f"N={n} exceeds the mask's range {len(mask) - 1}")
-    admit(12 * ell * ell + (4 * ell + 5) * min(n, BILINEAR_CHUNK) + 5 * ell,
-          f"bilinear Gram of L={ell}, N={n}")
     gram = np.zeros((ell, ell))
     mu = windows(mobius_segments(n + ell - 1), BILINEAR_CHUNK + ell - 1, ell - 1)
     for lo, window in zip(range(1, n + 1, BILINEAR_CHUNK), mu):

@@ -163,9 +163,11 @@ ROWS = {
     "correlation": _experiment("correlation", {
         "system": ROTATION, "f": [[1, 1.0, 0.0]], "x0": 0.1,
         "checkpoints": [2 * BLOCK]}, {"checkpoints": [10, 2 ** 31]}, slack=2 * MIB),
+    # past the cap, the Gram's figure refuses L = 30000 before the mask of
+    # 10^7 entries is built
     "mrt-bilinear": _experiment("mrt-bilinear", {
         "p1": 11, "q1": 17, "n0": 10 ** 4, "bign": 10 ** 7, "ell": 1},
-        {"n0": 2 ** 31, "bign": 2 ** 31}),
+        {"bign": 10 ** 7, "ell": 30000}),
     # past the cap, the trace's 3.2 GB figure refuses N = 2 10^7 before mu
     # up to N + L is sieved
     "block-trace": _experiment("block-trace", {
@@ -188,7 +190,15 @@ ROWS = {
                      (mrt.build_ladder(11, 17, 10 ** 4, 10 ** 6), 10 ** 6),
                      (mrt.build_ladder(11, 17, 2 ** 31, 2 ** 31), 2 ** 31)),
     "bilinear": _library(mrt.bilinear_mobius_average,
-                         (None, CHUNK + CHUNK // 2, 300), (None, 100, 30000)),
+                         (None, CHUNK + CHUNK // 2, 300), (None, 100, 30000),
+                         "mrt._admit_gram"),
+    # the balls of both epsilons and greedy's cast, admitted before the
+    # first n; past the cap, 16385 states, built outside the trace
+    "profile": _library(complexity.complexity_profile,
+                        (complexity.sample_cloud(dynamics.make_system(ROTATION), 600, 1),
+                         [0.1, 0.2], [1, 2]),
+                        (complexity.sample_cloud(dynamics.make_system(ROTATION), 16385, 1),
+                         [0.1, 0.2], [1])),
     "greedy": _library(complexity.greedy_cover,
                        (np.broadcast_to(True, (1000, 1000)), np.full(1000, 1e-3), 0.1),
                        (np.broadcast_to(True, (16385, 16385)),

@@ -190,6 +190,15 @@ def test_bilinear_range_check(ladder_11_17):
         mrt.bilinear_mobius_average(mrt.typical_set_mask(ladder_11_17, 100), 101, 2)
 
 
+@pytest.mark.parametrize("ell", [1, 2])
+def test_bilinear_refuses_n_below_1(monkeypatch, ell):
+    # refused by N itself, before the Gram is admitted or mu is sieved
+    monkeypatch.setattr(mrt, "admit", None)
+    monkeypatch.setattr(mrt, "mobius_segments", None)
+    with pytest.raises(DomainError, match="^N must be >= 1, got 0$"):
+        mrt.bilinear_mobius_average(None, 0, ell)
+
+
 def _ref_bilinear_mobius_average(table, mask, n, ell):
     """The former one-shot Gram of the (L, N) float64 shifted slices."""
     mask = np.ones(n) if mask is None else mask[1: n + 1].astype(np.float64)
